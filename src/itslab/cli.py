@@ -240,13 +240,16 @@ def cmd_sweep_k(args, parser):
         )
         w_R = resolve_reward(RewardSpec.radial(float(c)), w_T, de.R, config.S)
         for g, k in enumerate(k_grid):
-            series = _series_value(config, de, w_T, w_R, T, k)
+            # the high-temperature series has no T = 0 limit
+            series = _series_value(config, de, w_T, w_R, T, k) if T > 0 else None
             row = _base_row(config, mode, args.seed)
             row.update(
                 c=float(c), k=int(k), T=T, delta=res.mean[g], stderr=res.stderr[g],
                 n_outer=res.n_outer, n_inner=args.n_inner, theory_highT=series,
             )
             rows.append(row)
+            if series is None:
+                continue
             theory = _base_row(config, "theory_highT", args.seed)
             theory.update(
                 c=float(c), k=int(k), T=T, delta=series, stderr=0.0,
@@ -336,7 +339,7 @@ def cmd_polar_map(args, parser):
             res = delta_k_curve(
                 config, RewardSpec.polar(float(c), float(theta)), T, args.k_grid,
                 n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
-                seed=args.seed, threads=args.threads,
+                seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
             )
             rows.append(
                 {

@@ -8,12 +8,19 @@ The error of reward-weighted selection at a test point x is
 with y_1..y_k i.i.d. from the predictive at x, and delta = E_x delta(x).
 The estimator averages the softmax-weighted loss inside each batch of k
 draws (same expectation as sampling the categorical index, strictly lower
-variance); T = 0 takes the loss of the argmax-reward draw.
+variance). At T = 0 with one reward target per test point, the estimator
+samples the winner's distance directly: in standardized coordinates
+z = (y - m)/s the selected draw is the one closest to a = (mu_R - m)/s, and
+its distance D has P(D > d) = (1 - F(d))^k with F(d) = P(|z - a| <= d), so
+D is drawn by inverting that law (inverse-CDF sampling of an order
+statistic) and no k candidates are materialised.
 
-Sweeps over k, T or the reward misalignment c share the underlying Gaussian
-draws (common random numbers): the draw matrix is extended as k grows and
-reweighted as T or c change, so curves are smooth at fixed seed and
-neighboring grid points can be compared through paired differences.
+Sweeps over k, T or the reward misalignment c share the underlying random
+numbers (common random numbers), so curves are smooth at fixed seed and
+neighboring grid points can be compared through paired differences. The
+Gaussian draw matrix is extended as k grows and reweighted as T or c change;
+the T = 0 sampler splits the k grid into disjoint blocks of k_j - k_{j-1}
+candidates, draws each block's winner, and keeps a running minimum.
 
 Reproducibility contract: all randomness is derived from (seed, purpose,
 index) named streams. The outer loop over test points is processed in
@@ -27,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit, log_ndtr, ndtri
 
 from .model import ModelConfig, RewardSpec, generate_dataset, resolve_reward, sample_teacher
 from .posterior import PredictiveMoments, fit_posterior, predictive_moments_batch
@@ -38,6 +46,8 @@ MODES = ("exact_posterior", "det_equiv")
 
 _BLOCK = 16  # test points per work unit; fixed so results never depend on threading
 _MAX_ELEMS = 1 << 23  # cap on draws held in memory at once (per work unit)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_NEWTON_STEPS = 50  # cap only: the root solve converges in at most a handful
 
 
 @dataclass(frozen=True)
@@ -172,6 +182,85 @@ def _cell_means_for_x(
     return out / n_inner
 
 
+def _winner_distance(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Solve F(d) = -expm1(x) for d >= 0, elementwise, with x <= 0 and A >= 0.
+
+    F(d) = P(|z - A| <= d) = Phi(d - A) - Phi(-A - d) for z ~ N(0, 1). Both
+    terms are lower tails, so their difference keeps its relative precision
+    at large A. Targets p = -expm1(x) <= 1/2 are solved on log F, which is
+    concave (Prekopa), from the larger of two lower bounds on the root, so
+    Newton's method rises monotonically onto it; targets above 1/2 are solved
+    on log(1 - F) = x, which is exact near p = 1. Roots below 1e-5 are taken
+    from the sinh bound, which is exact there to O(d^2). Every element stops
+    on its own convergence test, so no result depends on its batch-mates.
+    """
+    x, A = np.broadcast_arrays(x, A)
+    p = -np.expm1(x)
+    q = np.exp(x)
+    upper = p > 0.5
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        log_p = np.log(p)
+        # each upper bound on F is a lower bound on the root:
+        # F(d) <= Phi(d - A) and F(d) <= 2 phi(A) sinh(A d) / A
+        normal_bound = A + np.where(upper, -ndtri(q), ndtri(p))
+        log_sinh = log_p + np.log(A) + 0.5 * A * A + _LOG_SQRT_2PI - math.log(2.0)
+        sinh_bound = np.where(
+            log_sinh > 30.0, log_sinh + math.log(2.0), np.arcsinh(np.exp(log_sinh))
+        ) / A
+        sinh_bound = np.where(A > 0, sinh_bound, p * math.sqrt(0.5 * math.pi))
+    d = np.maximum(normal_bound, sinh_bound).ravel()  # 0 where p = 0
+    target = np.where(upper, x, log_p).ravel()
+    A, upper = A.ravel(), upper.ravel()
+    active = np.flatnonzero(d >= 1e-5)
+    for _ in range(_NEWTON_STEPS):
+        if active.size == 0:
+            break
+        da, Aa, up = d[active], A[active], upper[active]
+        tail = log_ndtr(-Aa - da)  # log Phi(-A - d)
+        near = log_ndtr(np.where(up, Aa - da, da - Aa))  # log Phi(+-(d - A))
+        with np.errstate(divide="ignore"):  # log(1 - F) on the upper branch
+            log_mass = np.where(up, np.logaddexp(near, tail), near + np.log(-np.expm1(tail - near)))
+        log_density = np.logaddexp(-0.5 * (da - Aa) ** 2, -0.5 * (da + Aa) ** 2) - _LOG_SQRT_2PI
+        # g = log F - log p rises in d; so does g = x - log(1 - F)
+        g = np.where(up, target[active] - log_mass, log_mass - target[active])
+        step = -g / np.exp(log_density - log_mass)
+        d[active] = da + step
+        # the log F branch approaches from below: a non-positive step is noise
+        active = active[np.where(up, np.abs(step), step) > 1e-10 * da]
+    return d.reshape(x.shape)
+
+
+def _best_of_k_cells(rngs, m, s, mu_T, mu_R, cell_k, n_inner: int) -> np.ndarray:
+    """Inner-averaged T = 0 losses for every k cell at a batch of test points.
+
+    ``rngs`` holds one generator per test point; the other arguments are
+    per-point arrays. Sorted distinct k values split the candidates into
+    disjoint blocks of k_j - k_{j-1}; each block draws, per inner batch, one
+    uniform for its winner's distance and one for the winner's side of a,
+    and a running minimum of the distance carries the winner's loss along
+    the grid. Each point's row depends only on its own generator.
+    """
+    ks, cell_of = np.unique(np.asarray(cell_k, dtype=int), return_inverse=True)
+    positive = s > 0
+    a = np.divide(mu_R - m, s, out=np.zeros_like(s), where=positive)[:, None]
+    # the winner y = m + s (a +- d) has y - mu_T = (mu_R - mu_T) +- s d
+    gap = np.where(positive, mu_R - mu_T, m - mu_T)[:, None]
+    s = s[:, None]
+    best_d = np.full((len(rngs), n_inner), np.inf)
+    best_loss = np.zeros_like(best_d)
+    out = np.empty((len(rngs), len(ks)))
+    for j, block in enumerate(np.diff(ks, prepend=0)):
+        U = np.stack([rng.random((2, n_inner)) for rng in rngs])
+        d = _winner_distance(np.log1p(-U[:, 0]) / block, np.abs(a))
+        # P(winner at a + d) = phi(a + d) / (phi(a + d) + phi(a - d))
+        offset = np.where(U[:, 1] < expit(-2.0 * a * d), s * d, -s * d)
+        closer = d < best_d
+        best_d = np.where(closer, d, best_d)
+        best_loss = np.where(closer, (gap + offset) ** 2, best_loss)
+        out[:, j] = best_loss.mean(axis=1)
+    return out[:, cell_of]
+
+
 @dataclass(frozen=True)
 class _Context:
     """Per-dataset predictive scalars at the sampled test points."""
@@ -235,7 +324,9 @@ def _run_cells(
 
     ``mu_R_factor`` is either None (use the reward spec's mu_R for every
     cell) or an array of per-cell multipliers applied to mu_T (the radial
-    reward family mu_R = (1 + c B) mu_T).
+    reward family mu_R = (1 + c B) mu_T). Grids with T = 0 in every cell and
+    one reward target go to the order-statistic sampler; the rest share one
+    Gaussian draw matrix across cells.
     """
     if n_outer < 1 or n_inner < 1:
         raise ValueError("n_outer and n_inner must be >= 1")
@@ -246,6 +337,10 @@ def _run_cells(
     if np.any(cell_T < 0):
         raise ValueError("every T must be >= 0")
     kmax = int(cell_k.max())
+    best_of_k = mu_R_factor is None and not np.any(cell_T)
+    # points per call of the T = 0 sampler: its ~16 working arrays of n_inner
+    # values per point then hold at most _MAX_ELEMS values
+    t0_points = max(1, _MAX_ELEMS // (16 * n_inner))
 
     contexts, w_T, w_R, de = _prepare_contexts(
         config, reward, mode, seed, n_outer, n_datasets
@@ -255,6 +350,15 @@ def _run_cells(
 
     def run_block(ctx: _Context, start: int, stop: int):
         base = ctx.dataset_index * n_outer
+        if best_of_k:
+            for lo in range(start, stop, t0_points):
+                hi = min(lo + t0_points, stop)
+                rngs = [stream(seed, "inference", ctx.dataset_index, i) for i in range(lo, hi)]
+                per_x[base + lo : base + hi] = _best_of_k_cells(
+                    rngs, ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi], ctx.mu_R[lo:hi],
+                    cell_k, n_inner,
+                )
+            return
         for i in range(start, stop):
             if mu_R_factor is None:
                 cell_muR = np.full(len(cell_k), ctx.mu_R[i])

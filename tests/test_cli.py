@@ -132,6 +132,33 @@ class TestSubcommands:
         labels = {line.split(",")[9] for line in lines[1:]}
         assert labels <= {"monotone", "non_monotone"}
 
+    def test_sweep_k_at_zero_temperature_matches_bestofk_check(self, tmp_path):
+        flags = ["--k-grid", "1,10,100", "--n-outer", "20", "--n-inner", "10", "--seed", "3"]
+        sk, bk = tmp_path / "sk.csv", tmp_path / "bk.csv"
+        assert run(["sweep-k", "--T", "0", "--c-grid", "0"] + flags + ["--out", str(sk)]) == 0
+        assert run(["bestofk-check"] + flags + ["--out", str(bk)]) == 0
+
+        def mc_deltas(path):
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            col = rows[0].index("delta")
+            return [(r[6], r[col]) for r in rows[1:] if r[0] == "det_equiv"]
+
+        sweep_rows = sk.read_text().splitlines()
+        assert {line.split(",")[0] for line in sweep_rows[1:]} == {"det_equiv"}
+        assert all(line.endswith(",") for line in sweep_rows[1:])  # theory_highT empty
+        assert mc_deltas(sk) == mc_deltas(bk)
+        assert len(mc_deltas(sk)) == 3
+
+    def test_polar_map_passes_n_datasets(self, tmp_path):
+        out = tmp_path / "pm.csv"
+        assert run([
+            "polar-map", "--d", "2", "--mode", "exact", "--n-datasets", "5",
+            "--c-grid", "1e-3", "--theta-grid", "0", "--k-grid", "1,2,3",
+            "--n-outer", "3", "--n-inner", "5", "--out", str(out),
+        ]) == 0
+        header, row = out.read_text().splitlines()
+        assert row.split(",")[header.split(",").index("n_outer")] == "15"
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ITSLAB_OUT_DIR", str(tmp_path))
         assert run(["ridge", "--d", "3", "--n", "30", "--out", "sub/r.csv"]) == 0

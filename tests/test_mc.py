@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from itslab import (
     ModelConfig,
@@ -10,9 +13,13 @@ from itslab import (
     delta_k_curve,
     delta_t_curve,
     delta_x,
+    refined_best_of_k_delta,
+    sample_teacher,
+    solve_for_config,
     stream,
 )
-from itslab.mc import _select_values
+from itslab import mc
+from itslab.mc import _best_of_k_cells, _select_values, _winner_distance
 from itslab.posterior import PredictiveMoments
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
@@ -47,6 +54,106 @@ class TestSelectValues:
         P = np.array([[1.0, 1.0, 2.0]])
         L = np.array([[10.0, 20.0, 30.0]])
         assert _select_values(L, P, 0.0)[0] == 10.0
+
+
+def _t0_cells(m, s2, mu_T, mu_R, k_grid, n_points, n_inner, seed):
+    """The T = 0 sampler at n_points copies of one test point."""
+    rngs = [stream(seed, "t0-oracle", i) for i in range(n_points)]
+    per = _best_of_k_cells(
+        rngs, np.full(n_points, m), np.full(n_points, math.sqrt(s2)),
+        np.full(n_points, mu_T), np.full(n_points, mu_R), k_grid, n_inner,
+    )
+    return per.mean(axis=0), per.std(axis=0, ddof=1) / math.sqrt(n_points)
+
+
+class TestBestOfKSampler:
+    """The order-statistic T = 0 sampler against brute force and exact values."""
+
+    @pytest.mark.parametrize("m, s2, mu_T, mu_R", [
+        (0.0, 1.0, 0.0, 0.0),    # aligned, a = 0
+        (0.4, 0.5, -0.3, -0.3),  # aligned, a = -1
+        (0.3, 0.5, -0.2, 1.5),   # misaligned, a = 1.7
+        (0.0, 2.0, 0.7, -7.0),   # misaligned, a = -4.9
+    ])
+    def test_matches_brute_force(self, m, s2, mu_T, mu_R):
+        k_grid = [1, 2, 5, 20, 100]
+        mean, se = _t0_cells(m, s2, mu_T, mu_R, k_grid, 300, 100, seed=21)
+        for g, k in enumerate(k_grid):
+            bf, bf_se = delta_x(
+                PredictiveMoments(m, s2), mu_T, mu_R, SamplerConfig(k=k, T=0.0),
+                n_inner=30_000, rng=stream(22, "t0-brute", k),
+            )
+            assert abs(mean[g] - bf) < 4 * math.hypot(se[g], bf_se), k
+
+    def test_k1_is_plain_second_moment(self):
+        rng = np.random.default_rng(23)
+        for i in range(5):
+            m, mu_T, mu_R = rng.normal(size=3) * 2
+            s2 = float(rng.uniform(0.2, 2.0))
+            mean, se = _t0_cells(m, s2, mu_T, mu_R, [1], 200, 100, seed=24 + i)
+            assert abs(mean[0] - ((m - mu_T) ** 2 + s2)) < 4 * se[0]
+
+    def test_zero_predictive_std_matches_brute_force(self):
+        # sigma = 0, n > d in det_equiv mode: s = 0 and m = mu_T, so every
+        # candidate sits at the teacher whatever the reward targets
+        cfg = ModelConfig(d=4, n=500, sigma=0.0, gamma=0.5)
+        reward = RewardSpec.explicit(np.ones(4))
+        kw = dict(n_outer=20, n_inner=10, seed=28)
+        fast = delta_k_curve(cfg, reward, 0.0, [1, 7], **kw)
+        brute = delta_t_curve(cfg, reward, 7, [0.0, 1.0], **kw)
+        np.testing.assert_array_equal(fast.per_x[:, 1], brute.per_x[:, 0])
+        np.testing.assert_array_equal(fast.per_x, 0.0)
+
+    def test_winner_distance_solves_the_cdf(self):
+        A = np.array([0.0, 1e-7, 0.3, 1.0, 2.5, 5.0, 12.0, 45.0])[:, None]
+        u = np.array([1e-20, 1e-9, 1e-4, 0.05, 0.5, 0.9, 0.999, 1 - 1e-12])
+        x = np.log1p(-u)
+        d = _winner_distance(x, A)
+        assert np.all(np.isfinite(d)) and np.all(d > 0)
+        # residual on whichever tail is the smaller, where it is well conditioned
+        lower = ndtr(d - A) - ndtr(-A - d)
+        upper = ndtr(A - d) + ndtr(-A - d)
+        p, q = -np.expm1(x), np.exp(x)
+        small = np.broadcast_to(p <= 0.5, d.shape)
+        moderate = small & (d > 1e-3)
+        np.testing.assert_allclose(lower[moderate], np.broadcast_to(p, d.shape)[moderate], rtol=1e-8)
+        np.testing.assert_allclose(upper[~small], np.broadcast_to(q, d.shape)[~small], rtol=1e-8)
+        # tiny roots: F(d) = 2 phi(A) d (1 + O(A^2 d^2 + d^2))
+        tiny = small & (d <= 1e-3) & (A < 10)
+        linear = 2 * d * np.exp(-0.5 * A**2) / math.sqrt(2 * math.pi)
+        np.testing.assert_allclose(linear[tiny], np.broadcast_to(p, d.shape)[tiny], rtol=1e-4)
+
+    def test_aligned_reward_nonincreasing_along_k(self):
+        # aligned reward: the winner's loss is s^2 D^2, and D is a running minimum
+        cfg = ModelConfig(d=10, n=10_000, **FIG_LIKE)
+        res = delta_k_curve(cfg, RewardSpec.radial(0.0), 0.0, [1, 2, 3, 5, 10, 100, 1000],
+                            n_outer=40, n_inner=50, seed=25)
+        assert np.all(np.diff(res.per_x, axis=1) <= 0)
+
+    def test_rows_independent_of_threads_batching_and_longer_grids(self, monkeypatch):
+        cfg = ModelConfig(d=4, n=500, sigma=0.05, gamma=0.5)
+        kw = dict(n_outer=40, n_inner=20, seed=26)
+        r1 = delta_k_curve(cfg, RewardSpec.radial(3.0), 0.0, [1, 4, 30], threads=1, **kw)
+        r3 = delta_k_curve(cfg, RewardSpec.radial(3.0), 0.0, [1, 4, 30], threads=3, **kw)
+        assert r1.per_x.tobytes() == r3.per_x.tobytes()
+        # a longer grid draws further blocks after the existing ones
+        longer = delta_k_curve(cfg, RewardSpec.radial(3.0), 0.0, [1, 4, 30, 200], **kw)
+        assert longer.per_x[:, :3].tobytes() == r1.per_x.tobytes()
+        # a memory cap that solves 3 points at a time leaves every row as it was
+        monkeypatch.setattr(mc, "_MAX_ELEMS", 16 * 20 * 3)
+        capped = delta_k_curve(cfg, RewardSpec.radial(3.0), 0.0, [1, 4, 30], **kw)
+        assert capped.per_x.tobytes() == r1.per_x.tobytes()
+
+    def test_large_k_precision(self):
+        cfg = ModelConfig(d=10, n=10_000, **FIG_LIKE)
+        res = delta_k_curve(cfg, RewardSpec.radial(0.0), 0.0, [10**6, 10**8],
+                            n_outer=150, n_inner=150, seed=27)
+        de = solve_for_config(cfg)
+        w_T = sample_teacher(cfg, stream(27, "teacher"))
+        assert np.all(np.isfinite(res.per_x)) and np.all(res.per_x > 0)
+        for g, k in enumerate(res.grid):
+            ref = refined_best_of_k_delta(cfg, de, w_T, int(k)).value
+            assert abs(res.mean[g] / ref - 1.0) < 0.10, k
 
 
 class TestDeltaX:
