@@ -139,7 +139,6 @@ def _add_model_flags(p):
 def _add_common(p, default_out):
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     p.add_argument("--out", help=f"output CSV path (default {default_out})")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(default_out=default_out)
 
 
@@ -149,6 +148,7 @@ def _add_mc_flags(p):
     p.add_argument("--mode", choices=["exact", "de"], default="de")
     p.add_argument("--n-datasets", type=int, default=1, dest="n_datasets",
                    help="training sets to average over (exact mode)")
+    p.add_argument("--threads", type=int, default=1)
 
 
 def build_config(args, parser) -> ModelConfig:
@@ -229,7 +229,7 @@ def cmd_sweep_k(args, parser):
     mode = _MODE_ALIASES[args.mode]
     T = _temperature(args, config, parser)
     k_grid = args.k_grid
-    de = solve_for_config(config)
+    de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
     rows = []
     for c in args.c_grid:
@@ -238,10 +238,10 @@ def cmd_sweep_k(args, parser):
             n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
             seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
         )
-        w_R = resolve_reward(RewardSpec.radial(float(c)), w_T, de.R, config.S)
+        w_R = resolve_reward(RewardSpec.radial(float(c)), w_T, de.R if de else 0.0, config.S)
         for g, k in enumerate(k_grid):
-            # the high-temperature series has no T = 0 limit
-            series = _series_value(config, de, w_T, w_R, T, k) if T > 0 else None
+            # the series has no T = 0 limit, and no fixed point exists at n = 0
+            series = _series_value(config, de, w_T, w_R, T, k) if T > 0 and de else None
             row = _base_row(config, mode, args.seed)
             row.update(
                 c=float(c), k=int(k), T=T, delta=res.mean[g], stderr=res.stderr[g],
@@ -278,14 +278,16 @@ def cmd_sweep_t(args, parser):
         n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
         seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
     )
-    de = solve_for_config(config)
+    de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
-    w_R = resolve_reward(RewardSpec.radial(args.c), w_T, de.R, config.S)
-    try:
-        st = SeriesTerms.from_radial_average(config, de, w_T, w_R, 1.0)
-        t_opt = optimal_temperature(st.delta_T, st.delta_R, st.s2, args.k)
-    except ValueError:
-        t_opt = None
+    w_R = resolve_reward(RewardSpec.radial(args.c), w_T, de.R if de else 0.0, config.S)
+    t_opt = None
+    if de:  # the series needs the ridge fixed point, which n = 0 lacks
+        try:
+            st = SeriesTerms.from_radial_average(config, de, w_T, w_R, 1.0)
+            t_opt = optimal_temperature(st.delta_T, st.delta_R, st.s2, args.k)
+        except ValueError:
+            pass
     rows = []
     for g, T in enumerate(T_grid):
         row = _base_row(config, mode, args.seed)

@@ -12,6 +12,11 @@ approximated by bootstrap subsets drawn without replacement; subsets for
 growing k extend a common permutation, which keeps curves in k smooth at a
 fixed seed.
 
+Questions with equal sample counts are stacked, so a sweep costs
+O(|k| * |T| * Q * R * k) element operations (Q questions, R resamples) in a
+few array calls per (k, T) cell, with the draws and summation order, and so
+the output bytes, of a per-subset loop (the tests keep that loop).
+
 Input format: one JSON object per line with fields question_id, sample_id,
 reward, correct.
 """
@@ -58,10 +63,6 @@ class JudgeDataset:
     @property
     def counts(self) -> dict:
         return {qid: len(q.sample_ids) for qid, q in self.questions.items()}
-
-    def eligible(self, k: int) -> list:
-        """Question ids with at least k samples, in sorted order."""
-        return [qid for qid in sorted(self.questions) if len(self.questions[qid].sample_ids) >= k]
 
     @classmethod
     def from_records(cls, records) -> "JudgeDataset":
@@ -142,52 +143,36 @@ def load_records(path) -> JudgeDataset:
     return JudgeDataset.from_records(records)
 
 
-def _subset_value(rewards: np.ndarray, correct: np.ndarray, T: float) -> float:
-    """Softmax-weighted accuracy of one candidate subset (arrays in sample_id order)."""
-    if T == 0:
-        return float(correct[np.argmax(rewards)])
-    w = np.exp((rewards - rewards.max()) / T)
-    # sum/sum keeps the all-correct case exactly 1.0
-    return float(np.sum(w * correct) / np.sum(w))
+def _draw_groups(ds: JudgeDataset, qids: list, counts: np.ndarray, n_resample: int, rng) -> list:
+    """Stack the questions by sample count nq: (positions in qids, rewards, correct, perms).
 
-
-def judge_delta(
-    ds: JudgeDataset, k: int, T: float, n_resample: int, rng: np.random.Generator
-) -> ErrorEstimate:
-    """Negated expected accuracy of reward-weighted selection at (k, T).
-
-    For every question with at least k samples, ``n_resample`` subsets of
-    size k are drawn without replacement; questions with fewer samples are
-    excluded. The stderr is taken across per-question means, so resampling
-    noise is folded in. Raises when no question is eligible.
+    rewards and correct are (Q, nq); perms (Q, n_resample, nq) holds one
+    ``rng.permutation(nq)`` per question and resample, drawn question-major in qids order.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    if n_resample < 1:
-        raise ValueError(f"n_resample must be >= 1, got {n_resample}")
-    eligible = ds.eligible(k)
-    if not eligible:
-        raise ValueError(f"no question has >= {k} samples")
-    per_question = np.empty(len(eligible))
-    for qi, qid in enumerate(eligible):
-        q = ds.questions[qid]
-        nq = len(q.sample_ids)
-        acc = 0.0
-        for _ in range(n_resample):
-            idx = np.sort(rng.permutation(nq)[:k])
-            acc += _subset_value(q.rewards[idx], q.correct[idx], T)
-        per_question[qi] = acc / n_resample
-    mean = -float(per_question.mean())
-    stderr = (
-        float(per_question.std(ddof=1) / math.sqrt(len(eligible)))
-        if len(eligible) > 1
-        else math.inf
-    )
-    return ErrorEstimate(
-        mean=mean, stderr=stderr, n_outer=len(eligible), n_inner=n_resample, mode="judge"
-    )
+    groups, blocks = [], {}
+    for nq in np.unique(counts).tolist():
+        positions = np.flatnonzero(counts == nq)
+        qs = [ds.questions[qids[i]] for i in positions]
+        perms = np.empty((len(qs), n_resample, nq), dtype=np.int32)
+        rewards, correct = np.array([q.rewards for q in qs]), np.array([q.correct for q in qs])
+        groups.append((positions, rewards, correct, perms))
+        blocks.update(zip(positions.tolist(), perms))
+    for i, nq in enumerate(counts.tolist()):
+        for r in range(n_resample):
+            blocks[i][r] = rng.permutation(nq)
+    return groups
+
+
+def _select(rewards: np.ndarray, correct: np.ndarray, T: float) -> np.ndarray:
+    """Softmax-weighted accuracy of each subset along the last axis."""
+    if T == 0:
+        best = np.argmax(rewards, axis=-1)[..., None]
+        return np.take_along_axis(correct, best, axis=-1)[..., 0]
+    w = rewards - rewards.max(axis=-1, keepdims=True)
+    w /= T
+    np.exp(w, out=w)
+    # sum/sum keeps the all-correct case exactly 1.0
+    return (w * correct).sum(axis=-1) / w.sum(axis=-1)
 
 
 def judge_sweep(
@@ -198,47 +183,59 @@ def judge_sweep(
     Returns one row dict per (k, T) with keys k, T, delta, stderr,
     n_questions_used, n_resample. Each question draws one permutation per
     resample; the size-k subset is its first k entries, so estimates are
-    positively coupled along k.
+    positively coupled along k. Questions with fewer than k samples are
+    excluded; the stderr is taken across per-question means, so resampling
+    noise is folded in. Raises when no question has k samples.
     """
     k_grid = [int(k) for k in k_grid]
     T_grid = [float(T) for T in T_grid]
     if any(k < 1 for k in k_grid):
-        raise ValueError("every k must be >= 1")
+        raise ValueError(f"every k must be >= 1, got {k_grid}")
     if any(T < 0 for T in T_grid):
-        raise ValueError("every T must be >= 0")
+        raise ValueError(f"every T must be >= 0, got {T_grid}")
+    if n_resample < 1:
+        raise ValueError(f"n_resample must be >= 1, got {n_resample}")
     qids = sorted(ds.questions)
-    perms = {
-        qid: [rng.permutation(len(ds.questions[qid].sample_ids)) for _ in range(n_resample)]
-        for qid in qids
-    }
+    counts = np.array([len(ds.questions[qid].sample_ids) for qid in qids], dtype=int)
+    groups = _draw_groups(ds, qids, counts, n_resample, rng)
     rows = []
     for k in k_grid:
-        eligible = [qid for qid in qids if len(ds.questions[qid].sample_ids) >= k]
-        if not eligible:
+        used = counts >= k
+        n_used = int(used.sum())
+        if not n_used:
             raise ValueError(f"no question has >= {k} samples")
+        subsets = []
+        for pos, rewards, correct, perms in groups:
+            if perms.shape[-1] >= k:
+                # sample_id order in a subset sets the T = 0 tie rule and the summation order
+                idx = np.sort(perms[..., :k], axis=-1)
+                subsets.append((pos, np.take_along_axis(rewards[:, None], idx, -1),
+                                np.take_along_axis(correct[:, None], idx, -1)))
         for T in T_grid:
-            per_question = np.empty(len(eligible))
-            for qi, qid in enumerate(eligible):
-                q = ds.questions[qid]
-                acc = 0.0
-                for perm in perms[qid]:
-                    idx = np.sort(perm[:k])
-                    acc += _subset_value(q.rewards[idx], q.correct[idx], T)
-                per_question[qi] = acc / n_resample
-            mean = -float(per_question.mean())
-            stderr = (
-                float(per_question.std(ddof=1) / math.sqrt(len(eligible)))
-                if len(eligible) > 1
-                else math.inf
-            )
-            rows.append(
-                {
-                    "k": k,
-                    "T": T,
-                    "delta": mean,
-                    "stderr": stderr,
-                    "n_questions_used": len(eligible),
-                    "n_resample": n_resample,
-                }
-            )
+            per_question = np.empty(len(qids))
+            for pos, rewards, correct in subsets:
+                # cumsum adds the resamples in draw order, as a scalar loop does
+                per_question[pos] = _select(rewards, correct, T).cumsum(axis=1)[:, -1] / n_resample
+            per_question = per_question[used]
+            stderr = per_question.std(ddof=1) / math.sqrt(n_used) if n_used > 1 else math.inf
+            rows.append({
+                "k": k, "T": T, "delta": -float(per_question.mean()), "stderr": float(stderr),
+                "n_questions_used": n_used, "n_resample": n_resample,
+            })
     return rows
+
+
+def judge_delta(
+    ds: JudgeDataset, k: int, T: float, n_resample: int, rng: np.random.Generator
+) -> ErrorEstimate:
+    """Negated expected accuracy of reward-weighted selection at (k, T).
+
+    The one-cell :func:`judge_sweep`, except that only the questions with at
+    least k samples draw permutations.
+    """
+    eligible = {qid: q for qid, q in ds.questions.items() if len(q.sample_ids) >= k}
+    (row,) = judge_sweep(JudgeDataset(questions=eligible), [k], [T], n_resample, rng)
+    return ErrorEstimate(
+        mean=row["delta"], stderr=row["stderr"], n_outer=row["n_questions_used"],
+        n_inner=n_resample, mode="judge",
+    )

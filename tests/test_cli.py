@@ -159,6 +159,30 @@ class TestSubcommands:
         header, row = out.read_text().splitlines()
         assert row.split(",")[header.split(",").index("n_outer")] == "15"
 
+    def test_sweep_k_prior_only(self, tmp_path, capsys):
+        # n = 0: exact mode samples the prior; the series needs n > 0
+        out = tmp_path / "sk.csv"
+        flags = ["sweep-k", "--n", "0", "--k-grid", "1,4", "--n-outer", "5",
+                 "--n-inner", "5", "--out", str(out)]
+        for T in ("0", "1e-6"):
+            assert run(flags + ["--mode", "exact", "--T", T]) == 0
+            rows = out.read_text().splitlines()[1:]
+            assert len(rows) == 2
+            assert all(r.startswith("exact_posterior,") and r.endswith(",") for r in rows)
+        assert run(flags + ["--mode", "de", "--T", "0"]) == 1
+        assert "det_equiv mode requires n > 0" in capsys.readouterr().err
+
+    def test_sweep_t_prior_only(self, tmp_path, capsys):
+        out = tmp_path / "st.csv"
+        flags = ["sweep-t", "--n", "0", "--k", "4", "--t-grid-sigma2", "2,20",
+                 "--n-outer", "5", "--n-inner", "5", "--out", str(out)]
+        assert run(flags + ["--mode", "exact"]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(r.endswith(",") for r in rows)  # theory_T_opt empty
+        assert run(flags + ["--mode", "de"]) == 1
+        assert "det_equiv mode requires n > 0" in capsys.readouterr().err
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ITSLAB_OUT_DIR", str(tmp_path))
         assert run(["ridge", "--d", "3", "--n", "30", "--out", "sub/r.csv"]) == 0
@@ -194,6 +218,15 @@ class TestExitCodes:
                     "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["judge", "--records", "r.jsonl", "--threads", "3"],
+        ["ridge", "--threads", "2"],
+    ])
+    def test_threads_only_on_monte_carlo_subcommands(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
 
     def test_polar_map_wrong_dimension_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

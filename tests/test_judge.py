@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itslab import JudgeRecordError, judge_delta, judge_sweep, load_records, stream
+from itslab import (
+    JudgeDataset,
+    JudgeRecord,
+    JudgeRecordError,
+    judge_delta,
+    judge_sweep,
+    load_records,
+    stream,
+)
 
 from _synth import (
     argmax_correct_probability,
@@ -212,6 +220,140 @@ class TestJudgeSweep:
         rows = judge_sweep(ds, [2, 4], [1.0], n_resample=2, rng=stream(13, "judge"))
         assert rows[0]["n_questions_used"] == 2
         assert rows[1]["n_questions_used"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference: the metric as one Python call per subset. The batched evaluator
+# draws the same permutations and sums in the same order, so it must agree
+# exactly, not within a tolerance.
+
+
+def _loop_subset_value(rewards, correct, T):
+    if T == 0:
+        return float(correct[np.argmax(rewards)])
+    w = np.exp((rewards - rewards.max()) / T)
+    return float(np.sum(w * correct) / np.sum(w))
+
+
+def _loop_estimate(per_question):
+    n = len(per_question)
+    stderr = float(per_question.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return -float(per_question.mean()), stderr
+
+
+def loop_judge_sweep(ds, k_grid, T_grid, n_resample, rng):
+    qids = sorted(ds.questions)
+    perms = {
+        qid: [rng.permutation(len(ds.questions[qid].sample_ids)) for _ in range(n_resample)]
+        for qid in qids
+    }
+    rows = []
+    for k in k_grid:
+        eligible = [qid for qid in qids if len(ds.questions[qid].sample_ids) >= k]
+        for T in T_grid:
+            per_question = np.empty(len(eligible))
+            for qi, qid in enumerate(eligible):
+                q = ds.questions[qid]
+                acc = 0.0
+                for perm in perms[qid]:
+                    idx = np.sort(perm[:k])
+                    acc += _loop_subset_value(q.rewards[idx], q.correct[idx], T)
+                per_question[qi] = acc / n_resample
+            mean, stderr = _loop_estimate(per_question)
+            rows.append({"k": k, "T": T, "delta": mean, "stderr": stderr,
+                         "n_questions_used": len(eligible), "n_resample": n_resample})
+    return rows
+
+
+def loop_judge_delta(ds, k, T, n_resample, rng):
+    eligible = [qid for qid in sorted(ds.questions) if len(ds.questions[qid].sample_ids) >= k]
+    per_question = np.empty(len(eligible))
+    for qi, qid in enumerate(eligible):
+        q = ds.questions[qid]
+        acc = 0.0
+        for _ in range(n_resample):
+            idx = np.sort(rng.permutation(len(q.sample_ids))[:k])
+            acc += _loop_subset_value(q.rewards[idx], q.correct[idx], T)
+        per_question[qi] = acc / n_resample
+    return _loop_estimate(per_question) + (len(eligible),)
+
+
+def ragged_dataset(seed, n_questions=40, max_samples=19):
+    """1 to max_samples samples per question, rewards rounded so that ties occur.
+
+    Only question q000 has max_samples samples. Question ids are inserted in
+    shuffled order, and sample counts interleave in sorted-id order, so
+    grouping by count must restore the id order.
+    """
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, max_samples, size=n_questions)
+    counts[0] = max_samples
+    counts[1] = 1
+    records = []
+    for q in rng.permutation(n_questions):
+        for j in range(counts[q]):
+            records.append(JudgeRecord(
+                f"q{q:03d}", f"s{j:02d}", round(float(rng.normal()), 1), int(rng.random() < 0.5)
+            ))
+    return JudgeDataset.from_records(records)
+
+
+def trap_dataset(seed, n_questions=30, n_samples=16):
+    qs = trap_judge_questions(np.random.default_rng(seed), n_questions, n_samples)
+    return JudgeDataset.from_records(
+        JudgeRecord(qid, f"s{j:03d}", float(r), int(c))
+        for qid, rows in qs.items() for j, (r, c) in enumerate(rows)
+    )
+
+
+ORACLE_T = [0.0, 1e-9, 0.25, 1.0, 32.0, 1e9]
+
+
+class TestLoopOracle:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_resample", [1, 5])
+    def test_sweep_rows_equal_ragged(self, seed, n_resample):
+        ds = ragged_dataset(seed)
+        k_grid = [1, 2, 3, 7, 12, 19]  # 19 = the largest sample count: one question
+        rows = judge_sweep(ds, k_grid, ORACLE_T, n_resample, stream(seed, "judge"))
+        ref = loop_judge_sweep(ds, k_grid, ORACLE_T, n_resample, stream(seed, "judge"))
+        assert rows == ref
+        assert rows[-1]["n_questions_used"] == 1 and rows[-1]["stderr"] == math.inf
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_sweep_rows_equal_trap(self, seed):
+        # 16 resamples: numpy sums 8 or more terms pairwise, a scalar loop does not
+        ds = trap_dataset(seed)
+        k_grid = [1, 2, 4, 8, 16]
+        rows = judge_sweep(ds, k_grid, ORACLE_T, 16, stream(seed, "judge"))
+        assert rows == loop_judge_sweep(ds, k_grid, ORACLE_T, 16, stream(seed, "judge"))
+
+    def test_ties_at_zero_temperature_follow_sample_id(self):
+        # every reward tied: T = 0 must pick the lowest sample_id of each subset
+        ds = JudgeDataset.from_records(
+            JudgeRecord(f"q{q}", f"s{j}", 0.5, (q + j) % 2) for q in range(6) for j in range(5)
+        )
+        rows = judge_sweep(ds, [1, 3, 5], [0.0], 3, stream(5, "judge"))
+        assert rows == loop_judge_sweep(ds, [1, 3, 5], [0.0], 3, stream(5, "judge"))
+        assert rows[-1]["delta"] == -0.5  # s0 is correct in q0, q2, q4
+
+    @pytest.mark.parametrize("seed", [0, 6])
+    def test_judge_delta_equals_loop(self, seed):
+        ds = ragged_dataset(seed)
+        for k in (1, 4, 19):
+            for T in ORACLE_T:
+                for n_resample in (1, 3):
+                    rng, ref_rng = stream(seed, "judge", k), stream(seed, "judge", k)
+                    est = judge_delta(ds, k, T, n_resample, rng)
+                    assert (est.mean, est.stderr, est.n_outer) == loop_judge_delta(
+                        ds, k, T, n_resample, ref_rng
+                    )
+                    # only the eligible questions drew permutations
+                    assert rng.random() == ref_rng.random()
+
+    def test_sweep_validates_n_resample(self):
+        with pytest.raises(ValueError, match="n_resample"):
+            judge_sweep(ragged_dataset(0), [1], [0.0], 0, stream(0, "judge"))
 
 
 def test_extra_record_fields_tolerated(tmp_path):
