@@ -44,7 +44,7 @@ from .ridge import (
     solve_ridge,
 )
 from .rngstreams import stream
-from .sampling import SamplerConfig, quadratic_reward, reward_weighted_select, softmax_weights
+from .sampling import SamplerConfig, quadratic_reward, select
 from .theory import (
     OptimalReward,
     RefinedBestOfK,

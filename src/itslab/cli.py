@@ -371,10 +371,13 @@ def cmd_tradeoff(args, parser):
             d=base.d, n=int(n), S=base.S, sigma=base.sigma, gamma=base.gamma,
             tau=base.tau, teacher_mode=base.teacher_mode,
         )
-        de = solve_for_config(config)
-        w_T = sample_teacher(config, stream(args.seed, "teacher"))
-        sd = scaling_derivatives(config, de, w_T)
-        closed = dlogn_flat_prior(config, w_T)
+        theory = dict(dlogk=None, dlogn=None, dlogn_closed_form=None)
+        if config.n > 0:  # the derivatives need the ridge fixed point, which n = 0 lacks
+            de = solve_for_config(config)
+            w_T = sample_teacher(config, stream(args.seed, "teacher"))
+            sd = scaling_derivatives(config, de, w_T)
+            theory = dict(dlogk=sd.dlogk, dlogn=sd.dlogn,
+                          dlogn_closed_form=dlogn_flat_prior(config, w_T))
         for T in (0.0, T_high):
             res = delta_k_curve(
                 config, RewardSpec.radial(0.0), T, args.k_grid,
@@ -385,8 +388,7 @@ def cmd_tradeoff(args, parser):
                 row = _base_row(config, mode, args.seed)
                 row.update(
                     c=0.0, k=int(k), T=T, delta=res.mean[g], stderr=res.stderr[g],
-                    n_outer=res.n_outer, n_inner=args.n_inner,
-                    dlogk=sd.dlogk, dlogn=sd.dlogn, dlogn_closed_form=closed,
+                    n_outer=res.n_outer, n_inner=args.n_inner, **theory,
                 )
                 rows.append(row)
     out = _resolve_out(args, args.default_out)
@@ -399,21 +401,25 @@ def cmd_bestofk_check(args, parser):
     t0 = time.perf_counter()
     config = build_config(args, parser)
     mode = _MODE_ALIASES[args.mode]
-    de = solve_for_config(config)
+    de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
     res = delta_k_curve(
         config, RewardSpec.radial(0.0), 0.0, args.k_grid,
         n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
         seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
     )
-    # aligned reward: the series terms reduce to the teacher deviation alone
-    st = SeriesTerms.from_radial_average(config, de, w_T, w_T, 1.0)
-    lam_rms = st.delta_T**2 / st.s2
+    if de:  # the closed forms need the ridge fixed point, which n = 0 lacks
+        # aligned reward: the series terms reduce to the teacher deviation alone
+        st = SeriesTerms.from_radial_average(config, de, w_T, w_T, 1.0)
+        lam_rms = st.delta_T**2 / st.s2
     rows = []
     for g, k in enumerate(args.k_grid):
-        refined = refined_best_of_k_delta(config, de, w_T, int(k)).value
-        # extreme-value route: mean of the scaled minimum is 2 c_k
-        evt_value = st.s2 * 2.0 * weibull_norming(lam_rms, int(k))
+        refined, theories = None, ()
+        if de:
+            refined = refined_best_of_k_delta(config, de, w_T, int(k)).value
+            # extreme-value route: mean of the scaled minimum is 2 c_k
+            evt_value = st.s2 * 2.0 * weibull_norming(lam_rms, int(k))
+            theories = (("theory_refined", refined), ("theory_bestofk", evt_value))
         row = _base_row(config, mode, args.seed)
         row.update(
             c=0.0, k=int(k), T=0.0, delta=res.mean[g], stderr=res.stderr[g],
@@ -421,7 +427,7 @@ def cmd_bestofk_check(args, parser):
             k2_delta=float(k) ** 2 * res.mean[g], asymptote=refined,
         )
         rows.append(row)
-        for label, value in (("theory_refined", refined), ("theory_bestofk", evt_value)):
+        for label, value in theories:
             theory = _base_row(config, label, args.seed)
             theory.update(
                 c=0.0, k=int(k), T=0.0, delta=value, stderr=0.0,

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .mc import ErrorEstimate
+from .sampling import select
 
 
 class JudgeRecordError(ValueError):
@@ -67,31 +68,40 @@ class JudgeDataset:
     @classmethod
     def from_records(cls, records) -> "JudgeDataset":
         """Group an iterable of JudgeRecord; rejects an empty list and duplicates."""
-        grouped: dict = {}
-        seen: set = set()
-        for rec in records:
-            key = (rec.question_id, rec.sample_id)
-            if key in seen:
-                raise JudgeRecordError(f"duplicate record {key!r}")
-            if rec.correct not in (0, 1):
-                raise JudgeRecordError(f"correct must be 0 or 1, got {rec.correct!r}")
-            if not math.isfinite(rec.reward):
-                raise JudgeRecordError(f"reward is not finite for {key!r}")
-            seen.add(key)
-            grouped.setdefault(rec.question_id, []).append(
-                (rec.sample_id, float(rec.reward), int(rec.correct))
-            )
-        if not grouped:
-            raise JudgeRecordError("no records")
-        questions = {}
-        for qid, rows in grouped.items():
-            rows.sort(key=lambda r: r[0])
-            questions[qid] = _Question(
-                sample_ids=tuple(r[0] for r in rows),
-                rewards=np.array([r[1] for r in rows]),
-                correct=np.array([r[2] for r in rows], dtype=float),
-            )
-        return cls(questions=questions)
+        return cls(questions=_group(
+            ("", r.question_id, r.sample_id, r.reward, r.correct) for r in records
+        ))
+
+
+def _group(rows, source: str = "") -> dict:
+    """Validate (where, question_id, sample_id, reward, correct) rows; group by question.
+
+    ``where`` prefixes a row's error messages and ``source`` the empty-input
+    one. Rejects non-finite rewards, non-binary correctness flags (booleans
+    pass), duplicate (question_id, sample_id) pairs and an empty input.
+    """
+    grouped: dict = {}
+    seen: set = set()
+    for where, qid, sid, reward, correct in rows:
+        if not math.isfinite(reward):
+            raise JudgeRecordError(f"{where}reward is not finite for ({qid!r}, {sid!r})")
+        if correct not in (0, 1):
+            raise JudgeRecordError(f"{where}correct must be 0 or 1, got {correct!r}")
+        if (qid, sid) in seen:
+            raise JudgeRecordError(f"{where}duplicate record ({qid!r}, {sid!r})")
+        seen.add((qid, sid))
+        grouped.setdefault(qid, []).append((sid, float(reward), int(correct)))
+    if not grouped:
+        raise JudgeRecordError(f"{source}no records")
+    questions = {}
+    for qid, entries in grouped.items():
+        entries.sort(key=lambda e: e[0])
+        questions[qid] = _Question(
+            sample_ids=tuple(e[0] for e in entries),
+            rewards=np.array([e[1] for e in entries]),
+            correct=np.array([e[2] for e in entries], dtype=float),
+        )
+    return questions
 
 
 _REQUIRED = ("question_id", "sample_id", "reward", "correct")
@@ -104,43 +114,30 @@ def load_records(path) -> JudgeDataset:
     JSON, missing fields, non-finite rewards, non-binary correctness flags
     and duplicate (question_id, sample_id) pairs.
     """
-    records = []
-    seen: set = set()
     with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JudgeRecordError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise JudgeRecordError(f"{path}:{lineno}: expected a JSON object")
-            for fieldname in _REQUIRED:
-                if fieldname not in obj:
-                    raise JudgeRecordError(f"{path}:{lineno}: missing field {fieldname!r}")
-            qid = str(obj["question_id"])
-            sid = str(obj["sample_id"])
-            try:
-                reward = float(obj["reward"])
-            except (TypeError, ValueError) as exc:
-                raise JudgeRecordError(f"{path}:{lineno}: reward is not a number") from exc
-            if not math.isfinite(reward):
-                raise JudgeRecordError(f"{path}:{lineno}: reward is not finite")
-            correct = obj["correct"]
-            if isinstance(correct, bool):
-                correct = int(correct)
-            if correct not in (0, 1):
-                raise JudgeRecordError(
-                    f"{path}:{lineno}: correct must be 0 or 1, got {obj['correct']!r}"
-                )
-            if (qid, sid) in seen:
-                raise JudgeRecordError(f"{path}:{lineno}: duplicate record ({qid!r}, {sid!r})")
-            seen.add((qid, sid))
-            records.append(JudgeRecord(qid, sid, reward, int(correct)))
-    if not records:
-        raise JudgeRecordError(f"{path}: no records")
-    return JudgeDataset.from_records(records)
+        return JudgeDataset(questions=_group(_parse_lines(path, fh), f"{path}: "))
+
+
+def _parse_lines(path, fh):
+    """Yield (where, question_id, sample_id, reward, correct) per non-blank line."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}: "
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise JudgeRecordError(f"{where}invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise JudgeRecordError(f"{where}expected a JSON object")
+        for fieldname in _REQUIRED:
+            if fieldname not in obj:
+                raise JudgeRecordError(f"{where}missing field {fieldname!r}")
+        try:
+            reward = float(obj["reward"])
+        except (TypeError, ValueError) as exc:
+            raise JudgeRecordError(f"{where}reward is not a number") from exc
+        yield where, str(obj["question_id"]), str(obj["sample_id"]), reward, obj["correct"]
 
 
 def _draw_groups(ds: JudgeDataset, qids: list, counts: np.ndarray, n_resample: int, rng) -> list:
@@ -161,18 +158,6 @@ def _draw_groups(ds: JudgeDataset, qids: list, counts: np.ndarray, n_resample: i
         for r in range(n_resample):
             blocks[i][r] = rng.permutation(nq)
     return groups
-
-
-def _select(rewards: np.ndarray, correct: np.ndarray, T: float) -> np.ndarray:
-    """Softmax-weighted accuracy of each subset along the last axis."""
-    if T == 0:
-        best = np.argmax(rewards, axis=-1)[..., None]
-        return np.take_along_axis(correct, best, axis=-1)[..., 0]
-    w = rewards - rewards.max(axis=-1, keepdims=True)
-    w /= T
-    np.exp(w, out=w)
-    # sum/sum keeps the all-correct case exactly 1.0
-    return (w * correct).sum(axis=-1) / w.sum(axis=-1)
 
 
 def judge_sweep(
@@ -215,7 +200,7 @@ def judge_sweep(
             per_question = np.empty(len(qids))
             for pos, rewards, correct in subsets:
                 # cumsum adds the resamples in draw order, as a scalar loop does
-                per_question[pos] = _select(rewards, correct, T).cumsum(axis=1)[:, -1] / n_resample
+                per_question[pos] = select(correct, rewards, T).cumsum(axis=1)[:, -1] / n_resample
             per_question = per_question[used]
             stderr = per_question.std(ddof=1) / math.sqrt(n_used) if n_used > 1 else math.inf
             rows.append({

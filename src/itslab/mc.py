@@ -40,7 +40,7 @@ from .model import ModelConfig, RewardSpec, generate_dataset, resolve_reward, sa
 from .posterior import PredictiveMoments, fit_posterior, predictive_moments_batch
 from .ridge import de_moments_batch, solve_for_config
 from .rngstreams import stream
-from .sampling import SamplerConfig
+from .sampling import SamplerConfig, quadratic_reward, select
 
 MODES = ("exact_posterior", "det_equiv")
 
@@ -99,16 +99,6 @@ class SweepResult:
         )
 
 
-def _select_values(L: np.ndarray, P: np.ndarray, T: float) -> np.ndarray:
-    """Per-batch weighted loss for batches in rows: losses L, penalties P."""
-    if T == 0:
-        idx = np.argmin(P, axis=1)  # first minimum: lowest-index tie rule
-        return np.take_along_axis(L, idx[:, None], axis=1)[:, 0]
-    Pmin = P.min(axis=1, keepdims=True)
-    W = np.exp((Pmin - P) / T)
-    return (W * L).sum(axis=1) / W.sum(axis=1)
-
-
 def delta_x(
     moments: PredictiveMoments,
     mu_T: float,
@@ -132,8 +122,7 @@ def delta_x(
         rows = min(rows_per_chunk, n_inner - done)
         Y = moments.mean + s * rng.standard_normal((rows, sc.k))
         L = (Y - mu_T) ** 2
-        Pen = (Y - mu_R) ** 2
-        values[done : done + rows] = _select_values(L, Pen, sc.T)
+        values[done : done + rows] = select(L, quadratic_reward(Y, mu_R), sc.T)
         done += rows
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(n_inner)) if n_inner > 1 else math.inf
@@ -169,15 +158,15 @@ def _cell_means_for_x(
         rows = min(rows_per_chunk, n_inner - done)
         Y = m + s * rng.standard_normal((rows, kmax))
         L = (Y - mu_T) ** 2
-        Pen = None
+        rewards = None
         last_muR = None
         for g in range(len(cell_k)):
             muR = cell_muR[g]
-            if Pen is None or muR != last_muR:
-                Pen = (Y - muR) ** 2
+            if rewards is None or muR != last_muR:
+                rewards = quadratic_reward(Y, muR)
                 last_muR = muR
             k = int(cell_k[g])
-            out[g] += _select_values(L[:, :k], Pen[:, :k], float(cell_T[g])).sum()
+            out[g] += select(L[:, :k], rewards[:, :k], float(cell_T[g])).sum()
         done += rows
     return out / n_inner
 

@@ -1,10 +1,12 @@
 """Reward-weighted selection among inference-time candidates.
 
 Each of k candidates y_i drawn from the predictive is scored with the
-quadratic reward r(y) = -(y - mu_R)^2 and one is selected from the softmax
-Categorical(q), q_i proportional to exp(r_i / T). T = 0 is an exact argmax
-branch (best-of-k), never a tiny-T limit, to avoid overflow; ties at T = 0
-break to the lowest index.
+quadratic reward r(y) = -(y - mu_R)^2, and one is selected from the softmax
+Categorical(q), q_i proportional to exp(r_i / T). :func:`select` returns the
+expectation of a value over that draw, not a draw: the q-weighted mean of the
+candidates' values, which has the same expectation as the sampled index and
+strictly lower variance. T = 0 is an exact argmax branch (best-of-k), never a
+tiny-T limit, to avoid overflow; ties at T = 0 break to the lowest index.
 """
 
 from dataclasses import dataclass
@@ -32,41 +34,18 @@ def quadratic_reward(y, mu_R):
     return -(diff * diff)
 
 
-def softmax_weights(rewards, T: float) -> np.ndarray:
-    """Selection probabilities over rewards at temperature T.
+def select(values: np.ndarray, rewards: np.ndarray, T: float) -> np.ndarray:
+    """Reward-weighted selection of ``values`` along the last axis.
 
-    Numerically stable via max-subtraction. T = 0 returns the one-hot of the
-    maximal reward (lowest index on ties).
+    T = 0 returns the value at the first maximal reward; T > 0 returns the
+    softmax(rewards / T)-weighted mean of the values. Rewards must be finite
+    or -inf, with at least one finite reward per selection.
     """
-    r = np.asarray(rewards, dtype=float)
-    if r.ndim != 1 or r.size < 1:
-        raise ValueError("rewards must be a non-empty 1-d array")
-    if T < 0:
-        raise ValueError(f"T must be >= 0, got {T}")
-    top = np.max(r)
-    if top == -np.inf:
-        raise ValueError("all rewards are -inf")
-    if np.isnan(top) or top == np.inf:
-        raise ValueError("rewards must be < +inf and not NaN")
     if T == 0:
-        w = np.zeros(r.size)
-        w[np.argmax(r)] = 1.0
-        return w
-    w = np.exp((r - top) / T)
-    return w / w.sum()
-
-
-def reward_weighted_select(samples, mu_R: float, T: float, rng: np.random.Generator):
-    """Pick one of the samples by softmax over quadratic rewards.
-
-    Returns (index, value). The T = 0 branch is a deterministic argmax of the
-    reward.
-    """
-    y = np.asarray(samples, dtype=float)
-    rewards = quadratic_reward(y, mu_R)
-    if T == 0:
-        idx = int(np.argmax(rewards))
-        return idx, float(y[idx])
-    q = softmax_weights(rewards, T)
-    idx = int(rng.choice(y.size, p=q))
-    return idx, float(y[idx])
+        best = np.argmax(rewards, axis=-1)[..., None]
+        return np.take_along_axis(values, best, axis=-1)[..., 0]
+    w = rewards - rewards.max(axis=-1, keepdims=True)
+    w /= T
+    np.exp(w, out=w)
+    # sum/sum returns constant values exactly (all-correct is exactly 1.0)
+    return (w * values).sum(axis=-1) / w.sum(axis=-1)

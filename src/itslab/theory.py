@@ -51,9 +51,7 @@ class SeriesTerms:
 
     @property
     def C(self) -> tuple[float, float, float]:
-        base = 2.0 * self.delta_T * self.delta_R + self.s2
-        dr2 = self.delta_R**2
-        return (base, base + dr2, base + 2.0 * dr2)
+        return _coefficients(self.delta_T, self.delta_R, self.s2)
 
     @classmethod
     def from_point(cls, m: float, mu_T: float, mu_R: float, s2: float, T: float) -> "SeriesTerms":
@@ -118,15 +116,28 @@ def _trace_b_cov(de: DetEquiv, config: ModelConfig) -> float:
     return float(np.mean(de.b_diag() * de.spectrum))
 
 
-def _u_vector(de: DetEquiv, w: np.ndarray) -> np.ndarray:
-    return _b_vector(de, np.asarray(w, dtype=float))
-
-
 def _quad_cov(u: np.ndarray, de: DetEquiv, config: ModelConfig) -> float:
     """u^T Cov u."""
     if de.isotropic:
         return float(config.S**2 * (u @ u))
     return float(np.sum(de.spectrum * u * u))
+
+
+def _coefficients(delta_T, delta_R, s2):
+    """C_l = 2 Dt Dr + s^2 + (l-1) Dr^2, l = 1..3; plain arithmetic for floats or arrays."""
+    c1 = 2.0 * delta_T * delta_R + s2
+    dr2 = delta_R**2
+    return c1, c1 + dr2, c1 + 2.0 * dr2
+
+
+def _series(delta_T, delta_R, s2, t, k: int):
+    """Dt^2 + s^2 + sum_l (-1)^l C_l t^-l prod_{j<=l} (1 - j/k), floats or arrays."""
+    total = delta_T**2 + s2
+    prod = 1.0
+    for ell, c in enumerate(_coefficients(delta_T, delta_R, s2), start=1):
+        prod *= 1.0 - ell / k
+        total = total + (-1) ** ell * c / t**ell * prod
+    return total
 
 
 def high_t_delta_x(st: SeriesTerms, k: int) -> float:
@@ -146,12 +157,7 @@ def high_t_delta_x(st: SeriesTerms, k: int) -> float:
             SeriesAccuracyWarning,
             stacklevel=2,
         )
-    total = st.delta_T**2 + st.s2
-    prod = 1.0
-    for ell, c in enumerate(st.C, start=1):
-        prod *= 1.0 - ell / k
-        total += (-1) ** ell * c / st.t**ell * prod
-    return total
+    return _series(st.delta_T, st.delta_R, st.s2, st.t, k)
 
 
 def high_t_delta_batch(
@@ -172,16 +178,7 @@ def high_t_delta_batch(
     m, s2 = de_moments_batch(X, w_T, de, config)
     dT = m - X @ w_T / sqrt_d
     dR = m - X @ w_R / sqrt_d
-    t = T / (2.0 * s2)
-    c1 = 2.0 * dT * dR + s2
-    c2 = c1 + dR**2
-    c3 = c1 + 2.0 * dR**2
-    out = dT**2 + s2
-    prod = 1.0
-    for ell, c in enumerate((c1, c2, c3), start=1):
-        prod *= 1.0 - ell / k
-        out = out + (-1) ** ell * c / t**ell * prod
-    return out
+    return _series(dT, dR, s2, T / (2.0 * s2), k)
 
 
 def best_of_k_delta_x(s2: float, delta_T: float, k: int) -> float:
@@ -211,7 +208,7 @@ def refined_best_of_k_delta(config: ModelConfig, de: DetEquiv, w: np.ndarray, k:
     """x-averaged best-of-k error (pi sigma^2/k^2)(1 - concentration)^{-1/2}."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    u = _u_vector(de, w)
+    u = _b_vector(de, np.asarray(w, dtype=float))
     conc = 2.0 * _quad_cov(u, de, config) / (config.sigma**2 * config.d)
     if conc >= 1.0:
         raise ValueError(
@@ -267,8 +264,7 @@ def optimal_temperature(delta_T: float, delta_R: float, s2: float, k: int) -> fl
         raise ValueError(f"k must be > 2, got {k}")
     if not s2 > 0:
         raise ValueError(f"s2 must be > 0, got {s2}")
-    c1 = 2.0 * delta_T * delta_R + s2
-    c2 = c1 + delta_R**2
+    c1, c2, _ = _coefficients(delta_T, delta_R, s2)
     if c1 <= 0 or c2 <= 0:
         raise ValueError(f"stationary temperature requires C1 > 0 and C2 > 0, got {c1}, {c2}")
     t_opt = 2.0 * (1.0 - 2.0 / k) * c2 / c1
@@ -302,12 +298,13 @@ def scaling_derivatives(
     solver.
     """
     alpha = de.alpha
+    w = np.asarray(w, dtype=float)
 
     def F_at(a: float) -> float:
         solved = solve_ridge(a, config.sigma, config.gamma, de.spectrum)
-        return _quad_cov(_u_vector(solved, w), solved, config)
+        return _quad_cov(_b_vector(solved, w), solved, config)
 
-    F0 = _quad_cov(_u_vector(de, w), de, config)
+    F0 = _quad_cov(_b_vector(de, w), de, config)
     dF = (F_at(alpha * (1.0 + rel_step)) - F_at(alpha * (1.0 - rel_step))) / (
         2.0 * alpha * rel_step
     )

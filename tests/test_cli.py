@@ -183,6 +183,31 @@ class TestSubcommands:
         assert run(flags + ["--mode", "de"]) == 1
         assert "det_equiv mode requires n > 0" in capsys.readouterr().err
 
+    def test_bestofk_check_prior_only(self, tmp_path, capsys):
+        # n = 0: the closed forms need the fixed point, so asymptote stays
+        # empty and no theory rows are written
+        out = tmp_path / "bk.csv"
+        flags = ["bestofk-check", "--n", "0", "--k-grid", "1,4", "--n-outer", "5",
+                 "--n-inner", "5", "--out", str(out)]
+        assert run(flags + ["--mode", "exact"]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(r.startswith("exact_posterior,") and r.endswith(",") for r in rows)
+        assert run(flags + ["--mode", "de"]) == 1
+        assert "det_equiv mode requires n > 0" in capsys.readouterr().err
+
+    def test_tradeoff_prior_only(self, tmp_path, capsys):
+        out = tmp_path / "to.csv"
+        flags = ["tradeoff", "--n-grid", "0,10000", "--k-grid", "1,4",
+                 "--n-outer", "5", "--n-inner", "5", "--out", str(out)]
+        assert run(flags + ["--mode", "exact"]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [int(r[2]) for r in rows] == [0] * 4 + [10000] * 4
+        assert all(r[-3:] == ["", "", ""] for r in rows[:4])  # dlogk, dlogn, closed form
+        assert all("" not in r[-3:] for r in rows[4:])
+        assert run(flags + ["--mode", "de"]) == 1
+        assert "det_equiv mode requires n > 0" in capsys.readouterr().err
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ITSLAB_OUT_DIR", str(tmp_path))
         assert run(["ridge", "--d", "3", "--n", "30", "--out", "sub/r.csv"]) == 0

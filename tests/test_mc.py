@@ -13,13 +13,15 @@ from itslab import (
     delta_k_curve,
     delta_t_curve,
     delta_x,
+    quadratic_reward,
     refined_best_of_k_delta,
     sample_teacher,
+    select,
     solve_for_config,
     stream,
 )
 from itslab import mc
-from itslab.mc import _best_of_k_cells, _select_values, _winner_distance
+from itslab.mc import _best_of_k_cells, _cell_means_for_x, _winner_distance
 from itslab.posterior import PredictiveMoments
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
@@ -27,33 +29,97 @@ FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
 class TestSelectValues:
     def test_exchange_symmetry_exact_without_ties(self):
-        # with distinct penalties the argmax branch is permutation-invariant
+        # with distinct rewards the argmax branch is permutation-invariant
         # bit-for-bit (ties are the one place order matters, by the tie rule)
         rng = np.random.default_rng(0)
         Y = np.stack([rng.choice(16, size=6, replace=False) / 4.0 for _ in range(20)])
         L = (Y - 0.25) ** 2
-        P = (Y + 0.5) ** 2
-        base = _select_values(L, P, T=0.0)
+        R = quadratic_reward(Y, -0.5)
+        base = select(L, R, T=0.0)
         for _ in range(5):
             perm = rng.permutation(6)
-            np.testing.assert_array_equal(_select_values(L[:, perm], P[:, perm], 0.0), base)
+            np.testing.assert_array_equal(select(L[:, perm], R[:, perm], 0.0), base)
 
     def test_exchange_symmetry_generic(self):
         rng = np.random.default_rng(1)
         Y = rng.normal(size=(50, 8))
         L = (Y - 0.3) ** 2
-        P = (Y + 0.1) ** 2
-        base = _select_values(L, P, T=0.7)
+        R = quadratic_reward(Y, -0.1)
+        base = select(L, R, T=0.7)
         for _ in range(5):
             perm = rng.permutation(8)
-            np.testing.assert_allclose(
-                _select_values(L[:, perm], P[:, perm], 0.7), base, rtol=1e-12
-            )
+            np.testing.assert_allclose(select(L[:, perm], R[:, perm], 0.7), base, rtol=1e-12)
 
     def test_zero_t_lowest_index_ties(self):
-        P = np.array([[1.0, 1.0, 2.0]])
+        R = np.array([[-1.0, -1.0, -2.0]])
         L = np.array([[10.0, 20.0, 30.0]])
-        assert _select_values(L, P, 0.0)[0] == 10.0
+        assert select(L, R, 0.0)[0] == 10.0
+
+
+def _select_values(L, P, T):
+    """Reference: mc's selection rule written on penalties P = (Y - mu_R)^2."""
+    if T == 0:
+        idx = np.argmin(P, axis=1)  # first minimum: lowest-index tie rule
+        return np.take_along_axis(L, idx[:, None], axis=1)[:, 0]
+    Pmin = P.min(axis=1, keepdims=True)
+    W = np.exp((Pmin - P) / T)
+    return (W * L).sum(axis=1) / W.sum(axis=1)
+
+
+def _reference_cell_means(rng, m, s, mu_T, cell_k, cell_T, cell_muR, n_inner, kmax):
+    """Reference: the sweep engine's inner loop on the penalty rule above."""
+    out = np.zeros(len(cell_k))
+    rows_per_chunk = max(1, mc._MAX_ELEMS // max(1, kmax))
+    done = 0
+    while done < n_inner:
+        rows = min(rows_per_chunk, n_inner - done)
+        Y = m + s * rng.standard_normal((rows, kmax))
+        L = (Y - mu_T) ** 2
+        for g in range(len(cell_k)):
+            k = int(cell_k[g])
+            P = (Y - cell_muR[g]) ** 2
+            out[g] += _select_values(L[:, :k], P[:, :k], float(cell_T[g])).sum()
+        done += rows
+    return out / n_inner
+
+
+def _reference_delta_x(moments, mu_T, mu_R, sc, n_inner, rng):
+    """Reference: delta_x on the penalty rule above."""
+    s = math.sqrt(moments.variance)
+    values = np.empty(n_inner)
+    done = 0
+    rows_per_chunk = max(1, mc._MAX_ELEMS // max(1, sc.k))
+    while done < n_inner:
+        rows = min(rows_per_chunk, n_inner - done)
+        Y = moments.mean + s * rng.standard_normal((rows, sc.k))
+        values[done : done + rows] = _select_values((Y - mu_T) ** 2, (Y - mu_R) ** 2, sc.T)
+        done += rows
+    stderr = values.std(ddof=1) / math.sqrt(n_inner) if n_inner > 1 else math.inf
+    return float(values.mean()), float(stderr)
+
+
+class TestSelectReference:
+    """sampling.select inside mc gives the bytes of the penalty-form rule."""
+
+    @pytest.mark.parametrize("m, s, mu_T, mu_R", [
+        (0.3, 0.8, 0.1, (0.2, -0.7)),
+        (1.2, 1e-4, 1.19995, (1.20002, 1.2)),  # figure-like: s << |m|
+    ])
+    @pytest.mark.parametrize("max_elems", [1 << 23, 40])  # one chunk; 5-row chunks
+    def test_cell_means_equal_reference(self, monkeypatch, m, s, mu_T, mu_R, max_elems):
+        monkeypatch.setattr(mc, "_MAX_ELEMS", max_elems)
+        temps = [0.0, 1e-9, 0.5, 1e9]
+        cell_k = np.array([1, 3, 8, 5] * 4)
+        cell_T = np.array([T * s * s if T else 0.0 for T in temps] * 2 + temps * 2)
+        cell_muR = np.repeat([mu_R[0], mu_R[1], mu_R[0], mu_R[1]], 4)
+        args = (m, s, mu_T, cell_k, cell_T, cell_muR, 37, 8)
+        got = _cell_means_for_x(stream(9, "ref"), *args)
+        np.testing.assert_array_equal(got, _reference_cell_means(stream(9, "ref"), *args))
+
+    @pytest.mark.parametrize("k, T", [(1, 0.7), (6, 0.0), (6, 1e-9), (6, 0.5), (6, 1e9)])
+    def test_delta_x_equals_reference(self, k, T):
+        args = (PredictiveMoments(0.4, 0.6), -0.2, 0.9, SamplerConfig(k=k, T=T), 300)
+        assert delta_x(*args, stream(8, "ref")) == _reference_delta_x(*args, stream(8, "ref"))
 
 
 def _t0_cells(m, s2, mu_T, mu_R, k_grid, n_points, n_inner, seed):

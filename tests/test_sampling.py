@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itslab import SamplerConfig, quadratic_reward, reward_weighted_select, softmax_weights, stream
+from itslab import SamplerConfig, quadratic_reward, select
+
+
+def weights(rewards, T):
+    """The selection weights of ``select``: row i of eye(k) picks out weight i."""
+    r = np.asarray(rewards, dtype=float)
+    return select(np.eye(r.size), np.tile(r, (r.size, 1)), T)
 
 
 class TestQuadraticReward:
@@ -28,15 +34,15 @@ class TestQuadraticReward:
 class TestSoftmaxWeights:
     def test_equal_rewards_uniform(self):
         for k in (1, 2, 5):
-            w = softmax_weights(np.full(k, -3.7), T=2.0)
+            w = weights(np.full(k, -3.7), T=2.0)
             np.testing.assert_allclose(w, np.full(k, 1.0 / k), rtol=1e-15)
 
     def test_zero_temperature_one_hot(self):
-        w = softmax_weights(np.array([-1.0, 0.0, -2.0]), T=0.0)
+        w = weights(np.array([-1.0, 0.0, -2.0]), T=0.0)
         np.testing.assert_array_equal(w, np.array([0.0, 1.0, 0.0]))
 
     def test_two_point_logistic(self):
-        w = softmax_weights(np.array([1.0, 0.0]), T=1.0)
+        w = weights(np.array([1.0, 0.0]), T=1.0)
         e = math.e
         np.testing.assert_allclose(w, [e / (1 + e), 1 / (1 + e)], rtol=1e-14)
         assert w[0] == pytest.approx(0.73106, abs=5e-6)
@@ -45,12 +51,8 @@ class TestSoftmaxWeights:
         rng = np.random.default_rng(0)
         for _ in range(50):
             r = rng.normal(size=rng.integers(1, 20))
-            w = softmax_weights(r, T=float(rng.uniform(0.01, 10)))
+            w = weights(r, T=float(rng.uniform(0.01, 10)))
             assert abs(w.sum() - 1.0) <= 1e-12
-
-    def test_all_neg_inf_rejected(self):
-        with pytest.raises(ValueError, match="-inf"):
-            softmax_weights(np.array([-np.inf, -np.inf]), T=1.0)
 
     @given(
         st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12),
@@ -60,15 +62,15 @@ class TestSoftmaxWeights:
         # Integer rewards and shifts are exact in floats, so max-subtraction
         # cancels the shift bit-for-bit.
         r = np.array(rewards, dtype=float)
-        w1 = softmax_weights(r, T=1.5)
-        w2 = softmax_weights(r + float(shift), T=1.5)
+        w1 = weights(r, T=1.5)
+        w2 = weights(r + float(shift), T=1.5)
         np.testing.assert_array_equal(w1, w2)
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=12))
     @settings(max_examples=100)
     def test_monotone_in_rewards(self, rewards):
         r = np.array(rewards)
-        w = softmax_weights(r, T=0.7)
+        w = weights(r, T=0.7)
         order = np.argsort(r)
         assert np.all(np.diff(w[order]) >= 0)
 
@@ -77,7 +79,7 @@ class TestSoftmaxWeights:
         # Integer-valued rewards force ties; the one-hot index must match a
         # left-to-right scan for the first maximum.
         r = np.array(rewards, dtype=float)
-        w = softmax_weights(r, T=0.0)
+        w = weights(r, T=0.0)
         best, best_idx = -np.inf, 0
         for i, val in enumerate(r):
             if val > best:
@@ -87,26 +89,13 @@ class TestSoftmaxWeights:
 
 class TestRewardWeightedSelect:
     def test_single_sample(self):
-        idx, val = reward_weighted_select([4.2], mu_R=0.0, T=3.0, rng=stream(0, "sel"))
-        assert (idx, val) == (0, 4.2)
+        for T in (0.0, 1e-300, 3.0, 1e300):
+            assert select(np.array([4.2]), np.array([-17.0]), T) == 4.2
 
     def test_zero_t_tie_breaks_low_index(self):
         # rewards (-0.01, -0.01, -1.0): exact tie between the first two.
         samples = np.array([0.9, 1.1, 2.0])
-        idx, val = reward_weighted_select(samples, mu_R=1.0, T=0.0, rng=stream(0, "sel"))
-        assert idx == 0 and val == 0.9
-
-    def test_high_temperature_uniform_frequencies(self):
-        rng = stream(123, "sel")
-        samples = np.array([0.0, 1.0, 2.0, 3.0])
-        counts = np.zeros(4)
-        n = 100_000
-        for _ in range(n):
-            idx, _ = reward_weighted_select(samples, mu_R=0.0, T=1e6, rng=rng)
-            counts[idx] += 1
-        freq = counts / n
-        se = math.sqrt(0.25 * 0.75 / n)
-        assert np.all(np.abs(freq - 0.25) < 3 * se)
+        assert select(samples, quadratic_reward(samples, 1.0), 0.0) == 0.9
 
     def test_sampler_config_validation(self):
         with pytest.raises(ValueError):
@@ -114,33 +103,39 @@ class TestRewardWeightedSelect:
         with pytest.raises(ValueError):
             SamplerConfig(k=3, T=-0.1)
 
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=1),
+        st.floats(-1e6, 1e6),
+        st.sampled_from([0.0, 1e-12, 0.3, 7.0, 1e12]),
+    )
+    def test_exact_at_k1_for_any_temperature(self, values, reward, T):
+        assert select(np.array(values), np.array([reward]), T) == values[0]
+
+    @given(
+        st.lists(st.floats(-10, 10), min_size=1, max_size=12),
+        st.sampled_from([0.0, 1e-9, 0.5, 1e9]),
+        st.sampled_from([0.0, 1.0, 4.0]),
+    )
+    def test_constant_values_exact(self, rewards, T, c):
+        # sum(w c)/sum(w) is exactly c when scaling by c is exact: an
+        # all-correct subset scores exactly 1.0
+        r = np.array(rewards)
+        assert select(np.full(r.size, c), r, T) == c
+
+    @given(st.lists(st.integers(-40, 40), min_size=1, max_size=10, unique=True))
+    def test_continuous_into_argmax_as_t_falls(self, rewards):
+        # distinct rewards, gap >= 1/8: each losing weight is at most
+        # exp(-gap/T) against the winner's 1, and underflows to 0 near T = 0
+        r = np.array(rewards, dtype=float) / 8.0
+        values = np.arange(r.size, dtype=float) ** 2
+        best = select(values, r, 0.0)
+        spread = np.abs(values - best).sum()
+        for T in (1e-1, 1e-2, 1e-3):
+            assert abs(select(values, r, T) - best) <= spread * math.exp(-0.125 / T) + 1e-12
+        assert select(values, r, 1e-6) == best
+
 
 class TestSoftmaxGuards:
-    def test_positive_infinity_rejected(self):
-        with pytest.raises(ValueError, match="inf"):
-            softmax_weights(np.array([1.0, np.inf]), T=1.0)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValueError):
-            softmax_weights(np.array([1.0, np.nan]), T=1.0)
-
     def test_partial_neg_inf_ok(self):
-        w = softmax_weights(np.array([-np.inf, 0.0]), T=1.0)
+        w = weights(np.array([-np.inf, 0.0]), T=1.0)
         np.testing.assert_array_equal(w, [0.0, 1.0])
-
-
-def test_selection_frequencies_match_weights():
-    # moderate temperature: empirical categorical frequencies converge to the
-    # softmax weights
-    samples = np.array([0.2, 0.9, 1.4, 2.1])
-    mu_R, T = 1.0, 0.8
-    q = softmax_weights(quadratic_reward(samples, mu_R), T)
-    rng = stream(77, "sel")
-    n = 60_000
-    counts = np.zeros(4)
-    for _ in range(n):
-        idx, _ = reward_weighted_select(samples, mu_R, T, rng)
-        counts[idx] += 1
-    freq = counts / n
-    se = np.sqrt(q * (1 - q) / n)
-    assert np.all(np.abs(freq - q) < 4 * se)
