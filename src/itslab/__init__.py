@@ -30,13 +30,11 @@ from .posterior import (
     Posterior,
     PredictiveMoments,
     fit_posterior,
-    predictive_moments,
     predictive_moments_batch,
 )
 from .ridge import (
     DetEquiv,
     NoiseVarianceCheck,
-    de_moments,
     de_moments_batch,
     isotropic_ridge,
     noise_variance_check,

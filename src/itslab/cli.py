@@ -202,7 +202,7 @@ def cmd_ridge(args, parser):
     nv = noise_variance_check(de, config.sigma)
     header = ["R", "A", "B", "m1", "m2", "var_z", "sigma_c"]
     row = {
-        "R": de.R, "A": de.A, "B": de.B, "m1": de.m1, "m2": de.m2,
+        "R": de.R, "A": de.a[0], "B": de.b[0], "m1": de.m1, "m2": de.m2,
         "var_z": nv.var_z, "sigma_c": nv.sigma_c,
     }
     if args.out:
@@ -214,6 +214,10 @@ def cmd_ridge(args, parser):
         sys.stdout.write(",".join(header) + "\n")
         sys.stdout.write(",".join(_fmt(row[c]) for c in header) + "\n")
     return 0
+
+
+def _warn(message) -> None:
+    print(f"itslab: warning: {message}", file=sys.stderr)
 
 
 def _series_value(config, de, w_T, w_R, T, k):
@@ -375,9 +379,12 @@ def cmd_tradeoff(args, parser):
         if config.n > 0:  # the derivatives need the ridge fixed point, which n = 0 lacks
             de = solve_for_config(config)
             w_T = sample_teacher(config, stream(args.seed, "teacher"))
-            sd = scaling_derivatives(config, de, w_T)
-            theory = dict(dlogk=sd.dlogk, dlogn=sd.dlogn,
-                          dlogn_closed_form=dlogn_flat_prior(config, w_T))
+            try:
+                sd = scaling_derivatives(config, de, w_T)
+                theory = dict(dlogk=sd.dlogk, dlogn=sd.dlogn,
+                              dlogn_closed_form=dlogn_flat_prior(config, w_T))
+            except ValueError as exc:  # outside the formula's domain: empty, as at n = 0
+                _warn(f"n = {config.n}: {exc}")
         for T in (0.0, T_high):
             res = delta_k_curve(
                 config, RewardSpec.radial(0.0), T, args.k_grid,
@@ -413,13 +420,18 @@ def cmd_bestofk_check(args, parser):
         st = SeriesTerms.from_radial_average(config, de, w_T, w_T, 1.0)
         lam_rms = st.delta_T**2 / st.s2
     rows = []
+    refined_error = None
     for g, k in enumerate(args.k_grid):
-        refined, theories = None, ()
+        refined, theories = None, []
         if de:
-            refined = refined_best_of_k_delta(config, de, w_T, int(k)).value
+            try:
+                refined = refined_best_of_k_delta(config, de, w_T, int(k)).value
+                theories.append(("theory_refined", refined))
+            except ValueError as exc:  # outside the refined formula's domain: leave it empty
+                refined_error = exc
             # extreme-value route: mean of the scaled minimum is 2 c_k
             evt_value = st.s2 * 2.0 * weibull_norming(lam_rms, int(k))
-            theories = (("theory_refined", refined), ("theory_bestofk", evt_value))
+            theories.append(("theory_bestofk", evt_value))
         row = _base_row(config, mode, args.seed)
         row.update(
             c=0.0, k=int(k), T=0.0, delta=res.mean[g], stderr=res.stderr[g],
@@ -435,6 +447,8 @@ def cmd_bestofk_check(args, parser):
                 k2_delta=float(k) ** 2 * value, asymptote=refined,
             )
             rows.append(theory)
+    if refined_error is not None:
+        _warn(refined_error)
     out = _resolve_out(args, args.default_out)
     write_csv(out, SWEEP_SCHEMA + ["k2_delta", "asymptote"], rows)
     _write_manifest(out, "bestofk-check", _config_dict(config), args, args.seed, time.perf_counter() - t0)

@@ -71,17 +71,6 @@ def fit_posterior(data: Dataset, config: ModelConfig) -> Posterior:
     return Posterior(mu=mu, omega=omega, sigma=config.sigma)
 
 
-def predictive_moments(post: Posterior, x: np.ndarray) -> PredictiveMoments:
-    """Predictive mean and variance at a single test point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (post.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({post.d},)")
-    xs = x / math.sqrt(post.d)
-    mean = float(post.mu @ xs)
-    variance = float(xs @ post.omega @ xs + post.sigma**2)
-    return PredictiveMoments(mean=mean, variance=variance)
-
-
 def predictive_moments_batch(post: Posterior, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized predictive moments for rows of X; returns (means, variances)."""
     Xs = np.asarray(X, dtype=float) / math.sqrt(post.d)

@@ -7,13 +7,16 @@ renormalized ridge R solving
     R (1 - alpha m(R)) = R_hat = sigma^2 alpha / gamma^2,
     m(R) = (1/d) Tr[ Cov (Cov + R I)^{-1} ],
 
-where Cov is the input covariance (diagonal spectra supported, Cov = S^2 I
-the common case). The shrinkage and residual factors are
+where Cov is the input covariance. The shrinkage and residual factors are
 
     A = Cov (Cov + R I)^{-1},   B = R (Cov + R I)^{-1} = I - A,
 
 so the predictive mean is (x/sqrt(d))^T A w_T and the predictive variance is
 sigma^2 + gamma^2 (x/sqrt(d))^T B (x/sqrt(d)).
+
+There is one representation: Cov is diagonal and is held as its eigenvalues,
+so A and B are held as theirs. A length-1 spectrum [S^2] is Cov = S^2 I; it
+broadcasts against any d-vector, so the isotropic case needs no branch.
 """
 
 import math
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelConfig
-from .posterior import PredictiveMoments
 
 _RESIDUAL_TOL = 1e-12
 
@@ -36,10 +38,10 @@ VALIDITY_FACTOR = 0.01
 class DetEquiv:
     """Solved renormalized ridge with its derived scalars.
 
-    ``spectrum`` holds the eigenvalues of the input covariance. A and B are
-    the scalar shrinkage/residual factors S^2/(R+S^2) and R/(R+S^2); they are
-    only defined for an isotropic spectrum and are None otherwise (use
-    :meth:`a_diag`/:meth:`b_diag` for diagonal spectra).
+    ``spectrum`` holds the eigenvalues of the diagonal input covariance; a
+    length-1 spectrum [S^2] is Cov = S^2 I and broadcasts over the d inputs.
+    ``a`` and ``b`` are the eigenvalues of the shrinkage and residual factors
+    A and B, in the same shape as ``spectrum``.
     """
 
     R: float
@@ -48,20 +50,16 @@ class DetEquiv:
     spectrum: np.ndarray
     m1: float
     m2: float
-    A: float | None
-    B: float | None
 
     @property
-    def isotropic(self) -> bool:
-        return self.A is not None
-
-    def a_diag(self) -> np.ndarray:
+    def a(self) -> np.ndarray:
         """Eigenvalues of the shrinkage factor, lambda_i/(lambda_i + R)."""
         return self.spectrum / (self.spectrum + self.R)
 
-    def b_diag(self) -> np.ndarray:
-        """Eigenvalues of the residual factor, R/(lambda_i + R)."""
-        return 1.0 - self.a_diag()
+    @property
+    def b(self) -> np.ndarray:
+        """Eigenvalues of the residual factor, R/(lambda_i + R) = 1 - a."""
+        return 1.0 - self.a
 
 
 def _m1(spectrum: np.ndarray, R: float) -> float:
@@ -108,13 +106,6 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
     if residual > _RESIDUAL_TOL * max(1.0, R_hat):
         raise RuntimeError(f"fixed-point residual {residual:.3e} exceeds tolerance")
 
-    iso = bool(np.all(spectrum == spectrum[0]))
-    if iso:
-        lam = float(spectrum[0])
-        A = lam / (lam + R)
-        B = 1.0 - A
-    else:
-        A = B = None
     return DetEquiv(
         R=R,
         R_hat=R_hat,
@@ -122,8 +113,6 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
         spectrum=spectrum,
         m1=_m1(spectrum, R),
         m2=_m2(spectrum, R),
-        A=A,
-        B=B,
     )
 
 
@@ -155,34 +144,20 @@ def isotropic_ridge(alpha: float, sigma: float, gamma: float, S: float) -> float
 
 
 def solve_for_config(config: ModelConfig) -> DetEquiv:
-    """Solve the fixed point for a model config (isotropic spectrum S^2)."""
+    """Solve the fixed point for a model config: spectrum [S^2], Cov = S^2 I."""
     return solve_ridge(config.alpha, config.sigma, config.gamma, [config.S**2])
 
 
-def de_moments(x: np.ndarray, w_T: np.ndarray, de: DetEquiv, config: ModelConfig) -> PredictiveMoments:
-    """Closed-form predictive moments at one test point.
-
-    Isotropic case: mean = A (w_T . x / sqrt(d)), variance =
-    sigma^2 + gamma^2 B ||x||^2 / d.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (config.d,):
-        raise ValueError(f"x has shape {x.shape}, expected ({config.d},)")
-    means, variances = de_moments_batch(x[None, :], w_T, de, config)
-    return PredictiveMoments(mean=float(means[0]), variance=float(variances[0]))
-
-
 def de_moments_batch(X: np.ndarray, w_T: np.ndarray, de: DetEquiv, config: ModelConfig):
-    """Vectorized closed-form moments for rows of X; returns (means, variances)."""
+    """Closed-form moments for rows of X; returns (means, variances).
+
+    mean = (x/sqrt(d))^T A w_T and variance = sigma^2 + gamma^2 (x/sqrt(d))^T B
+    (x/sqrt(d)). The variance takes an elementwise product and a sum, which
+    broadcasts a length-1 ``b`` where a matrix product would not.
+    """
     Xs = np.asarray(X, dtype=float) / math.sqrt(config.d)
-    if de.isotropic:
-        means = de.A * (Xs @ w_T)
-        variances = config.sigma**2 + config.gamma**2 * de.B * np.sum(Xs * Xs, axis=1)
-    else:
-        a = de.a_diag()
-        b = de.b_diag()
-        means = Xs @ (a * w_T)
-        variances = config.sigma**2 + config.gamma**2 * (Xs * Xs) @ b
+    means = Xs @ (de.a * w_T)
+    variances = config.sigma**2 + config.gamma**2 * np.sum(Xs * Xs * de.b, axis=1)
     return means, variances
 
 

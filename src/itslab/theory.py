@@ -54,10 +54,6 @@ class SeriesTerms:
         return _coefficients(self.delta_T, self.delta_R, self.s2)
 
     @classmethod
-    def from_point(cls, m: float, mu_T: float, mu_R: float, s2: float, T: float) -> "SeriesTerms":
-        return cls(delta_T=m - mu_T, delta_R=m - mu_R, s2=s2, t=T / (2.0 * s2))
-
-    @classmethod
     def from_radial_average(
         cls, config: ModelConfig, de: DetEquiv, w_T: np.ndarray, w_R: np.ndarray, T: float
     ) -> "SeriesTerms":
@@ -70,17 +66,19 @@ class SeriesTerms:
         refuses non-parallel pairs, for which only a numeric average over
         sampled points is faithful (see :func:`high_t_delta_batch`).
         """
-        avec = -_b_vector(de, np.asarray(w_T, dtype=float))
-        bvec = _a_vector(de, np.asarray(w_T, dtype=float)) - np.asarray(w_R, dtype=float)
-        aa = _x_second_moment(avec, avec, de, config)
-        ab = _x_second_moment(avec, bvec, de, config)
-        bb = _x_second_moment(bvec, bvec, de, config)
+        w_T = np.asarray(w_T, dtype=float)
+        avec = -de.b * w_T
+        bvec = de.a * w_T - np.asarray(w_R, dtype=float)
+        # E[(u.x/sqrt(d))(v.x/sqrt(d))] = u^T Cov v / d for x ~ N(0, Cov)
+        aa = _cov_form(avec, avec, de) / config.d
+        ab = _cov_form(avec, bvec, de) / config.d
+        bb = _cov_form(bvec, bvec, de) / config.d
         if aa > 0 and bb > 0 and abs(ab) < (1.0 - 1e-9) * math.sqrt(aa * bb):
             raise ValueError(
                 "reward deviation is not colinear with the teacher deviation; "
                 "average the pointwise series numerically instead"
             )
-        s2_bar = config.sigma**2 + config.gamma**2 * _trace_b_cov(de, config)
+        s2_bar = config.sigma**2 + config.gamma**2 * _trace_b_cov(de)
         if bb > 0:
             delta_R = math.sqrt(bb)
             delta_T = ab / delta_R
@@ -90,37 +88,14 @@ class SeriesTerms:
         return cls(delta_T=delta_T, delta_R=delta_R, s2=s2_bar, t=T / (2.0 * s2_bar))
 
 
-def _a_vector(de: DetEquiv, w: np.ndarray) -> np.ndarray:
-    if de.isotropic:
-        return de.A * w
-    return de.a_diag() * w
+def _cov_form(u: np.ndarray, v: np.ndarray, de: DetEquiv) -> float:
+    """u^T Cov v for the diagonal covariance of ``de``."""
+    return float((de.spectrum * u) @ v)
 
 
-def _b_vector(de: DetEquiv, w: np.ndarray) -> np.ndarray:
-    if de.isotropic:
-        return de.B * w
-    return de.b_diag() * w
-
-
-def _x_second_moment(u: np.ndarray, v: np.ndarray, de: DetEquiv, config: ModelConfig) -> float:
-    """E[(u.x/sqrt(d))(v.x/sqrt(d))] = u^T Cov v / d for x ~ N(0, Cov)."""
-    if de.isotropic:
-        return float(config.S**2 * (u @ v) / config.d)
-    return float(np.sum(de.spectrum * u * v) / config.d)
-
-
-def _trace_b_cov(de: DetEquiv, config: ModelConfig) -> float:
+def _trace_b_cov(de: DetEquiv) -> float:
     """(1/d) Tr(B Cov)."""
-    if de.isotropic:
-        return float(de.B * config.S**2)
-    return float(np.mean(de.b_diag() * de.spectrum))
-
-
-def _quad_cov(u: np.ndarray, de: DetEquiv, config: ModelConfig) -> float:
-    """u^T Cov u."""
-    if de.isotropic:
-        return float(config.S**2 * (u @ u))
-    return float(np.sum(de.spectrum * u * u))
+    return float(np.mean(de.b * de.spectrum))
 
 
 def _coefficients(delta_T, delta_R, s2):
@@ -208,13 +183,13 @@ def refined_best_of_k_delta(config: ModelConfig, de: DetEquiv, w: np.ndarray, k:
     """x-averaged best-of-k error (pi sigma^2/k^2)(1 - concentration)^{-1/2}."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    u = _b_vector(de, np.asarray(w, dtype=float))
-    conc = 2.0 * _quad_cov(u, de, config) / (config.sigma**2 * config.d)
+    u = de.b * np.asarray(w, dtype=float)
+    conc = 2.0 * _cov_form(u, u, de) / (config.sigma**2 * config.d)
     if conc >= 1.0:
         raise ValueError(
             f"2 u^T Cov u / (sigma^2 d) = {conc:.4f} >= 1: outside the closed form's domain"
         )
-    regime_ok = config.gamma**2 * _trace_b_cov(de, config) <= 0.01 * config.sigma**2
+    regime_ok = config.gamma**2 * _trace_b_cov(de) <= 0.01 * config.sigma**2
     value = math.pi * config.sigma**2 / k**2 / math.sqrt(1.0 - conc)
     return RefinedBestOfK(value=value, regime_ok=regime_ok, concentration=conc)
 
@@ -237,7 +212,7 @@ def optimal_reward(w_T: np.ndarray, de: DetEquiv, k: int, t: float) -> OptimalRe
     if k <= 2:
         raise ValueError(f"k must be > 2, got {k}")
     w_T = np.asarray(w_T, dtype=float)
-    shift = (k / (k - 2.0)) * t * _b_vector(de, w_T)
+    shift = (k / (k - 2.0)) * t * (de.b * w_T)
     norm_T = float(np.linalg.norm(w_T))
     ratio = float(np.linalg.norm(shift)) / norm_T if norm_T > 0 else math.inf
     return OptimalReward(w=w_T + shift, shift_ratio=ratio)
@@ -300,11 +275,14 @@ def scaling_derivatives(
     alpha = de.alpha
     w = np.asarray(w, dtype=float)
 
-    def F_at(a: float) -> float:
-        solved = solve_ridge(a, config.sigma, config.gamma, de.spectrum)
-        return _quad_cov(_b_vector(solved, w), solved, config)
+    def F(solved: DetEquiv) -> float:
+        u = solved.b * w
+        return _cov_form(u, u, solved)
 
-    F0 = _quad_cov(_b_vector(de, w), de, config)
+    def F_at(a: float) -> float:
+        return F(solve_ridge(a, config.sigma, config.gamma, de.spectrum))
+
+    F0 = F(de)
     dF = (F_at(alpha * (1.0 + rel_step)) - F_at(alpha * (1.0 - rel_step))) / (
         2.0 * alpha * rel_step
     )
@@ -315,7 +293,7 @@ def scaling_derivatives(
         dlogk=-2.0,
         dlogn=-alpha * dF / denom,
         small_ridge_ok=de.R <= 0.01 * config.sigma**2,
-        trace_ok=config.gamma**2 * _trace_b_cov(de, config) <= 0.01 * config.sigma**2,
+        trace_ok=config.gamma**2 * _trace_b_cov(de) <= 0.01 * config.sigma**2,
     )
 
 

@@ -191,8 +191,8 @@ def test_04_best_of_k_law(bestofk_curve):
 
 def _solve_radial_c(cfg, de, w_T, ratio_target):
     """c such that the averaged series has C2/C1 = ratio_target."""
-    V = de.B**2 * cfg.S**2 * float(w_T @ w_T) / cfg.d
-    s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.B * cfg.S**2
+    V = de.b[0]**2 * cfg.S**2 * float(w_T @ w_T) / cfg.d
+    s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b[0] * cfg.S**2
     rho = ratio_target - 1.0
     return rho + math.sqrt(rho**2 + rho * s2_bar / V) - 1.0
 
@@ -228,7 +228,7 @@ def test_06_optimal_k():
     de = solve_for_config(cfg)
     w_T = sample_teacher(cfg, stream(SEED, "teacher"))
     T = 200 * cfg.sigma**2
-    s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.B * cfg.S**2
+    s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b[0] * cfg.S**2
     t = T / (2 * s2_bar)
     k_grid = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32, 48, 96]
     checks = []

@@ -208,6 +208,43 @@ class TestSubcommands:
         assert run(flags + ["--mode", "de"]) == 1
         assert "det_equiv mode requires n > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["exact", "de"])
+    def test_bestofk_check_outside_refined_domain(self, mode, tmp_path, capsys):
+        # n = 1000 puts 2 u^T Cov u / (sigma^2 d) above 1: the refined column
+        # stays empty, the extreme-value rows are still written
+        out = tmp_path / "bk.csv"
+        assert run([
+            "bestofk-check", "--mode", mode, "--d", "10", "--n", "1000",
+            "--k-grid", "1,10,100", "--n-outer", "5", "--n-inner", "5", "--out", str(out),
+        ]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("itslab: warning: 2 u^T Cov u / (sigma^2 d) = ")
+        assert err[0].endswith("outside the closed form's domain")
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        modes = [r[0] for r in rows]
+        mc_mode = "exact_posterior" if mode == "exact" else "det_equiv"
+        assert modes == [mc_mode, "theory_bestofk"] * 3
+        assert all(r[-1] == "" for r in rows)  # asymptote
+        assert all(float(r[10]) > 0 for r in rows)
+
+    def test_tradeoff_keeps_valid_n_outside_domain(self, tmp_path, capsys):
+        # n = 1000 is outside the derivative formula's domain, n = 10000 is not
+        out = tmp_path / "to.csv"
+        assert run([
+            "tradeoff", "--n-grid", "1000,10000", "--k-grid", "1,4",
+            "--n-outer", "5", "--n-inner", "5", "--out", str(out),
+        ]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "itslab: warning: n = 1000: sigma^2 d - 2 u^T Cov u <= 0: outside the formula's domain"
+        ]
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [int(r[2]) for r in rows] == [1000] * 4 + [10000] * 4
+        assert all(float(r[10]) > 0 for r in rows)  # every Monte Carlo delta
+        assert all(r[-3:] == ["", "", ""] for r in rows[:4])
+        assert all("" not in r[-3:] for r in rows[4:])
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ITSLAB_OUT_DIR", str(tmp_path))
         assert run(["ridge", "--d", "3", "--n", "30", "--out", "sub/r.csv"]) == 0

@@ -8,7 +8,6 @@ from itslab import (
     ModelConfig,
     fit_posterior,
     generate_dataset,
-    predictive_moments,
     predictive_moments_batch,
     sample_teacher,
     stream,
@@ -36,9 +35,9 @@ def test_single_observation_hand_solved():
     post = fit_posterior(Dataset(np.array([[1.0]]), np.array([1.0])), cfg)
     assert post.omega[0, 0] == pytest.approx(0.5, rel=1e-14)
     assert post.mu[0] == pytest.approx(0.5, rel=1e-14)
-    pm = predictive_moments(post, np.array([1.0]))
-    assert pm.mean == pytest.approx(0.5, rel=1e-14)
-    assert pm.variance == pytest.approx(1.5, rel=1e-14)
+    means, variances = predictive_moments_batch(post, np.array([1.0])[None, :])
+    assert means[0] == pytest.approx(0.5, rel=1e-14)
+    assert variances[0] == pytest.approx(1.5, rel=1e-14)
 
 
 def test_sigma_zero_rejected():
@@ -99,13 +98,13 @@ def test_omega_symmetric_spd_and_bounded_by_prior():
 def test_predictive_at_origin_and_prior_point():
     cfg = ModelConfig(d=4, n=0, sigma=0.3, gamma=2.0)
     post = fit_posterior(Dataset(np.zeros((0, 4)), np.zeros(0)), cfg)
-    pm0 = predictive_moments(post, np.zeros(4))
-    assert pm0.mean == 0.0
-    assert pm0.variance == pytest.approx(cfg.sigma**2, rel=1e-15)
+    means0, variances0 = predictive_moments_batch(post, np.zeros(4)[None, :])
+    assert means0[0] == 0.0
+    assert variances0[0] == pytest.approx(cfg.sigma**2, rel=1e-15)
     x = np.array([1.0, -2.0, 0.5, 3.0])
-    pm = predictive_moments(post, x)
-    assert pm.mean == 0.0
-    assert pm.variance == pytest.approx(
+    means, variances = predictive_moments_batch(post, x[None, :])
+    assert means[0] == 0.0
+    assert variances[0] == pytest.approx(
         cfg.gamma**2 * (x @ x) / cfg.d + cfg.sigma**2, rel=1e-14
     )
 

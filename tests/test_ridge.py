@@ -5,7 +5,6 @@ import pytest
 
 from itslab import (
     ModelConfig,
-    de_moments,
     de_moments_batch,
     fit_posterior,
     generate_dataset,
@@ -28,7 +27,7 @@ class TestSolveRidge:
     def test_zero_noise_below_one(self):
         de = solve_ridge(0.5, 0.0, 1.0, [1.0])
         assert de.R == 0.0
-        assert de.A == 1.0 and de.B == 0.0
+        assert de.a[0] == 1.0 and de.b[0] == 0.0
 
     def test_matches_closed_form_at_tiny_ridge(self):
         de = solve_ridge(1e-3, 1e-4, 1e-3, [1.0])
@@ -56,8 +55,8 @@ class TestSolveRidge:
     def test_a_plus_b_exact_and_bounded(self):
         for alpha in (0.01, 0.5):
             de = solve_ridge(alpha, 0.5, 1.0, [2.0])
-            assert de.A + de.B == 1.0
-            assert 0 < de.A < 1 and 0 < de.B < 1
+            assert de.a[0] + de.b[0] == 1.0
+            assert 0 < de.a[0] < 1 and 0 < de.b[0] < 1
             assert 0 < de.m1 < 1 and 0 < de.m2 < 1
 
     def test_isotropic_vs_general_on_grid(self):
@@ -96,9 +95,9 @@ class TestDeMoments:
         cfg = ModelConfig(d=4, n=100, sigma=0.3)
         de = solve_for_config(cfg)
         w = np.ones(4)
-        pm = de_moments(np.zeros(4), w, de, cfg)
-        assert pm.mean == 0.0
-        assert pm.variance == pytest.approx(cfg.sigma**2, rel=1e-15)
+        means, variances = de_moments_batch(np.zeros((1, 4)), w, de, cfg)
+        assert means[0] == 0.0
+        assert variances[0] == pytest.approx(cfg.sigma**2, rel=1e-15)
 
     def test_zero_ridge_reproduces_teacher(self):
         cfg = ModelConfig(d=3, n=30, sigma=0.0)
@@ -106,9 +105,9 @@ class TestDeMoments:
         assert de.R == 0.0
         w = np.array([1.0, -1.0, 2.0])
         x = np.array([0.3, 0.7, -0.2])
-        pm = de_moments(x, w, de, cfg)
-        assert pm.mean == pytest.approx(w @ x / math.sqrt(3), rel=1e-14)
-        assert pm.variance == pytest.approx(cfg.sigma**2, abs=1e-30)
+        means, variances = de_moments_batch(x[None, :], w, de, cfg)
+        assert means[0] == pytest.approx(w @ x / math.sqrt(3), rel=1e-14)
+        assert variances[0] == pytest.approx(cfg.sigma**2, abs=1e-30)
 
     def test_matches_exact_posterior_in_validity_regime(self):
         # d=50, n=5000: closed-form moments against the exact posterior
@@ -139,7 +138,6 @@ class TestDeMoments:
         cfg = ModelConfig(d=3, n=300, sigma=0.1, gamma=1.0)
         spectrum = np.array([0.5, 1.0, 2.0])
         de = solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, spectrum)
-        assert not de.isotropic
         w = np.array([1.0, 2.0, -1.0])
         x = np.array([0.5, -0.5, 1.0])
         means, variances = de_moments_batch(x[None, :], w, de, cfg)
@@ -172,7 +170,7 @@ class TestNoiseVarianceCheck:
 
         de = DetEquiv(
             R=0.0, R_hat=0.0, alpha=1.5, spectrum=np.array([1.0]),
-            m1=1.0, m2=1.0, A=1.0, B=0.0,
+            m1=1.0, m2=1.0,
         )
         with pytest.raises(ValueError, match="diverges"):
             noise_variance_check(de, 0.1)

@@ -9,6 +9,7 @@ from itslab import (
     SamplerConfig,
     SeriesTerms,
     best_of_k_delta_x,
+    de_moments_batch,
     delta_c_curve,
     delta_x,
     dlogn_flat_prior,
@@ -23,6 +24,7 @@ from itslab import (
     sample_teacher,
     scaling_derivatives,
     solve_for_config,
+    solve_ridge,
     stream,
 )
 from itslab.posterior import PredictiveMoments
@@ -177,8 +179,6 @@ class TestRefinedBestOfK:
         out = refined_best_of_k_delta(cfg, de, w, k)
         assert out.regime_ok
         X = stream(6, "test_points").normal(0.0, cfg.S, size=(400_000, cfg.d))
-        from itslab import de_moments_batch
-
         m, s2 = de_moments_batch(X, w, de, cfg)
         dT = m - X @ w / math.sqrt(cfg.d)
         pointwise = (math.pi / k**2) * s2 * np.exp(dT**2 / s2)
@@ -197,7 +197,7 @@ class TestRefinedBestOfK:
         cfg = ModelConfig(d=4, n=5, S=1.0, sigma=2.0, gamma=1.0)
         de = solve_for_config(cfg)
         w = np.full(4, 2.0)
-        u = de.B * w
+        u = de.b[0] * w
         assert 2 * cfg.S**2 * (u @ u) >= cfg.sigma**2 * cfg.d
         with pytest.raises(ValueError, match="outside"):
             refined_best_of_k_delta(cfg, de, w, 10)
@@ -218,7 +218,7 @@ class TestOptimalReward:
         w = np.ones(3)
         t = 20.0
         out = optimal_reward(w, de, k=10**9, t=t)
-        np.testing.assert_allclose(out.w, w + t * de.B * w, rtol=1e-8)
+        np.testing.assert_allclose(out.w, w + t * de.b[0] * w, rtol=1e-8)
 
     def test_small_k_rejected(self):
         cfg = ModelConfig(d=3, n=100)
@@ -233,7 +233,7 @@ class TestOptimalReward:
         de = solve_for_config(cfg)
         T = 100 * cfg.sigma**2
         k = 50
-        s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.B * cfg.S**2
+        s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b[0] * cfg.S**2
         t_bar = T / (2 * s2_bar)
         c_pred = (k / (k - 2)) * t_bar
         c_grid = np.geomspace(10.0, 270.0, 12)
@@ -335,3 +335,52 @@ def test_refined_law_never_below_plain_floor():
             except ValueError:
                 continue  # outside the closed form's domain
             assert out.value >= math.pi * cfg.sigma**2 / 50**2
+
+
+class TestSpectrumRepresentation:
+    """A length-1 spectrum [S^2] is Cov = S^2 I; a full spectrum is any diagonal Cov."""
+
+    def test_length_one_spectrum_equals_full_spectrum(self):
+        cfg = ModelConfig(d=6, n=60, S=1.7, sigma=0.3, gamma=1.0)
+        w_T = sample_teacher(cfg, stream(11, "teacher"))
+        X = stream(11, "test_points").normal(0.0, cfg.S, size=(20, cfg.d))
+        short, full = (
+            solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, spectrum)
+            for spectrum in ([cfg.S**2], np.full(cfg.d, cfg.S**2))
+        )
+
+        def outputs(de):
+            w_R = resolve_reward(RewardSpec.radial(3.0), w_T, de.R, cfg.S)
+            st = SeriesTerms.from_radial_average(cfg, de, w_T, w_R, 0.5)
+            refined = refined_best_of_k_delta(cfg, de, w_T, 40)
+            sd = scaling_derivatives(cfg, de, w_T)
+            opt = optimal_reward(w_T, de, k=10, t=5.0)
+            return np.concatenate([
+                *de_moments_batch(X, w_T, de, cfg),
+                [st.delta_T, st.delta_R, st.s2, st.t],
+                [refined.value, refined.concentration],
+                [sd.dlogk, sd.dlogn],
+                opt.w, [opt.shift_ratio],
+            ])
+
+        np.testing.assert_allclose(outputs(short), outputs(full), rtol=1e-12, atol=0)
+
+    def test_three_eigenvalue_spectrum_against_explicit_matrices(self):
+        cfg = ModelConfig(d=3, n=30, sigma=0.5, gamma=1.0)
+        spectrum = np.array([0.25, 1.0, 4.0])
+        de = solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, spectrum)
+        w = np.array([1.0, -2.0, 0.5])
+        cov = np.diag(spectrum)
+        B = de.R * np.linalg.inv(cov + de.R * np.eye(3))
+        u = B @ w
+        conc = 2.0 * (u @ cov @ u) / (cfg.sigma**2 * cfg.d)
+        out = refined_best_of_k_delta(cfg, de, w, 10)
+        assert 0 < out.concentration < 1
+        assert out.concentration == pytest.approx(conc, rel=1e-12)
+        st = SeriesTerms.from_radial_average(cfg, de, w, w, 1.0)
+        assert st.s2 == pytest.approx(
+            cfg.sigma**2 + cfg.gamma**2 * np.trace(B @ cov) / cfg.d, rel=1e-12
+        )
+        # aligned reward: both deviations are -B w, so both terms are sqrt(u^T Cov u / d)
+        assert st.delta_R == pytest.approx(math.sqrt(u @ cov @ u / cfg.d), rel=1e-12)
+        assert st.delta_T == pytest.approx(st.delta_R, rel=1e-12)
