@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .judge import judge_sweep, load_records
-from .mc import delta_c_curve, delta_k_curve, delta_t_curve
+from .mc import classify_k_monotonicity, delta_c_curve, delta_k_curve, delta_t_curve
 from .model import ModelConfig, RewardSpec, resolve_reward, sample_teacher
 from .evt import weibull_norming
 from .ridge import noise_variance_check, solve_for_config
@@ -167,6 +167,17 @@ def build_config(args, parser) -> ModelConfig:
         parser.error(str(exc))
 
 
+def _mc_args(args, parser):
+    """The engine mode and the keyword arguments every Monte Carlo sweep passes."""
+    if args.threads < 1 or args.n_datasets < 1:
+        parser.error("--threads and --n-datasets must be >= 1")
+    if args.mode == "de" and args.n_datasets != 1:
+        parser.error("--n-datasets applies to --mode exact only (det_equiv has no training sets)")
+    mode = _MODE_ALIASES[args.mode]
+    return mode, dict(n_outer=args.n_outer, n_inner=args.n_inner, mode=mode, seed=args.seed,
+                      threads=args.threads, n_datasets=args.n_datasets)
+
+
 def _temperature(args, config, parser) -> float:
     if args.T is not None and args.T_sigma2 is not None:
         parser.error("--T and --T-sigma2 are mutually exclusive")
@@ -230,25 +241,21 @@ def _series_value(config, de, w_T, w_R, T, k):
 def cmd_sweep_k(args, parser):
     t0 = time.perf_counter()
     config = build_config(args, parser)
-    mode = _MODE_ALIASES[args.mode]
+    mode, mc = _mc_args(args, parser)
     T = _temperature(args, config, parser)
-    k_grid = args.k_grid
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
+    rewards = [RewardSpec.radial(float(c)) for c in args.c_grid]
+    res = delta_k_curve(config, rewards, T, args.k_grid, **mc)
     rows = []
-    for c in args.c_grid:
-        res = delta_k_curve(
-            config, RewardSpec.radial(float(c)), T, k_grid,
-            n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
-            seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
-        )
-        w_R = resolve_reward(RewardSpec.radial(float(c)), w_T, de.R if de else 0.0, config.S)
-        for g, k in enumerate(k_grid):
+    for r, c in enumerate(args.c_grid):
+        w_R = resolve_reward(rewards[r], w_T, de.R if de else 0.0, config.S)
+        for g, k in enumerate(args.k_grid):
             # the series has no T = 0 limit, and no fixed point exists at n = 0
             series = _series_value(config, de, w_T, w_R, T, k) if T > 0 and de else None
             row = _base_row(config, mode, args.seed)
             row.update(
-                c=float(c), k=int(k), T=T, delta=res.mean[g], stderr=res.stderr[g],
+                c=float(c), k=int(k), T=T, delta=res.mean[r, g], stderr=res.stderr[r, g],
                 n_outer=res.n_outer, n_inner=args.n_inner, theory_highT=series,
             )
             rows.append(row)
@@ -269,7 +276,7 @@ def cmd_sweep_k(args, parser):
 def cmd_sweep_t(args, parser):
     t0 = time.perf_counter()
     config = build_config(args, parser)
-    mode = _MODE_ALIASES[args.mode]
+    mode, mc = _mc_args(args, parser)
     if args.t_grid is not None and args.t_grid_sigma2 is not None:
         parser.error("--t-grid and --t-grid-sigma2 are mutually exclusive")
     if args.t_grid is not None:
@@ -277,11 +284,7 @@ def cmd_sweep_t(args, parser):
     else:
         mult = args.t_grid_sigma2 if args.t_grid_sigma2 is not None else parse_grid("log:2,200,30")
         T_grid = np.asarray(mult, dtype=float) * config.sigma**2
-    res = delta_t_curve(
-        config, RewardSpec.radial(args.c), args.k, T_grid,
-        n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
-        seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
-    )
+    res = delta_t_curve(config, RewardSpec.radial(args.c), args.k, T_grid, **mc)
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
     w_R = resolve_reward(RewardSpec.radial(args.c), w_T, de.R if de else 0.0, config.S)
@@ -290,8 +293,8 @@ def cmd_sweep_t(args, parser):
         try:
             st = SeriesTerms.from_radial_average(config, de, w_T, w_R, 1.0)
             t_opt = optimal_temperature(st.delta_T, st.delta_R, st.s2, args.k)
-        except ValueError:
-            pass
+        except ValueError as exc:  # outside the formula's domain: leave the column empty
+            _warn(exc)
     rows = []
     for g, T in enumerate(T_grid):
         row = _base_row(config, mode, args.seed)
@@ -309,13 +312,9 @@ def cmd_sweep_t(args, parser):
 def cmd_sweep_c(args, parser):
     t0 = time.perf_counter()
     config = build_config(args, parser)
-    mode = _MODE_ALIASES[args.mode]
+    mode, mc = _mc_args(args, parser)
     T = _temperature(args, config, parser)
-    res = delta_c_curve(
-        config, args.c_grid, T, args.k,
-        n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
-        seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
-    )
+    res = delta_c_curve(config, args.c_grid, T, args.k, **mc)
     rows = []
     for g, c in enumerate(args.c_grid):
         row = _base_row(config, mode, args.seed)
@@ -335,27 +334,20 @@ def cmd_polar_map(args, parser):
     config = build_config(args, parser)
     if config.d != 2:
         parser.error("polar-map requires d = 2")
-    mode = _MODE_ALIASES[args.mode]
+    mode, mc = _mc_args(args, parser)
     T = _temperature(args, config, parser)
-    from .mc import classify_k_monotonicity
-
-    rows = []
-    for c in args.c_grid:
-        for theta in args.theta_grid:
-            res = delta_k_curve(
-                config, RewardSpec.polar(float(c), float(theta)), T, args.k_grid,
-                n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
-                seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
-            )
-            rows.append(
-                {
-                    "mode": mode, "d": config.d, "n": config.n, "S": config.S,
-                    "sigma": config.sigma, "gamma": config.gamma,
-                    "c": float(c), "theta": float(theta), "T": T,
-                    "label": classify_k_monotonicity(res, z=args.z_gate),
-                    "n_outer": res.n_outer, "n_inner": args.n_inner, "seed": args.seed,
-                }
-            )
+    cells = [(float(c), float(theta)) for c in args.c_grid for theta in args.theta_grid]
+    rewards = [RewardSpec.polar(c, theta) for c, theta in cells]
+    res = delta_k_curve(config, rewards, T, args.k_grid, **mc)
+    rows = [
+        {
+            "mode": mode, "d": config.d, "n": config.n, "S": config.S,
+            "sigma": config.sigma, "gamma": config.gamma, "c": c, "theta": theta, "T": T,
+            "label": classify_k_monotonicity(res.target(r), z=args.z_gate),
+            "n_outer": res.n_outer, "n_inner": args.n_inner, "seed": args.seed,
+        }
+        for r, (c, theta) in enumerate(cells)
+    ]
     header = ["mode", "d", "n", "S", "sigma", "gamma", "c", "theta", "T",
               "label", "n_outer", "n_inner", "seed"]
     out = _resolve_out(args, args.default_out)
@@ -367,7 +359,7 @@ def cmd_polar_map(args, parser):
 def cmd_tradeoff(args, parser):
     t0 = time.perf_counter()
     base = build_config(args, parser)
-    mode = _MODE_ALIASES[args.mode]
+    mode, mc = _mc_args(args, parser)
     T_high = args.t_high_sigma2 * base.sigma**2
     rows = []
     for n in args.n_grid:
@@ -385,16 +377,13 @@ def cmd_tradeoff(args, parser):
                               dlogn_closed_form=dlogn_flat_prior(config, w_T))
             except ValueError as exc:  # outside the formula's domain: empty, as at n = 0
                 _warn(f"n = {config.n}: {exc}")
-        for T in (0.0, T_high):
-            res = delta_k_curve(
-                config, RewardSpec.radial(0.0), T, args.k_grid,
-                n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
-                seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
-            )
+        # the T = 0 and T_high rows are two targets of one call
+        res = delta_k_curve(config, [RewardSpec.radial(0.0)] * 2, [0.0, T_high], args.k_grid, **mc)
+        for r, T in enumerate((0.0, T_high)):
             for g, k in enumerate(args.k_grid):
                 row = _base_row(config, mode, args.seed)
                 row.update(
-                    c=0.0, k=int(k), T=T, delta=res.mean[g], stderr=res.stderr[g],
+                    c=0.0, k=int(k), T=T, delta=res.mean[r, g], stderr=res.stderr[r, g],
                     n_outer=res.n_outer, n_inner=args.n_inner, **theory,
                 )
                 rows.append(row)
@@ -407,20 +396,19 @@ def cmd_tradeoff(args, parser):
 def cmd_bestofk_check(args, parser):
     t0 = time.perf_counter()
     config = build_config(args, parser)
-    mode = _MODE_ALIASES[args.mode]
+    mode, mc = _mc_args(args, parser)
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
-    res = delta_k_curve(
-        config, RewardSpec.radial(0.0), 0.0, args.k_grid,
-        n_outer=args.n_outer, n_inner=args.n_inner, mode=mode,
-        seed=args.seed, threads=args.threads, n_datasets=args.n_datasets,
-    )
+    res = delta_k_curve(config, RewardSpec.radial(0.0), 0.0, args.k_grid, **mc)
+    theory_error = None
     if de:  # the closed forms need the ridge fixed point, which n = 0 lacks
-        # aligned reward: the series terms reduce to the teacher deviation alone
-        st = SeriesTerms.from_radial_average(config, de, w_T, w_T, 1.0)
-        lam_rms = st.delta_T**2 / st.s2
+        try:
+            # aligned reward: the series terms reduce to the teacher deviation alone
+            st = SeriesTerms.from_radial_average(config, de, w_T, w_T, 1.0)
+            lam_rms = st.delta_T**2 / st.s2
+        except ValueError as exc:  # zero predictive variance: no closed form applies
+            theory_error, de = exc, None
     rows = []
-    refined_error = None
     for g, k in enumerate(args.k_grid):
         refined, theories = None, []
         if de:
@@ -428,7 +416,7 @@ def cmd_bestofk_check(args, parser):
                 refined = refined_best_of_k_delta(config, de, w_T, int(k)).value
                 theories.append(("theory_refined", refined))
             except ValueError as exc:  # outside the refined formula's domain: leave it empty
-                refined_error = exc
+                theory_error = exc
             # extreme-value route: mean of the scaled minimum is 2 c_k
             evt_value = st.s2 * 2.0 * weibull_norming(lam_rms, int(k))
             theories.append(("theory_bestofk", evt_value))
@@ -447,8 +435,8 @@ def cmd_bestofk_check(args, parser):
                 k2_delta=float(k) ** 2 * value, asymptote=refined,
             )
             rows.append(theory)
-    if refined_error is not None:
-        _warn(refined_error)
+    if theory_error is not None:
+        _warn(theory_error)
     out = _resolve_out(args, args.default_out)
     write_csv(out, SWEEP_SCHEMA + ["k2_delta", "asymptote"], rows)
     _write_manifest(out, "bestofk-check", _config_dict(config), args, args.seed, time.perf_counter() - t0)

@@ -8,19 +8,23 @@ The error of reward-weighted selection at a test point x is
 with y_1..y_k i.i.d. from the predictive at x, and delta = E_x delta(x).
 The estimator averages the softmax-weighted loss inside each batch of k
 draws (same expectation as sampling the categorical index, strictly lower
-variance). At T = 0 with one reward target per test point, the estimator
-samples the winner's distance directly: in standardized coordinates
-z = (y - m)/s the selected draw is the one closest to a = (mu_R - m)/s, and
-its distance D has P(D > d) = (1 - F(d))^k with F(d) = P(|z - a| <= d), so
-D is drawn by inverting that law (inverse-CDF sampling of an order
-statistic) and no k candidates are materialised.
+variance). One engine call evaluates a set of cells (k, T, reward target),
+making the teacher, ridge fixed point, training sets, posteriors and test
+points once, and mu_R = x.w_R/sqrt(d) once per (point, target). A target
+whose cells all have T = 0 samples the winner's distance directly: in
+standardized coordinates z = (y - m)/s the selected draw is the one closest
+to a = (mu_R - m)/s, and its distance D has P(D > d) = (1 - F(d))^k with
+F(d) = P(|z - a| <= d), so D is drawn by inverting that law and no k
+candidates are materialised; disjoint blocks of k_j - k_{j-1} candidates and
+a running minimum carry it along the k grid, at O(n_inner) cost per grid
+point. The other targets reweight one shared (n_inner, kmax) Gaussian draw
+matrix per test point, with one selection call per distinct (k, T) over the
+stacked rewards of all targets.
 
-Sweeps over k, T or the reward misalignment c share the underlying random
-numbers (common random numbers), so curves are smooth at fixed seed and
-neighboring grid points can be compared through paired differences. The
-Gaussian draw matrix is extended as k grows and reweighted as T or c change;
-the T = 0 sampler splits the k grid into disjoint blocks of k_j - k_{j-1}
-candidates, draws each block's winner, and keeps a running minimum.
+Every target restarts the test point's streams, so sweeps over k, T and the
+reward (c, theta) share their random numbers (common random numbers): curves
+are smooth at fixed seed and neighbouring grid points can be compared
+through paired differences.
 
 Reproducibility contract: all randomness is derived from (seed, purpose,
 index) named streams. The outer loop over test points is processed in
@@ -31,7 +35,7 @@ thread count.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import expit, log_ndtr, ndtri
@@ -67,7 +71,10 @@ class SweepResult:
 
     ``per_x[i, g]`` is the inner-averaged estimate at test point i and grid
     cell g; columns share draws, so differences between cells should be
-    assessed with :meth:`paired_stderr`, not the marginal ``stderr``.
+    assessed with :meth:`paired_stderr`, not the marginal ``stderr``. A curve
+    asked for a sequence of reward targets holds one curve per target:
+    ``mean[r, g]``, ``stderr[r, g]`` and ``per_x[i, r, g]``, and
+    :meth:`target` gives target r's curve.
     """
 
     axis: str
@@ -89,14 +96,9 @@ class SweepResult:
             return math.inf
         return float(np.std(diff, ddof=1) / math.sqrt(n))
 
-    def estimate(self, g: int) -> ErrorEstimate:
-        return ErrorEstimate(
-            mean=float(self.mean[g]),
-            stderr=float(self.stderr[g]),
-            n_outer=self.n_outer,
-            n_inner=self.n_inner,
-            mode=self.mode,
-        )
+    def target(self, r: int) -> "SweepResult":
+        """The curve of reward target r of a multi-target sweep."""
+        return replace(self, mean=self.mean[r], stderr=self.stderr[r], per_x=self.per_x[:, r])
 
 
 def delta_x(
@@ -139,34 +141,46 @@ def _cell_means_for_x(
     m: float,
     s: float,
     mu_T: float,
+    mu_R: np.ndarray,
     cell_k: np.ndarray,
     cell_T: np.ndarray,
-    cell_muR: np.ndarray,
+    cell_r: np.ndarray,
     n_inner: int,
     kmax: int,
 ) -> np.ndarray:
     """Inner-averaged weighted losses for every grid cell at one test point.
 
-    One (n_inner, kmax) draw matrix backs every cell: cell k uses its first k
-    columns, temperatures and reward targets only reweight. Inner rows are
-    chunked to bound memory; only per-cell means are accumulated.
+    One (n_inner, kmax) draw matrix backs every cell: cell g uses its first
+    cell_k[g] columns, and its temperature and reward target mu_R[cell_r[g]]
+    only reweight. Inner rows are chunked to bound memory; the rewards of all
+    targets are stacked (in chunks under the same bound), so one selection
+    call serves every target at a given (k, T). Only per-cell sums are kept.
     """
     out = np.zeros(len(cell_k))
     rows_per_chunk = max(1, _MAX_ELEMS // max(1, kmax))
+    per_stack = max(1, _MAX_ELEMS // (min(rows_per_chunk, n_inner) * kmax))
+    groups = {}
+    for g in range(len(cell_k)):
+        key = (cell_r[g] // per_stack, int(cell_k[g]), float(cell_T[g]))
+        groups.setdefault(key, []).append(g)
+    plan = []
+    for (stack, k, T), cells in sorted(groups.items()):
+        t = cell_r[cells] - stack * per_stack
+        if np.all(np.diff(t) == 1):
+            t = slice(t[0], t[-1] + 1)  # a view, not a copy, of the stacked rewards
+        plan.append((stack, k, T, cells, t))
     done = 0
     while done < n_inner:
         rows = min(rows_per_chunk, n_inner - done)
         Y = m + s * rng.standard_normal((rows, kmax))
-        L = (Y - mu_T) ** 2
-        rewards = None
-        last_muR = None
-        for g in range(len(cell_k)):
-            muR = cell_muR[g]
-            if rewards is None or muR != last_muR:
-                rewards = quadratic_reward(Y, muR)
-                last_muR = muR
-            k = int(cell_k[g])
-            out[g] += select(L[:, :k], rewards[:, :k], float(cell_T[g])).sum()
+        L = ((Y - mu_T) ** 2)[None]
+        current = None
+        for stack, k, T, cells, t in plan:
+            if stack != current:
+                lo = stack * per_stack
+                rewards = quadratic_reward(Y, mu_R[lo : lo + per_stack, None, None])
+                current = stack
+            out[cells] += select(L[..., :k], rewards[t, :, :k], T).sum(axis=-1)
         done += rows
     return out / n_inner
 
@@ -258,16 +272,16 @@ class _Context:
     m: np.ndarray
     s: np.ndarray
     mu_T: np.ndarray
-    mu_R: np.ndarray
+    mu_R: np.ndarray  # (test points, reward targets)
 
 
-def _prepare_contexts(config, reward, mode, seed, n_outer, n_datasets):
+def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     w_T = sample_teacher(config, stream(seed, "teacher"))
     de = solve_for_config(config) if config.n > 0 else None
     R = de.R if de is not None else 0.0
-    w_R = resolve_reward(reward, w_T, R, config.S)
+    W_R = [resolve_reward(reward, w_T, R, config.S) for reward in rewards]
     sqrt_d = math.sqrt(config.d)
 
     if mode == "det_equiv":
@@ -290,73 +304,62 @@ def _prepare_contexts(config, reward, mode, seed, n_outer, n_datasets):
                 m=m,
                 s=np.sqrt(s2),
                 mu_T=X @ w_T / sqrt_d,
-                mu_R=X @ w_R / sqrt_d,
+                mu_R=np.stack([X @ w_R / sqrt_d for w_R in W_R], axis=1),
             )
         )
-    return contexts, w_T, w_R, de
+    return contexts, w_T, de
 
 
-def _run_cells(
-    config: ModelConfig,
-    reward: RewardSpec,
-    cell_k,
-    cell_T,
-    mu_R_factor,
-    n_outer: int,
-    n_inner: int,
-    mode: str,
-    seed: int,
-    threads: int,
-    n_datasets: int,
-):
-    """Evaluate every (k, T, reward-target) cell at every test point.
+def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, threads, n_datasets):
+    """Evaluate every (k, T, reward target) cell at every test point.
 
-    ``mu_R_factor`` is either None (use the reward spec's mu_R for every
-    cell) or an array of per-cell multipliers applied to mu_T (the radial
-    reward family mu_R = (1 + c B) mu_T). Grids with T = 0 in every cell and
-    one reward target go to the order-statistic sampler; the rest share one
-    Gaussian draw matrix across cells.
+    ``cell_k`` and ``cell_T`` broadcast to (targets, cells per target); row r
+    belongs to ``rewards[r]``. A target whose cells all have T = 0 goes to the
+    order-statistic sampler; the other targets share one Gaussian draw matrix.
+    Each route restarts every test point's stream, so a target's bytes do not
+    depend on the other targets as long as the shared targets' largest k does
+    not. Returns per_x (points, targets, cells), mean, stderr and meta.
     """
     if n_outer < 1 or n_inner < 1:
         raise ValueError("n_outer and n_inner must be >= 1")
-    cell_k = np.asarray(cell_k, dtype=int)
-    cell_T = np.asarray(cell_T, dtype=float)
+    shape = np.broadcast_shapes((len(rewards), 1), np.shape(cell_k), np.shape(cell_T))
+    cell_k = np.broadcast_to(np.asarray(cell_k, dtype=int), shape).ravel()
+    cell_T = np.broadcast_to(np.asarray(cell_T, dtype=float), shape).ravel()
+    cell_r = np.repeat(np.arange(shape[0]), shape[1])
     if np.any(cell_k < 1):
         raise ValueError("every k must be >= 1")
     if np.any(cell_T < 0):
         raise ValueError("every T must be >= 0")
-    kmax = int(cell_k.max())
-    best_of_k = mu_R_factor is None and not np.any(cell_T)
+    t0_targets = [r for r in range(shape[0]) if not np.any(cell_T[cell_r == r])]
+    shared = ~np.isin(cell_r, t0_targets)
+    shared_targets, shared_r = np.unique(cell_r[shared], return_inverse=True)
+    kmax = int(cell_k[shared].max()) if shared.any() else 0
     # points per call of the T = 0 sampler: its ~16 working arrays of n_inner
     # values per point then hold at most _MAX_ELEMS values
     t0_points = max(1, _MAX_ELEMS // (16 * n_inner))
 
-    contexts, w_T, w_R, de = _prepare_contexts(
-        config, reward, mode, seed, n_outer, n_datasets
-    )
+    contexts, w_T, de = _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets)
     n_rows = len(contexts) * n_outer
     per_x = np.empty((n_rows, len(cell_k)))
 
     def run_block(ctx: _Context, start: int, stop: int):
         base = ctx.dataset_index * n_outer
-        if best_of_k:
+        for r in t0_targets:
+            cells = cell_r == r
             for lo in range(start, stop, t0_points):
                 hi = min(lo + t0_points, stop)
                 rngs = [stream(seed, "inference", ctx.dataset_index, i) for i in range(lo, hi)]
-                per_x[base + lo : base + hi] = _best_of_k_cells(
-                    rngs, ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi], ctx.mu_R[lo:hi],
-                    cell_k, n_inner,
+                per_x[base + lo : base + hi, cells] = _best_of_k_cells(
+                    rngs, ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi], ctx.mu_R[lo:hi, r],
+                    cell_k[cells], n_inner,
                 )
+        if not kmax:
             return
         for i in range(start, stop):
-            if mu_R_factor is None:
-                cell_muR = np.full(len(cell_k), ctx.mu_R[i])
-            else:
-                cell_muR = mu_R_factor * ctx.mu_T[i]
             rng = stream(seed, "inference", ctx.dataset_index, i)
-            per_x[base + i] = _cell_means_for_x(
-                rng, ctx.m[i], ctx.s[i], ctx.mu_T[i], cell_k, cell_T, cell_muR,
-                n_inner, kmax,
+            per_x[base + i, shared] = _cell_means_for_x(
+                rng, ctx.m[i], ctx.s[i], ctx.mu_T[i], ctx.mu_R[i, shared_targets],
+                cell_k[shared], cell_T[shared], shared_r, n_inner, kmax,
             )
 
     blocks = [
@@ -377,12 +380,24 @@ def _run_cells(
         if n_rows > 1
         else np.full(len(cell_k), math.inf)
     )
-    meta = {
-        "w_T_norm2": float(w_T @ w_T),
-        "n_datasets": len(contexts),
-        "R": de.R if de is not None else 0.0,
-    }
-    return per_x, mean, stderr, meta
+    meta = {"w_T_norm2": float(w_T @ w_T), "n_datasets": len(contexts),
+            "R": de.R if de is not None else 0.0}
+    return per_x.reshape(n_rows, *shape), mean.reshape(shape), stderr.reshape(shape), meta
+
+
+def _sweep(axis, grid, config, reward, cell_k, cell_T, n_outer, n_inner, mode, seed,
+           threads, n_datasets, **meta) -> SweepResult:
+    """Run a curve's cells; one RewardSpec gives one curve, a sequence one per target."""
+    single = isinstance(reward, RewardSpec)
+    per_x, mean, stderr, run_meta = _run_cells(
+        config, [reward] if single else list(reward), cell_k, cell_T,
+        n_outer, n_inner, mode, seed, threads, n_datasets,
+    )
+    result = SweepResult(
+        axis=axis, grid=grid, mean=mean, stderr=stderr, per_x=per_x, n_outer=per_x.shape[0],
+        n_inner=n_inner, mode=mode, seed=seed, meta={**run_meta, **meta},
+    )
+    return result.target(0) if single else result
 
 
 def delta(
@@ -403,12 +418,11 @@ def delta(
     estimate is then a data-averaged error rather than a per-dataset one.
     """
     per_x, mean, stderr, _ = _run_cells(
-        config, reward, [sc.k], [sc.T], None, n_outer, n_inner, mode, seed,
-        threads, n_datasets,
+        config, [reward], sc.k, sc.T, n_outer, n_inner, mode, seed, threads, n_datasets
     )
     return ErrorEstimate(
-        mean=float(mean[0]),
-        stderr=float(stderr[0]),
+        mean=float(mean[0, 0]),
+        stderr=float(stderr[0, 0]),
         n_outer=per_x.shape[0],
         n_inner=n_inner,
         mode=mode,
@@ -417,8 +431,8 @@ def delta(
 
 def delta_k_curve(
     config: ModelConfig,
-    reward: RewardSpec,
-    T: float,
+    reward,
+    T,
     k_grid,
     n_outer: int = 2000,
     n_inner: int = 200,
@@ -427,22 +441,22 @@ def delta_k_curve(
     threads: int = 1,
     n_datasets: int = 1,
 ) -> SweepResult:
-    """delta as a function of k at fixed T, with draws shared across k."""
+    """delta as a function of k at fixed T, with draws shared across k.
+
+    ``reward`` is a RewardSpec or a sequence of them, and ``T`` one
+    temperature or one per reward target.
+    """
     k_grid = np.asarray(k_grid, dtype=int)
-    per_x, mean, stderr, meta = _run_cells(
-        config, reward, k_grid, np.full(len(k_grid), float(T)), None,
-        n_outer, n_inner, mode, seed, threads, n_datasets,
-    )
-    meta["T"] = float(T)
-    return SweepResult(
-        axis="k", grid=k_grid, mean=mean, stderr=stderr, per_x=per_x,
-        n_outer=per_x.shape[0], n_inner=n_inner, mode=mode, seed=seed, meta=meta,
+    T = np.asarray(T, dtype=float)
+    return _sweep(
+        "k", k_grid, config, reward, k_grid, T[..., None], n_outer, n_inner, mode, seed,
+        threads, n_datasets, T=T.tolist(),
     )
 
 
 def delta_t_curve(
     config: ModelConfig,
-    reward: RewardSpec,
+    reward,
     k: int,
     T_grid,
     n_outer: int = 2000,
@@ -452,16 +466,14 @@ def delta_t_curve(
     threads: int = 1,
     n_datasets: int = 1,
 ) -> SweepResult:
-    """delta as a function of T at fixed k, with draws shared across T."""
+    """delta as a function of T at fixed k, with draws shared across T.
+
+    ``reward`` is a RewardSpec or a sequence of them.
+    """
     T_grid = np.asarray(T_grid, dtype=float)
-    per_x, mean, stderr, meta = _run_cells(
-        config, reward, np.full(len(T_grid), int(k)), T_grid, None,
-        n_outer, n_inner, mode, seed, threads, n_datasets,
-    )
-    meta["k"] = int(k)
-    return SweepResult(
-        axis="T", grid=T_grid, mean=mean, stderr=stderr, per_x=per_x,
-        n_outer=per_x.shape[0], n_inner=n_inner, mode=mode, seed=seed, meta=meta,
+    return _sweep(
+        "T", T_grid, config, reward, int(k), T_grid, n_outer, n_inner, mode, seed,
+        threads, n_datasets, k=int(k),
     )
 
 
@@ -477,23 +489,18 @@ def delta_c_curve(
     threads: int = 1,
     n_datasets: int = 1,
 ) -> SweepResult:
-    """delta across the radial reward family w_R = (1 + c B) w_T at fixed (k, T)."""
+    """delta across the radial reward family w_R = (1 + c B) w_T at fixed (k, T).
+
+    Each c is one reward target with a single cell (k, T).
+    """
     c_grid = np.asarray(c_grid, dtype=float)
     if config.n == 0:
         raise ValueError("the radial reward family requires n > 0")
-    de = solve_for_config(config)
-    factors = 1.0 + c_grid * de.R / (de.R + config.S**2)
-    per_x, mean, stderr, meta = _run_cells(
-        config, RewardSpec.radial(0.0), np.full(len(c_grid), int(k)),
-        np.full(len(c_grid), float(T)), factors,
-        n_outer, n_inner, mode, seed, threads, n_datasets,
+    res = _sweep(
+        "c", c_grid, config, [RewardSpec.radial(c) for c in c_grid], int(k), float(T),
+        n_outer, n_inner, mode, seed, threads, n_datasets, T=float(T), k=int(k),
     )
-    meta["T"] = float(T)
-    meta["k"] = int(k)
-    return SweepResult(
-        axis="c", grid=c_grid, mean=mean, stderr=stderr, per_x=per_x,
-        n_outer=per_x.shape[0], n_inner=n_inner, mode=mode, seed=seed, meta=meta,
-    )
+    return replace(res, mean=res.mean[:, 0], stderr=res.stderr[:, 0], per_x=res.per_x[:, :, 0])
 
 
 def classify_k_monotonicity(result: SweepResult, z: float = 3.0) -> str:

@@ -79,6 +79,8 @@ class SeriesTerms:
                 "average the pointwise series numerically instead"
             )
         s2_bar = config.sigma**2 + config.gamma**2 * _trace_b_cov(de)
+        if not s2_bar > 0:
+            raise ValueError(f"the averaged predictive variance is {s2_bar}; the series needs s2 > 0")
         if bb > 0:
             delta_R = math.sqrt(bb)
             delta_T = ab / delta_R

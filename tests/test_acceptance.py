@@ -288,18 +288,15 @@ def test_08_region_map():
     c_grid = np.geomspace(5e-5, 5e-3, 8)
     theta_grid = np.linspace(0.0, 2 * np.pi, 9)[:8]
 
+    cells = [(ci, ti) for ci in range(len(c_grid)) for ti in range(len(theta_grid))]
+    rewards = [RewardSpec.polar(float(c_grid[ci]), float(theta_grid[ti])) for ci, ti in cells]
+
     def non_monotone_cells(T_mult):
-        cells = set()
-        T = T_mult * cfg.sigma**2
-        for ci, c in enumerate(c_grid):
-            for ti, th in enumerate(theta_grid):
-                res = delta_k_curve(
-                    cfg, RewardSpec.polar(float(c), float(th)), T, k_grid,
-                    n_outer=200, n_inner=100, seed=SEED,
-                )
-                if classify_k_monotonicity(res) == "non_monotone":
-                    cells.add((ci, ti))
-        return cells
+        # one call per temperature, one reward target per (c, theta) cell
+        res = delta_k_curve(cfg, rewards, T_mult * cfg.sigma**2, k_grid,
+                            n_outer=200, n_inner=100, seed=SEED)
+        return {cell for r, cell in enumerate(cells)
+                if classify_k_monotonicity(res.target(r)) == "non_monotone"}
 
     set20 = non_monotone_cells(20.0)
     set10 = non_monotone_cells(10.0)

@@ -245,6 +245,30 @@ class TestSubcommands:
         assert all(r[-3:] == ["", "", ""] for r in rows[:4])
         assert all("" not in r[-3:] for r in rows[4:])
 
+    def test_sweep_t_warns_without_stationary_temperature(self, tmp_path, capsys):
+        # k = 2 has no stationary temperature: the column stays empty, with a warning
+        out = tmp_path / "st.csv"
+        assert run([
+            "sweep-t", "--k", "2", "--t-grid-sigma2", "2,20", "--n-outer", "5",
+            "--n-inner", "5", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err.splitlines() == ["itslab: warning: k must be > 2, got 2"]
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 2 and all(r.endswith(",") for r in rows)  # theory_T_opt
+
+    def test_bestofk_check_zero_predictive_variance(self, tmp_path, capsys):
+        # sigma = 0 in de mode: s = 0 everywhere, so no closed form applies
+        out = tmp_path / "bk.csv"
+        assert run([
+            "bestofk-check", "--sigma", "0", "--mode", "de", "--k-grid", "1,10",
+            "--n-outer", "5", "--n-inner", "5", "--out", str(out),
+        ]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("itslab: warning: the averaged predictive")
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["det_equiv"] * 2
+        assert all(r[-1] == "" and float(r[10]) >= 0 for r in rows)  # asymptote empty
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ITSLAB_OUT_DIR", str(tmp_path))
         assert run(["ridge", "--d", "3", "--n", "30", "--out", "sub/r.csv"]) == 0
@@ -289,6 +313,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--threads", "0"],
+        ["--mode", "exact", "--n-datasets", "0"],
+        ["--mode", "de", "--n-datasets", "3"],
+    ])
+    def test_bad_engine_flags_are_2(self, flags, tmp_path, capsys):
+        for sub in (["sweep-k", "--k-grid", "1,2"], ["bestofk-check", "--k-grid", "1,2"]):
+            with pytest.raises(SystemExit) as exc:
+                run(sub + flags + ["--n-outer", "3", "--n-inner", "3",
+                                   "--out", str(tmp_path / "x.csv")])
+            assert exc.value.code == 2
+        assert flags[-2] in capsys.readouterr().err  # the message names the flag
+        assert not (tmp_path / "x.csv").exists()
 
     def test_polar_map_wrong_dimension_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

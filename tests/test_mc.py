@@ -10,9 +10,11 @@ from itslab import (
     SamplerConfig,
     classify_k_monotonicity,
     delta,
+    delta_c_curve,
     delta_k_curve,
     delta_t_curve,
     delta_x,
+    fit_posterior,
     quadratic_reward,
     refined_best_of_k_delta,
     sample_teacher,
@@ -105,16 +107,34 @@ class TestSelectReference:
         (0.3, 0.8, 0.1, (0.2, -0.7)),
         (1.2, 1e-4, 1.19995, (1.20002, 1.2)),  # figure-like: s << |m|
     ])
-    @pytest.mark.parametrize("max_elems", [1 << 23, 40])  # one chunk; 5-row chunks
+    # one chunk; one target per stack; 5-row chunks of one target each
+    @pytest.mark.parametrize("max_elems", [1 << 23, 300, 40])
     def test_cell_means_equal_reference(self, monkeypatch, m, s, mu_T, mu_R, max_elems):
         monkeypatch.setattr(mc, "_MAX_ELEMS", max_elems)
         temps = [0.0, 1e-9, 0.5, 1e9]
         cell_k = np.array([1, 3, 8, 5] * 4)
         cell_T = np.array([T * s * s if T else 0.0 for T in temps] * 2 + temps * 2)
-        cell_muR = np.repeat([mu_R[0], mu_R[1], mu_R[0], mu_R[1]], 4)
-        args = (m, s, mu_T, cell_k, cell_T, cell_muR, 37, 8)
-        got = _cell_means_for_x(stream(9, "ref"), *args)
-        np.testing.assert_array_equal(got, _reference_cell_means(stream(9, "ref"), *args))
+        cell_r = np.repeat([0, 1, 0, 1], 4)
+        got = _cell_means_for_x(
+            stream(9, "ref"), m, s, mu_T, np.array(mu_R), cell_k, cell_T, cell_r, 37, 8
+        )
+        want = _reference_cell_means(
+            stream(9, "ref"), m, s, mu_T, cell_k, cell_T, np.array(mu_R)[cell_r], 37, 8
+        )
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("max_elems", [1 << 23, 300, 40])
+    def test_cell_means_with_partial_target_groups(self, monkeypatch, max_elems):
+        # per (k, T) the targets are: all three; the first two; 0 and 2; 1 twice
+        monkeypatch.setattr(mc, "_MAX_ELEMS", max_elems)
+        mu_R = np.array([0.2, -0.7, 0.5])
+        cell_r = np.array([0, 1, 2, 0, 1, 0, 2, 1, 1])
+        cell_k = np.array([2, 2, 2, 8, 8, 5, 5, 3, 3])
+        cell_T = np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.1, 0.1, 1.0, 1.0])
+        args = (0.3, 0.8, 0.1)
+        got = _cell_means_for_x(stream(9, "ref"), *args, mu_R, cell_k, cell_T, cell_r, 37, 8)
+        want = _reference_cell_means(stream(9, "ref"), *args, cell_k, cell_T, mu_R[cell_r], 37, 8)
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("k, T", [(1, 0.7), (6, 0.0), (6, 1e-9), (6, 0.5), (6, 1e9)])
     def test_delta_x_equals_reference(self, k, T):
@@ -220,6 +240,62 @@ class TestBestOfKSampler:
         for g, k in enumerate(res.grid):
             ref = refined_best_of_k_delta(cfg, de, w_T, int(k)).value
             assert abs(res.mean[g] / ref - 1.0) < 0.10, k
+
+
+class TestRewardTargets:
+    """One call with several reward targets equals one call per target."""
+
+    CFG = ModelConfig(d=4, n=500, sigma=0.05, gamma=0.5)
+    REWARDS = [RewardSpec.radial(0.0), RewardSpec.radial(3.0),
+               RewardSpec.explicit([1.0, -0.5, 0.2, 0.0])]
+    KW = dict(n_outer=20, n_inner=30, mode="exact_posterior", seed=31, n_datasets=2)
+
+    # n_inner * kmax = 270: one chunk; two targets per stack; one target per
+    # stack; 4-row chunks of one target each
+    @pytest.mark.parametrize("max_elems", [1 << 23, 600, 270, 40])
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("curve", ["k_hot", "k_zero_T", "t_mixed"])
+    def test_columns_equal_single_target_calls(self, monkeypatch, curve, threads, max_elems):
+        monkeypatch.setattr(mc, "_MAX_ELEMS", max_elems)
+        kw = dict(self.KW, threads=threads)
+        if curve == "t_mixed":  # every target mixes T = 0 and T > 0 cells
+            run = lambda reward: delta_t_curve(self.CFG, reward, 9, [0.0, 1e-4, 1e-2], **kw)
+        else:
+            T = 1e-3 if curve == "k_hot" else 0.0
+            run = lambda reward: delta_k_curve(self.CFG, reward, T, [1, 4, 9], **kw)
+        multi = run(self.REWARDS)
+        assert multi.per_x.shape == (40, 3, 3) and multi.mean.shape == (3, 3)
+        for r, reward in enumerate(self.REWARDS):
+            single = run(reward)
+            assert multi.target(r).per_x.tobytes() == single.per_x.tobytes()
+            assert multi.mean[r].tobytes() == single.mean.tobytes()
+            assert multi.stderr[r].tobytes() == single.stderr.tobytes()
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_per_target_temperatures(self, threads):
+        # tradeoff's shape: T = 0 targets take the sampler, the rest the shared matrix
+        kw = dict(self.KW, threads=threads)
+        temps = [0.0, 1e-3, 0.0]
+        multi = delta_k_curve(self.CFG, self.REWARDS, temps, [1, 4, 9], **kw)
+        for r, (reward, T) in enumerate(zip(self.REWARDS, temps)):
+            single = delta_k_curve(self.CFG, reward, T, [1, 4, 9], **kw)
+            assert multi.target(r).per_x.tobytes() == single.per_x.tobytes()
+        assert multi.meta["T"] == temps
+
+    @pytest.mark.parametrize("T", [0.0, 1e-3])
+    def test_c_curve_columns_equal_single_calls(self, T):
+        c_grid = [0.0, 2.0, 7.0]
+        res = delta_c_curve(self.CFG, c_grid, T, 5, **self.KW)
+        assert res.per_x.shape == (40, 3)
+        for g, c in enumerate(c_grid):
+            single = delta_k_curve(self.CFG, RewardSpec.radial(c), T, [5], **self.KW)
+            assert res.per_x[:, g].tobytes() == single.per_x[:, 0].tobytes()
+
+    def test_each_dataset_fitted_once(self, monkeypatch):
+        fits = []
+        monkeypatch.setattr(mc, "fit_posterior", lambda *a: fits.append(1) or fit_posterior(*a))
+        delta_k_curve(self.CFG, self.REWARDS, 1e-3, [1, 4], **self.KW)
+        assert len(fits) == self.KW["n_datasets"]
 
 
 class TestDeltaX:
