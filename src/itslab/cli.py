@@ -12,6 +12,7 @@ relative output paths.
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -167,15 +168,28 @@ def build_config(args, parser) -> ModelConfig:
         parser.error(str(exc))
 
 
-def _mc_args(args, parser):
-    """The engine mode and the keyword arguments every Monte Carlo sweep passes."""
+def _mc_args(args, parser, config):
+    """The engine mode and the keyword arguments every Monte Carlo sweep passes.
+
+    ``config`` is the configuration the sweep runs at; tradeoff, which runs
+    one per n, passes None and checks each through :func:`_check_de_regime`.
+    """
     if args.threads < 1 or args.n_datasets < 1:
         parser.error("--threads and --n-datasets must be >= 1")
     if args.mode == "de" and args.n_datasets != 1:
         parser.error("--n-datasets applies to --mode exact only (det_equiv has no training sets)")
     mode = _MODE_ALIASES[args.mode]
+    if config is not None:
+        _check_de_regime(config, mode)
     return mode, dict(n_outer=args.n_outer, n_inner=args.n_inner, mode=mode, seed=args.seed,
                       threads=args.threads, n_datasets=args.n_datasets)
+
+
+def _check_de_regime(config, mode) -> None:
+    """Warn when det_equiv mode runs at alpha = d/n >= 1, outside the regime of ridge.py."""
+    if mode == "det_equiv" and config.n > 0 and config.alpha >= 1:
+        _warn(f"alpha = d/n = {config.alpha:g} >= 1: the deterministic equivalent assumes "
+              "alpha < 1, so det_equiv values here are extrapolated")
 
 
 def _temperature(args, config, parser) -> float:
@@ -232,27 +246,39 @@ def _warn(message) -> None:
 
 
 def _series_value(config, de, w_T, w_R, T, k):
+    """The high-temperature series at (T, k); ValueError where it has no finite value."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SeriesAccuracyWarning)
         st = SeriesTerms.from_radial_average(config, de, w_T, w_R, T)
-        return high_t_delta_x(st, int(k))
+        try:
+            value = high_t_delta_x(st, int(k))
+        except ArithmeticError as exc:  # t**l leaves the float range at extreme T
+            raise ValueError(f"the high-temperature series has no value at T = {T!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"the high-temperature series is {value} at T = {T!r}")
+    return value
 
 
 def cmd_sweep_k(args, parser):
     t0 = time.perf_counter()
     config = build_config(args, parser)
-    mode, mc = _mc_args(args, parser)
+    mode, mc = _mc_args(args, parser, config)
     T = _temperature(args, config, parser)
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
     rewards = [RewardSpec.radial(float(c)) for c in args.c_grid]
     res = delta_k_curve(config, rewards, T, args.k_grid, **mc)
     rows = []
+    theory_error = None
     for r, c in enumerate(args.c_grid):
         w_R = resolve_reward(rewards[r], w_T, de.R if de else 0.0, config.S)
         for g, k in enumerate(args.k_grid):
-            # the series has no T = 0 limit, and no fixed point exists at n = 0
-            series = _series_value(config, de, w_T, w_R, T, k) if T > 0 and de else None
+            series = None
+            if T > 0 and de:  # the series has no T = 0 limit, and no fixed point exists at n = 0
+                try:
+                    series = _series_value(config, de, w_T, w_R, T, k)
+                except ValueError as exc:  # outside the series' domain: leave the cell empty
+                    theory_error = theory_error or exc
             row = _base_row(config, mode, args.seed)
             row.update(
                 c=float(c), k=int(k), T=T, delta=res.mean[r, g], stderr=res.stderr[r, g],
@@ -267,6 +293,8 @@ def cmd_sweep_k(args, parser):
                 n_outer=0, n_inner=0, theory_highT=series,
             )
             rows.append(theory)
+    if theory_error is not None:
+        _warn(theory_error)
     out = _resolve_out(args, args.default_out)
     write_csv(out, SWEEP_SCHEMA + ["theory_highT"], rows)
     _write_manifest(out, "sweep-k", _config_dict(config), args, args.seed, time.perf_counter() - t0)
@@ -276,7 +304,7 @@ def cmd_sweep_k(args, parser):
 def cmd_sweep_t(args, parser):
     t0 = time.perf_counter()
     config = build_config(args, parser)
-    mode, mc = _mc_args(args, parser)
+    mode, mc = _mc_args(args, parser, config)
     if args.t_grid is not None and args.t_grid_sigma2 is not None:
         parser.error("--t-grid and --t-grid-sigma2 are mutually exclusive")
     if args.t_grid is not None:
@@ -312,7 +340,7 @@ def cmd_sweep_t(args, parser):
 def cmd_sweep_c(args, parser):
     t0 = time.perf_counter()
     config = build_config(args, parser)
-    mode, mc = _mc_args(args, parser)
+    mode, mc = _mc_args(args, parser, config)
     T = _temperature(args, config, parser)
     res = delta_c_curve(config, args.c_grid, T, args.k, **mc)
     rows = []
@@ -334,7 +362,7 @@ def cmd_polar_map(args, parser):
     config = build_config(args, parser)
     if config.d != 2:
         parser.error("polar-map requires d = 2")
-    mode, mc = _mc_args(args, parser)
+    mode, mc = _mc_args(args, parser, config)
     T = _temperature(args, config, parser)
     cells = [(float(c), float(theta)) for c in args.c_grid for theta in args.theta_grid]
     rewards = [RewardSpec.polar(c, theta) for c, theta in cells]
@@ -359,7 +387,7 @@ def cmd_polar_map(args, parser):
 def cmd_tradeoff(args, parser):
     t0 = time.perf_counter()
     base = build_config(args, parser)
-    mode, mc = _mc_args(args, parser)
+    mode, mc = _mc_args(args, parser, None)
     T_high = args.t_high_sigma2 * base.sigma**2
     rows = []
     for n in args.n_grid:
@@ -367,6 +395,7 @@ def cmd_tradeoff(args, parser):
             d=base.d, n=int(n), S=base.S, sigma=base.sigma, gamma=base.gamma,
             tau=base.tau, teacher_mode=base.teacher_mode,
         )
+        _check_de_regime(config, mode)
         theory = dict(dlogk=None, dlogn=None, dlogn_closed_form=None)
         if config.n > 0:  # the derivatives need the ridge fixed point, which n = 0 lacks
             de = solve_for_config(config)
@@ -396,7 +425,7 @@ def cmd_tradeoff(args, parser):
 def cmd_bestofk_check(args, parser):
     t0 = time.perf_counter()
     config = build_config(args, parser)
-    mode, mc = _mc_args(args, parser)
+    mode, mc = _mc_args(args, parser, config)
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
     res = delta_k_curve(config, RewardSpec.radial(0.0), 0.0, args.k_grid, **mc)

@@ -18,8 +18,15 @@ F(d) = P(|z - a| <= d), so D is drawn by inverting that law and no k
 candidates are materialised; disjoint blocks of k_j - k_{j-1} candidates and
 a running minimum carry it along the k grid, at O(n_inner) cost per grid
 point. The other targets reweight one shared (n_inner, kmax) Gaussian draw
-matrix per test point, with one selection call per distinct (k, T) over the
-stacked rewards of all targets.
+matrix per test point. At each distinct T > 0, a target's sorted k values
+cut the columns into segments: one pass reduces each segment to its minimum
+penalty and weight sums, and an online-softmax scan merges them into the
+softmax of every prefix [:k] (T = 0 cells keep select's first argmax). That
+costs O(n_inner * kmax) per point, target and distinct T, plus an O(grid
+length) scan, where selecting each prefix anew cost O(n_inner * sum of k).
+The pass runs on small batches of test points with the targets stacked, so
+a work unit makes a few dozen large numpy calls per point rather than
+thousands of small ones.
 
 Every target restarts the test point's streams, so sweeps over k, T and the
 reward (c, theta) share their random numbers (common random numbers): curves
@@ -50,6 +57,7 @@ MODES = ("exact_posterior", "det_equiv")
 
 _BLOCK = 16  # test points per work unit; fixed so results never depend on threading
 _MAX_ELEMS = 1 << 23  # cap on draws held in memory at once (per work unit)
+_SCAN_ELEMS = 1 << 18  # cap on the values one batch of test points holds (per work unit)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _NEWTON_STEPS = 50  # cap only: the root solve converges in at most a handful
 
@@ -136,51 +144,113 @@ def delta_x(
 # ---------------------------------------------------------------------------
 
 
-def _cell_means_for_x(
-    rng: np.random.Generator,
-    m: float,
-    s: float,
-    mu_T: float,
-    mu_R: np.ndarray,
-    cell_k: np.ndarray,
-    cell_T: np.ndarray,
-    cell_r: np.ndarray,
-    n_inner: int,
-    kmax: int,
-) -> np.ndarray:
-    """Inner-averaged weighted losses for every grid cell at one test point.
+def _plan_shared(cell_k, cell_T, cell_r):
+    """Group the distinct shared cells for one pass over the k grid.
 
-    One (n_inner, kmax) draw matrix backs every cell: cell g uses its first
-    cell_k[g] columns, and its temperature and reward target mu_R[cell_r[g]]
-    only reweight. Inner rows are chunked to bound memory; the rewards of all
-    targets are stacked (in chunks under the same bound), so one selection
-    call serves every target at a given (k, T). Only per-cell sums are kept.
+    A cell is (target r, T, k). Returns (plan, cell_of): ``cell_of`` maps each
+    cell to its column among the distinct cells, and each plan entry
+    (T, ks, targets, cols) gathers the targets whose cells at T have the same
+    sorted distinct k values ks, with cols[i, j] the column of
+    (targets[i], T, ks[j]). Only a target's own cells shape its entry, so its
+    values do not depend on the other targets.
     """
-    out = np.zeros(len(cell_k))
-    rows_per_chunk = max(1, _MAX_ELEMS // max(1, kmax))
-    per_stack = max(1, _MAX_ELEMS // (min(rows_per_chunk, n_inner) * kmax))
+    cells = list(zip(cell_r.tolist(), cell_T.tolist(), cell_k.tolist()))
+    col = {c: j for j, c in enumerate(sorted(set(cells)))}
+    ks_of = {}
+    for r, T, k in col:
+        ks_of.setdefault((r, T), []).append(k)
     groups = {}
-    for g in range(len(cell_k)):
-        key = (cell_r[g] // per_stack, int(cell_k[g]), float(cell_T[g]))
-        groups.setdefault(key, []).append(g)
-    plan = []
-    for (stack, k, T), cells in sorted(groups.items()):
-        t = cell_r[cells] - stack * per_stack
-        if np.all(np.diff(t) == 1):
-            t = slice(t[0], t[-1] + 1)  # a view, not a copy, of the stacked rewards
-        plan.append((stack, k, T, cells, t))
+    for (r, T), ks in ks_of.items():
+        groups.setdefault((T, tuple(ks)), []).append(r)
+    plan = [(T, np.array(ks), np.array(rs), np.array([[col[r, T, k] for k in ks] for r in rs]))
+            for (T, ks), rs in groups.items()]
+    return plan, np.array([col[c] for c in cells])
+
+
+def _prefix_softmax(P, L, ks, T) -> np.ndarray:
+    """Row sums of the softmax-weighted loss over the first k columns, for every k in ks.
+
+    ``P`` holds the penalties (y - mu_R)^2 = -reward as (columns, ..., rows)
+    and is overwritten with the weights; ``L`` holds the losses, broadcastable
+    to P. Returns (..., len(ks)). The sorted ks cut the columns into
+    segments, and a column of segment j weighs w = exp((M_j - P) / T) <= 1,
+    with M_j the minimum penalty of the first ks[j] columns. One pass then
+    merges the segments' sums in order with the online-softmax rescale
+    (Milakov and Gimelshein 2018): the sums so far shrink by
+    exp((M_j - M_{j-1}) / T) <= 1 and segment j's add on. The minimising
+    column keeps a weight of exactly 1, so the denominator never underflows,
+    at any T.
+    """
+    spans = list(zip([0] + ks[:-1].tolist(), ks.tolist()))
+    top = np.empty((len(ks),) + P.shape[1:])
+    den = np.empty_like(top)
+    W = P  # each segment's penalties are read before they turn into weights
+    for j, (a, b) in enumerate(spans):
+        np.minimum.reduce(P[a:b], axis=0, out=top[j])
+        if j:
+            np.minimum(top[j], top[j - 1], out=top[j])
+        np.subtract(top[j], P[a:b], out=W[a:b])
+    with np.errstate(over="ignore"):  # -inf at tiny T: a weight of exactly 0
+        W /= T
+        shrink = np.exp(np.diff(top, axis=0) / T)
+    np.exp(W, out=W)
+    for j, (a, b) in enumerate(spans):
+        np.add.reduce(W[a:b], axis=0, out=den[j])
+    W *= L
+    sums = np.empty(P.shape[1:-1] + (len(ks),))
+    for j, (a, b) in enumerate(spans):
+        seg_num = np.add.reduce(W[a:b], axis=0)
+        if j:
+            d = d * shrink[j - 1] + den[j]
+            n = n * shrink[j - 1] + seg_num
+        else:
+            d, n = den[0], seg_num
+        sums[..., j] = (n / d).sum(axis=-1)
+    return sums
+
+
+def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int) -> np.ndarray:
+    """Inner-averaged weighted losses of the distinct shared cells at a batch of test points.
+
+    ``rngs`` holds one generator per point; ``m``, ``s`` and ``mu_T`` are
+    per-point arrays and ``mu_R`` is (points, targets). One (n_inner, kmax)
+    draw matrix per point backs every cell, drawn in row chunks that bound
+    memory; cell (r, T, k) uses its first k columns. At T > 0, one call of
+    :func:`_prefix_softmax` per plan entry and chunk serves every k of the
+    entry at all points of the batch, with the targets stacked up to the same
+    bound. T = 0 cells take :func:`select`'s first argmax. Each point's row
+    depends only on its own generator, and no sum depends on the batch size
+    or on the other targets.
+    """
+    n_points = len(rngs)
+    out = np.zeros((n_points, sum(cols.size for *_, cols in plan)))
+    rows_per_chunk = max(1, _MAX_ELEMS // kmax)
     done = 0
     while done < n_inner:
         rows = min(rows_per_chunk, n_inner - done)
-        Y = m + s * rng.standard_normal((rows, kmax))
-        L = ((Y - mu_T) ** 2)[None]
-        current = None
-        for stack, k, T, cells, t in plan:
-            if stack != current:
-                lo = stack * per_stack
-                rewards = quadratic_reward(Y, mu_R[lo : lo + per_stack, None, None])
-                current = stack
-            out[cells] += select(L[..., :k], rewards[t, :, :k], T).sum(axis=-1)
+        Z = np.empty((n_points, rows, kmax))
+        for p, rng in enumerate(rngs):
+            rng.standard_normal(out=Z[p])
+        # columns first, so each segment reduces over whole contiguous blocks
+        Y = np.multiply(Z.transpose(2, 0, 1), s[:, None], out=np.empty((kmax, n_points, rows)))
+        Y += m[:, None]
+        del Z
+        L = Y - mu_T[:, None]
+        L *= L
+        per_stack = max(1, _MAX_ELEMS // Y.size)
+        for T, ks, rs, cols in plan:
+            for lo in range(0, len(rs), per_stack):
+                stack = slice(lo, lo + per_stack)
+                if T:
+                    P = Y[: ks[-1], :, None] - mu_R[:, rs[stack], None]
+                    P *= P
+                    out[:, cols[stack]] += _prefix_softmax(P, L[: ks[-1], :, None], ks, T)
+                    continue
+                for p in range(n_points):
+                    Yp, Lp = Y[: ks[-1], p].T, L[: ks[-1], p].T[None]
+                    B = quadratic_reward(Yp, mu_R[p, rs[stack], None, None])
+                    for j, k in enumerate(ks.tolist()):
+                        out[p, cols[stack, j]] += select(Lp[..., :k], B[..., :k], 0.0).sum(axis=-1)
         done += rows
     return out / n_inner
 
@@ -337,6 +407,13 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
     # points per call of the T = 0 sampler: its ~16 working arrays of n_inner
     # values per point then hold at most _MAX_ELEMS values
     t0_points = max(1, _MAX_ELEMS // (16 * n_inner))
+    if kmax:
+        plan, cell_of = _plan_shared(cell_k[shared], cell_T[shared], shared_r)
+        # points per batch: their draws, losses, penalties and segment
+        # statistics hold at most _SCAN_ELEMS values
+        n_shared = len(shared_targets)
+        per_row = kmax * (n_shared + 3) + 2 * sum(cols.size for T, *_, cols in plan if T)
+        scan_points = max(1, _SCAN_ELEMS // (per_row * min(n_inner, max(1, _MAX_ELEMS // kmax))))
 
     contexts, w_T, de = _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets)
     n_rows = len(contexts) * n_outer
@@ -355,12 +432,14 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
                 )
         if not kmax:
             return
-        for i in range(start, stop):
-            rng = stream(seed, "inference", ctx.dataset_index, i)
-            per_x[base + i, shared] = _cell_means_for_x(
-                rng, ctx.m[i], ctx.s[i], ctx.mu_T[i], ctx.mu_R[i, shared_targets],
-                cell_k[shared], cell_T[shared], shared_r, n_inner, kmax,
+        for lo in range(start, stop, scan_points):
+            hi = min(lo + scan_points, stop)
+            rngs = [stream(seed, "inference", ctx.dataset_index, i) for i in range(lo, hi)]
+            values = _softmax_cells(
+                rngs, ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi],
+                ctx.mu_R[lo:hi][:, shared_targets], plan, n_inner, kmax,
             )
+            per_x[base + lo : base + hi, shared] = values[:, cell_of]
 
     blocks = [
         (ctx, start, min(start + _BLOCK, n_outer))

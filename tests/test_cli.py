@@ -269,6 +269,37 @@ class TestSubcommands:
         assert [r[0] for r in rows] == ["det_equiv"] * 2
         assert all(r[-1] == "" and float(r[10]) >= 0 for r in rows)  # asymptote empty
 
+    @pytest.mark.parametrize("flags, warning", [
+        # t = T / (2 s^2) leaves the float range in the series' t**l terms
+        (["--T", "1e-300"], "the high-temperature series has no value at T = 1e-300"),
+        (["--T", "1e300"], "the high-temperature series has no value at T = 1e+300"),
+        # sigma = 0 in de mode: the averaged predictive variance is 0
+        (["--sigma", "0", "--mode", "de", "--T", "1"], "the averaged predictive variance is 0.0"),
+    ], ids=["T_tiny", "T_huge", "sigma_zero"])
+    def test_sweep_k_without_series_keeps_monte_carlo_rows(self, flags, warning, tmp_path, capsys):
+        out = tmp_path / "sk.csv"
+        assert run(["sweep-k", "--k-grid", "1,4", "--c-grid", "0,2", "--n-outer", "5",
+                    "--n-inner", "5", "--out", str(out)] + flags) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"itslab: warning: {warning}")
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["det_equiv"] * 4  # no theory_highT rows
+        assert all(r[-1] == "" and float(r[10]) >= 0 for r in rows)  # theory_highT empty
+
+    def test_de_mode_warns_outside_its_regime(self, tmp_path, capsys):
+        # alpha = d/n = 2: det_equiv still runs, with one warning; exact mode has no such regime
+        out = tmp_path / "sk.csv"
+        flags = ["sweep-k", "--d", "20", "--n", "10", "--k-grid", "1,4", "--n-outer", "5",
+                 "--n-inner", "5", "--out", str(out)]
+        assert run(flags + ["--mode", "de"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "itslab: warning: alpha = d/n = 2 >= 1: the deterministic equivalent assumes "
+            "alpha < 1, so det_equiv values here are extrapolated"
+        ]
+        assert [r.split(",")[0] for r in out.read_text().splitlines()[1:3]] == ["det_equiv", "theory_highT"]
+        assert run(flags + ["--mode", "exact"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ITSLAB_OUT_DIR", str(tmp_path))
         assert run(["ridge", "--d", "3", "--n", "30", "--out", "sub/r.csv"]) == 0

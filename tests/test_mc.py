@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from itslab import (
@@ -23,7 +25,7 @@ from itslab import (
     stream,
 )
 from itslab import mc
-from itslab.mc import _best_of_k_cells, _cell_means_for_x, _winner_distance
+from itslab.mc import _best_of_k_cells, _plan_shared, _softmax_cells, _winner_distance
 from itslab.posterior import PredictiveMoments
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
@@ -64,7 +66,8 @@ def _select_values(L, P, T):
         idx = np.argmin(P, axis=1)  # first minimum: lowest-index tie rule
         return np.take_along_axis(L, idx[:, None], axis=1)[:, 0]
     Pmin = P.min(axis=1, keepdims=True)
-    W = np.exp((Pmin - P) / T)
+    with np.errstate(over="ignore"):
+        W = np.exp((Pmin - P) / T)
     return (W * L).sum(axis=1) / W.sum(axis=1)
 
 
@@ -100,12 +103,29 @@ def _reference_delta_x(moments, mu_T, mu_R, sc, n_inner, rng):
     return float(values.mean()), float(stderr)
 
 
+def _engine_cell_means(rng, m, s, mu_T, mu_R, cell_k, cell_T, cell_r, n_inner, kmax):
+    """The sweep engine's shared-target kernel at one test point, one value per cell."""
+    plan, cell_of = _plan_shared(np.asarray(cell_k), np.asarray(cell_T, dtype=float),
+                                 np.asarray(cell_r))
+    values = _softmax_cells([rng], np.array([m]), np.array([s]), np.array([mu_T]),
+                            np.asarray(mu_R, dtype=float)[None], plan, n_inner, kmax)
+    return values[0, cell_of]
+
+
+def _assert_matches_reference(got, want, cell_T):
+    """T = 0 cells to the byte; T > 0 cells to the rounding of segment-wise sums."""
+    cold = np.asarray(cell_T) == 0
+    np.testing.assert_array_equal(got[cold], want[cold])
+    np.testing.assert_allclose(got[~cold], want[~cold], rtol=1e-13, atol=0)
+
+
 class TestSelectReference:
-    """sampling.select inside mc gives the bytes of the penalty-form rule."""
+    """The sweep engine's kernel and delta_x against the penalty-form rule."""
 
     @pytest.mark.parametrize("m, s, mu_T, mu_R", [
         (0.3, 0.8, 0.1, (0.2, -0.7)),
         (1.2, 1e-4, 1.19995, (1.20002, 1.2)),  # figure-like: s << |m|
+        (0.3, 0.8, 0.1, (0.3 + 1e3 * 0.8, 0.3 - 1.5e3 * 0.8)),  # far targets, |a| ~ 1e3
     ])
     # one chunk; one target per stack; 5-row chunks of one target each
     @pytest.mark.parametrize("max_elems", [1 << 23, 300, 40])
@@ -115,13 +135,11 @@ class TestSelectReference:
         cell_k = np.array([1, 3, 8, 5] * 4)
         cell_T = np.array([T * s * s if T else 0.0 for T in temps] * 2 + temps * 2)
         cell_r = np.repeat([0, 1, 0, 1], 4)
-        got = _cell_means_for_x(
-            stream(9, "ref"), m, s, mu_T, np.array(mu_R), cell_k, cell_T, cell_r, 37, 8
-        )
+        got = _engine_cell_means(stream(9, "ref"), m, s, mu_T, mu_R, cell_k, cell_T, cell_r, 37, 8)
         want = _reference_cell_means(
             stream(9, "ref"), m, s, mu_T, cell_k, cell_T, np.array(mu_R)[cell_r], 37, 8
         )
-        np.testing.assert_array_equal(got, want)
+        _assert_matches_reference(got, want, cell_T)
 
     @pytest.mark.parametrize("max_elems", [1 << 23, 300, 40])
     def test_cell_means_with_partial_target_groups(self, monkeypatch, max_elems):
@@ -132,14 +150,61 @@ class TestSelectReference:
         cell_k = np.array([2, 2, 2, 8, 8, 5, 5, 3, 3])
         cell_T = np.array([0.5, 0.5, 0.5, 0.0, 0.0, 0.1, 0.1, 1.0, 1.0])
         args = (0.3, 0.8, 0.1)
-        got = _cell_means_for_x(stream(9, "ref"), *args, mu_R, cell_k, cell_T, cell_r, 37, 8)
+        got = _engine_cell_means(stream(9, "ref"), *args, mu_R, cell_k, cell_T, cell_r, 37, 8)
         want = _reference_cell_means(stream(9, "ref"), *args, cell_k, cell_T, mu_R[cell_r], 37, 8)
-        np.testing.assert_array_equal(got, want)
+        _assert_matches_reference(got, want, cell_T)
+
+    @pytest.mark.parametrize("max_elems", [1 << 23, 40])
+    @pytest.mark.parametrize("T", [1e-300, 1e-9 * 0.8**2, 1e9 * 0.8**2, 1e300])
+    def test_extreme_temperatures_and_per_t_grids(self, monkeypatch, T, max_elems):
+        # each temperature has its own k grid, so each cuts its own segments
+        monkeypatch.setattr(mc, "_MAX_ELEMS", max_elems)
+        s = 0.8
+        cell_k = np.array([1, 4, 8, 2, 3, 7, 8, 6])
+        cell_T = np.array([T] * 3 + [0.5] * 3 + [0.0] * 2)
+        cell_r = np.array([0, 0, 0, 1, 1, 1, 0, 1])
+        mu_R = np.array([0.2, 40.0])
+        got = _engine_cell_means(stream(10, "ref"), 0.3, s, 0.1, mu_R, cell_k, cell_T, cell_r, 37, 8)
+        want = _reference_cell_means(
+            stream(10, "ref"), 0.3, s, 0.1, cell_k, cell_T, mu_R[cell_r], 37, 8
+        )
+        assert np.all(np.isfinite(got))
+        _assert_matches_reference(got, want, cell_T)
+
+    @given(
+        m=st.floats(-1e3, 1e3), s=st.floats(0.0, 1e3), mu_T=st.floats(-1e3, 1e3),
+        mu_R=st.floats(-1e6, 1e6), T=st.floats(1e-300, 1e300),
+        kmax=st.sampled_from([1, 2, 9]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_k1_cell_is_the_inner_mean_of_the_loss(self, m, s, mu_T, mu_R, T, kmax):
+        cell_k = np.array([1, kmax])
+        got = _engine_cell_means(stream(11, "k1"), m, s, mu_T, [mu_R], cell_k, [T, T], [0, 0],
+                                 25, kmax)
+        Y = m + s * stream(11, "k1").standard_normal((25, kmax))
+        L = (Y - mu_T) ** 2
+        assert got[0] == L[:, 0].sum() / 25
 
     @pytest.mark.parametrize("k, T", [(1, 0.7), (6, 0.0), (6, 1e-9), (6, 0.5), (6, 1e9)])
     def test_delta_x_equals_reference(self, k, T):
         args = (PredictiveMoments(0.4, 0.6), -0.2, 0.9, SamplerConfig(k=k, T=T), 300)
         assert delta_x(*args, stream(8, "ref")) == _reference_delta_x(*args, stream(8, "ref"))
+
+    @pytest.mark.parametrize("curve", ["k", "t_mixed"])
+    def test_bytes_independent_of_threads_and_batch(self, monkeypatch, curve):
+        cfg = ModelConfig(d=4, n=500, sigma=0.05, gamma=0.5)
+        rewards = [RewardSpec.radial(0.0), RewardSpec.radial(3.0)]
+        kw = dict(n_outer=37, n_inner=20, seed=17)
+        if curve == "k":
+            run = lambda **t: delta_k_curve(cfg, rewards, 1e-3, [1, 2, 5, 9, 30], **kw, **t)
+        else:
+            run = lambda **t: delta_t_curve(cfg, rewards, 7, [0.0, 1e-4, 1e-2], **kw, **t)
+        base = run(threads=1).per_x.tobytes()
+        for threads in (2, 3):
+            assert run(threads=threads).per_x.tobytes() == base
+        monkeypatch.setattr(mc, "_SCAN_ELEMS", 1)  # one test point per batch
+        assert run(threads=1).per_x.tobytes() == base
+        assert run(threads=2).per_x.tobytes() == base
 
 
 def _t0_cells(m, s2, mu_T, mu_R, k_grid, n_points, n_inner, seed):
