@@ -246,9 +246,13 @@ def _warn(message) -> None:
 
 
 def _series_value(config, de, w_T, w_R, T, k):
-    """The high-temperature series at (T, k); ValueError where it has no finite value."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", SeriesAccuracyWarning)
+    """The high-temperature series at (T, k) and its accuracy warnings.
+
+    ValueError where the series has no finite value, or a negative one: a
+    squared error below 0 lies outside the series' domain.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", SeriesAccuracyWarning)
         st = SeriesTerms.from_radial_average(config, de, w_T, w_R, T)
         try:
             value = high_t_delta_x(st, int(k))
@@ -256,7 +260,9 @@ def _series_value(config, de, w_T, w_R, T, k):
             raise ValueError(f"the high-temperature series has no value at T = {T!r}: {exc}") from exc
     if not math.isfinite(value):
         raise ValueError(f"the high-temperature series is {value} at T = {T!r}")
-    return value
+    if value < 0:
+        raise ValueError(f"the high-temperature series is {value!r} < 0 at T = {T!r}, k = {k}")
+    return value, [str(w.message) for w in caught if issubclass(w.category, SeriesAccuracyWarning)]
 
 
 def cmd_sweep_k(args, parser):
@@ -269,14 +275,15 @@ def cmd_sweep_k(args, parser):
     rewards = [RewardSpec.radial(float(c)) for c in args.c_grid]
     res = delta_k_curve(config, rewards, T, args.k_grid, **mc)
     rows = []
-    theory_error = None
+    theory_error, accuracy = None, []
     for r, c in enumerate(args.c_grid):
         w_R = resolve_reward(rewards[r], w_T, de.R if de else 0.0, config.S)
         for g, k in enumerate(args.k_grid):
             series = None
             if T > 0 and de:  # the series has no T = 0 limit, and no fixed point exists at n = 0
                 try:
-                    series = _series_value(config, de, w_T, w_R, T, k)
+                    series, caught = _series_value(config, de, w_T, w_R, T, k)
+                    accuracy = accuracy or caught
                 except ValueError as exc:  # outside the series' domain: leave the cell empty
                     theory_error = theory_error or exc
             row = _base_row(config, mode, args.seed)
@@ -293,6 +300,8 @@ def cmd_sweep_k(args, parser):
                 n_outer=0, n_inner=0, theory_highT=series,
             )
             rows.append(theory)
+    if accuracy:  # t = T / (2 s2) does not depend on c or k, so one message per run
+        _warn(accuracy[0])
     if theory_error is not None:
         _warn(theory_error)
     out = _resolve_out(args, args.default_out)

@@ -15,13 +15,14 @@ E[min] ~ 2 c_k = (pi/k^2) e^lambda).
 
 The Monte Carlo minimum is simulated directly from (z + sqrt(lambda))^2,
 z ~ N(0,1), independent of the closed-form distribution functions, so the
-two routes genuinely cross-validate each other.
+two routes genuinely cross-validate each other. scipy.special is imported
+inside :func:`chisq1_cdf`, its one user, because the command line never calls
+it and a cold start should not pay for the import.
 """
 
 import math
 
 import numpy as np
-from scipy.special import erf
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -33,6 +34,8 @@ def chisq1_cdf(v, lam: float):
     F(v) = 1 - (erf((sqrt(-v) - sqrt(lam))/sqrt(2))
                + erf((sqrt(lam) + sqrt(-v))/sqrt(2))) / 2.
     """
+    from scipy.special import erf
+
     if lam < 0 or not math.isfinite(lam):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     v = np.asarray(v, dtype=float)

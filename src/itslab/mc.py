@@ -38,6 +38,9 @@ index) named streams. The outer loop over test points is processed in
 fixed-size blocks, each test point owning its own substream, and the
 reduction is performed in index order, so results are bit-identical for any
 thread count.
+
+scipy.special is imported inside the T = 0 sampler, its only user, so a run
+with no all-T = 0 target starts without it.
 """
 
 import math
@@ -45,7 +48,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtri
 
 from .model import ModelConfig, RewardSpec, generate_dataset, resolve_reward, sample_teacher
 from .posterior import PredictiveMoments, fit_posterior, predictive_moments_batch
@@ -267,6 +269,8 @@ def _winner_distance(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     from the sinh bound, which is exact there to O(d^2). Every element stops
     on its own convergence test, so no result depends on its batch-mates.
     """
+    from scipy.special import log_ndtr, ndtri
+
     x, A = np.broadcast_arrays(x, A)
     p = -np.expm1(x)
     q = np.exp(x)
@@ -313,6 +317,8 @@ def _best_of_k_cells(rngs, m, s, mu_T, mu_R, cell_k, n_inner: int) -> np.ndarray
     and a running minimum of the distance carries the winner's loss along
     the grid. Each point's row depends only on its own generator.
     """
+    from scipy.special import expit
+
     ks, cell_of = np.unique(np.asarray(cell_k, dtype=int), return_inverse=True)
     positive = s > 0
     a = np.divide(mu_R - m, s, out=np.zeros_like(s), where=positive)[:, None]

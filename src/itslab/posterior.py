@@ -9,14 +9,15 @@ the posterior over weights is N(mu, Omega) with
 and the predictive at a test point x is N(mu.x/sqrt(d),
 (x/sqrt(d))^T Omega (x/sqrt(d)) + sigma^2). The precision matrix is solved
 through a symmetric positive-definite factorization, never an explicit
-inverse of an ill-conditioned matrix.
+inverse of an ill-conditioned matrix. scipy.linalg is imported at the first
+fit rather than with the module, so the paths that never fit a posterior
+(det_equiv mode, the judge, the ridge solver) start without it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .model import Dataset, ModelConfig
 
@@ -60,6 +61,7 @@ def fit_posterior(data: Dataset, config: ModelConfig) -> Posterior:
         raise ValueError("sigma = 0 with n > 0: likelihood is degenerate")
     if not (np.all(np.isfinite(data.inputs)) and np.all(np.isfinite(data.labels))):
         raise ValueError("dataset contains non-finite values")
+    from scipy.linalg import cho_factor, cho_solve
 
     Xs = data.inputs / math.sqrt(config.d)
     prec = Xs.T @ Xs / config.sigma**2 + np.eye(config.d) / config.gamma**2
@@ -75,5 +77,5 @@ def predictive_moments_batch(post: Posterior, X: np.ndarray) -> tuple[np.ndarray
     """Vectorized predictive moments for rows of X; returns (means, variances)."""
     Xs = np.asarray(X, dtype=float) / math.sqrt(post.d)
     means = Xs @ post.mu
-    variances = np.einsum("ij,jk,ik->i", Xs, post.omega, Xs) + post.sigma**2
+    variances = np.einsum("ij,ij->i", Xs @ post.omega, Xs) + post.sigma**2
     return means, variances

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,18 +291,46 @@ class TestSubcommands:
         assert all(r[-1] == "" and float(r[10]) >= 0 for r in rows)  # theory_highT empty
 
     def test_de_mode_warns_outside_its_regime(self, tmp_path, capsys):
-        # alpha = d/n = 2: det_equiv still runs, with one warning; exact mode has no such regime
+        # alpha = d/n = 2: det_equiv still runs, with one warning; exact mode has no such regime.
+        # Both modes flag the series, which is negative at k = 4 here (t = 0.192)
         out = tmp_path / "sk.csv"
         flags = ["sweep-k", "--d", "20", "--n", "10", "--k-grid", "1,4", "--n-outer", "5",
                  "--n-inner", "5", "--out", str(out)]
+        series = [
+            "itslab: warning: series evaluated at t = 0.192 < 5.0; the dropped remainder "
+            "may not be negligible",
+            "itslab: warning: the high-temperature series is -24.53",
+        ]
         assert run(flags + ["--mode", "de"]) == 0
-        assert capsys.readouterr().err.splitlines() == [
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == (
             "itslab: warning: alpha = d/n = 2 >= 1: the deterministic equivalent assumes "
             "alpha < 1, so det_equiv values here are extrapolated"
-        ]
-        assert [r.split(",")[0] for r in out.read_text().splitlines()[1:3]] == ["det_equiv", "theory_highT"]
+        )
+        assert len(err) == 3 and err[1] == series[0] and err[2].startswith(series[1])
+        assert [r.split(",")[0] for r in out.read_text().splitlines()[1:]] == [
+            "det_equiv", "theory_highT", "det_equiv"]
         assert run(flags + ["--mode", "exact"]) == 0
-        assert capsys.readouterr().err == ""
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == series[0] and err[1].startswith(series[1])
+
+    def test_sweep_k_flags_series_outside_its_domain(self, tmp_path, capsys):
+        # t = T / (2 s^2) is about 5e-5: the series is exact at k = 1 and negative beyond
+        out = tmp_path / "sk.csv"
+        assert run(["sweep-k", "--T", "1e-12", "--k-grid", "1,2,50", "--n-outer", "4",
+                    "--n-inner", "4", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == (
+            "itslab: warning: series evaluated at t = 5e-05 < 5.0; the dropped remainder "
+            "may not be negligible"
+        )
+        assert err[1].startswith("itslab: warning: the high-temperature series is -0.000108785")
+        assert err[1].endswith(" < 0 at T = 1e-12, k = 2")
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[6]) for r in rows] == [
+            ("det_equiv", "1"), ("theory_highT", "1"), ("det_equiv", "2"), ("det_equiv", "50")]
+        assert rows[0][-1] == rows[1][-1] != "" and float(rows[1][-1]) > 0
+        assert rows[2][-1] == rows[3][-1] == ""
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ITSLAB_OUT_DIR", str(tmp_path))
@@ -363,6 +395,46 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["polar-map", "--d", "3", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+
+_SCIPY_PROBE = """
+import json, sys
+import itslab
+if sys.argv[1:]:
+    from itslab.cli import main
+    assert main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["ridge", "--d", "3", "--n", "30"], []),
+    (["judge", "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"], []),
+    (["sweep-k", "--k-grid", "1,4"], []),
+    (["sweep-t", "--k", "4", "--t-grid-sigma2", "1,10"], []),
+    (["polar-map", "--d", "2", "--n", "100", "--k-grid", "1,2,3,4", "--c-grid", "1e-3",
+      "--theta-grid", "0"], []),
+    (["sweep-k", "--mode", "exact", "--k-grid", "1,4"], ["scipy.linalg"]),
+    (["sweep-k", "--T", "0", "--k-grid", "1,4"], ["scipy.special"]),
+    (["bestofk-check", "--k-grid", "1,4"], ["scipy.special"]),
+], ids=["import", "ridge", "judge", "sweep_k_de", "sweep_t_de", "polar_map_de",
+        "sweep_k_exact", "sweep_k_T0", "bestofk_check"])
+def test_cold_start_loads_scipy_only_where_used(argv, loaded, tmp_path):
+    # each case in a fresh interpreter: the scipy modules it ends up with
+    if argv and argv[0] == "judge":
+        rec = tmp_path / "r.jsonl"
+        write_records(rec, record_rows(trap_judge_questions(np.random.default_rng(0), 5, 4)))
+        argv = argv + ["--records", str(rec)]
+    elif argv and argv[0] != "ridge":
+        argv = argv + ["--n-outer", "3", "--n-inner", "3"]
+    if argv:
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
 
 
 def test_csv_values_round_trip(tmp_path):

@@ -307,6 +307,70 @@ class TestBestOfKSampler:
             assert abs(res.mean[g] / ref - 1.0) < 0.10, k
 
 
+# multiples of 2^-10: in units of s = 2^e, every value and shifted sum below is exact
+_UNITS = st.integers(-2**13, 2**13).map(lambda i: i / 1024)  # |value| <= 8 s
+_SHIFTS = st.integers(-2**20, 2**20).map(lambda i: i / 1024)  # |c| <= 2^10 s
+
+
+class TestShiftInvariance:
+    """Cells depend on m, mu_T and mu_R only through their differences.
+
+    m, mu_T and mu_R shift by the same c. The values are dyadic in units of a
+    power-of-two s, so the shifted inputs are exact and the shift changes no
+    difference between them; only the rounding of the draws y = m + s z moves.
+    """
+
+    @given(e=st.integers(-30, 30), m=_UNITS, mu_T=_UNITS, mu_R=st.tuples(_UNITS, _UNITS),
+           c=_SHIFTS, t=st.floats(2**-4, 2**10))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_cells(self, e, m, mu_T, mu_R, c, t):
+        s = 2.0**e
+        T = t * s * s
+        cell_k = [1, 3, 9, 2, 9, 9]
+        cell_T = [T, T, T, 0.0, 0.0, 4 * T]
+        cell_r = [0, 0, 1, 1, 0, 1]
+
+        def cells(shift):
+            return _engine_cell_means(
+                stream(12, "shift"), (m + shift) * s, s, (mu_T + shift) * s,
+                [(r + shift) * s for r in mu_R], cell_k, cell_T, cell_r, 25, 9,
+            )
+
+        # Tolerance per cell, to first order. Rounding y = m + s z and then y - mu
+        # moves each difference by at most delta = eps (|c| s + 2 D), where D
+        # bounds |y - mu|. Losses and penalties, squares of differences, then
+        # move by at most 2 D delta + delta^2, and the reductions' own rounding
+        # adds a few dozen eps D^2. Where weights matter (k > 1, T > 0), each
+        # weight's log moves by eta = 2 (2 D delta + delta^2) / T, and a
+        # weighted mean of losses by 2 eta D^2 more. A T = 0 argmax could flip only
+        # on two penalties equal to within that rounding, about 1e-5 per example
+        # on this grid of values.
+        eps = np.finfo(float).eps
+        D = (16.0 + np.abs(stream(12, "shift").standard_normal((25, 9))).max()) * s
+        delta = eps * (abs(c) * s + 2.0 * D)
+        square = 2.0 * D * delta + delta**2
+        weighted = (np.array(cell_k) > 1) & (np.array(cell_T) > 0)
+        eta = 2.0 * square / np.where(weighted, cell_T, np.inf)
+        tol = square + 64.0 * eps * D**2 + 2.0 * eta * D**2
+        assert np.all(np.abs(cells(c) - cells(0.0)) <= tol)
+
+    @given(e=st.integers(-30, 30), m=_UNITS, mu_T=_UNITS, mu_R=_UNITS, c=_SHIFTS)
+    @settings(max_examples=60, deadline=None)
+    def test_t0_sampler_cells(self, e, m, mu_T, mu_R, c):
+        # the sampler reads only (mu_R - m) / s and mu_R - mu_T, which the exact
+        # shift leaves unchanged, so the tolerance is zero
+        s = 2.0**e
+
+        def cells(shift):
+            return _best_of_k_cells(
+                [stream(13, "shift")], np.array([(m + shift) * s]), np.array([s]),
+                np.array([(mu_T + shift) * s]), np.array([(mu_R + shift) * s]),
+                [1, 2, 7, 100, 10**6], 25,
+            )
+
+        np.testing.assert_array_equal(cells(c), cells(0.0))
+
+
 class TestRewardTargets:
     """One call with several reward targets equals one call per target."""
 
