@@ -90,7 +90,14 @@ def _write_manifest(path, subcommand, config, args, seed, wall_time):
         "output": str(path),
         "wall_time_s": wall_time,
     }
-    Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2, default=str) + "\n")
+    Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2, default=_json_value) + "\n")
+
+
+def _json_value(value):
+    """Arrays as lists and numpy scalars as Python numbers, so grids round-trip exactly."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return str(value)
 
 
 def _resolve_out(args, default_name):

@@ -5,9 +5,12 @@ The data model is a linear teacher observed through Gaussian noise,
     y = w_T . x / sqrt(d) + eta,   x ~ N(0, S^2 I),   eta ~ N(0, sigma^2),
 
 with an isotropic Gaussian prior N(0, gamma^2 I) used downstream for the
-Bayesian fit. The reward weight w_R scores candidate outputs and may be
-misaligned with w_T; three parameterizations are supported (explicit vector,
-radial multiple of w_T, and a planar offset at an angle from w_T).
+Bayesian fit. The fit reads a training set only through X^T X and X^T y, so
+a dataset is drawn already rotated onto its column space: min(n, d) rows of
+the Bartlett factor in place of the n x d design. The reward weight w_R
+scores candidate outputs and may be misaligned with w_T; three
+parameterizations are supported (explicit vector, radial multiple of w_T,
+and a planar offset at an angle from w_T).
 """
 
 import math
@@ -112,7 +115,10 @@ def _parse_kv_file(path) -> dict:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Training inputs (n x d) and labels (n,)."""
+    """Training inputs (rows x d) and labels (rows,).
+
+    generate_dataset gives min(n, d) rows with the X^T X and X^T y of n samples.
+    """
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -186,15 +192,28 @@ def sample_teacher(config: ModelConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def generate_dataset(config: ModelConfig, w_T: np.ndarray, rng: np.random.Generator) -> Dataset:
-    """Sample a training set of size n from the teacher.
+    """Sample a training set of size n from the teacher, rotated onto its column space.
 
-    x^i ~ N(0, S^2 I) and y^i = w_T . x^i / sqrt(d) + eta^i with
-    eta^i ~ N(0, sigma^2). n = 0 yields an empty dataset.
+    The n x d design X (rows ~ N(0, S^2 I)) and labels y = X w_T / sqrt(d) +
+    eta, eta ~ N(0, sigma^2 I_n), are never drawn. With X = S Q R (reduced
+    QR), R has the Bartlett law: m x d upper trapezoidal, m = min(n, d),
+    R[i, i]^2 ~ chi^2(n - i) and N(0, 1) above the diagonal, all independent,
+    while Q^T eta ~ N(0, sigma^2 I_m) independently of R. The returned
+    (S R, S R w_T / sqrt(d) + Q^T eta) thus has the X^T X and X^T y of (X, y)
+    in law, which is all the posterior reads, at O(m d) variates and O(d^2)
+    memory whatever n is.
+
+    Draw order: the m chi-squares, an m x d standard normal matrix (its
+    strict upper triangle kept), then the m noise values (none at sigma = 0).
     """
     if w_T.shape != (config.d,):
         raise ValueError(f"w_T has shape {w_T.shape}, expected ({config.d},)")
-    X = rng.normal(0.0, config.S, size=(config.n, config.d))
-    eta = rng.normal(0.0, config.sigma, size=config.n) if config.sigma > 0 else np.zeros(config.n)
+    m = min(config.n, config.d)
+    chi2 = rng.chisquare(config.n - np.arange(m))
+    R = np.triu(rng.standard_normal((m, config.d)), 1)
+    np.fill_diagonal(R, np.sqrt(chi2))
+    X = config.S * R
+    eta = rng.normal(0.0, config.sigma, size=m) if config.sigma > 0 else np.zeros(m)
     y = X @ w_T / math.sqrt(config.d) + eta
     return Dataset(inputs=X, labels=y)
 

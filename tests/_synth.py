@@ -1,8 +1,23 @@
-"""Synthetic judge-record generators shared by the judge and acceptance tests."""
+"""Synthetic data shared by the tests: judge records and the i.i.d. training-set reference."""
 
 import json
+import math
 
 import numpy as np
+
+from itslab import Dataset
+
+
+def iid_dataset(config, w_T, rng):
+    """The full n x d training set, the reference that generate_dataset must match in law.
+
+    x^i ~ N(0, S^2 I) and y^i = w_T . x^i / sqrt(d) + eta^i with
+    eta^i ~ N(0, sigma^2). n = 0 yields an empty dataset.
+    """
+    X = rng.normal(0.0, config.S, size=(config.n, config.d))
+    eta = rng.normal(0.0, config.sigma, size=config.n) if config.sigma > 0 else np.zeros(config.n)
+    y = X @ w_T / math.sqrt(config.d) + eta
+    return Dataset(inputs=X, labels=y)
 
 
 def write_records(path, rows):

@@ -83,6 +83,15 @@ class TestSubcommands:
         assert manifest["config"]["d"] == 10
         assert "wall_time_s" in manifest
 
+    @pytest.mark.parametrize("spec", ["lin:1e-4,2e-4,1001", "log:1e-6,3e-2,17"])
+    def test_manifest_stores_grids_exactly(self, spec, tmp_path):
+        # numpy's print form kept 8 digits and elided grids past 1000 entries
+        out = tmp_path / "t.csv"
+        argv = ["sweep-t", "--t-grid", spec, "--k", "2", "--n-outer", "2", "--n-inner", "2"]
+        assert run(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert manifest["flags"]["t_grid"] == parse_grid(spec).tolist()
+
     def test_ridge_stdout_mode(self, capsys):
         assert run(["ridge", "--d", "4", "--n", "100"]) == 0
         lines = capsys.readouterr().out.splitlines()

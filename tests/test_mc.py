@@ -371,6 +371,19 @@ class TestShiftInvariance:
         np.testing.assert_array_equal(cells(c), cells(0.0))
 
 
+
+class TestColdLimit:
+    """T -> 0+ in the shared-target kernel is the first-argmax rule of T = 0."""
+
+    @given(k=st.integers(1, 40), c=st.floats(-50.0, 50.0), seed=st.integers(0, 2**16),
+           mode=st.sampled_from(["det_equiv", "exact_posterior"]))
+    @settings(max_examples=40, deadline=None)
+    def test_tiny_temperature_cells_equal_zero_temperature(self, k, c, seed, mode):
+        cfg = ModelConfig(d=4, n=200, sigma=0.05, gamma=0.5)
+        res = delta_t_curve(cfg, RewardSpec.radial(c), k, [0.0, 1e-300],
+                            n_outer=6, n_inner=8, mode=mode, seed=seed)
+        assert res.per_x[:, 1].tobytes() == res.per_x[:, 0].tobytes()
+
 class TestRewardTargets:
     """One call with several reward targets equals one call per target."""
 

@@ -1,16 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from itslab import (
+    Dataset,
     ModelConfig,
     RewardSpec,
+    fit_posterior,
     generate_dataset,
     resolve_reward,
     sample_teacher,
     stream,
 )
+
+from _synth import iid_dataset
 
 
 class TestModelConfig:
@@ -89,7 +94,7 @@ class TestGenerateDataset:
 
     def test_noiseless_null_teacher(self):
         cfg = ModelConfig(d=4, n=50, sigma=0.0)
-        data = generate_dataset(cfg, np.zeros(4), stream(0, "data"))
+        data = iid_dataset(cfg, np.zeros(4), stream(0, "data"))
         assert np.array_equal(data.labels, np.zeros(50))
 
     def test_label_variance_decomposition(self):
@@ -97,7 +102,7 @@ class TestGenerateDataset:
         d, n = 8, 100_000
         cfg = ModelConfig(d=d, n=n, S=1.0, sigma=0.5)
         w = np.full(d, 2.0)  # ||w||^2/d = 4
-        data = generate_dataset(cfg, w, stream(5, "data"))
+        data = iid_dataset(cfg, w, stream(5, "data"))
         target = 4.0 * cfg.S**2 + cfg.sigma**2
         var = data.labels.var(ddof=1)
         se = target * math.sqrt(2.0 / n)
@@ -119,6 +124,95 @@ class TestGenerateDataset:
         emp = data.inputs.T @ data.inputs / n
         dev = np.max(np.abs(emp - cfg.S**2 * np.eye(d)))
         assert dev < 5 * cfg.S**2 * math.sqrt(math.log(d) / n)
+
+    @pytest.mark.parametrize("n", [0, 1, 5, 6, 60])
+    def test_rows_are_min_n_d(self, n):
+        d = 6
+        cfg = ModelConfig(d=d, n=n)
+        data = generate_dataset(cfg, np.ones(d), stream(1, "data"))
+        assert data.inputs.shape == (min(n, d), d)
+        assert data.labels.shape == (min(n, d),)
+
+    def test_documented_draw_order(self):
+        # chi-squares, an m x d normal matrix (strict upper triangle kept), noise
+        d, n = 5, 3
+        cfg = ModelConfig(d=d, n=n, S=1.5, sigma=0.3)
+        w = sample_teacher(cfg, stream(2, "teacher"))
+        data = generate_dataset(cfg, w, stream(2, "data"))
+        rng = stream(2, "data")
+        chi2 = rng.chisquare(n - np.arange(n))
+        R = np.triu(rng.standard_normal((n, d)), 1)
+        R[np.arange(n), np.arange(n)] = np.sqrt(chi2)
+        eta = rng.normal(0.0, cfg.sigma, size=n)
+        np.testing.assert_array_equal(data.inputs, cfg.S * R)
+        np.testing.assert_array_equal(data.labels, cfg.S * R @ w / math.sqrt(d) + eta)
+
+    @pytest.mark.parametrize("n", [40, 5])
+    def test_column_space_rotation_keeps_the_posterior(self, n):
+        # the posterior reads the data only through X^T X and X^T y, which
+        # Q^T leaves unchanged for the reduced QR factorization X = Q R
+        d = 8
+        cfg = ModelConfig(d=d, n=n, S=1.3, sigma=0.3, gamma=0.9)
+        w = sample_teacher(cfg, stream(3, "teacher"))
+        data = iid_dataset(cfg, w, stream(3, "data"))
+        Q, _ = np.linalg.qr(data.inputs)
+        full = fit_posterior(data, cfg)
+        rotated = fit_posterior(Dataset(Q.T @ data.inputs, Q.T @ data.labels), cfg)
+        assert rotated.mu.shape == full.mu.shape
+        for got, want in ((rotated.mu, full.mu), (rotated.omega, full.omega)):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("d,n", [(5, 8), (6, 3)])
+    def test_bartlett_law(self, d, n):
+        # R = inputs / S: squared diagonal ~ chi^2(n - i), strict upper
+        # triangle ~ N(0, 1), zeros below; each moment within 4 stderr
+        cfg = ModelConfig(d=d, n=n, S=1.5)
+        draws = 400
+        R = np.stack(
+            [generate_dataset(cfg, np.zeros(d), stream(4, "data", j)).inputs / cfg.S
+             for j in range(draws)]
+        )
+        m = min(n, d)
+        assert np.all(np.tril(R, -1) == 0)
+        diag2 = R[:, np.arange(m), np.arange(m)] ** 2
+        for i in range(m):
+            k = n - i
+            x = diag2[:, i]
+            assert abs(x.mean() - k) < 4 * math.sqrt(2 * k / draws)
+            assert abs(x.var(ddof=1) - 2 * k) < 4 * math.sqrt((8 * k * k + 48 * k) / draws)
+        rows, cols = np.triu_indices(m, 1, d)
+        upper = R[:, rows, cols].ravel()
+        assert abs(upper.mean()) < 4 / math.sqrt(upper.size)
+        assert abs(upper.var(ddof=1) - 1.0) < 4 * math.sqrt(2 / upper.size)
+
+    @pytest.mark.parametrize("n", [200, 10])
+    def test_posterior_matches_iid_in_law(self, n):
+        # mean |mu - w_T|^2 and tr(Omega) over 200 datasets of each generator
+        d, sets = 20, 200
+        cfg = ModelConfig(d=d, n=n, sigma=0.1, gamma=1.0, teacher_mode="normalized")
+        w = sample_teacher(cfg, stream(6, "teacher"))
+
+        def stats(make, seed):
+            out = np.empty((sets, 2))
+            for j in range(sets):
+                post = fit_posterior(make(cfg, w, stream(seed, "data", j)), cfg)
+                out[j] = np.sum((post.mu - w) ** 2), np.trace(post.omega)
+            return out.mean(axis=0), out.std(axis=0, ddof=1) / math.sqrt(sets)
+
+        mean_new, se_new = stats(generate_dataset, 6)
+        mean_ref, se_ref = stats(iid_dataset, 7)
+        assert np.all(np.abs(mean_new - mean_ref) < 4 * np.hypot(se_new, se_ref))
+
+    def test_memory_independent_of_n(self):
+        cfg = ModelConfig(d=50, n=200_000)
+        w = np.ones(cfg.d)
+        tracemalloc.start()
+        try:
+            generate_dataset(cfg, w, stream(8, "data"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestResolveReward:
