@@ -167,12 +167,19 @@ def build_config(args, parser) -> ModelConfig:
     }
     try:
         if args.config:
-            return ModelConfig.from_file(args.config, **overrides)
-        defaults = dict(d=10, n=10_000, S=1.0, sigma=1e-4, gamma=1e-3, tau=2.0)
-        defaults.update(overrides)
-        return ModelConfig(**defaults)
+            config = ModelConfig.from_file(args.config, **overrides)
+        else:
+            defaults = dict(d=10, n=10_000, S=1.0, sigma=1e-4, gamma=1e-3, tau=2.0)
+            defaults.update(overrides)
+            config = ModelConfig(**defaults)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
+    # a runtime error, not a usage one: temperatures and variances all scale with sigma^2
+    if not config.sigma * config.sigma < math.inf:
+        raise ValueError(
+            f"sigma = {config.sigma:g}: the noise variance sigma^2 leaves the float range"
+        )
+    return config
 
 
 def _mc_args(args, parser, config):
@@ -462,9 +469,10 @@ def cmd_bestofk_check(args, parser):
                 theories.append(("theory_refined", refined))
             except ValueError as exc:  # outside the refined formula's domain: leave it empty
                 theory_error = exc
-            # extreme-value route: mean of the scaled minimum is 2 c_k
-            evt_value = st.s2 * 2.0 * weibull_norming(lam_rms, int(k))
-            theories.append(("theory_bestofk", evt_value))
+            try:  # extreme-value route: mean of the scaled minimum is 2 c_k
+                theories.append(("theory_bestofk", st.s2 * 2.0 * weibull_norming(lam_rms, int(k))))
+            except ValueError as exc:  # c_k leaves the float range: leave it empty
+                theory_error = exc
         row = _base_row(config, mode, args.seed)
         row.update(
             c=0.0, k=int(k), T=0.0, delta=res.mean[g], stderr=res.stderr[g],

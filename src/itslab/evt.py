@@ -85,7 +85,12 @@ def weibull_norming(lam: float, k: int) -> float:
         raise ValueError(f"k must be >= 1, got {k}")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
-    return math.pi / (2.0 * k**2) * math.exp(lam)
+    try:
+        return math.pi / (2.0 * k**2) * math.exp(lam)
+    except OverflowError as exc:
+        raise ValueError(
+            f"c_k = (pi / 2 k^2) e^lambda leaves the float range at lambda = {lam:g}"
+        ) from exc
 
 
 def min_chisq_mc(

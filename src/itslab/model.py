@@ -77,6 +77,18 @@ class ModelConfig:
             raise ValueError("alpha = d/n is undefined for n = 0")
         return self.d / self.n
 
+    @property
+    def prior_var(self) -> float:
+        """The prior variance gamma^2; ValueError where it leaves the float range.
+
+        The exact posterior (n > 0) and the ridge fixed point need only 1/gamma^2.
+        """
+        if not self.gamma * self.gamma < math.inf:
+            raise ValueError(
+                f"gamma = {self.gamma:g}: the prior variance gamma^2 leaves the float range"
+            )
+        return self.gamma**2
+
     @classmethod
     def from_file(cls, path, **overrides) -> "ModelConfig":
         """Build a config from a key=value file, applying keyword overrides.

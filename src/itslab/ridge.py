@@ -86,11 +86,18 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
     if spectrum.size == 0 or np.any(spectrum <= 0):
         raise ValueError("spectrum must contain at least one positive eigenvalue")
 
-    R_hat = sigma**2 * alpha / gamma**2
+    try:
+        R_hat = sigma**2 * alpha / gamma**2
+    except ArithmeticError:  # sigma^2 or gamma^2 leaves the float range: ratio first
+        R_hat = (sigma / gamma) * (sigma / gamma) * alpha
+    if not math.isfinite(R_hat):
+        raise ValueError(
+            f"R_hat = sigma^2 alpha / gamma^2 overflows at sigma = {sigma:g}, gamma = {gamma:g}"
+        )
     if R_hat == 0.0 and alpha >= 1:
         raise ValueError(
-            "ridgeless degenerate case: alpha >= 1 with sigma = 0 is outside "
-            "the alpha < 1 regime this solver supports"
+            f"ridgeless degenerate case: R_hat = sigma^2 alpha / gamma^2 = 0 with alpha = "
+            f"{alpha:g} >= 1 is outside the alpha < 1 regime this solver supports"
         )
 
     if R_hat == 0.0:
@@ -157,7 +164,7 @@ def de_moments_batch(X: np.ndarray, w_T: np.ndarray, de: DetEquiv, config: Model
     """
     Xs = np.asarray(X, dtype=float) / math.sqrt(config.d)
     means = Xs @ (de.a * w_T)
-    variances = config.sigma**2 + config.gamma**2 * np.sum(Xs * Xs * de.b, axis=1)
+    variances = config.sigma**2 + config.prior_var * np.sum(Xs * Xs * de.b, axis=1)
     return means, variances
 
 

@@ -78,7 +78,7 @@ class SeriesTerms:
                 "reward deviation is not colinear with the teacher deviation; "
                 "average the pointwise series numerically instead"
             )
-        s2_bar = config.sigma**2 + config.gamma**2 * _trace_b_cov(de)
+        s2_bar = config.sigma**2 + config.prior_var * _trace_b_cov(de)
         if not s2_bar > 0:
             raise ValueError(f"the averaged predictive variance is {s2_bar}; the series needs s2 > 0")
         if bb > 0:
@@ -191,7 +191,7 @@ def refined_best_of_k_delta(config: ModelConfig, de: DetEquiv, w: np.ndarray, k:
         raise ValueError(
             f"2 u^T Cov u / (sigma^2 d) = {conc:.4f} >= 1: outside the closed form's domain"
         )
-    regime_ok = config.gamma**2 * _trace_b_cov(de) <= 0.01 * config.sigma**2
+    regime_ok = config.prior_var * _trace_b_cov(de) <= 0.01 * config.sigma**2
     value = math.pi * config.sigma**2 / k**2 / math.sqrt(1.0 - conc)
     return RefinedBestOfK(value=value, regime_ok=regime_ok, concentration=conc)
 
@@ -295,7 +295,7 @@ def scaling_derivatives(
         dlogk=-2.0,
         dlogn=-alpha * dF / denom,
         small_ridge_ok=de.R <= 0.01 * config.sigma**2,
-        trace_ok=config.gamma**2 * _trace_b_cov(de) <= 0.01 * config.sigma**2,
+        trace_ok=config.prior_var * _trace_b_cov(de) <= 0.01 * config.sigma**2,
     )
 
 
@@ -307,9 +307,13 @@ def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:
     finite-difference route.
     """
     w = np.asarray(w, dtype=float)
+    try:
+        gamma4 = config.gamma**4
+    except OverflowError:  # a flat prior: q underflows to 0
+        gamma4 = math.inf
     q = (
         (w @ w / config.d)
         * (1.0 / config.S**2)
-        * (config.d**2 * config.sigma**2 / (config.n**2 * config.gamma**4))
+        * (config.d**2 * config.sigma**2 / (config.n**2 * gamma4))
     )
     return -2.0 * q / (1.0 - 2.0 * q)

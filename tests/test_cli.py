@@ -406,13 +406,86 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+_SMALL_MC = ["--n-outer", "3", "--n-inner", "4"]
+
+
+class TestExtremeScales:
+    """Every finite positive sigma and gamma either runs or exits 1 with one message."""
+
+    def test_flat_prior_ridge_runs(self, capsys):
+        # R_hat = sigma^2 alpha / gamma^2 underflows to 0: the ridgeless fixed point
+        assert run(["ridge", "--gamma", "1e200", "--d", "3", "--n", "30"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["R"] == "0.0"
+
+    def test_flat_prior_exact_mode_runs(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run(["sweep-k", "--mode", "exact", "--gamma", "1e200", "--d", "3", "--n", "30",
+                    "--k-grid", "1,4", *_SMALL_MC, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["exact_posterior"] * 2
+        assert all(float(r[10]) > 0 for r in rows)
+        # the closed-form column needs gamma^2, so it is left empty with a warning
+        assert "prior variance gamma^2 leaves the float range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ridge", "--sigma", "1e200", "--d", "3", "--n", "30"],
+         "sigma = 1e+200: the noise variance sigma^2 leaves the float range"),
+        (["sweep-k", "--gamma", "1e200", "--d", "3", "--n", "30", "--k-grid", "1,4", *_SMALL_MC],
+         "gamma = 1e+200: the prior variance gamma^2 leaves the float range"),
+        (["ridge", "--gamma", "1e-200", "--d", "3", "--n", "30"],
+         "R_hat = sigma^2 alpha / gamma^2 overflows at sigma = 0.0001, gamma = 1e-200"),
+        (["sweep-k", "--mode", "exact", "--sigma", "1e-200", "--d", "3", "--n", "30",
+          "--k-grid", "1,4", *_SMALL_MC],
+         "the posterior precision leaves the float range at n = 30, d = 3, sigma = 1e-200, "
+         "gamma = 0.001"),
+        (["ridge", "--gamma", "inf", "--d", "30", "--n", "3"],
+         "ridgeless degenerate case: R_hat = sigma^2 alpha / gamma^2 = 0 with alpha = 10 >= 1 "
+         "is outside the alpha < 1 regime this solver supports"),
+        (["sweep-k", "--mode", "exact", "--d", "30", "--n", "5", "--gamma", "1e5",
+          "--k-grid", "1,4", *_SMALL_MC],
+         "posterior precision is not numerically positive definite at n = 5, d = 30, "
+         "sigma = 0.0001, gamma = 100000"),
+    ], ids=["sigma_huge", "gamma_huge_de", "gamma_tiny", "sigma_tiny_exact", "ridgeless",
+            "not_positive_definite"])
+    def test_out_of_range_exits_1_with_message(self, argv, message, tmp_path, capsys):
+        assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"itslab: error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ridge", "--d", "3", "--n", "30"],
+        ["sweep-k", "--d", "3", "--n", "30", "--k-grid", "1,4", *_SMALL_MC],
+        ["sweep-k", "--mode", "exact", "--d", "3", "--n", "30", "--k-grid", "1,4", *_SMALL_MC],
+        ["sweep-t", "--mode", "exact", "--d", "3", "--n", "30", "--k", "4",
+         "--t-grid-sigma2", "1,10", *_SMALL_MC],
+        ["tradeoff", "--mode", "exact", "--d", "3", "--n-grid", "30,60", "--k-grid", "2,4",
+         *_SMALL_MC],
+        ["bestofk-check", "--d", "3", "--n", "30", "--k-grid", "2,4", *_SMALL_MC],
+    ], ids=["ridge", "sweep_k_de", "sweep_k_exact", "sweep_t_exact", "tradeoff_exact",
+            "bestofk_check"])
+    def test_no_traceback_anywhere(self, argv, tmp_path, capsys):
+        for flag in ("--sigma", "--gamma"):
+            for value in ("1e-300", "1e-160", "1e-100", "1e100", "1e160", "1e300"):
+                code = run(argv + [flag, value, "--out", str(tmp_path / "x.csv")])
+                err = capsys.readouterr().err
+                assert code in (0, 1), (flag, value)
+                if code == 1:
+                    assert err.splitlines()[-1].startswith("itslab: error: "), (flag, value, err)
+
+
+# Every loaded scipy module, named by the public subpackage it belongs to; scipy's
+# own plumbing (scipy, scipy._lib, scipy.version, ...) shows as "scipy" only when
+# no public subpackage is loaded, so a bare `import scipy` is caught too.
 _SCIPY_PROBE = """
 import json, sys
 import itslab
 if sys.argv[1:]:
     from itslab.cli import main
     assert main(sys.argv[1:]) == 0
-print(json.dumps(sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules)))
+parts = {(m.split(".") + [""])[1] for m in sys.modules if m.split(".")[0] == "scipy"}
+public = sorted("scipy." + p for p in parts if p and not p.startswith("_") and p != "version")
+print(json.dumps(public or (["scipy"] if parts else [])))
 """
 
 
@@ -424,11 +497,14 @@ print(json.dumps(sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys
     (["sweep-t", "--k", "4", "--t-grid-sigma2", "1,10"], []),
     (["polar-map", "--d", "2", "--n", "100", "--k-grid", "1,2,3,4", "--c-grid", "1e-3",
       "--theta-grid", "0"], []),
-    (["sweep-k", "--mode", "exact", "--k-grid", "1,4"], ["scipy.linalg"]),
+    (["sweep-k", "--mode", "exact", "--k-grid", "1,4"], []),
+    (["sweep-t", "--mode", "exact", "--k", "4", "--t-grid-sigma2", "1,10"], []),
+    (["tradeoff", "--mode", "exact", "--d", "3", "--n-grid", "30,60", "--k-grid", "2,4"],
+     ["scipy.special"]),
     (["sweep-k", "--T", "0", "--k-grid", "1,4"], ["scipy.special"]),
     (["bestofk-check", "--k-grid", "1,4"], ["scipy.special"]),
 ], ids=["import", "ridge", "judge", "sweep_k_de", "sweep_t_de", "polar_map_de",
-        "sweep_k_exact", "sweep_k_T0", "bestofk_check"])
+        "sweep_k_exact", "sweep_t_exact", "tradeoff_exact", "sweep_k_T0", "bestofk_check"])
 def test_cold_start_loads_scipy_only_where_used(argv, loaded, tmp_path):
     # each case in a fresh interpreter: the scipy modules it ends up with
     if argv and argv[0] == "judge":

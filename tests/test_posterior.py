@@ -140,3 +140,64 @@ def test_duplicate_sample_never_increases_posterior_variance():
             q1 = x @ post.omega @ x
             q2 = x @ post2.omega @ x
             assert q2 <= q1 * (1 + 1e-12)
+
+
+def _same_prec(X, cfg):
+    """The symmetrized precision fit_posterior factorizes, and X^T y's scale."""
+    Xs = X / math.sqrt(cfg.d)
+    inv_s2 = (1.0 / cfg.sigma) * (1.0 / cfg.sigma)
+    prec = Xs.T @ Xs * inv_s2 + np.eye(cfg.d) * ((1.0 / cfg.gamma) * (1.0 / cfg.gamma))
+    return Xs, inv_s2, 0.5 * (prec + prec.T)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_agrees_with_scipy_cholesky_oracle(seed):
+    # scipy's cho_factor/cho_solve on the same precision, as an independent
+    # route; n < d and gamma >> sigma make prec ill-conditioned, and the
+    # bound scales with its condition number.
+    from scipy.linalg import cho_factor, cho_solve
+
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 60))
+    n = int(rng.integers(1, d)) if seed % 3 == 0 else int(rng.integers(d, 4 * d))
+    sigma = float(10 ** rng.uniform(-4, 0))
+    gamma = sigma * float(10 ** rng.uniform(-1, 6)) if seed % 2 else float(10 ** rng.uniform(-3, 1))
+    cfg = ModelConfig(d=d, n=n, sigma=sigma, gamma=gamma)
+    X = rng.normal(size=(n, d))
+    y = X @ rng.normal(size=d) / math.sqrt(d) + sigma * rng.normal(size=n)
+    post = fit_posterior(Dataset(X, y), cfg)
+
+    Xs, inv_s2, prec = _same_prec(X, cfg)
+    factor = cho_factor(prec, lower=True)
+    mu_ref = cho_solve(factor, Xs.T @ y) * inv_s2
+    omega_ref = cho_solve(factor, np.eye(d))
+    tol = 50 * np.linalg.cond(prec) * np.finfo(float).eps
+    assert np.linalg.norm(post.mu - mu_ref) <= tol * np.linalg.norm(mu_ref)
+    assert np.linalg.norm(post.omega - omega_ref) <= tol * np.linalg.norm(omega_ref)
+    assert np.array_equal(post.omega, post.omega.T)
+
+
+def test_numerically_indefinite_precision_names_the_config():
+    # d = 30, n = 5, gamma = 1e5: cond(prec) ~ gamma^2/sigma^2 = 1e18 exceeds
+    # 1/eps, so the factorization meets a non-positive pivot
+    cfg = ModelConfig(d=30, n=5, gamma=1e5)
+    data = generate_dataset(cfg, sample_teacher(cfg, stream(0, "teacher")), stream(0, "data", 0))
+    with pytest.raises(ValueError, match=r"not numerically positive definite at n = 5, d = 30, "
+                                         r"sigma = 0\.0001, gamma = 100000$"):
+        fit_posterior(data, cfg)
+
+
+@pytest.mark.parametrize("sigma, gamma", [(1e-170, 1.0), (1.0, 1e-170), (1e-154, 1.0)])
+def test_precision_past_the_float_range_rejected(sigma, gamma):
+    # 1/sigma^2 or 1/gamma^2 overflows, or (at 1e-154) X^T X / sigma^2 does
+    cfg = ModelConfig(d=2, n=3, sigma=sigma, gamma=gamma)
+    with pytest.raises(ValueError, match="the posterior precision leaves the float range"):
+        fit_posterior(Dataset(np.ones((3, 2)), np.ones(3)), cfg)
+
+
+def test_huge_sigma_gives_the_prior_without_overflow():
+    # (1/sigma)^2 underflows to 0: the data carry no weight
+    cfg = ModelConfig(d=2, n=3, sigma=1e200, gamma=0.5)
+    post = fit_posterior(Dataset(np.ones((3, 2)), np.ones(3)), cfg)
+    assert np.array_equal(post.mu, np.zeros(2))
+    np.testing.assert_allclose(post.omega, 0.25 * np.eye(2), rtol=1e-15)

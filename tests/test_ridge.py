@@ -46,6 +46,19 @@ class TestSolveRidge:
         with pytest.raises(ValueError, match="ridgeless"):
             solve_ridge(1.0, 0.0, 1.0, [1.0])
 
+    def test_ridgeless_message_names_r_hat_not_sigma(self):
+        # sigma = 1e-4 here: it is R_hat that vanishes, as gamma = inf
+        with pytest.raises(ValueError, match=r"R_hat = sigma\^2 alpha / gamma\^2 = 0 with alpha = 10"):
+            solve_ridge(10.0, 1e-4, math.inf, [1.0])
+
+    def test_squares_past_the_float_range_form_the_ratio(self):
+        # sigma^2 and gamma^2 overflow but sigma/gamma does not
+        assert solve_ridge(0.1, 1e200, 1e200, [1.0]).R_hat == 0.1
+        assert solve_ridge(0.1, 1e-4, 1e200, [1.0]).R == 0.0  # R_hat underflows to 0
+        for sigma, gamma in ((1e200, 1.0), (1.0, 1e-200), (1e150, 1e-150)):
+            with pytest.raises(ValueError, match="R_hat = sigma\\^2 alpha / gamma\\^2 overflows"):
+                solve_ridge(0.1, sigma, gamma, [1.0])
+
     def test_monotone_in_alpha_and_noise(self):
         Rs = [solve_ridge(a, 0.2, 0.7, [1.0, 3.0]).R for a in np.linspace(0.05, 0.95, 10)]
         assert np.all(np.diff(Rs) > 0)

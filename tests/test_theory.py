@@ -308,6 +308,13 @@ class TestScalingDerivatives:
         closed = dlogn_flat_prior(cfg, w)
         assert fd == pytest.approx(closed, rel=0.01)
 
+    def test_flat_prior_limit_past_the_float_range(self):
+        # gamma^4 overflows while gamma^2 does not: the ridge term vanishes
+        cfg = ModelConfig(d=3, n=30, sigma=1e-4, gamma=1e100)
+        w = sample_teacher(cfg, stream(9, "teacher"))
+        assert dlogn_flat_prior(cfg, w) == 0.0
+        assert scaling_derivatives(cfg, solve_for_config(cfg), w).dlogn == 0.0
+
     def test_training_derivative_subdominant(self):
         cfg = ModelConfig(d=10, n=30_000, **FIG_LIKE)
         de = solve_for_config(cfg)
