@@ -12,7 +12,6 @@ from .mc import (
     ErrorEstimate,
     SweepResult,
     classify_k_monotonicity,
-    delta,
     delta_c_curve,
     delta_k_curve,
     delta_t_curve,

@@ -3,7 +3,8 @@
 Every subcommand resolves its model configuration from an optional key=value
 file plus flag overrides, runs deterministically from a master seed, and
 writes a CSV whose bytes are fully determined by (flags, seed) at any thread
-count, accompanied by exactly one JSON manifest (<out>.manifest.json).
+count, accompanied by exactly one JSON manifest (<out>.manifest.json); ridge
+without --out prints its CSV to stdout instead.
 
 Exit codes: 0 success, 2 flag/usage errors, 1 runtime errors.
 The ITSLAB_OUT_DIR environment variable supplies the default directory for
@@ -11,6 +12,7 @@ relative output paths.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -58,8 +60,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """Write rows (dicts) under a fixed header, verifying the schema on write."""
+def _csv_text(header, rows) -> str:
+    """The CSV text of rows (dicts) under a fixed header, verifying each row's schema."""
     for i, row in enumerate(rows):
         if set(row) != set(header):
             missing = set(header) - set(row)
@@ -71,21 +73,24 @@ def write_csv(path, header, rows):
     text = ",".join(header) + "\n"
     for row in rows:
         text += ",".join(_fmt(row[col]) for col in header) + "\n"
+    return text
+
+
+def write_csv(path, header, rows):
+    """Write rows (dicts) under a fixed header, verifying the schema on write."""
     path = Path(path)
+    text = _csv_text(header, rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-    first = path.read_text().splitlines()[0]
-    if first != ",".join(header):
-        raise RuntimeError("written CSV header does not match the declared schema")
     return path
 
 
-def _write_manifest(path, subcommand, config, args, seed, wall_time):
+def _write_manifest(path, subcommand, config, args, wall_time):
     manifest = {
         "subcommand": subcommand,
-        "config": config,
+        "config": dataclasses.asdict(config) if config is not None else {},
         "flags": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
-        "seed": seed,
+        "seed": args.seed,
         "version": __version__,
         "output": str(path),
         "wall_time_s": wall_time,
@@ -100,8 +105,7 @@ def _json_value(value):
     return str(value)
 
 
-def _resolve_out(args, default_name):
-    out = args.out if args.out else default_name
+def _resolve_out(out):
     out = Path(out)
     if not out.is_absolute():
         base = os.environ.get("ITSLAB_OUT_DIR", "")
@@ -146,7 +150,7 @@ def _add_model_flags(p):
 
 def _add_common(p, default_out):
     p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--out", help=f"output CSV path (default {default_out})")
+    p.add_argument("--out", help=f"output CSV path (default {default_out or 'stdout, no manifest'})")
     p.set_defaults(default_out=default_out)
 
 
@@ -215,23 +219,18 @@ def _temperature(args, config, parser) -> float:
     return mult * config.sigma**2
 
 
-def _config_dict(config: ModelConfig) -> dict:
+def _sweep_row(config, mode, seed, c, k, T, delta, stderr=0.0, n_outer=0, n_inner=0, **extra):
+    """One row of SWEEP_SCHEMA plus ``extra``; the defaults are those of a closed-form row."""
     return {
-        "d": config.d, "n": config.n, "S": config.S, "sigma": config.sigma,
-        "gamma": config.gamma, "tau": config.tau, "teacher_mode": config.teacher_mode,
-    }
-
-
-def _base_row(config, mode, seed):
-    return {
-        "mode": mode, "d": config.d, "n": config.n, "S": config.S,
-        "sigma": config.sigma, "gamma": config.gamma, "seed": seed,
-        "c": "", "theta": "",
+        "mode": mode, "d": config.d, "n": config.n, "S": config.S, "sigma": config.sigma,
+        "gamma": config.gamma, "k": k, "T": T, "c": c, "theta": "", "delta": delta,
+        "stderr": stderr, "n_outer": n_outer, "n_inner": n_inner, "seed": seed, **extra,
     }
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (config, header, rows), and main writes the CSV
+# and its manifest
 # ---------------------------------------------------------------------------
 
 
@@ -239,20 +238,11 @@ def cmd_ridge(args, parser):
     config = build_config(args, parser)
     de = solve_for_config(config)
     nv = noise_variance_check(de, config.sigma)
-    header = ["R", "A", "B", "m1", "m2", "var_z", "sigma_c"]
     row = {
         "R": de.R, "A": de.a[0], "B": de.b[0], "m1": de.m1, "m2": de.m2,
         "var_z": nv.var_z, "sigma_c": nv.sigma_c,
     }
-    if args.out:
-        t0 = time.perf_counter()
-        out = _resolve_out(args, args.default_out)
-        write_csv(out, header, [row])
-        _write_manifest(out, "ridge", _config_dict(config), args, args.seed, time.perf_counter() - t0)
-    else:
-        sys.stdout.write(",".join(header) + "\n")
-        sys.stdout.write(",".join(_fmt(row[c]) for c in header) + "\n")
-    return 0
+    return config, list(row), [row]
 
 
 def _warn(message) -> None:
@@ -280,7 +270,6 @@ def _series_value(config, de, w_T, w_R, T, k):
 
 
 def cmd_sweep_k(args, parser):
-    t0 = time.perf_counter()
     config = build_config(args, parser)
     mode, mc = _mc_args(args, parser, config)
     T = _temperature(args, config, parser)
@@ -300,32 +289,19 @@ def cmd_sweep_k(args, parser):
                     accuracy = accuracy or caught
                 except ValueError as exc:  # outside the series' domain: leave the cell empty
                     theory_error = theory_error or exc
-            row = _base_row(config, mode, args.seed)
-            row.update(
-                c=float(c), k=int(k), T=T, delta=res.mean[r, g], stderr=res.stderr[r, g],
-                n_outer=res.n_outer, n_inner=args.n_inner, theory_highT=series,
-            )
-            rows.append(row)
-            if series is None:
-                continue
-            theory = _base_row(config, "theory_highT", args.seed)
-            theory.update(
-                c=float(c), k=int(k), T=T, delta=series, stderr=0.0,
-                n_outer=0, n_inner=0, theory_highT=series,
-            )
-            rows.append(theory)
+            rows.append(_sweep_row(config, mode, args.seed, float(c), int(k), T, res.mean[r, g],
+                                   res.stderr[r, g], res.n_outer, args.n_inner, theory_highT=series))
+            if series is not None:
+                rows.append(_sweep_row(config, "theory_highT", args.seed, float(c), int(k), T,
+                                       series, theory_highT=series))
     if accuracy:  # t = T / (2 s2) does not depend on c or k, so one message per run
         _warn(accuracy[0])
     if theory_error is not None:
         _warn(theory_error)
-    out = _resolve_out(args, args.default_out)
-    write_csv(out, SWEEP_SCHEMA + ["theory_highT"], rows)
-    _write_manifest(out, "sweep-k", _config_dict(config), args, args.seed, time.perf_counter() - t0)
-    return 0
+    return config, SWEEP_SCHEMA + ["theory_highT"], rows
 
 
 def cmd_sweep_t(args, parser):
-    t0 = time.perf_counter()
     config = build_config(args, parser)
     mode, mc = _mc_args(args, parser, config)
     if args.t_grid is not None and args.t_grid_sigma2 is not None:
@@ -346,42 +322,28 @@ def cmd_sweep_t(args, parser):
             t_opt = optimal_temperature(st.delta_T, st.delta_R, st.s2, args.k)
         except ValueError as exc:  # outside the formula's domain: leave the column empty
             _warn(exc)
-    rows = []
-    for g, T in enumerate(T_grid):
-        row = _base_row(config, mode, args.seed)
-        row.update(
-            c=args.c, k=args.k, T=float(T), delta=res.mean[g], stderr=res.stderr[g],
-            n_outer=res.n_outer, n_inner=args.n_inner, theory_T_opt=t_opt,
-        )
-        rows.append(row)
-    out = _resolve_out(args, args.default_out)
-    write_csv(out, SWEEP_SCHEMA + ["theory_T_opt"], rows)
-    _write_manifest(out, "sweep-t", _config_dict(config), args, args.seed, time.perf_counter() - t0)
-    return 0
+    rows = [
+        _sweep_row(config, mode, args.seed, args.c, args.k, float(T), res.mean[g], res.stderr[g],
+                   res.n_outer, args.n_inner, theory_T_opt=t_opt)
+        for g, T in enumerate(T_grid)
+    ]
+    return config, SWEEP_SCHEMA + ["theory_T_opt"], rows
 
 
 def cmd_sweep_c(args, parser):
-    t0 = time.perf_counter()
     config = build_config(args, parser)
     mode, mc = _mc_args(args, parser, config)
     T = _temperature(args, config, parser)
     res = delta_c_curve(config, args.c_grid, T, args.k, **mc)
-    rows = []
-    for g, c in enumerate(args.c_grid):
-        row = _base_row(config, mode, args.seed)
-        row.update(
-            c=float(c), k=args.k, T=T, delta=res.mean[g], stderr=res.stderr[g],
-            n_outer=res.n_outer, n_inner=args.n_inner,
-        )
-        rows.append(row)
-    out = _resolve_out(args, args.default_out)
-    write_csv(out, SWEEP_SCHEMA, rows)
-    _write_manifest(out, "sweep-c", _config_dict(config), args, args.seed, time.perf_counter() - t0)
-    return 0
+    rows = [
+        _sweep_row(config, mode, args.seed, float(c), args.k, T, res.mean[g], res.stderr[g],
+                   res.n_outer, args.n_inner)
+        for g, c in enumerate(args.c_grid)
+    ]
+    return config, SWEEP_SCHEMA, rows
 
 
 def cmd_polar_map(args, parser):
-    t0 = time.perf_counter()
     config = build_config(args, parser)
     if config.d != 2:
         parser.error("polar-map requires d = 2")
@@ -401,23 +363,16 @@ def cmd_polar_map(args, parser):
     ]
     header = ["mode", "d", "n", "S", "sigma", "gamma", "c", "theta", "T",
               "label", "n_outer", "n_inner", "seed"]
-    out = _resolve_out(args, args.default_out)
-    write_csv(out, header, rows)
-    _write_manifest(out, "polar-map", _config_dict(config), args, args.seed, time.perf_counter() - t0)
-    return 0
+    return config, header, rows
 
 
 def cmd_tradeoff(args, parser):
-    t0 = time.perf_counter()
     base = build_config(args, parser)
     mode, mc = _mc_args(args, parser, None)
     T_high = args.t_high_sigma2 * base.sigma**2
     rows = []
     for n in args.n_grid:
-        config = ModelConfig(
-            d=base.d, n=int(n), S=base.S, sigma=base.sigma, gamma=base.gamma,
-            tau=base.tau, teacher_mode=base.teacher_mode,
-        )
+        config = dataclasses.replace(base, n=int(n))
         _check_de_regime(config, mode)
         theory = dict(dlogk=None, dlogn=None, dlogn_closed_form=None)
         if config.n > 0:  # the derivatives need the ridge fixed point, which n = 0 lacks
@@ -433,20 +388,12 @@ def cmd_tradeoff(args, parser):
         res = delta_k_curve(config, [RewardSpec.radial(0.0)] * 2, [0.0, T_high], args.k_grid, **mc)
         for r, T in enumerate((0.0, T_high)):
             for g, k in enumerate(args.k_grid):
-                row = _base_row(config, mode, args.seed)
-                row.update(
-                    c=0.0, k=int(k), T=T, delta=res.mean[r, g], stderr=res.stderr[r, g],
-                    n_outer=res.n_outer, n_inner=args.n_inner, **theory,
-                )
-                rows.append(row)
-    out = _resolve_out(args, args.default_out)
-    write_csv(out, SWEEP_SCHEMA + ["dlogk", "dlogn", "dlogn_closed_form"], rows)
-    _write_manifest(out, "tradeoff", _config_dict(base), args, args.seed, time.perf_counter() - t0)
-    return 0
+                rows.append(_sweep_row(config, mode, args.seed, 0.0, int(k), T, res.mean[r, g],
+                                       res.stderr[r, g], res.n_outer, args.n_inner, **theory))
+    return base, SWEEP_SCHEMA + ["dlogk", "dlogn", "dlogn_closed_form"], rows
 
 
 def cmd_bestofk_check(args, parser):
-    t0 = time.perf_counter()
     config = build_config(args, parser)
     mode, mc = _mc_args(args, parser, config)
     de = solve_for_config(config) if config.n > 0 else None
@@ -473,31 +420,20 @@ def cmd_bestofk_check(args, parser):
                 theories.append(("theory_bestofk", st.s2 * 2.0 * weibull_norming(lam_rms, int(k))))
             except ValueError as exc:  # c_k leaves the float range: leave it empty
                 theory_error = exc
-        row = _base_row(config, mode, args.seed)
-        row.update(
-            c=0.0, k=int(k), T=0.0, delta=res.mean[g], stderr=res.stderr[g],
-            n_outer=res.n_outer, n_inner=args.n_inner,
-            k2_delta=float(k) ** 2 * res.mean[g], asymptote=refined,
-        )
-        rows.append(row)
-        for label, value in theories:
-            theory = _base_row(config, label, args.seed)
-            theory.update(
-                c=0.0, k=int(k), T=0.0, delta=value, stderr=0.0,
-                n_outer=0, n_inner=0,
-                k2_delta=float(k) ** 2 * value, asymptote=refined,
-            )
-            rows.append(theory)
+        rows.append(_sweep_row(config, mode, args.seed, 0.0, int(k), 0.0, res.mean[g],
+                               res.stderr[g], res.n_outer, args.n_inner,
+                               k2_delta=float(k) ** 2 * res.mean[g], asymptote=refined))
+        rows += [
+            _sweep_row(config, label, args.seed, 0.0, int(k), 0.0, value,
+                       k2_delta=float(k) ** 2 * value, asymptote=refined)
+            for label, value in theories
+        ]
     if theory_error is not None:
         _warn(theory_error)
-    out = _resolve_out(args, args.default_out)
-    write_csv(out, SWEEP_SCHEMA + ["k2_delta", "asymptote"], rows)
-    _write_manifest(out, "bestofk-check", _config_dict(config), args, args.seed, time.perf_counter() - t0)
-    return 0
+    return config, SWEEP_SCHEMA + ["k2_delta", "asymptote"], rows
 
 
 def cmd_judge(args, parser):
-    t0 = time.perf_counter()
     if not args.records:
         parser.error("at least one --records file is required")
     header = ["source", "k", "T", "delta", "stderr", "n_questions_used", "n_resample", "seed"]
@@ -515,10 +451,7 @@ def cmd_judge(args, parser):
             if args.accuracy:
                 row["accuracy"] = -r["delta"]
             rows.append(row)
-    out = _resolve_out(args, args.default_out)
-    write_csv(out, header, rows)
-    _write_manifest(out, "judge", {}, args, args.seed, time.perf_counter() - t0)
-    return 0
+    return None, header, rows
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ridge", help="solve the renormalized ridge and print its scalars")
     _add_model_flags(p)
-    _add_common(p, "ridge.csv")
+    _add_common(p, None)
     p.set_defaults(func=cmd_ridge)
 
     p = sub.add_parser("sweep-k", help="delta vs k for a grid of radial reward offsets")
@@ -616,11 +549,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args, parser)
+        config, header, rows = args.func(args, parser)
+        out = args.out or args.default_out
+        if out is None:  # ridge without --out: the CSV goes to stdout, with no manifest
+            sys.stdout.write(_csv_text(header, rows))
+        else:
+            path = write_csv(_resolve_out(out), header, rows)
+            _write_manifest(path, args.subcommand, config, args, time.perf_counter() - t0)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"itslab: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

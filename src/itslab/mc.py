@@ -64,6 +64,21 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _NEWTON_STEPS = 50  # cap only: the root solve converges in at most a handful
 
 
+def _stderr(values: np.ndarray) -> np.ndarray:
+    """Standard error of the mean along axis 0; inf with fewer than two rows.
+
+    Each column is scaled by a power of two before ``std``, which is exact: the
+    result is plain ``std``'s wherever the squared deviations stay normal
+    floats, and stays finite and accurate where they would overflow or
+    underflow (values beyond about 1e154 or below about 1e-154).
+    """
+    n = values.shape[0]
+    if n < 2:
+        return np.full(values.shape[1:], math.inf)
+    _, e = np.frexp(np.abs(values).max(axis=0))
+    return np.ldexp(np.ldexp(values, -e).std(axis=0, ddof=1), e) / math.sqrt(n)
+
+
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Estimated error with its standard error and sample budget."""
@@ -100,11 +115,7 @@ class SweepResult:
 
     def paired_stderr(self, i: int, j: int) -> float:
         """Standard error of mean[j] - mean[i] using the shared draws."""
-        diff = self.per_x[:, j] - self.per_x[:, i]
-        n = diff.shape[0]
-        if n < 2:
-            return math.inf
-        return float(np.std(diff, ddof=1) / math.sqrt(n))
+        return float(_stderr(self.per_x[:, j] - self.per_x[:, i]))
 
     def target(self, r: int) -> "SweepResult":
         """The curve of reward target r of a multi-target sweep."""
@@ -136,9 +147,7 @@ def delta_x(
         L = (Y - mu_T) ** 2
         values[done : done + rows] = select(L, quadratic_reward(Y, mu_R), sc.T)
         done += rows
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(n_inner)) if n_inner > 1 else math.inf
-    return mean, stderr
+    return float(values.mean()), float(_stderr(values))
 
 
 # ---------------------------------------------------------------------------
@@ -459,15 +468,10 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
         for b in blocks:
             run_block(*b)
 
-    mean = per_x.mean(axis=0)
-    stderr = (
-        per_x.std(axis=0, ddof=1) / math.sqrt(n_rows)
-        if n_rows > 1
-        else np.full(len(cell_k), math.inf)
-    )
     meta = {"w_T_norm2": float(w_T @ w_T), "n_datasets": len(contexts),
             "R": de.R if de is not None else 0.0}
-    return per_x.reshape(n_rows, *shape), mean.reshape(shape), stderr.reshape(shape), meta
+    return (per_x.reshape(n_rows, *shape), per_x.mean(axis=0).reshape(shape),
+            _stderr(per_x).reshape(shape), meta)
 
 
 def _sweep(axis, grid, config, reward, cell_k, cell_T, n_outer, n_inner, mode, seed,
@@ -483,35 +487,6 @@ def _sweep(axis, grid, config, reward, cell_k, cell_T, n_outer, n_inner, mode, s
         n_inner=n_inner, mode=mode, seed=seed, meta={**run_meta, **meta},
     )
     return result.target(0) if single else result
-
-
-def delta(
-    config: ModelConfig,
-    reward: RewardSpec,
-    sc: SamplerConfig,
-    n_outer: int = 2000,
-    n_inner: int = 200,
-    mode: str = "det_equiv",
-    seed: int = 0,
-    threads: int = 1,
-    n_datasets: int = 1,
-) -> ErrorEstimate:
-    """Estimate delta = E_x delta(x) for one sampler setting.
-
-    In exact_posterior mode, ``n_datasets`` > 1 averages over that many
-    independently drawn training sets (each with its own test points); the
-    estimate is then a data-averaged error rather than a per-dataset one.
-    """
-    per_x, mean, stderr, _ = _run_cells(
-        config, [reward], sc.k, sc.T, n_outer, n_inner, mode, seed, threads, n_datasets
-    )
-    return ErrorEstimate(
-        mean=float(mean[0, 0]),
-        stderr=float(stderr[0, 0]),
-        n_outer=per_x.shape[0],
-        n_inner=n_inner,
-        mode=mode,
-    )
 
 
 def delta_k_curve(

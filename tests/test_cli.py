@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from itslab.cli import main, parse_grid, parse_int_grid, write_csv
+from itslab.cli import build_parser, main, parse_grid, parse_int_grid, write_csv
 
 from _synth import record_rows, trap_judge_questions, write_records
 
@@ -72,6 +74,23 @@ class TestDeterminism:
         assert read_bytes(out1) == read_bytes(out2)
 
 
+_SMALL_MC = ["--n-outer", "3", "--n-inner", "4"]
+
+# one small run per subcommand (judge's record file is added where it runs)
+_EVERY_SUBCOMMAND = {
+    "ridge": ["ridge", "--d", "3", "--n", "30"],
+    "sweep-k": ["sweep-k", "--d", "3", "--n", "30", "--k-grid", "1,4", *_SMALL_MC],
+    "sweep-t": ["sweep-t", "--d", "3", "--n", "30", "--k", "4", "--t-grid-sigma2", "1,10",
+                *_SMALL_MC],
+    "sweep-c": ["sweep-c", "--d", "3", "--n", "30", "--k", "4", "--c-grid", "1,10", *_SMALL_MC],
+    "polar-map": ["polar-map", "--d", "2", "--n", "100", "--k-grid", "1,2,3,4", "--c-grid", "1e-3",
+                  "--theta-grid", "0,1", *_SMALL_MC],
+    "tradeoff": ["tradeoff", "--d", "3", "--n-grid", "30,60", "--k-grid", "2,4", *_SMALL_MC],
+    "bestofk-check": ["bestofk-check", "--d", "3", "--n", "30", "--k-grid", "2,4", *_SMALL_MC],
+    "judge": ["judge", "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"],
+}
+
+
 class TestSubcommands:
     def test_ridge_writes_csv_and_manifest(self, tmp_path):
         out = tmp_path / "ridge.csv"
@@ -92,11 +111,14 @@ class TestSubcommands:
         manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
         assert manifest["flags"]["t_grid"] == parse_grid(spec).tolist()
 
-    def test_ridge_stdout_mode(self, capsys):
+    def test_ridge_stdout_mode(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ITSLAB_OUT_DIR", str(tmp_path / "env"))
         assert run(["ridge", "--d", "4", "--n", "100"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "R,A,B,m1,m2,var_z,sigma_c"
         assert len(lines) == 2
+        assert list(tmp_path.iterdir()) == []  # no CSV and no manifest
 
     def test_sweep_k_columns_present(self, tmp_path):
         out = tmp_path / "sk.csv"
@@ -341,6 +363,29 @@ class TestSubcommands:
         assert rows[0][-1] == rows[1][-1] != "" and float(rows[1][-1]) > 0
         assert rows[2][-1] == rows[3][-1] == ""
 
+    @pytest.mark.parametrize("sub", sorted(_EVERY_SUBCOMMAND))
+    def test_one_csv_and_one_manifest(self, sub, tmp_path):
+        argv = list(_EVERY_SUBCOMMAND[sub])
+        if sub == "judge":
+            rec = write_records(tmp_path / "r.jsonl",
+                                record_rows(trap_judge_questions(np.random.default_rng(0), 5, 4)))
+            argv += ["--records", str(rec)]
+        out = tmp_path / "out" / "x.csv"
+        assert run(argv + ["--seed", "3", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.parent.iterdir()) == ["x.csv", "x.csv.manifest.json"]
+        manifest = json.loads((out.parent / "x.csv.manifest.json").read_text())
+        assert list(manifest) == ["subcommand", "config", "flags", "seed", "version", "output",
+                                  "wall_time_s"]
+        assert manifest["subcommand"] == sub
+        assert manifest["output"] == str(out)
+        assert manifest["seed"] == 3
+        assert "func" not in manifest["flags"]
+        assert manifest["wall_time_s"] > 0
+
+    def test_every_subcommand_is_covered(self):
+        subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand")
+        assert set(subparsers.choices) == set(_EVERY_SUBCOMMAND)
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ITSLAB_OUT_DIR", str(tmp_path))
         assert run(["ridge", "--d", "3", "--n", "30", "--out", "sub/r.csv"]) == 0
@@ -406,9 +451,6 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
-_SMALL_MC = ["--n-outer", "3", "--n-inner", "4"]
-
-
 class TestExtremeScales:
     """Every finite positive sigma and gamma either runs or exits 1 with one message."""
 
@@ -452,6 +494,21 @@ class TestExtremeScales:
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"itslab: error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-k", "--d", "3", "--n", "30", "--k-grid", "1,4"],
+        ["sweep-k", "--mode", "exact", "--d", "3", "--n", "30", "--k-grid", "1,4"],
+        ["sweep-t", "--d", "3", "--n", "30", "--k", "4", "--t-grid-sigma2", "1,10"],
+        ["bestofk-check", "--d", "3", "--n", "30", "--k-grid", "2,4"],
+    ], ids=["sweep_k_de", "sweep_k_exact", "sweep_t", "bestofk_check"])
+    def test_stderr_finite_wherever_delta_is(self, argv, tmp_path):
+        # the losses are O(sigma^2), so their squares leave the float range: the stderr need not
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--sigma", "1e100", *_SMALL_MC, "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = [r for r in csv.DictReader(fh) if math.isfinite(float(r["delta"]))]
+        assert rows
+        assert all(math.isfinite(float(r["stderr"])) for r in rows)
 
     @pytest.mark.parametrize("argv", [
         ["ridge", "--d", "3", "--n", "30"],

@@ -11,7 +11,6 @@ from itslab import (
     RewardSpec,
     SamplerConfig,
     classify_k_monotonicity,
-    delta,
     delta_c_curve,
     delta_k_curve,
     delta_t_curve,
@@ -483,46 +482,45 @@ class TestDeltaX:
 
 
 class TestDelta:
+    """One cell (k, T) through the engine's single-curve entry point."""
+
     def test_nonnegative(self):
         cfg = ModelConfig(d=4, n=200, sigma=0.1, gamma=1.0)
-        est = delta(cfg, RewardSpec.radial(0.0), SamplerConfig(k=3, T=0.01),
-                    n_outer=50, n_inner=20, seed=1)
-        assert est.mean >= 0.0
+        res = delta_k_curve(cfg, RewardSpec.radial(0.0), 0.01, [3], n_outer=50, n_inner=20, seed=1)
+        assert res.mean[0] >= 0.0
 
     def test_prior_predictive_total_variance(self):
         # n = 0, null teacher, near-uniform weights: delta = gamma^2 S^2 + sigma^2.
         cfg = ModelConfig(d=6, n=0, S=1.0, sigma=0.3, gamma=0.8, tau=0.0)
-        est = delta(
-            cfg, RewardSpec.explicit(np.zeros(6)), SamplerConfig(k=4, T=1e9),
+        res = delta_k_curve(
+            cfg, RewardSpec.explicit(np.zeros(6)), 1e9, [4],
             n_outer=3000, n_inner=60, mode="exact_posterior", seed=2,
         )
         target = cfg.gamma**2 * cfg.S**2 + cfg.sigma**2
-        assert abs(est.mean - target) < 4 * est.stderr
+        assert abs(res.mean[0] - target) < 4 * res.stderr[0]
 
     def test_bit_identical_across_runs_and_threads(self):
         cfg = ModelConfig(d=5, n=500, sigma=0.05, gamma=0.5)
         kwargs = dict(n_outer=40, n_inner=30, seed=9)
-        sc = SamplerConfig(k=5, T=0.02)
-        a = delta(cfg, RewardSpec.radial(1.0), sc, threads=1, **kwargs)
-        b = delta(cfg, RewardSpec.radial(1.0), sc, threads=3, **kwargs)
-        c = delta(cfg, RewardSpec.radial(1.0), sc, threads=1, **kwargs)
-        assert a.mean == b.mean == c.mean
-        assert a.stderr == b.stderr == c.stderr
+        a = delta_k_curve(cfg, RewardSpec.radial(1.0), 0.02, [5], threads=1, **kwargs)
+        b = delta_k_curve(cfg, RewardSpec.radial(1.0), 0.02, [5], threads=3, **kwargs)
+        c = delta_k_curve(cfg, RewardSpec.radial(1.0), 0.02, [5], threads=1, **kwargs)
+        assert a.mean[0] == b.mean[0] == c.mean[0]
+        assert a.stderr[0] == b.stderr[0] == c.stderr[0]
 
     def test_exact_and_de_modes_agree_in_validity_regime(self):
         cfg = ModelConfig(d=50, n=5000, S=1.0, sigma=1e-2, gamma=1.0)
-        sc = SamplerConfig(k=4, T=20 * cfg.sigma**2)
         common = dict(n_outer=400, n_inner=100, seed=3)
-        exact = delta(cfg, RewardSpec.radial(0.0), sc, mode="exact_posterior", **common)
-        de = delta(cfg, RewardSpec.radial(0.0), sc, mode="det_equiv", **common)
-        tol = 3 * (exact.stderr + de.stderr) + 0.03 * de.mean
-        assert abs(exact.mean - de.mean) < tol
+        T = 20 * cfg.sigma**2
+        exact = delta_k_curve(cfg, RewardSpec.radial(0.0), T, [4], mode="exact_posterior", **common)
+        de = delta_k_curve(cfg, RewardSpec.radial(0.0), T, [4], mode="det_equiv", **common)
+        tol = 3 * (exact.stderr[0] + de.stderr[0]) + 0.03 * de.mean[0]
+        assert abs(exact.mean[0] - de.mean[0]) < tol
 
     def test_unknown_mode_rejected(self):
         cfg = ModelConfig(d=3, n=10)
         with pytest.raises(ValueError, match="mode"):
-            delta(cfg, RewardSpec.radial(0.0), SamplerConfig(1, 1.0),
-                  n_outer=2, n_inner=2, mode="bogus")
+            delta_k_curve(cfg, RewardSpec.radial(0.0), 1.0, [1], n_outer=2, n_inner=2, mode="bogus")
 
 
 class TestCurves:
