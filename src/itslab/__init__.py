@@ -15,7 +15,6 @@ from .mc import (
     delta_c_curve,
     delta_k_curve,
     delta_t_curve,
-    delta_x,
 )
 from .model import (
     Dataset,

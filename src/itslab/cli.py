@@ -13,6 +13,7 @@ relative output paths.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -457,6 +458,7 @@ def cmd_judge(args, parser):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built once per process: no subcommand mutates a parsed default
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="itslab",

@@ -15,14 +15,15 @@ E[min] ~ 2 c_k = (pi/k^2) e^lambda).
 
 The Monte Carlo minimum is simulated directly from (z + sqrt(lambda))^2,
 z ~ N(0,1), independent of the closed-form distribution functions, so the
-two routes genuinely cross-validate each other. scipy.special is imported
-inside :func:`chisq1_cdf`, its one user, because the command line never calls
-it and a cold start should not pay for the import.
+two routes genuinely cross-validate each other. The CDF takes erfc from the
+package's numpy helper, so no route of the package needs scipy.
 """
 
 import math
 
 import numpy as np
+
+from ._special import erfc
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -31,11 +32,9 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 def chisq1_cdf(v, lam: float):
     """CDF of v (v <= 0, -v ~ chi^2_1(lambda)).
 
-    F(v) = 1 - (erf((sqrt(-v) - sqrt(lam))/sqrt(2))
-               + erf((sqrt(lam) + sqrt(-v))/sqrt(2))) / 2.
+    F(v) = (erfc((sqrt(-v) - sqrt(lam))/sqrt(2)) + erfc((sqrt(-v) + sqrt(lam))/sqrt(2))) / 2,
+    which keeps its relative precision in the lower tail.
     """
-    from scipy.special import erf
-
     if lam < 0 or not math.isfinite(lam):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     v = np.asarray(v, dtype=float)
@@ -43,7 +42,7 @@ def chisq1_cdf(v, lam: float):
         raise ValueError("v must be <= 0")
     root = np.sqrt(-v)
     sl = math.sqrt(lam)
-    out = 1.0 - 0.5 * (erf((root - sl) / _SQRT2) + erf((sl + root) / _SQRT2))
+    out = 0.5 * (erfc((root - sl) / _SQRT2) + erfc((root + sl) / _SQRT2))
     return float(out) if out.ndim == 0 else out
 
 

@@ -39,8 +39,8 @@ fixed-size blocks, each test point owning its own substream, and the
 reduction is performed in index order, so results are bit-identical for any
 thread count.
 
-scipy.special is imported inside the T = 0 sampler, its only user, so a run
-with no all-T = 0 target starts without it.
+The T = 0 sampler takes log Phi and the logistic function from the
+package's numpy helper (``_special``), so no run loads scipy.
 """
 
 import math
@@ -49,11 +49,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from ._special import expit, log_ndtr
 from .model import ModelConfig, RewardSpec, generate_dataset, resolve_reward, sample_teacher
-from .posterior import PredictiveMoments, fit_posterior, predictive_moments_batch
+from .posterior import fit_posterior, predictive_moments_batch
 from .ridge import de_moments_batch, solve_for_config
 from .rngstreams import stream
-from .sampling import SamplerConfig, quadratic_reward, select
+from .sampling import quadratic_reward, select
 
 MODES = ("exact_posterior", "det_equiv")
 
@@ -120,34 +121,6 @@ class SweepResult:
     def target(self, r: int) -> "SweepResult":
         """The curve of reward target r of a multi-target sweep."""
         return replace(self, mean=self.mean[r], stderr=self.stderr[r], per_x=self.per_x[:, r])
-
-
-def delta_x(
-    moments: PredictiveMoments,
-    mu_T: float,
-    mu_R: float,
-    sc: SamplerConfig,
-    n_inner: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Estimate delta(x) from n_inner independent batches of k draws.
-
-    Returns (mean, stderr); the stderr is the sample standard error over the
-    per-batch weighted losses.
-    """
-    if n_inner < 1:
-        raise ValueError(f"n_inner must be >= 1, got {n_inner}")
-    s = math.sqrt(moments.variance)
-    values = np.empty(n_inner)
-    done = 0
-    rows_per_chunk = max(1, _MAX_ELEMS // max(1, sc.k))
-    while done < n_inner:
-        rows = min(rows_per_chunk, n_inner - done)
-        Y = moments.mean + s * rng.standard_normal((rows, sc.k))
-        L = (Y - mu_T) ** 2
-        values[done : done + rows] = select(L, quadratic_reward(Y, mu_R), sc.T)
-        done += rows
-    return float(values.mean()), float(_stderr(values))
 
 
 # ---------------------------------------------------------------------------
@@ -271,24 +244,26 @@ def _winner_distance(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 
     F(d) = P(|z - A| <= d) = Phi(d - A) - Phi(-A - d) for z ~ N(0, 1). Both
     terms are lower tails, so their difference keeps its relative precision
-    at large A. Targets p = -expm1(x) <= 1/2 are solved on log F, which is
-    concave (Prekopa), from the larger of two lower bounds on the root, so
-    Newton's method rises monotonically onto it; targets above 1/2 are solved
-    on log(1 - F) = x, which is exact near p = 1. Roots below 1e-5 are taken
-    from the sinh bound, which is exact there to O(d^2). Every element stops
-    on its own convergence test, so no result depends on its batch-mates.
+    at large A. Newton's method starts from the larger of two lower bounds on
+    the root. Targets p = -expm1(x) <= 1/2 are solved on log F, which is
+    concave (Prekopa), so the iterates rise monotonically onto the root;
+    targets above 1/2 on log(1 - F) = x, which is exact near p = 1. Roots
+    below 1e-5 are taken from the sinh bound, which is exact there to O(d^2).
+    Every element stops on its own convergence test, so no result depends on
+    its batch-mates.
     """
-    from scipy.special import log_ndtr, ndtri
-
     x, A = np.broadcast_arrays(x, A)
     p = -np.expm1(x)
-    q = np.exp(x)
     upper = p > 0.5
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_p = np.log(p)
-        # each upper bound on F is a lower bound on the root:
-        # F(d) <= Phi(d - A) and F(d) <= 2 phi(A) sinh(A d) / A
-        normal_bound = A + np.where(upper, -ndtri(q), ndtri(p))
+        # each upper bound on F is a lower bound on the root: F(d) <= Phi(d - A)
+        # and F(d) <= 2 phi(A) sinh(A d) / A. The normal quantiles of p and
+        # 1 - p lie at most sqrt(-2 log 4p(1 - p)) from 0 (Chu 1955) and at
+        # least sqrt(-(pi/2) log 4p(1 - p)) (Polya 1949); 4p(1 - p) = 1 - (1 - 2e^x)^2
+        log_4pq = np.log1p(-np.expm1(x + math.log(2.0)) ** 2)
+        t = np.sqrt(np.where(upper, -0.5 * math.pi, -2.0) * log_4pq)
+        normal_bound = A + np.where(upper, t, -t)
         log_sinh = log_p + np.log(A) + 0.5 * A * A + _LOG_SQRT_2PI - math.log(2.0)
         sinh_bound = np.where(
             log_sinh > 30.0, log_sinh + math.log(2.0), np.arcsinh(np.exp(log_sinh))
@@ -326,8 +301,6 @@ def _best_of_k_cells(rngs, m, s, mu_T, mu_R, cell_k, n_inner: int) -> np.ndarray
     and a running minimum of the distance carries the winner's loss along
     the grid. Each point's row depends only on its own generator.
     """
-    from scipy.special import expit
-
     ks, cell_of = np.unique(np.asarray(cell_k, dtype=int), return_inverse=True)
     positive = s > 0
     a = np.divide(mu_R - m, s, out=np.zeros_like(s), where=positive)[:, None]

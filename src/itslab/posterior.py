@@ -10,8 +10,7 @@ and the predictive at a test point x is N(mu.x/sqrt(d),
 (x/sqrt(d))^T Omega (x/sqrt(d)) + sigma^2). The precision matrix is factorized
 by numpy.linalg.cholesky, which also gates positive definiteness, and both
 mu and Omega are solved through that factor, never through an explicit
-inverse of the precision. Nothing here imports scipy, so an exact-mode run
-loads numpy alone.
+inverse of the precision.
 """
 
 import math

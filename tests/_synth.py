@@ -1,11 +1,12 @@
-"""Synthetic data shared by the tests: judge records and the i.i.d. training-set reference."""
+"""Synthetic data and oracles shared by the tests: judge records, the i.i.d.
+training-set reference and the per-point Monte Carlo estimator."""
 
 import json
 import math
 
 import numpy as np
 
-from itslab import Dataset
+from itslab import Dataset, quadratic_reward, select
 
 
 def iid_dataset(config, w_T, rng):
@@ -18,6 +19,25 @@ def iid_dataset(config, w_T, rng):
     eta = rng.normal(0.0, config.sigma, size=config.n) if config.sigma > 0 else np.zeros(config.n)
     y = X @ w_T / math.sqrt(config.d) + eta
     return Dataset(inputs=X, labels=y)
+
+
+def delta_x(moments, mu_T, mu_R, sc, n_inner, rng):
+    """delta(x) from n_inner independent batches of sc.k draws, with sc.T's selection.
+
+    The oracle of the sweep engine: every batch is drawn and selected in
+    full, through :func:`itslab.select`. Returns (mean, stderr), the stderr
+    over the per-batch weighted losses.
+    """
+    if n_inner < 1:
+        raise ValueError(f"n_inner must be >= 1, got {n_inner}")
+    s = math.sqrt(moments.variance)
+    values = np.empty(n_inner)
+    rows_per_chunk = max(1, (1 << 23) // sc.k)  # at most 2^23 draws held at once
+    for done in range(0, n_inner, rows_per_chunk):
+        Y = moments.mean + s * rng.standard_normal((min(rows_per_chunk, n_inner - done), sc.k))
+        values[done : done + len(Y)] = select((Y - mu_T) ** 2, quadratic_reward(Y, mu_R), sc.T)
+    stderr = values.std(ddof=1) / math.sqrt(n_inner) if n_inner > 1 else math.inf
+    return float(values.mean()), float(stderr)
 
 
 def write_records(path, rows):

@@ -23,7 +23,6 @@ from itslab import (
     de_moments_batch,
     delta_k_curve,
     delta_t_curve,
-    delta_x,
     dlogn_flat_prior,
     fit_posterior,
     generate_dataset,
@@ -49,7 +48,7 @@ from itslab.cli import main as cli_main
 from itslab.evt import chisq1_quantile
 from itslab.posterior import PredictiveMoments
 
-from _synth import record_rows, trap_judge_questions, write_records
+from _synth import delta_x, record_rows, trap_judge_questions, write_records
 
 SEED = 2025
 

@@ -91,6 +91,34 @@ _EVERY_SUBCOMMAND = {
 }
 
 
+# every subcommand at its default grids, with a small Monte Carlo budget
+_DEFAULT_GRIDS = {
+    "ridge": ["ridge"],
+    "sweep-k": ["sweep-k", *_SMALL_MC],
+    "sweep-t": ["sweep-t", *_SMALL_MC],
+    "sweep-c": ["sweep-c", *_SMALL_MC],
+    "polar-map": ["polar-map", "--d", "2", "--n", "100", *_SMALL_MC],
+    "tradeoff": ["tradeoff", *_SMALL_MC],
+    "bestofk-check": ["bestofk-check", *_SMALL_MC],
+    "judge": ["judge", "--n-resample", "2"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_DEFAULT_GRIDS))
+def test_default_grids_byte_identical_within_one_process(sub, tmp_path):
+    # the parser is built once per process, so every call shares its default
+    # grids and lists: a subcommand that changed one in place would change the next run
+    argv = _DEFAULT_GRIDS[sub]
+    if sub == "judge":
+        rec = tmp_path / "r.jsonl"
+        write_records(rec, record_rows(trap_judge_questions(np.random.default_rng(2), 10, 32)))
+        argv = argv + ["--records", str(rec)]
+    outs = [tmp_path / f"{i}.csv" for i in range(2)]
+    for out in outs:
+        assert run(argv + ["--out", str(out)]) == 0
+    assert read_bytes(outs[0]) == read_bytes(outs[1])
+
+
 class TestSubcommands:
     def test_ridge_writes_csv_and_manifest(self, tmp_path):
         out = tmp_path / "ridge.csv"
@@ -546,24 +574,26 @@ print(json.dumps(public or (["scipy"] if parts else [])))
 """
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    ([], []),
-    (["ridge", "--d", "3", "--n", "30"], []),
-    (["judge", "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"], []),
-    (["sweep-k", "--k-grid", "1,4"], []),
-    (["sweep-t", "--k", "4", "--t-grid-sigma2", "1,10"], []),
-    (["polar-map", "--d", "2", "--n", "100", "--k-grid", "1,2,3,4", "--c-grid", "1e-3",
-      "--theta-grid", "0"], []),
-    (["sweep-k", "--mode", "exact", "--k-grid", "1,4"], []),
-    (["sweep-t", "--mode", "exact", "--k", "4", "--t-grid-sigma2", "1,10"], []),
-    (["tradeoff", "--mode", "exact", "--d", "3", "--n-grid", "30,60", "--k-grid", "2,4"],
-     ["scipy.special"]),
-    (["sweep-k", "--T", "0", "--k-grid", "1,4"], ["scipy.special"]),
-    (["bestofk-check", "--k-grid", "1,4"], ["scipy.special"]),
+@pytest.mark.parametrize("argv", [
+    [],
+    ["ridge", "--d", "3", "--n", "30"],
+    ["judge", "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"],
+    ["sweep-k", "--k-grid", "1,4"],
+    ["sweep-t", "--k", "4", "--t-grid-sigma2", "1,10"],
+    ["polar-map", "--d", "2", "--n", "100", "--k-grid", "1,2,3,4", "--c-grid", "1e-3",
+     "--theta-grid", "0"],
+    ["sweep-k", "--mode", "exact", "--k-grid", "1,4"],
+    ["sweep-t", "--mode", "exact", "--k", "4", "--t-grid-sigma2", "1,10"],
+    ["tradeoff", "--mode", "exact", "--d", "3", "--n-grid", "30,60", "--k-grid", "2,4"],
+    ["sweep-k", "--T", "0", "--k-grid", "1,4"],
+    ["sweep-c", "--T", "0", "--k", "4", "--c-grid", "1,10"],
+    ["bestofk-check", "--k-grid", "1,4"],
 ], ids=["import", "ridge", "judge", "sweep_k_de", "sweep_t_de", "polar_map_de",
-        "sweep_k_exact", "sweep_t_exact", "tradeoff_exact", "sweep_k_T0", "bestofk_check"])
-def test_cold_start_loads_scipy_only_where_used(argv, loaded, tmp_path):
-    # each case in a fresh interpreter: the scipy modules it ends up with
+        "sweep_k_exact", "sweep_t_exact", "tradeoff_exact", "sweep_k_T0", "sweep_c_T0",
+        "bestofk_check"])
+def test_cold_start_loads_scipy_only_where_used(argv, tmp_path):
+    # each case in a fresh interpreter: no route of the package loads scipy,
+    # the T = 0 order-statistic sampler included
     if argv and argv[0] == "judge":
         rec = tmp_path / "r.jsonl"
         write_records(rec, record_rows(trap_judge_questions(np.random.default_rng(0), 5, 4)))
@@ -576,7 +606,7 @@ def test_cold_start_loads_scipy_only_where_used(argv, loaded, tmp_path):
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == loaded
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_csv_values_round_trip(tmp_path):

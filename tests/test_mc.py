@@ -14,7 +14,6 @@ from itslab import (
     delta_c_curve,
     delta_k_curve,
     delta_t_curve,
-    delta_x,
     fit_posterior,
     quadratic_reward,
     refined_best_of_k_delta,
@@ -26,6 +25,8 @@ from itslab import (
 from itslab import mc
 from itslab.mc import _best_of_k_cells, _plan_shared, _softmax_cells, _winner_distance
 from itslab.posterior import PredictiveMoments
+
+from _synth import delta_x
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 

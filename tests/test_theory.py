@@ -11,7 +11,6 @@ from itslab import (
     best_of_k_delta_x,
     de_moments_batch,
     delta_c_curve,
-    delta_x,
     dlogn_flat_prior,
     high_t_delta_batch,
     high_t_delta_x,
@@ -29,6 +28,8 @@ from itslab import (
 )
 from itslab.posterior import PredictiveMoments
 from itslab.theory import SeriesAccuracyWarning
+
+from _synth import delta_x
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
