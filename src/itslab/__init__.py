@@ -7,9 +7,8 @@ the same selection metric on externally judge-scored records.
 """
 
 from .evt import chisq1_cdf, chisq1_pdf, chisq1_quantile, min_chisq_mc, weibull_norming
-from .judge import JudgeDataset, JudgeRecord, JudgeRecordError, judge_delta, judge_sweep, load_records
+from .judge import JudgeDataset, JudgeRecordError, judge_sweep, load_records
 from .mc import (
-    ErrorEstimate,
     SweepResult,
     classify_k_monotonicity,
     delta_c_curve,
@@ -26,7 +25,6 @@ from .model import (
 )
 from .posterior import (
     Posterior,
-    PredictiveMoments,
     fit_posterior,
     predictive_moments_batch,
 )
@@ -40,7 +38,7 @@ from .ridge import (
     solve_ridge,
 )
 from .rngstreams import stream
-from .sampling import SamplerConfig, quadratic_reward, select
+from .sampling import quadratic_reward, select
 from .theory import (
     OptimalReward,
     RefinedBestOfK,

@@ -115,19 +115,38 @@ def _resolve_out(out):
     return out
 
 
+def positive_int(text: str) -> int:
+    """A count flag's value: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def finite_float(text: str) -> float:
+    """A float flag's value, which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text.strip()!r} is not finite")
+    return value
+
+
 def parse_grid(text: str) -> np.ndarray:
-    """Comma list ('1,2,5'), 'log:lo,hi,n' or 'lin:lo,hi,n'."""
+    """Comma list ('1,2,5'), 'log:lo,hi,n' or 'lin:lo,hi,n', of one or more finite values."""
     text = text.strip()
     try:
-        if text.startswith("log:"):
+        if text.startswith(("log:", "lin:")):
             lo, hi, n = text[4:].split(",")
-            return np.geomspace(float(lo), float(hi), int(n))
-        if text.startswith("lin:"):
-            lo, hi, n = text[4:].split(",")
-            return np.linspace(float(lo), float(hi), int(n))
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+            space = np.geomspace if text.startswith("log:") else np.linspace
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected below
+                values = space(finite_float(lo), finite_float(hi), int(n))
+        else:
+            values = np.array([finite_float(v) for v in text.split(",") if v.strip() != ""])
+        if values.size == 0 or not np.all(np.isfinite(values)):
+            raise ValueError("expected one or more finite values")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse grid {text!r}: {exc}") from exc
+    return values
 
 
 def parse_int_grid(text: str) -> np.ndarray:
@@ -156,12 +175,19 @@ def _add_common(p, default_out):
 
 
 def _add_mc_flags(p):
-    p.add_argument("--n-outer", type=int, default=2000, dest="n_outer")
-    p.add_argument("--n-inner", type=int, default=200, dest="n_inner")
+    p.add_argument("--n-outer", type=positive_int, default=2000, dest="n_outer")
+    p.add_argument("--n-inner", type=positive_int, default=200, dest="n_inner")
     p.add_argument("--mode", choices=["exact", "de"], default="de")
-    p.add_argument("--n-datasets", type=int, default=1, dest="n_datasets",
+    p.add_argument("--n-datasets", type=positive_int, default=1, dest="n_datasets",
                    help="training sets to average over (exact mode)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=positive_int, default=1)
+
+
+def _add_temperature_flags(p):
+    t = p.add_mutually_exclusive_group()
+    t.add_argument("--T", type=finite_float)
+    t.add_argument("--T-sigma2", type=finite_float, dest="T_sigma2",
+                   help="temperature as a multiple of sigma^2 (default 20)")
 
 
 def build_config(args, parser) -> ModelConfig:
@@ -193,8 +219,6 @@ def _mc_args(args, parser, config):
     ``config`` is the configuration the sweep runs at; tradeoff, which runs
     one per n, passes None and checks each through :func:`_check_de_regime`.
     """
-    if args.threads < 1 or args.n_datasets < 1:
-        parser.error("--threads and --n-datasets must be >= 1")
     if args.mode == "de" and args.n_datasets != 1:
         parser.error("--n-datasets applies to --mode exact only (det_equiv has no training sets)")
     mode = _MODE_ALIASES[args.mode]
@@ -211,9 +235,7 @@ def _check_de_regime(config, mode) -> None:
               "alpha < 1, so det_equiv values here are extrapolated")
 
 
-def _temperature(args, config, parser) -> float:
-    if args.T is not None and args.T_sigma2 is not None:
-        parser.error("--T and --T-sigma2 are mutually exclusive")
+def _temperature(args, config) -> float:
     if args.T is not None:
         return args.T
     mult = args.T_sigma2 if args.T_sigma2 is not None else 20.0
@@ -273,7 +295,7 @@ def _series_value(config, de, w_T, w_R, T, k):
 def cmd_sweep_k(args, parser):
     config = build_config(args, parser)
     mode, mc = _mc_args(args, parser, config)
-    T = _temperature(args, config, parser)
+    T = _temperature(args, config)
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
     rewards = [RewardSpec.radial(float(c)) for c in args.c_grid]
@@ -305,8 +327,6 @@ def cmd_sweep_k(args, parser):
 def cmd_sweep_t(args, parser):
     config = build_config(args, parser)
     mode, mc = _mc_args(args, parser, config)
-    if args.t_grid is not None and args.t_grid_sigma2 is not None:
-        parser.error("--t-grid and --t-grid-sigma2 are mutually exclusive")
     if args.t_grid is not None:
         T_grid = np.asarray(args.t_grid, dtype=float)
     else:
@@ -334,7 +354,7 @@ def cmd_sweep_t(args, parser):
 def cmd_sweep_c(args, parser):
     config = build_config(args, parser)
     mode, mc = _mc_args(args, parser, config)
-    T = _temperature(args, config, parser)
+    T = _temperature(args, config)
     res = delta_c_curve(config, args.c_grid, T, args.k, **mc)
     rows = [
         _sweep_row(config, mode, args.seed, float(c), args.k, T, res.mean[g], res.stderr[g],
@@ -349,7 +369,7 @@ def cmd_polar_map(args, parser):
     if config.d != 2:
         parser.error("polar-map requires d = 2")
     mode, mc = _mc_args(args, parser, config)
-    T = _temperature(args, config, parser)
+    T = _temperature(args, config)
     cells = [(float(c), float(theta)) for c in args.c_grid for theta in args.theta_grid]
     rewards = [RewardSpec.polar(c, theta) for c, theta in cells]
     res = delta_k_curve(config, rewards, T, args.k_grid, **mc)
@@ -479,19 +499,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_flags(p)
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("1,2,5,10,20,50,100"), dest="k_grid")
     p.add_argument("--c-grid", type=parse_grid, default=parse_grid("0"), dest="c_grid")
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--T-sigma2", type=float, default=None, dest="T_sigma2",
-                   help="temperature as a multiple of sigma^2 (default 20)")
+    _add_temperature_flags(p)
     p.set_defaults(func=cmd_sweep_k)
 
     p = sub.add_parser("sweep-t", help="delta vs T at fixed k, with the stationary-T column")
     _add_model_flags(p)
     _add_common(p, "sweep_t.csv")
     _add_mc_flags(p)
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--c", type=float, default=0.0)
-    p.add_argument("--t-grid", type=parse_grid, default=None, dest="t_grid")
-    p.add_argument("--t-grid-sigma2", type=parse_grid, default=None, dest="t_grid_sigma2",
+    p.add_argument("--k", type=positive_int, default=50)
+    p.add_argument("--c", type=finite_float, default=0.0)
+    t = p.add_mutually_exclusive_group()
+    t.add_argument("--t-grid", type=parse_grid, dest="t_grid")
+    t.add_argument("--t-grid-sigma2", type=parse_grid, dest="t_grid_sigma2",
                    help="temperature grid in units of sigma^2 (default log:2,200,30)")
     p.set_defaults(func=cmd_sweep_t)
 
@@ -499,10 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_common(p, "sweep_c.csv")
     _add_mc_flags(p)
-    p.add_argument("--k", type=int, default=50)
+    p.add_argument("--k", type=positive_int, default=50)
     p.add_argument("--c-grid", type=parse_grid, default=parse_grid("log:1,100,12"), dest="c_grid")
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--T-sigma2", type=float, default=None, dest="T_sigma2")
+    _add_temperature_flags(p)
     p.set_defaults(func=cmd_sweep_c)
 
     p = sub.add_parser("polar-map", help="monotone/non-monotone region of delta(k) over (c, theta), d = 2")
@@ -513,9 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-grid", type=parse_grid, default=parse_grid("log:5e-5,5e-3,8"), dest="c_grid")
     p.add_argument("--theta-grid", type=parse_grid, default=parse_grid("lin:0,5.497787143782138,8"),
                    dest="theta_grid", help="angle grid in radians (default 8 points over [0, 2 pi))")
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--T-sigma2", type=float, default=None, dest="T_sigma2")
-    p.add_argument("--z-gate", type=float, default=3.0, dest="z_gate",
+    _add_temperature_flags(p)
+    p.add_argument("--z-gate", type=finite_float, default=3.0, dest="z_gate",
                    help="paired-stderr multiple for the non-monotonicity gate")
     p.set_defaults(func=cmd_polar_map)
 
@@ -525,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mc_flags(p)
     p.add_argument("--n-grid", type=parse_grid, default=parse_grid("10000,31623,100000"), dest="n_grid")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("100,1000,10000"), dest="k_grid")
-    p.add_argument("--t-high-sigma2", type=float, default=20.0, dest="t_high_sigma2")
+    p.add_argument("--t-high-sigma2", type=finite_float, default=20.0, dest="t_high_sigma2")
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("bestofk-check", help="k^2-scaled delta at T = 0 against the tail-law asymptote")
@@ -541,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="newline-delimited record file (repeatable for overlays)")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("1,2,4,8,16,32"), dest="k_grid")
     p.add_argument("--t-grid", type=parse_grid, default=parse_grid("log:0.25,32,8"), dest="t_grid")
-    p.add_argument("--n-resample", type=int, default=16, dest="n_resample")
+    p.add_argument("--n-resample", type=positive_int, default=16, dest="n_resample")
     p.add_argument("--accuracy", action="store_true", help="also emit -delta as an accuracy column")
     p.set_defaults(func=cmd_judge)
 

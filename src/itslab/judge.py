@@ -28,20 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .mc import ErrorEstimate
 from .sampling import select
 
 
 class JudgeRecordError(ValueError):
     """A judge record file failed validation."""
-
-
-@dataclass(frozen=True)
-class JudgeRecord:
-    question_id: str
-    sample_id: str
-    reward: float
-    correct: int
 
 
 @dataclass(frozen=True)
@@ -57,23 +48,8 @@ class JudgeDataset:
 
     questions: dict
 
-    @property
-    def n_questions(self) -> int:
-        return len(self.questions)
 
-    @property
-    def counts(self) -> dict:
-        return {qid: len(q.sample_ids) for qid, q in self.questions.items()}
-
-    @classmethod
-    def from_records(cls, records) -> "JudgeDataset":
-        """Group an iterable of JudgeRecord; rejects an empty list and duplicates."""
-        return cls(questions=_group(
-            ("", r.question_id, r.sample_id, r.reward, r.correct) for r in records
-        ))
-
-
-def _group(rows, source: str = "") -> dict:
+def _group(rows, source: str) -> dict:
     """Validate (where, question_id, sample_id, reward, correct) rows; group by question.
 
     ``where`` prefixes a row's error messages and ``source`` the empty-input
@@ -209,18 +185,3 @@ def judge_sweep(
             })
     return rows
 
-
-def judge_delta(
-    ds: JudgeDataset, k: int, T: float, n_resample: int, rng: np.random.Generator
-) -> ErrorEstimate:
-    """Negated expected accuracy of reward-weighted selection at (k, T).
-
-    The one-cell :func:`judge_sweep`, except that only the questions with at
-    least k samples draw permutations.
-    """
-    eligible = {qid: q for qid, q in ds.questions.items() if len(q.sample_ids) >= k}
-    (row,) = judge_sweep(JudgeDataset(questions=eligible), [k], [T], n_resample, rng)
-    return ErrorEstimate(
-        mean=row["delta"], stderr=row["stderr"], n_outer=row["n_questions_used"],
-        n_inner=n_resample, mode="judge",
-    )

@@ -81,17 +81,6 @@ def _stderr(values: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ErrorEstimate:
-    """Estimated error with its standard error and sample budget."""
-
-    mean: float
-    stderr: float
-    n_outer: int
-    n_inner: int
-    mode: str
-
-
-@dataclass(frozen=True)
 class SweepResult:
     """A delta curve along one axis, with per-test-point values retained.
 
@@ -268,7 +257,9 @@ def _winner_distance(x: np.ndarray, A: np.ndarray) -> np.ndarray:
         sinh_bound = np.where(
             log_sinh > 30.0, log_sinh + math.log(2.0), np.arcsinh(np.exp(log_sinh))
         ) / A
-        sinh_bound = np.where(A > 0, sinh_bound, p * math.sqrt(0.5 * math.pi))
+        # below A = 1e-8 the sinh bound is p sqrt(pi/2) to rounding, a bound at every A
+        # (F_A(d) <= F_0(d) <= d sqrt(2/pi)) that skips the product p A, subnormal there
+        sinh_bound = np.where(A >= 1e-8, sinh_bound, p * math.sqrt(0.5 * math.pi))
     d = np.maximum(normal_bound, sinh_bound).ravel()  # 0 where p = 0
     target = np.where(upper, x, log_p).ravel()
     A, upper = A.ravel(), upper.ravel()

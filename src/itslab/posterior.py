@@ -34,14 +34,6 @@ class Posterior:
         return self.mu.shape[0]
 
 
-@dataclass(frozen=True)
-class PredictiveMoments:
-    """Mean and variance of the predictive distribution at one test point."""
-
-    mean: float
-    variance: float
-
-
 def fit_posterior(data: Dataset, config: ModelConfig) -> Posterior:
     """Compute the exact posterior for a dataset.
 

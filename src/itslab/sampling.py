@@ -9,23 +9,7 @@ strictly lower variance. T = 0 is an exact argmax branch (best-of-k), never a
 tiny-T limit, to avoid overflow; ties at T = 0 break to the lowest index.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Number of inference samples k and reward softmax temperature T."""
-
-    k: int
-    T: float
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.T < 0:
-            raise ValueError(f"T must be >= 0, got {self.T}")
 
 
 def quadratic_reward(y, mu_R):

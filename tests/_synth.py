@@ -21,8 +21,8 @@ def iid_dataset(config, w_T, rng):
     return Dataset(inputs=X, labels=y)
 
 
-def delta_x(moments, mu_T, mu_R, sc, n_inner, rng):
-    """delta(x) from n_inner independent batches of sc.k draws, with sc.T's selection.
+def delta_x(m, s2, mu_T, mu_R, k, T, n_inner, rng):
+    """delta(x) from n_inner independent batches of k draws from N(m, s2), selected at T.
 
     The oracle of the sweep engine: every batch is drawn and selected in
     full, through :func:`itslab.select`. Returns (mean, stderr), the stderr
@@ -30,12 +30,12 @@ def delta_x(moments, mu_T, mu_R, sc, n_inner, rng):
     """
     if n_inner < 1:
         raise ValueError(f"n_inner must be >= 1, got {n_inner}")
-    s = math.sqrt(moments.variance)
+    s = math.sqrt(s2)
     values = np.empty(n_inner)
-    rows_per_chunk = max(1, (1 << 23) // sc.k)  # at most 2^23 draws held at once
+    rows_per_chunk = max(1, (1 << 23) // k)  # at most 2^23 draws held at once
     for done in range(0, n_inner, rows_per_chunk):
-        Y = moments.mean + s * rng.standard_normal((min(rows_per_chunk, n_inner - done), sc.k))
-        values[done : done + len(Y)] = select((Y - mu_T) ** 2, quadratic_reward(Y, mu_R), sc.T)
+        Y = m + s * rng.standard_normal((min(rows_per_chunk, n_inner - done), k))
+        values[done : done + len(Y)] = select((Y - mu_T) ** 2, quadratic_reward(Y, mu_R), T)
     stderr = values.std(ddof=1) / math.sqrt(n_inner) if n_inner > 1 else math.inf
     return float(values.mean()), float(stderr)
 

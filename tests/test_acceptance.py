@@ -17,7 +17,6 @@ import pytest
 from itslab import (
     ModelConfig,
     RewardSpec,
-    SamplerConfig,
     SeriesTerms,
     classify_k_monotonicity,
     de_moments_batch,
@@ -28,7 +27,6 @@ from itslab import (
     generate_dataset,
     high_t_delta_batch,
     isotropic_ridge,
-    judge_delta,
     judge_sweep,
     load_records,
     min_chisq_mc,
@@ -46,7 +44,6 @@ from itslab import (
 )
 from itslab.cli import main as cli_main
 from itslab.evt import chisq1_quantile
-from itslab.posterior import PredictiveMoments
 
 from _synth import delta_x, record_rows, trap_judge_questions, write_records
 
@@ -90,10 +87,7 @@ def test_01_k1_exactness():
         mu_T = float(rng.normal())
         mu_R = float(rng.normal())
         T = float(rng.uniform(0.05, 5.0))
-        mean, se = delta_x(
-            PredictiveMoments(m, s2), mu_T, mu_R,
-            SamplerConfig(k=1, T=T), n_inner=100_000, rng=stream(SEED, "acc1", i),
-        )
+        mean, se = delta_x(m, s2, mu_T, mu_R, 1, T, n_inner=100_000, rng=stream(SEED, "acc1", i))
         target = (m - mu_T) ** 2 + s2
         checks.append((f"tuple {i}: |{mean:.5f} - {target:.5f}| < 4 se", abs(mean - target) < 4 * se))
     checks.append(_runtime_check(t0, 10))
@@ -318,7 +312,7 @@ def test_09_judge_metric(tmp_path):
     path = write_records(tmp_path / "all.jsonl", record_rows(qs_all))
     ds_all = load_records(path)
     vals = [
-        judge_delta(ds_all, k, T, n_resample=4, rng=stream(SEED, "acc9", k)).mean
+        judge_sweep(ds_all, [k], [T], 4, stream(SEED, "acc9", k))[0]["delta"]
         for k in (1, 4, 8)
         for T in (0.0, 1.0, 100.0)
     ]
@@ -329,15 +323,15 @@ def test_09_judge_metric(tmp_path):
     path = write_records(tmp_path / "trap.jsonl", record_rows(qs))
     ds = load_records(path)
 
-    probe = [judge_delta(ds, k, T, 4, stream(SEED, "acc9b", k)).mean
+    probe = [judge_sweep(ds, [k], [T], 4, stream(SEED, "acc9b", k))[0]["delta"]
              for k in (1, 8, 64) for T in (0.0, 0.7, 50.0)]
     checks.append(("delta within [-1, 0]", all(-1.0 <= v <= 0.0 for v in probe)))
 
     acc = float(np.mean([np.mean([cor for _, cor in rows]) for rows in qs.values()]))
-    est = judge_delta(ds, k=8, T=1e12, n_resample=16, rng=stream(SEED, "acc9c"))
+    (est,) = judge_sweep(ds, [8], [1e12], 16, stream(SEED, "acc9c"))
     checks.append((
-        f"T->inf recovers negative mean accuracy ({est.mean:.4f} vs {-acc:.4f})",
-        abs(est.mean - (-acc)) < 4 * est.stderr,
+        f"T->inf recovers negative mean accuracy ({est['delta']:.4f} vs {-acc:.4f})",
+        abs(est["delta"] - (-acc)) < 4 * est["stderr"],
     ))
 
     rows_k = judge_sweep(ds, [1, 2, 4, 8, 16, 32], [0.5], 16, stream(SEED, "acc9d"))

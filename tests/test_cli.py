@@ -435,14 +435,16 @@ class TestExitCodes:
             run(["sweep-k", "--bogus-flag"])
         assert exc.value.code == 2
 
-    def test_conflicting_temperature_flags_is_2(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["sweep-k", "--T", "1.0", "--T-sigma2", "10", "--k-grid", "1"],
+        ["sweep-t", "--t-grid", "1e-8", "--t-grid-sigma2", "10", "--k", "1"],
+    ], ids=["T", "t-grid"])
+    def test_conflicting_temperature_flags_is_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            run([
-                "sweep-k", "--T", "1.0", "--T-sigma2", "10", "--out",
-                str(tmp_path / "x.csv"), "--n-outer", "2", "--n-inner", "2",
-                "--k-grid", "1",
-            ])
+            run(argv + ["--out", str(tmp_path / "x.csv"), "--n-outer", "2", "--n-inner", "2"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert argv[1] in err and argv[3] in err  # the message names both flags
 
     def test_runtime_error_is_1(self, tmp_path, capsys):
         code = run(["judge", "--records", str(tmp_path / "missing.jsonl"),
@@ -463,15 +465,50 @@ class TestExitCodes:
         ["--threads", "0"],
         ["--mode", "exact", "--n-datasets", "0"],
         ["--mode", "de", "--n-datasets", "3"],
+        ["--n-outer", "0"],
+        ["--n-inner", "0"],
+        ["--k", "0"],
+        ["--n-resample", "0"],
     ])
     def test_bad_engine_flags_are_2(self, flags, tmp_path, capsys):
-        for sub in (["sweep-k", "--k-grid", "1,2"], ["bestofk-check", "--k-grid", "1,2"]):
+        subs = {"--k": (["sweep-t"], ["sweep-c"]), "--n-resample": (["judge", "--records", "r"],)}
+        for sub in subs.get(flags[-2], (["sweep-k", "--k-grid", "1,2"],
+                                        ["bestofk-check", "--k-grid", "1,2"])):
+            budget = [] if sub[0] == "judge" else ["--n-outer", "3", "--n-inner", "3"]
             with pytest.raises(SystemExit) as exc:
-                run(sub + flags + ["--n-outer", "3", "--n-inner", "3",
-                                   "--out", str(tmp_path / "x.csv")])
+                run(sub + budget + flags + ["--out", str(tmp_path / "x.csv")])
             assert exc.value.code == 2
-        assert flags[-2] in capsys.readouterr().err  # the message names the flag
+            assert flags[-2] in capsys.readouterr().err  # the message names the flag
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep-k", "--T", "nan"], "--T"),
+        (["sweep-k", "--T-sigma2", "inf"], "--T-sigma2"),
+        (["sweep-k", "--c-grid", "nan"], "--c-grid"),
+        (["sweep-k", "--c-grid", "inf"], "--c-grid"),
+        (["sweep-k", "--k-grid", ","], "--k-grid"),
+        (["sweep-k", "--c-grid", "lin:0,1,0"], "--c-grid"),
+        (["sweep-c", "--c-grid", "log:1,inf,3", "--k", "2"], "--c-grid"),
+        (["sweep-t", "--c", "nan", "--k", "2", "--t-grid-sigma2", "5"], "--c"),
+        (["sweep-t", "--t-grid", "lin:-1e308,1e308,3", "--k", "2"], "--t-grid"),
+        (["polar-map", "--d", "2", "--theta-grid", "nan", "--k-grid", "1,2"], "--theta-grid"),
+        (["polar-map", "--d", "2", "--z-gate", "nan", "--k-grid", "1,2"], "--z-gate"),
+        (["tradeoff", "--t-high-sigma2", "nan", "--n-grid", "100", "--k-grid", "2"],
+         "--t-high-sigma2"),
+    ])
+    def test_non_finite_or_empty_values_are_2(self, argv, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [*_SMALL_MC, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_empty_judge_grid_is_2(self, tmp_path, capsys):
+        rec = write_records(tmp_path / "r.jsonl", record_rows({"a": [(0.1, 1), (0.2, 0)]}))
+        with pytest.raises(SystemExit) as exc:
+            run(["judge", "--records", str(rec), "--t-grid", ",", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "argument --t-grid:" in capsys.readouterr().err
 
     def test_polar_map_wrong_dimension_is_2(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

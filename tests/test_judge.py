@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itslab import (
-    JudgeDataset,
-    JudgeRecord,
-    JudgeRecordError,
-    judge_delta,
-    judge_sweep,
-    load_records,
-    stream,
-)
+from itslab import JudgeRecordError, judge_sweep, load_records, stream
 
 from _synth import (
     argmax_correct_probability,
@@ -38,9 +30,10 @@ class TestLoadRecords:
             load_records(path)
 
     def test_grouping_counts(self, tmp_path):
-        ds = _load(tmp_path, {"a": [(0.1, 1)] * 3, "b": [(0.2, 0)] * 3})
-        assert ds.counts == {"a": 3, "b": 3}
-        assert ds.n_questions == 2
+        rows = record_rows({"a": [(0.1, 1)] * 3, "b": [(0.2, 0)] * 3})
+        ds = load_records(write_records(tmp_path / "r.jsonl", rows[::-1]))
+        assert sorted(ds.questions) == ["a", "b"]
+        assert ds.questions["a"].sample_ids == ("s000", "s001", "s002")  # sorted by sample_id
 
     def test_non_binary_correct_cites_line(self, tmp_path):
         rows = record_rows({"a": [(0.5, 1)] * 6 + [(0.2, 0)]})
@@ -83,49 +76,49 @@ class TestJudgeDelta:
         ds = _load(tmp_path, qs)
         for k in (1, 3, 6):
             for T in (0.0, 0.5, 7.0):
-                est = judge_delta(ds, k=k, T=T, n_resample=3, rng=stream(0, "judge"))
-                assert est.mean == -1.0
+                est = judge_sweep(ds, [k], [T], 3, stream(0, "judge"))[0]
+                assert est["delta"] == -1.0
 
     def test_bounds(self, tmp_path):
         rng = np.random.default_rng(0)
         ds = _load(tmp_path, trap_judge_questions(rng, n_questions=20, n_samples=10))
         for k in (1, 4, 10):
             for T in (0.0, 1.0, 100.0):
-                est = judge_delta(ds, k=k, T=T, n_resample=4, rng=stream(1, "judge"))
-                assert -1.0 <= est.mean <= 0.0
+                est = judge_sweep(ds, [k], [T], 4, stream(1, "judge"))[0]
+                assert -1.0 <= est["delta"] <= 0.0
 
     def test_huge_t_recovers_mean_accuracy(self, tmp_path):
         rng = np.random.default_rng(1)
         qs = trap_judge_questions(rng, n_questions=50, n_samples=16)
         ds = _load(tmp_path, qs)
         acc = np.mean([np.mean([c for _, c in rows]) for rows in qs.values()])
-        est = judge_delta(ds, k=4, T=1e12, n_resample=16, rng=stream(2, "judge"))
-        assert abs(est.mean - (-acc)) < 4 * est.stderr
+        est = judge_sweep(ds, [4], [1e12], 16, stream(2, "judge"))[0]
+        assert abs(est["delta"] - (-acc)) < 4 * est["stderr"]
 
     def test_full_k_single_resample_deterministic(self, tmp_path):
         rng = np.random.default_rng(2)
         ds = _load(tmp_path, trap_judge_questions(rng, n_questions=10, n_samples=8))
-        a = judge_delta(ds, k=8, T=0.0, n_resample=1, rng=stream(3, "judge"))
-        b = judge_delta(ds, k=8, T=0.0, n_resample=1, rng=stream(99, "judge"))
-        assert a.mean == b.mean
+        a = judge_sweep(ds, [8], [0.0], 1, stream(3, "judge"))[0]
+        b = judge_sweep(ds, [8], [0.0], 1, stream(99, "judge"))[0]
+        assert a["delta"] == b["delta"]
 
     def test_questions_below_k_excluded(self, tmp_path):
         qs = {"small": [(0.1, 1)] * 2, "big": [(0.2, 0)] * 5}
         ds = _load(tmp_path, qs)
-        est = judge_delta(ds, k=4, T=0.0, n_resample=1, rng=stream(4, "judge"))
-        assert est.n_outer == 1  # only "big" is eligible
-        assert est.mean == 0.0  # its single selection is incorrect
+        est = judge_sweep(ds, [4], [0.0], 1, stream(4, "judge"))[0]
+        assert est["n_questions_used"] == 1  # only "big" is eligible
+        assert est["delta"] == 0.0  # its single selection is incorrect
 
     def test_no_eligible_question_raises(self, tmp_path):
         ds = _load(tmp_path, {"a": [(0.1, 1)] * 2})
         with pytest.raises(ValueError, match="no question"):
-            judge_delta(ds, k=5, T=0.0, n_resample=1, rng=stream(5, "judge"))
+            judge_sweep(ds, [5], [0.0], 1, stream(5, "judge"))
 
     def test_argmax_tie_breaks_to_lowest_sample_id(self, tmp_path):
         qs = {"a": [(1.0, 0), (1.0, 1)]}  # s000 wrong, s001 correct, tied reward
         ds = _load(tmp_path, qs)
-        est = judge_delta(ds, k=2, T=0.0, n_resample=1, rng=stream(6, "judge"))
-        assert est.mean == 0.0
+        est = judge_sweep(ds, [2], [0.0], 1, stream(6, "judge"))[0]
+        assert est["delta"] == 0.0
 
     def test_reward_scaling_invariance_at_zero_t(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -133,9 +126,9 @@ class TestJudgeDelta:
         scaled = {q: [(3.5 * r, c) for r, c in rows] for q, rows in qs.items()}
         ds1 = _load(tmp_path, qs, "a.jsonl")
         ds2 = _load(tmp_path, scaled, "b.jsonl")
-        a = judge_delta(ds1, k=8, T=0.0, n_resample=1, rng=stream(7, "judge"))
-        b = judge_delta(ds2, k=8, T=0.0, n_resample=1, rng=stream(7, "judge"))
-        assert a.mean == b.mean
+        a = judge_sweep(ds1, [8], [0.0], 1, stream(7, "judge"))[0]
+        b = judge_sweep(ds2, [8], [0.0], 1, stream(7, "judge"))[0]
+        assert a["delta"] == b["delta"]
 
     def test_reward_shift_invariance_any_t(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -144,9 +137,9 @@ class TestJudgeDelta:
         ds1 = _load(tmp_path, qs, "a.jsonl")
         ds2 = _load(tmp_path, shifted, "b.jsonl")
         for T in (0.0, 0.7):
-            a = judge_delta(ds1, k=6, T=T, n_resample=4, rng=stream(8, "judge"))
-            b = judge_delta(ds2, k=6, T=T, n_resample=4, rng=stream(8, "judge"))
-            assert a.mean == pytest.approx(b.mean, rel=1e-12)
+            a = judge_sweep(ds1, [6], [T], 4, stream(8, "judge"))[0]
+            b = judge_sweep(ds2, [6], [T], 4, stream(8, "judge"))[0]
+            assert a["delta"] == pytest.approx(b["delta"], rel=1e-12)
 
     def test_matches_enumeration_oracle(self, tmp_path):
         # T = 0 and k = all samples: the mean outcome across questions
@@ -157,10 +150,10 @@ class TestJudgeDelta:
             np.random.default_rng(5), n_questions=2000, n_samples=3, eps=eps
         )
         ds = _load(tmp_path, qs)
-        est = judge_delta(ds, k=3, T=0.0, n_resample=1, rng=stream(9, "judge"))
+        est = judge_sweep(ds, [3], [0.0], 1, stream(9, "judge"))[0]
         probs = np.array([argmax_correct_probability(p, eps) for p in patterns.values()])
         se = math.sqrt(float(np.mean(probs * (1 - probs))) / len(probs))
-        assert abs(est.mean - (-probs.mean())) < 4 * se
+        assert abs(est["delta"] - (-probs.mean())) < 4 * se
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -173,19 +166,19 @@ class TestJudgeDelta:
             path = os.path.join(tmp, "r.jsonl")
             write_records(path, record_rows(qs))
             ds = load_records(path)
-        est = judge_delta(ds, k=3, T=float(rng.uniform(0, 3)), n_resample=2,
-                          rng=np.random.default_rng(seed + 1))
-        assert -1.0 <= est.mean <= 0.0
+        T = float(rng.uniform(0, 3))
+        est = judge_sweep(ds, [3], [T], 2, np.random.default_rng(seed + 1))[0]
+        assert -1.0 <= est["delta"] <= 0.0
 
 
 class TestJudgeSweep:
-    def test_single_cell_matches_judge_delta_statistic(self, tmp_path):
+    def test_single_cell_is_one_draw_independent_row(self, tmp_path):
         rng = np.random.default_rng(6)
         ds = _load(tmp_path, trap_judge_questions(rng, n_questions=15, n_samples=8))
         rows = judge_sweep(ds, [8], [0.0], n_resample=1, rng=stream(10, "judge"))
-        est = judge_delta(ds, 8, 0.0, 1, rng=stream(10, "judge"))
+        other = judge_sweep(ds, [8], [0.0], n_resample=1, rng=stream(11, "judge"))
         assert len(rows) == 1
-        assert rows[0]["delta"] == est.mean  # full-k selection is draw-independent
+        assert rows[0]["delta"] == other[0]["delta"]  # full-k selection is draw-independent
         assert rows[0]["n_questions_used"] == 15
 
     def test_interior_optimum_in_k(self, tmp_path):
@@ -265,23 +258,10 @@ def loop_judge_sweep(ds, k_grid, T_grid, n_resample, rng):
     return rows
 
 
-def loop_judge_delta(ds, k, T, n_resample, rng):
-    eligible = [qid for qid in sorted(ds.questions) if len(ds.questions[qid].sample_ids) >= k]
-    per_question = np.empty(len(eligible))
-    for qi, qid in enumerate(eligible):
-        q = ds.questions[qid]
-        acc = 0.0
-        for _ in range(n_resample):
-            idx = np.sort(rng.permutation(len(q.sample_ids))[:k])
-            acc += _loop_subset_value(q.rewards[idx], q.correct[idx], T)
-        per_question[qi] = acc / n_resample
-    return _loop_estimate(per_question) + (len(eligible),)
-
-
-def ragged_dataset(seed, n_questions=40, max_samples=19):
+def ragged_dataset(tmp_path, seed, n_questions=40, max_samples=19):
     """1 to max_samples samples per question, rewards rounded so that ties occur.
 
-    Only question q000 has max_samples samples. Question ids are inserted in
+    Only question q000 has max_samples samples. Questions are written in
     shuffled order, and sample counts interleave in sorted-id order, so
     grouping by count must restore the id order.
     """
@@ -289,21 +269,13 @@ def ragged_dataset(seed, n_questions=40, max_samples=19):
     counts = rng.integers(1, max_samples, size=n_questions)
     counts[0] = max_samples
     counts[1] = 1
-    records = []
+    rows = []
     for q in rng.permutation(n_questions):
         for j in range(counts[q]):
-            records.append(JudgeRecord(
-                f"q{q:03d}", f"s{j:02d}", round(float(rng.normal()), 1), int(rng.random() < 0.5)
-            ))
-    return JudgeDataset.from_records(records)
-
-
-def trap_dataset(seed, n_questions=30, n_samples=16):
-    qs = trap_judge_questions(np.random.default_rng(seed), n_questions, n_samples)
-    return JudgeDataset.from_records(
-        JudgeRecord(qid, f"s{j:03d}", float(r), int(c))
-        for qid, rows in qs.items() for j, (r, c) in enumerate(rows)
-    )
+            rows.append({"question_id": f"q{q:03d}", "sample_id": f"s{j:02d}",
+                         "reward": round(float(rng.normal()), 1),
+                         "correct": int(rng.random() < 0.5)})
+    return load_records(write_records(tmp_path / "ragged.jsonl", rows))
 
 
 ORACLE_T = [0.0, 1e-9, 0.25, 1.0, 32.0, 1e9]
@@ -312,8 +284,8 @@ ORACLE_T = [0.0, 1e-9, 0.25, 1.0, 32.0, 1e9]
 class TestLoopOracle:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n_resample", [1, 5])
-    def test_sweep_rows_equal_ragged(self, seed, n_resample):
-        ds = ragged_dataset(seed)
+    def test_sweep_rows_equal_ragged(self, seed, n_resample, tmp_path):
+        ds = ragged_dataset(tmp_path, seed)
         k_grid = [1, 2, 3, 7, 12, 19]  # 19 = the largest sample count: one question
         rows = judge_sweep(ds, k_grid, ORACLE_T, n_resample, stream(seed, "judge"))
         ref = loop_judge_sweep(ds, k_grid, ORACLE_T, n_resample, stream(seed, "judge"))
@@ -321,39 +293,23 @@ class TestLoopOracle:
         assert rows[-1]["n_questions_used"] == 1 and rows[-1]["stderr"] == math.inf
 
     @pytest.mark.parametrize("seed", [3, 4])
-    def test_sweep_rows_equal_trap(self, seed):
+    def test_sweep_rows_equal_trap(self, seed, tmp_path):
         # 16 resamples: numpy sums 8 or more terms pairwise, a scalar loop does not
-        ds = trap_dataset(seed)
+        ds = _load(tmp_path, trap_judge_questions(np.random.default_rng(seed), 30, 16))
         k_grid = [1, 2, 4, 8, 16]
         rows = judge_sweep(ds, k_grid, ORACLE_T, 16, stream(seed, "judge"))
         assert rows == loop_judge_sweep(ds, k_grid, ORACLE_T, 16, stream(seed, "judge"))
 
-    def test_ties_at_zero_temperature_follow_sample_id(self):
+    def test_ties_at_zero_temperature_follow_sample_id(self, tmp_path):
         # every reward tied: T = 0 must pick the lowest sample_id of each subset
-        ds = JudgeDataset.from_records(
-            JudgeRecord(f"q{q}", f"s{j}", 0.5, (q + j) % 2) for q in range(6) for j in range(5)
-        )
+        ds = _load(tmp_path, {f"q{q}": [(0.5, (q + j) % 2) for j in range(5)] for q in range(6)})
         rows = judge_sweep(ds, [1, 3, 5], [0.0], 3, stream(5, "judge"))
         assert rows == loop_judge_sweep(ds, [1, 3, 5], [0.0], 3, stream(5, "judge"))
-        assert rows[-1]["delta"] == -0.5  # s0 is correct in q0, q2, q4
+        assert rows[-1]["delta"] == -0.5  # s000 is correct in q0, q2, q4
 
-    @pytest.mark.parametrize("seed", [0, 6])
-    def test_judge_delta_equals_loop(self, seed):
-        ds = ragged_dataset(seed)
-        for k in (1, 4, 19):
-            for T in ORACLE_T:
-                for n_resample in (1, 3):
-                    rng, ref_rng = stream(seed, "judge", k), stream(seed, "judge", k)
-                    est = judge_delta(ds, k, T, n_resample, rng)
-                    assert (est.mean, est.stderr, est.n_outer) == loop_judge_delta(
-                        ds, k, T, n_resample, ref_rng
-                    )
-                    # only the eligible questions drew permutations
-                    assert rng.random() == ref_rng.random()
-
-    def test_sweep_validates_n_resample(self):
+    def test_sweep_validates_n_resample(self, tmp_path):
         with pytest.raises(ValueError, match="n_resample"):
-            judge_sweep(ragged_dataset(0), [1], [0.0], 0, stream(0, "judge"))
+            judge_sweep(ragged_dataset(tmp_path, 0), [1], [0.0], 0, stream(0, "judge"))
 
 
 def test_extra_record_fields_tolerated(tmp_path):
@@ -363,26 +319,7 @@ def test_extra_record_fields_tolerated(tmp_path):
         '{"question_id": "a", "sample_id": "s1", "reward": 0.5, "correct": 0}\n'
     )
     ds = load_records(path)
-    assert ds.counts == {"a": 2}
-    est = judge_delta(ds, k=2, T=0.0, n_resample=1, rng=stream(0, "judge"))
-    assert est.mean == -1.0
+    assert ds.questions["a"].sample_ids == ("s0", "s1")
+    est = judge_sweep(ds, [2], [0.0], 1, stream(0, "judge"))[0]
+    assert est["delta"] == -1.0
 
-
-def test_from_records_programmatic():
-    from itslab import JudgeDataset, JudgeRecord
-
-    ds = JudgeDataset.from_records([
-        JudgeRecord("a", "s1", 0.2, 0),
-        JudgeRecord("a", "s0", 0.9, 1),
-        JudgeRecord("b", "s0", 0.5, 1),
-    ])
-    assert ds.counts == {"a": 2, "b": 1}
-    assert ds.questions["a"].sample_ids == ("s0", "s1")  # sorted by sample_id
-    est = judge_delta(ds, k=2, T=0.0, n_resample=1, rng=stream(0, "judge"))
-    assert est.mean == -1.0  # only question "a" eligible; argmax reward is correct
-    with pytest.raises(JudgeRecordError, match="duplicate"):
-        JudgeDataset.from_records([
-            JudgeRecord("a", "s0", 0.1, 0), JudgeRecord("a", "s0", 0.2, 1),
-        ])
-    with pytest.raises(JudgeRecordError, match="no records"):
-        JudgeDataset.from_records([])

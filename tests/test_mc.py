@@ -9,7 +9,6 @@ from scipy.special import ndtr
 from itslab import (
     ModelConfig,
     RewardSpec,
-    SamplerConfig,
     classify_k_monotonicity,
     delta_c_curve,
     delta_k_curve,
@@ -24,7 +23,6 @@ from itslab import (
 )
 from itslab import mc
 from itslab.mc import _best_of_k_cells, _plan_shared, _softmax_cells, _winner_distance
-from itslab.posterior import PredictiveMoments
 
 from _synth import delta_x
 
@@ -88,16 +86,16 @@ def _reference_cell_means(rng, m, s, mu_T, cell_k, cell_T, cell_muR, n_inner, km
     return out / n_inner
 
 
-def _reference_delta_x(moments, mu_T, mu_R, sc, n_inner, rng):
+def _reference_delta_x(m, s2, mu_T, mu_R, k, T, n_inner, rng):
     """Reference: delta_x on the penalty rule above."""
-    s = math.sqrt(moments.variance)
+    s = math.sqrt(s2)
     values = np.empty(n_inner)
     done = 0
-    rows_per_chunk = max(1, mc._MAX_ELEMS // max(1, sc.k))
+    rows_per_chunk = max(1, mc._MAX_ELEMS // max(1, k))
     while done < n_inner:
         rows = min(rows_per_chunk, n_inner - done)
-        Y = moments.mean + s * rng.standard_normal((rows, sc.k))
-        values[done : done + rows] = _select_values((Y - mu_T) ** 2, (Y - mu_R) ** 2, sc.T)
+        Y = m + s * rng.standard_normal((rows, k))
+        values[done : done + rows] = _select_values((Y - mu_T) ** 2, (Y - mu_R) ** 2, T)
         done += rows
     stderr = values.std(ddof=1) / math.sqrt(n_inner) if n_inner > 1 else math.inf
     return float(values.mean()), float(stderr)
@@ -187,7 +185,7 @@ class TestSelectReference:
 
     @pytest.mark.parametrize("k, T", [(1, 0.7), (6, 0.0), (6, 1e-9), (6, 0.5), (6, 1e9)])
     def test_delta_x_equals_reference(self, k, T):
-        args = (PredictiveMoments(0.4, 0.6), -0.2, 0.9, SamplerConfig(k=k, T=T), 300)
+        args = (0.4, 0.6, -0.2, 0.9, k, T, 300)
         assert delta_x(*args, stream(8, "ref")) == _reference_delta_x(*args, stream(8, "ref"))
 
     @pytest.mark.parametrize("curve", ["k", "t_mixed"])
@@ -230,10 +228,8 @@ class TestBestOfKSampler:
         k_grid = [1, 2, 5, 20, 100]
         mean, se = _t0_cells(m, s2, mu_T, mu_R, k_grid, 300, 100, seed=21)
         for g, k in enumerate(k_grid):
-            bf, bf_se = delta_x(
-                PredictiveMoments(m, s2), mu_T, mu_R, SamplerConfig(k=k, T=0.0),
-                n_inner=30_000, rng=stream(22, "t0-brute", k),
-            )
+            bf, bf_se = delta_x(m, s2, mu_T, mu_R, k, 0.0, n_inner=30_000,
+                                rng=stream(22, "t0-brute", k))
             assert abs(mean[g] - bf) < 4 * math.hypot(se[g], bf_se), k
 
     def test_k1_is_plain_second_moment(self):
@@ -256,11 +252,12 @@ class TestBestOfKSampler:
         np.testing.assert_array_equal(fast.per_x, 0.0)
 
     def test_winner_distance_solves_the_cdf(self):
-        A = np.array([0.0, 1e-7, 0.3, 1.0, 2.5, 5.0, 12.0, 45.0])[:, None]
+        A = np.array([0.0, 5e-324, 2.2250738585e-313, 1e-7, 0.3, 1.0, 2.5, 5.0, 12.0, 45.0])[:, None]
         u = np.array([1e-20, 1e-9, 1e-4, 0.05, 0.5, 0.9, 0.999, 1 - 1e-12])
         x = np.log1p(-u)
         d = _winner_distance(x, A)
         assert np.all(np.isfinite(d)) and np.all(d > 0)
+        np.testing.assert_allclose(d[1:3], d[[0, 0]], rtol=1e-12, atol=0)  # subnormal A: A = 0
         # residual on whichever tail is the smaller, where it is well conditioned
         lower = ndtr(d - A) - ndtr(-A - d)
         upper = ndtr(A - d) + ndtr(-A - d)
@@ -449,19 +446,13 @@ class TestDeltaX:
             mu_T = float(rng.normal())
             mu_R = float(rng.normal())
             T = float(rng.uniform(0.1, 5.0))
-            mean, se = delta_x(
-                PredictiveMoments(m, s2), mu_T, mu_R,
-                SamplerConfig(k=1, T=T), n_inner=100_000, rng=stream(4, "inf"),
-            )
+            mean, se = delta_x(m, s2, mu_T, mu_R, 1, T, n_inner=100_000, rng=stream(4, "inf"))
             target = (m - mu_T) ** 2 + s2
             assert abs(mean - target) < 4 * se
 
     def test_huge_t_uniform_weights(self):
         m, s2, mu_T = 0.5, 1.3, -0.2
-        mean, se = delta_x(
-            PredictiveMoments(m, s2), mu_T, 4.0,
-            SamplerConfig(k=8, T=1e12 * s2), n_inner=100_000, rng=stream(5, "inf"),
-        )
+        mean, se = delta_x(m, s2, mu_T, 4.0, 8, 1e12 * s2, n_inner=100_000, rng=stream(5, "inf"))
         target = (m - mu_T) ** 2 + s2
         assert abs(mean - target) < 4 * se
 
@@ -470,16 +461,13 @@ class TestDeltaX:
         # 200-point Gauss-Hermite evaluation of the 2-d integral (cross-checked
         # against an adaptive quadrature to 1.5e-15).
         oracle = 0.6495418382514772
-        mean, se = delta_x(
-            PredictiveMoments(0.0, 1.0), 0.0, 0.0,
-            SamplerConfig(k=2, T=2.0), n_inner=400_000, rng=stream(6, "inf"),
-        )
+        mean, se = delta_x(0.0, 1.0, 0.0, 0.0, 2, 2.0, n_inner=400_000, rng=stream(6, "inf"))
         assert abs(mean - oracle) < 0.01 * oracle
         assert abs(mean - oracle) < 4 * se
 
     def test_n_inner_validation(self):
         with pytest.raises(ValueError):
-            delta_x(PredictiveMoments(0.0, 1.0), 0.0, 0.0, SamplerConfig(1, 1.0), 0, stream(0, "i"))
+            delta_x(0.0, 1.0, 0.0, 0.0, 1, 1.0, 0, stream(0, "i"))
 
 
 class TestDelta:

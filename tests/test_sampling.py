@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itslab import SamplerConfig, quadratic_reward, select
+from itslab import quadratic_reward, select
 
 
 def weights(rewards, T):
@@ -96,12 +96,6 @@ class TestRewardWeightedSelect:
         # rewards (-0.01, -0.01, -1.0): exact tie between the first two.
         samples = np.array([0.9, 1.1, 2.0])
         assert select(samples, quadratic_reward(samples, 1.0), 0.0) == 0.9
-
-    def test_sampler_config_validation(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(k=0, T=1.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(k=3, T=-0.1)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=1),

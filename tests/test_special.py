@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itslab import mc
@@ -87,6 +87,8 @@ def test_edges_and_shapes():
     block=st.integers(1, 10**8),
     A=st.one_of(st.floats(0.0, 60.0), st.floats(1e-9, 1e-3)),
 )
+@example(u=0.5, block=2178, A=2.2250738585e-313)  # subnormal A: the sinh bound lost precision
+@example(u=0.5, block=2178, A=5e-324)  # and here underflowed to a root of 0
 def test_newton_start_is_a_lower_bound_and_the_solve_is_short(u, block, A):
     x = np.array([math.log1p(-u) / block])
     steps = []
@@ -103,3 +105,4 @@ def test_newton_start_is_a_lower_bound_and_the_solve_is_short(u, block, A):
     assert np.isfinite(root[0]) and root[0] >= 0
     assert start[0] <= root[0] * (1 + 1e-12)
     assert len(steps) // 2 <= 8 < mc._NEWTON_STEPS  # two log Phi calls per Newton step
+

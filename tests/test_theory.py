@@ -6,7 +6,6 @@ import pytest
 from itslab import (
     ModelConfig,
     RewardSpec,
-    SamplerConfig,
     SeriesTerms,
     best_of_k_delta_x,
     de_moments_batch,
@@ -26,7 +25,6 @@ from itslab import (
     solve_ridge,
     stream,
 )
-from itslab.posterior import PredictiveMoments
 from itslab.theory import SeriesAccuracyWarning
 
 from _synth import delta_x
@@ -116,14 +114,8 @@ class TestHighTSeries:
     def test_mc_cross_check(self):
         st = SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=50.0)
         series = high_t_delta_x(st, 10)
-        mean, se = delta_x(
-            PredictiveMoments(mean=0.0, variance=1.0),
-            mu_T=0.0,
-            mu_R=0.0,
-            sc=SamplerConfig(k=10, T=100.0),
-            n_inner=200_000,
-            rng=stream(11, "inference"),
-        )
+        mean, se = delta_x(m=0.0, s2=1.0, mu_T=0.0, mu_R=0.0, k=10, T=100.0,
+                           n_inner=200_000, rng=stream(11, "inference"))
         # 4 stderr plus a proxy for the dropped t^{-4} remainder
         c3_term = (0.9 * 0.8 * 0.7) / 50**3
         assert abs(mean - series) < 4 * se + 5 * c3_term / 50
