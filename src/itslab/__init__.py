@@ -45,7 +45,6 @@ from .theory import (
     ScalingDerivatives,
     SeriesAccuracyWarning,
     SeriesTerms,
-    best_of_k_delta_x,
     dlogn_flat_prior,
     high_t_delta_batch,
     high_t_delta_x,

@@ -150,11 +150,20 @@ def parse_grid(text: str) -> np.ndarray:
 
 
 def parse_int_grid(text: str) -> np.ndarray:
-    values = parse_grid(text)
-    ints = np.array(sorted({int(round(v)) for v in values}))
-    if np.any(ints < 1):
-        raise argparse.ArgumentTypeError("k grid entries must be >= 1")
-    return ints
+    ints = sorted({int(round(v)) for v in parse_grid(text)})
+    if ints[0] < 1 or ints[-1] > np.iinfo(np.int64).max:  # the engine holds k in int64
+        raise argparse.ArgumentTypeError("k grid entries must be integers in [1, 2**63 - 1]")
+    return np.array(ints)
+
+
+def nonnegative(parse):
+    """The argparse type of a flag read by ``parse`` whose every value must be >= 0."""
+    def checked(text: str):
+        value = parse(text)
+        if np.any(np.asarray(value) < 0):
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text.strip()!r}")
+        return value
+    return functools.update_wrapper(checked, parse)  # argparse's messages name parse
 
 
 def _add_model_flags(p):
@@ -185,8 +194,8 @@ def _add_mc_flags(p):
 
 def _add_temperature_flags(p):
     t = p.add_mutually_exclusive_group()
-    t.add_argument("--T", type=finite_float)
-    t.add_argument("--T-sigma2", type=finite_float, dest="T_sigma2",
+    t.add_argument("--T", type=nonnegative(finite_float))
+    t.add_argument("--T-sigma2", type=nonnegative(finite_float), dest="T_sigma2",
                    help="temperature as a multiple of sigma^2 (default 20)")
 
 
@@ -509,8 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=positive_int, default=50)
     p.add_argument("--c", type=finite_float, default=0.0)
     t = p.add_mutually_exclusive_group()
-    t.add_argument("--t-grid", type=parse_grid, dest="t_grid")
-    t.add_argument("--t-grid-sigma2", type=parse_grid, dest="t_grid_sigma2",
+    t.add_argument("--t-grid", type=nonnegative(parse_grid), dest="t_grid")
+    t.add_argument("--t-grid-sigma2", type=nonnegative(parse_grid), dest="t_grid_sigma2",
                    help="temperature grid in units of sigma^2 (default log:2,200,30)")
     p.set_defaults(func=cmd_sweep_t)
 
@@ -540,9 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_common(p, "tradeoff.csv")
     _add_mc_flags(p)
-    p.add_argument("--n-grid", type=parse_grid, default=parse_grid("10000,31623,100000"), dest="n_grid")
+    p.add_argument("--n-grid", type=nonnegative(parse_grid), default=parse_grid("10000,31623,100000"), dest="n_grid")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("100,1000,10000"), dest="k_grid")
-    p.add_argument("--t-high-sigma2", type=finite_float, default=20.0, dest="t_high_sigma2")
+    p.add_argument("--t-high-sigma2", type=nonnegative(finite_float), default=20.0, dest="t_high_sigma2")
     p.set_defaults(func=cmd_tradeoff)
 
     p = sub.add_parser("bestofk-check", help="k^2-scaled delta at T = 0 against the tail-law asymptote")
@@ -557,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", action="append", default=[],
                    help="newline-delimited record file (repeatable for overlays)")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("1,2,4,8,16,32"), dest="k_grid")
-    p.add_argument("--t-grid", type=parse_grid, default=parse_grid("log:0.25,32,8"), dest="t_grid")
+    p.add_argument("--t-grid", type=nonnegative(parse_grid), default=parse_grid("log:0.25,32,8"), dest="t_grid")
     p.add_argument("--n-resample", type=positive_int, default=16, dest="n_resample")
     p.add_argument("--accuracy", action="store_true", help="also emit -delta as an accuracy column")
     p.set_defaults(func=cmd_judge)

@@ -49,90 +49,91 @@ class JudgeDataset:
     questions: dict
 
 
-def _group(rows, source: str) -> dict:
-    """Validate (where, question_id, sample_id, reward, correct) rows; group by question.
-
-    ``where`` prefixes a row's error messages and ``source`` the empty-input
-    one. Rejects non-finite rewards, non-binary correctness flags (booleans
-    pass), duplicate (question_id, sample_id) pairs and an empty input.
-    """
-    grouped: dict = {}
-    seen: set = set()
-    for where, qid, sid, reward, correct in rows:
-        if not math.isfinite(reward):
-            raise JudgeRecordError(f"{where}reward is not finite for ({qid!r}, {sid!r})")
-        if correct not in (0, 1):
-            raise JudgeRecordError(f"{where}correct must be 0 or 1, got {correct!r}")
-        if (qid, sid) in seen:
-            raise JudgeRecordError(f"{where}duplicate record ({qid!r}, {sid!r})")
-        seen.add((qid, sid))
-        grouped.setdefault(qid, []).append((sid, float(reward), int(correct)))
-    if not grouped:
-        raise JudgeRecordError(f"{source}no records")
-    questions = {}
-    for qid, entries in grouped.items():
-        entries.sort(key=lambda e: e[0])
-        questions[qid] = _Question(
-            sample_ids=tuple(e[0] for e in entries),
-            rewards=np.array([e[1] for e in entries]),
-            correct=np.array([e[2] for e in entries], dtype=float),
-        )
-    return questions
-
-
-_REQUIRED = ("question_id", "sample_id", "reward", "correct")
-
-
 def load_records(path) -> JudgeDataset:
-    """Parse and validate a newline-delimited record file.
+    """Parse and validate a newline-delimited record file in one pass.
 
-    Raises JudgeRecordError with the offending line number for malformed
-    JSON, missing fields, non-finite rewards, non-binary correctness flags
-    and duplicate (question_id, sample_id) pairs.
+    Raises JudgeRecordError citing the first faulty line (blank lines count):
+    malformed JSON, a missing field, a non-numeric or non-finite reward, a
+    correct flag other than 0 or 1 (booleans pass), a repeated (question_id,
+    sample_id) pair, or no records at all.
     """
+    qids, sids, rewards, correct, blanks = [], [], [], [], []
     with Path(path).open() as fh:
-        return JudgeDataset(questions=_group(_parse_lines(path, fh), f"{path}: "))
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                obj = json.loads(line)
+                qid, sid, reward, flag = obj["question_id"], obj["sample_id"], obj["reward"], obj["correct"]
+                rewards.append(float(reward))  # last: a faulty line leaves the columns as they were
+            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                if not line.strip():
+                    blanks.append(len(qids))
+                    continue
+                _grouped(path, blanks, qids, sids, rewards, correct)  # earlier lines first
+                if isinstance(exc, json.JSONDecodeError):
+                    fault = f"invalid JSON ({exc.msg})"
+                elif isinstance(exc, KeyError):  # the first missing field, in the order read
+                    fault = f"missing field {exc.args[0]!r}"
+                else:  # a ValueError of json.loads that is no JSONDecodeError recurs here
+                    obj = json.loads(line)
+                    fault = "reward is not a number" if isinstance(obj, dict) else "expected a JSON object"
+                raise JudgeRecordError(f"{path}:{lineno}: {fault}") from exc
+            qids.append(str(qid))
+            sids.append(str(sid))
+            correct.append(flag)
+    if not qids:
+        raise JudgeRecordError(f"{path}: no records")
+    return _grouped(path, blanks, qids, sids, rewards, correct)
 
 
-def _parse_lines(path, fh):
-    """Yield (where, question_id, sample_id, reward, correct) per non-blank line."""
-    for lineno, line in enumerate(fh, start=1):
-        if not line.strip():
-            continue
-        where = f"{path}:{lineno}: "
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise JudgeRecordError(f"{where}invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise JudgeRecordError(f"{where}expected a JSON object")
-        for fieldname in _REQUIRED:
-            if fieldname not in obj:
-                raise JudgeRecordError(f"{where}missing field {fieldname!r}")
-        try:
-            reward = float(obj["reward"])
-        except (TypeError, ValueError) as exc:
-            raise JudgeRecordError(f"{where}reward is not a number") from exc
-        yield where, str(obj["question_id"]), str(obj["sample_id"]), reward, obj["correct"]
+def _grouped(path, blanks: list, qids: list, sids: list, rewards: list, correct: list) -> JudgeDataset:
+    """Group the record columns by question after one stable sort on (question_id, sample_id).
+
+    Raises the first faulty record in file order (``blanks`` holds the number
+    of records above each blank line): a non-finite reward, then a flag other
+    than 0 or 1, then a pair that an earlier record has.
+    """
+    n = len(qids)
+    order = sorted(range(n), key=sids.__getitem__)
+    order.sort(key=qids.__getitem__)  # stable: equal pairs stay in file order
+    order = np.array(order, dtype=np.intp)
+    q, s = np.array(qids, dtype=object)[order], np.array(sids, dtype=object)[order]
+    first = np.ones(n, dtype=bool)  # the first record of its question
+    first[1:] = q[1:] != q[:-1]
+    repeat = np.zeros(n, dtype=bool)
+    repeat[order[1:][~first[1:] & (s[1:] == s[:-1])]] = True
+    r, c = np.array(rewards, dtype=float), np.fromiter(correct, dtype=object, count=n)
+    checks = np.array([~np.isfinite(r), (c != 0) & (c != 1), repeat])
+    if checks.any():
+        i = int(checks.any(axis=0).argmax())
+        lineno = i + 1 + int(np.searchsorted(blanks, i, side="right"))
+        pair = f"({qids[i]!r}, {sids[i]!r})"
+        message = (f"reward is not finite for {pair}", f"correct must be 0 or 1, got {correct[i]!r}",
+                   f"duplicate record {pair}")[checks[:, i].argmax()]
+        raise JudgeRecordError(f"{path}:{lineno}: {message}")
+    r, c = r[order], c[order].astype(float)
+    bounds = [*np.flatnonzero(first).tolist(), n]
+    return JudgeDataset(questions={
+        q[a]: _Question(tuple(s[a:b]), r[a:b], c[a:b]) for a, b in zip(bounds, bounds[1:])
+    })
 
 
 def _draw_groups(ds: JudgeDataset, qids: list, counts: np.ndarray, n_resample: int, rng) -> list:
     """Stack the questions by sample count nq: (positions in qids, rewards, correct, perms).
 
-    rewards and correct are (Q, nq); perms (Q, n_resample, nq) holds one
-    ``rng.permutation(nq)`` per question and resample, drawn question-major in qids order.
+    perms (Q, n_resample, nq) gets one ``rng.permuted`` draw per run of consecutive equal-count
+    questions in qids order, the same as one ``rng.permutation(nq)`` per question and resample.
     """
-    groups, blocks = [], {}
+    groups, perms_of, row = [], {}, np.empty(len(counts), dtype=int)
     for nq in np.unique(counts).tolist():
         positions = np.flatnonzero(counts == nq)
+        row[positions] = np.arange(len(positions))
         qs = [ds.questions[qids[i]] for i in positions]
-        perms = np.empty((len(qs), n_resample, nq), dtype=np.int32)
-        rewards, correct = np.array([q.rewards for q in qs]), np.array([q.correct for q in qs])
-        groups.append((positions, rewards, correct, perms))
-        blocks.update(zip(positions.tolist(), perms))
-    for i, nq in enumerate(counts.tolist()):
-        for r in range(n_resample):
-            blocks[i][r] = rng.permutation(nq)
+        perms_of[nq] = perms = np.empty((len(qs), n_resample, nq), dtype=np.int32)
+        groups.append((positions, np.array([q.rewards for q in qs]), np.array([q.correct for q in qs]), perms))
+    starts = np.flatnonzero(np.diff(counts, prepend=0)).tolist()
+    for a, b in zip(starts, starts[1:] + [len(counts)]):
+        run = perms_of[counts[a]][row[a]:row[a] + b - a]
+        rng.permuted(np.broadcast_to(np.arange(counts[a], dtype=np.int32), run.shape), axis=-1, out=run)
     return groups
 
 

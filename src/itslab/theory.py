@@ -158,15 +158,6 @@ def high_t_delta_batch(
     return _series(dT, dR, s2, T / (2.0 * s2), k)
 
 
-def best_of_k_delta_x(s2: float, delta_T: float, k: int) -> float:
-    """Best-of-k tail law at one point: (pi/k^2) s^2 exp(delta_T^2 / s^2)."""
-    if not s2 > 0:
-        raise ValueError(f"s2 must be > 0, got {s2}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return math.pi / k**2 * s2 * math.exp(delta_T**2 / s2)
-
-
 @dataclass(frozen=True)
 class RefinedBestOfK:
     """x-averaged best-of-k error with its validity diagnostics.

@@ -495,6 +495,19 @@ class TestExitCodes:
         (["polar-map", "--d", "2", "--z-gate", "nan", "--k-grid", "1,2"], "--z-gate"),
         (["tradeoff", "--t-high-sigma2", "nan", "--n-grid", "100", "--k-grid", "2"],
          "--t-high-sigma2"),
+        # negative temperatures and sample sizes, and k past the int64 range
+        (["sweep-k", "--T", "-1"], "--T"),
+        (["sweep-k", "--T-sigma2", "-1"], "--T-sigma2"),
+        (["sweep-c", "--T", "-0.5", "--k", "2"], "--T"),
+        (["polar-map", "--d", "2", "--T-sigma2", "-1", "--k-grid", "1,2"], "--T-sigma2"),
+        (["sweep-t", "--t-grid", "1e-8,-1", "--k", "2"], "--t-grid"),
+        (["sweep-t", "--t-grid-sigma2", "lin:-1,1,3", "--k", "2"], "--t-grid-sigma2"),
+        (["judge", "--records", "r.jsonl", "--t-grid", "0,-1"], "--t-grid"),
+        (["tradeoff", "--n-grid", "-5", "--k-grid", "2"], "--n-grid"),
+        (["tradeoff", "--t-high-sigma2", "-1", "--n-grid", "100", "--k-grid", "2"],
+         "--t-high-sigma2"),
+        (["sweep-k", "--k-grid", "1e300"], "--k-grid"),
+        (["bestofk-check", "--k-grid", "1,9.3e18"], "--k-grid"),
     ])
     def test_non_finite_or_empty_values_are_2(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -61,6 +62,33 @@ class TestLoadRecords:
         path.write_text('{"question_id": "a", "sample_id": "s", "reward": 1, "correct": 1}\nnot json\n')
         with pytest.raises(JudgeRecordError, match=r":2: invalid JSON"):
             load_records(path)
+
+    @pytest.mark.parametrize("line5, message", [
+        ({"sample_id": "s001"}, "duplicate record ('a', 's001')"),
+        ({"reward": float("nan")}, "reward is not finite for ('a', 's009')"),
+        ({"correct": 2}, "correct must be 0 or 1, got 2"),
+        ({"sample_id": "s001", "reward": float("nan"), "correct": 2},
+         "reward is not finite for ('a', 's001')"),
+        ({"sample_id": "s001", "correct": 2}, "correct must be 0 or 1, got 2"),
+        ("not json", "invalid JSON (Expecting value)"),
+        ("[1]", "expected a JSON object"),
+    ], ids=["duplicate", "nan", "correct", "nan+correct+duplicate", "correct+duplicate",
+            "json", "not_object"])
+    def test_first_faulty_line_is_cited(self, line5, message, tmp_path):
+        # lines 2 and 4 are blank; line 5 is the first fault, and a duplicate, a NaN
+        # reward, correct: 2 and bad JSON follow on later lines
+        good = record_rows({"a": [(0.5, 1), (0.1, 0)]})
+        row = {**good[0], "sample_id": "s009"}
+        fifth = line5 if isinstance(line5, str) else json.dumps({**row, **line5})
+        later = [good[1], {**row, "sample_id": "s7", "reward": float("nan")},
+                 {**row, "sample_id": "s8", "correct": 2}]
+        lines = [json.dumps(good[0]), "", json.dumps(good[1]), "   ", fifth,
+                 *map(json.dumps, later), "{bad"]
+        path = tmp_path / "faults.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(JudgeRecordError) as exc:
+            load_records(path)
+        assert str(exc.value) == f"{path}:5: {message}"
 
     def test_nonfinite_reward_rejected(self, tmp_path):
         rows = record_rows({"a": [(0.5, 1)]})

@@ -7,13 +7,11 @@ from itslab import (
     ModelConfig,
     RewardSpec,
     SeriesTerms,
-    best_of_k_delta_x,
     de_moments_batch,
     delta_c_curve,
     dlogn_flat_prior,
     high_t_delta_batch,
     high_t_delta_x,
-    min_chisq_mc,
     optimal_k,
     optimal_reward,
     optimal_temperature,
@@ -129,28 +127,6 @@ class TestHighTSeries:
         st = SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=10.0)
         with pytest.raises(ValueError):
             high_t_delta_x(st, 0)
-
-
-class TestBestOfK:
-    def test_plugin_value(self):
-        assert best_of_k_delta_x(1.0, 0.0, 10) == pytest.approx(math.pi / 100, rel=1e-15)
-
-    def test_k_squared_scaling_constant(self):
-        vals = [best_of_k_delta_x(1.3, 0.4, k) * k**2 for k in (1, 2, 10, 100, 10_000)]
-        np.testing.assert_allclose(vals, vals[0], rtol=1e-14)
-
-    def test_ratio_to_min_chisq_mc(self):
-        # delta(x)/s^2 should match E[min of k chi^2_1 draws] at matched
-        # noncentrality; 5% at k = 10^4.
-        k = 10_000
-        mean, _ = min_chisq_mc(0.0, k, 30_000, stream(21, "evt"))
-        assert best_of_k_delta_x(1.0, 0.0, k) == pytest.approx(mean, rel=0.05)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            best_of_k_delta_x(0.0, 0.1, 5)
-        with pytest.raises(ValueError):
-            best_of_k_delta_x(1.0, 0.1, 0)
 
 
 class TestRefinedBestOfK:
