@@ -38,7 +38,6 @@ from .ridge import (
     solve_ridge,
 )
 from .rngstreams import stream
-from .sampling import quadratic_reward, select
 from .theory import (
     OptimalReward,
     RefinedBestOfK,

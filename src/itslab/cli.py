@@ -156,6 +156,14 @@ def parse_int_grid(text: str) -> np.ndarray:
     return np.array(ints)
 
 
+def parse_n_grid(text: str) -> np.ndarray:
+    """A grid of training set sizes: integers >= 0, in the order given."""
+    values = parse_grid(text)
+    if np.any(values < 0) or np.any(values % 1):
+        raise argparse.ArgumentTypeError(f"n grid entries must be integers >= 0, got {text.strip()!r}")
+    return values
+
+
 def nonnegative(parse):
     """The argparse type of a flag read by ``parse`` whose every value must be >= 0."""
     def checked(text: str):
@@ -549,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_common(p, "tradeoff.csv")
     _add_mc_flags(p)
-    p.add_argument("--n-grid", type=nonnegative(parse_grid), default=parse_grid("10000,31623,100000"), dest="n_grid")
+    p.add_argument("--n-grid", type=parse_n_grid, default=parse_grid("10000,31623,100000"), dest="n_grid")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("100,1000,10000"), dest="k_grid")
     p.add_argument("--t-high-sigma2", type=nonnegative(finite_float), default=20.0, dest="t_high_sigma2")
     p.set_defaults(func=cmd_tradeoff)

@@ -12,10 +12,11 @@ approximated by bootstrap subsets drawn without replacement; subsets for
 growing k extend a common permutation, which keeps curves in k smooth at a
 fixed seed.
 
-Questions with equal sample counts are stacked, so a sweep costs
-O(|k| * |T| * Q * R * k) element operations (Q questions, R resamples) in a
-few array calls per (k, T) cell, with the draws and summation order, and so
-the output bytes, of a per-subset loop (the tests keep that loop).
+Questions with equal sample counts are stacked and their permutation
+prefixes gathered once as (kmax, Q, R) (Q questions, R resamples), so one
+selection-kernel call per T serves every k, at O(|T| * Q * R * kmax). The
+draws are those of a per-subset loop (the tests keep it): T = 0 rows are its
+bytes, T > 0 rows differ by rounding (the kernel sums in permutation order).
 
 Input format: one JSON object per line with fields question_id, sample_id,
 reward, correct.
@@ -28,7 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .sampling import select
+from .sampling import select_prefixes
+
+_UNPARSED = object()  # a line's record before json.loads returns
 
 
 class JudgeRecordError(ValueError):
@@ -60,21 +63,23 @@ def load_records(path) -> JudgeDataset:
     qids, sids, rewards, correct, blanks = [], [], [], [], []
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
+            obj = _UNPARSED
             try:
                 obj = json.loads(line)
                 qid, sid, reward, flag = obj["question_id"], obj["sample_id"], obj["reward"], obj["correct"]
                 rewards.append(float(reward))  # last: a faulty line leaves the columns as they were
-            except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            except OverflowError:  # an integer reward beyond the float range: not finite
+                rewards.append(math.inf)
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 if not line.strip():
                     blanks.append(len(qids))
                     continue
                 _grouped(path, blanks, qids, sids, rewards, correct)  # earlier lines first
-                if isinstance(exc, json.JSONDecodeError):
-                    fault = f"invalid JSON ({exc.msg})"
+                if obj is _UNPARSED:  # bad syntax, nesting too deep or an integer too long
+                    fault = f"invalid JSON ({getattr(exc, 'msg', exc)})"
                 elif isinstance(exc, KeyError):  # the first missing field, in the order read
                     fault = f"missing field {exc.args[0]!r}"
-                else:  # a ValueError of json.loads that is no JSONDecodeError recurs here
-                    obj = json.loads(line)
+                else:
                     fault = "reward is not a number" if isinstance(obj, dict) else "expected a JSON object"
                 raise JudgeRecordError(f"{path}:{lineno}: {fault}") from exc
             qids.append(str(qid))
@@ -159,30 +164,32 @@ def judge_sweep(
         raise ValueError(f"n_resample must be >= 1, got {n_resample}")
     qids = sorted(ds.questions)
     counts = np.array([len(ds.questions[qid].sample_ids) for qid in qids], dtype=int)
-    groups = _draw_groups(ds, qids, counts, n_resample, rng)
+    for k in k_grid:
+        if not np.any(counts >= k):
+            raise ValueError(f"no question has >= {k} samples")
+    ks = np.unique(k_grid)
+    per_question = np.empty((len(T_grid), len(qids), len(ks)))
+    for pos, rewards, correct, perms in _draw_groups(ds, qids, counts, n_resample, rng):
+        ks_q = ks[ks <= perms.shape[-1]]
+        if not ks_q.size:
+            continue
+        prefix = np.ascontiguousarray(perms[..., : ks_q[-1]].transpose(2, 0, 1))  # (kmax, Q, R)
+        q = np.arange(len(pos))[:, None]
+        # a stable rank breaks T = 0 ties toward the lowest sample_id, whatever the column order
+        rank = np.argsort(np.argsort(-rewards, axis=1, kind="stable"), axis=1)[q, prefix]
+        r, c = rewards[q, prefix], correct[q, prefix]
+        for t, T in enumerate(T_grid):
+            sums = select_prefixes(rank if T == 0 else -r, c, ks_q, T)
+            per_question[t, pos, : ks_q.size] = sums / n_resample
     rows = []
     for k in k_grid:
         used = counts >= k
         n_used = int(used.sum())
-        if not n_used:
-            raise ValueError(f"no question has >= {k} samples")
-        subsets = []
-        for pos, rewards, correct, perms in groups:
-            if perms.shape[-1] >= k:
-                # sample_id order in a subset sets the T = 0 tie rule and the summation order
-                idx = np.sort(perms[..., :k], axis=-1)
-                subsets.append((pos, np.take_along_axis(rewards[:, None], idx, -1),
-                                np.take_along_axis(correct[:, None], idx, -1)))
-        for T in T_grid:
-            per_question = np.empty(len(qids))
-            for pos, rewards, correct in subsets:
-                # cumsum adds the resamples in draw order, as a scalar loop does
-                per_question[pos] = select(correct, rewards, T).cumsum(axis=1)[:, -1] / n_resample
-            per_question = per_question[used]
-            stderr = per_question.std(ddof=1) / math.sqrt(n_used) if n_used > 1 else math.inf
+        for t, T in enumerate(T_grid):
+            values = per_question[t, used, np.searchsorted(ks, k)]
+            stderr = values.std(ddof=1) / math.sqrt(n_used) if n_used > 1 else math.inf
             rows.append({
-                "k": k, "T": T, "delta": -float(per_question.mean()), "stderr": float(stderr),
+                "k": k, "T": T, "delta": -float(values.mean()), "stderr": float(stderr),
                 "n_questions_used": n_used, "n_resample": n_resample,
             })
     return rows
-

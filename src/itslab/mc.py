@@ -18,12 +18,12 @@ F(d) = P(|z - a| <= d), so D is drawn by inverting that law and no k
 candidates are materialised; disjoint blocks of k_j - k_{j-1} candidates and
 a running minimum carry it along the k grid, at O(n_inner) cost per grid
 point. The other targets reweight one shared (n_inner, kmax) Gaussian draw
-matrix per test point. At each distinct T > 0, a target's sorted k values
-cut the columns into segments: one pass reduces each segment to its minimum
-penalty and weight sums, and an online-softmax scan merges them into the
-softmax of every prefix [:k] (T = 0 cells keep select's first argmax). That
-costs O(n_inner * kmax) per point, target and distinct T, plus an O(grid
-length) scan, where selecting each prefix anew cost O(n_inner * sum of k).
+matrix per test point. At each distinct T, a target's sorted k values cut
+the columns into segments, and one call of the selection kernel
+(``sampling.select_prefixes``) selects every prefix [:k] in one pass over
+them. That costs O(n_inner * kmax) per point, target and distinct T, plus an
+O(grid length) scan, where selecting each prefix anew cost
+O(n_inner * sum of k).
 The pass runs on small batches of test points with the targets stacked, so
 a work unit makes a few dozen large numpy calls per point rather than
 thousands of small ones.
@@ -54,7 +54,7 @@ from .model import ModelConfig, RewardSpec, generate_dataset, resolve_reward, sa
 from .posterior import fit_posterior, predictive_moments_batch
 from .ridge import de_moments_batch, solve_for_config
 from .rngstreams import stream
-from .sampling import quadratic_reward, select
+from .sampling import select_prefixes
 
 MODES = ("exact_posterior", "det_equiv")
 
@@ -140,60 +140,17 @@ def _plan_shared(cell_k, cell_T, cell_r):
     return plan, np.array([col[c] for c in cells])
 
 
-def _prefix_softmax(P, L, ks, T) -> np.ndarray:
-    """Row sums of the softmax-weighted loss over the first k columns, for every k in ks.
-
-    ``P`` holds the penalties (y - mu_R)^2 = -reward as (columns, ..., rows)
-    and is overwritten with the weights; ``L`` holds the losses, broadcastable
-    to P. Returns (..., len(ks)). The sorted ks cut the columns into
-    segments, and a column of segment j weighs w = exp((M_j - P) / T) <= 1,
-    with M_j the minimum penalty of the first ks[j] columns. One pass then
-    merges the segments' sums in order with the online-softmax rescale
-    (Milakov and Gimelshein 2018): the sums so far shrink by
-    exp((M_j - M_{j-1}) / T) <= 1 and segment j's add on. The minimising
-    column keeps a weight of exactly 1, so the denominator never underflows,
-    at any T.
-    """
-    spans = list(zip([0] + ks[:-1].tolist(), ks.tolist()))
-    top = np.empty((len(ks),) + P.shape[1:])
-    den = np.empty_like(top)
-    W = P  # each segment's penalties are read before they turn into weights
-    for j, (a, b) in enumerate(spans):
-        np.minimum.reduce(P[a:b], axis=0, out=top[j])
-        if j:
-            np.minimum(top[j], top[j - 1], out=top[j])
-        np.subtract(top[j], P[a:b], out=W[a:b])
-    with np.errstate(over="ignore"):  # -inf at tiny T: a weight of exactly 0
-        W /= T
-        shrink = np.exp(np.diff(top, axis=0) / T)
-    np.exp(W, out=W)
-    for j, (a, b) in enumerate(spans):
-        np.add.reduce(W[a:b], axis=0, out=den[j])
-    W *= L
-    sums = np.empty(P.shape[1:-1] + (len(ks),))
-    for j, (a, b) in enumerate(spans):
-        seg_num = np.add.reduce(W[a:b], axis=0)
-        if j:
-            d = d * shrink[j - 1] + den[j]
-            n = n * shrink[j - 1] + seg_num
-        else:
-            d, n = den[0], seg_num
-        sums[..., j] = (n / d).sum(axis=-1)
-    return sums
-
-
 def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int) -> np.ndarray:
     """Inner-averaged weighted losses of the distinct shared cells at a batch of test points.
 
     ``rngs`` holds one generator per point; ``m``, ``s`` and ``mu_T`` are
     per-point arrays and ``mu_R`` is (points, targets). One (n_inner, kmax)
     draw matrix per point backs every cell, drawn in row chunks that bound
-    memory; cell (r, T, k) uses its first k columns. At T > 0, one call of
-    :func:`_prefix_softmax` per plan entry and chunk serves every k of the
-    entry at all points of the batch, with the targets stacked up to the same
-    bound. T = 0 cells take :func:`select`'s first argmax. Each point's row
-    depends only on its own generator, and no sum depends on the batch size
-    or on the other targets.
+    memory; cell (r, T, k) uses its first k columns. One call of
+    :func:`select_prefixes` per plan entry and chunk serves every k of the
+    entry at all points of the batch, whatever its T, with the targets
+    stacked up to the same bound. Each point's row depends only on its own
+    generator, and no sum depends on the batch size or on the other targets.
     """
     n_points = len(rngs)
     out = np.zeros((n_points, sum(cols.size for *_, cols in plan)))
@@ -214,16 +171,9 @@ def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int) -> np.
         for T, ks, rs, cols in plan:
             for lo in range(0, len(rs), per_stack):
                 stack = slice(lo, lo + per_stack)
-                if T:
-                    P = Y[: ks[-1], :, None] - mu_R[:, rs[stack], None]
-                    P *= P
-                    out[:, cols[stack]] += _prefix_softmax(P, L[: ks[-1], :, None], ks, T)
-                    continue
-                for p in range(n_points):
-                    Yp, Lp = Y[: ks[-1], p].T, L[: ks[-1], p].T[None]
-                    B = quadratic_reward(Yp, mu_R[p, rs[stack], None, None])
-                    for j, k in enumerate(ks.tolist()):
-                        out[p, cols[stack, j]] += select(Lp[..., :k], B[..., :k], 0.0).sum(axis=-1)
+                P = Y[: ks[-1], :, None] - mu_R[:, rs[stack], None]
+                P *= P
+                out[:, cols[stack]] += select_prefixes(P, L[: ks[-1], :, None], ks, T)
         done += rows
     return out / n_inner
 

@@ -221,7 +221,7 @@ def generate_dataset(config: ModelConfig, w_T: np.ndarray, rng: np.random.Genera
     if w_T.shape != (config.d,):
         raise ValueError(f"w_T has shape {w_T.shape}, expected ({config.d},)")
     m = min(config.n, config.d)
-    chi2 = rng.chisquare(config.n - np.arange(m))
+    chi2 = rng.chisquare(config.n - np.arange(m, dtype=float))  # n may pass the int64 range
     R = np.triu(rng.standard_normal((m, config.d)), 1)
     np.fill_diagonal(R, np.sqrt(chi2))
     X = config.S * R

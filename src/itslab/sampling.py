@@ -1,35 +1,66 @@
-"""Reward-weighted selection among inference-time candidates.
+"""The one selection kernel: reward-weighted selection among inference-time candidates.
 
-Each of k candidates y_i drawn from the predictive is scored with the
-quadratic reward r(y) = -(y - mu_R)^2, and one is selected from the softmax
-Categorical(q), q_i proportional to exp(r_i / T). :func:`select` returns the
-expectation of a value over that draw, not a draw: the q-weighted mean of the
-candidates' values, which has the same expectation as the sampled index and
-strictly lower variance. T = 0 is an exact argmax branch (best-of-k), never a
-tiny-T limit, to avoid overflow; ties at T = 0 break to the lowest index.
+A candidate carries a penalty p = -reward (the Monte Carlo estimator's
+(y - mu_R)^2, or a judge reward negated or ranked) and a loss, and one
+candidate is selected from the softmax Categorical(q), q_i proportional to
+exp(-p_i / T). The kernel returns the expectation of the loss over that
+draw, not a draw, which has the same mean and strictly lower variance. T = 0
+is an exact argmin branch (best-of-k), never a tiny-T limit, and its ties
+break to the lowest column.
 """
 
 import numpy as np
 
 
-def quadratic_reward(y, mu_R):
-    """Reward -(y - mu_R)^2; maximal (zero) when y hits the reward target."""
-    diff = np.asarray(y, dtype=float) - mu_R
-    return -(diff * diff)
+def select_prefixes(P, L, ks, T) -> np.ndarray:
+    """Row sums of the selected loss over the first k columns, for every k in ks.
 
-
-def select(values: np.ndarray, rewards: np.ndarray, T: float) -> np.ndarray:
-    """Reward-weighted selection of ``values`` along the last axis.
-
-    T = 0 returns the value at the first maximal reward; T > 0 returns the
-    softmax(rewards / T)-weighted mean of the values. Rewards must be finite
-    or -inf, with at least one finite reward per selection.
+    ``P`` holds the penalties as (columns, ..., rows), ``L`` the losses,
+    broadcastable to P, and the sorted distinct ``ks`` cut the columns into
+    segments. Returns (..., len(ks)). At T = 0 each segment reduces to its
+    first argmin, and the running best passes to a segment only where its
+    penalty is strictly lower, so ties keep the earlier column. At T > 0, P
+    is overwritten with the weights: a column of segment j weighs
+    w = exp((M_j - P) / T) <= 1, with M_j the minimum penalty of the first
+    ks[j] columns, and one pass merges the segments' sums in order with the
+    online-softmax rescale (Milakov and Gimelshein 2018): the sums so far
+    shrink by exp((M_j - M_{j-1}) / T) <= 1 and segment j's add on. The
+    minimising column keeps a weight of exactly 1, so the denominator never
+    underflows, at any T.
     """
+    spans = list(zip([0] + ks[:-1].tolist(), ks.tolist()))
+    sums = np.empty(P.shape[1:-1] + (len(ks),))
     if T == 0:
-        best = np.argmax(rewards, axis=-1)[..., None]
-        return np.take_along_axis(values, best, axis=-1)[..., 0]
-    w = rewards - rewards.max(axis=-1, keepdims=True)
-    w /= T
-    np.exp(w, out=w)
-    # sum/sum returns constant values exactly (all-correct is exactly 1.0)
-    return (w * values).sum(axis=-1) / w.sum(axis=-1)
+        L = np.broadcast_to(L, P.shape)
+        best_p, best_l = P[0], L[0]
+        for j, (a, b) in enumerate(spans):
+            first = P[a:b].argmin(axis=0)[None]
+            seg_p, seg_l = (np.take_along_axis(X[a:b], first, 0)[0] for X in (P, L))
+            lower = seg_p < best_p
+            best_p, best_l = np.where(lower, seg_p, best_p), np.where(lower, seg_l, best_l)
+            sums[..., j] = best_l.sum(axis=-1)
+        return sums
+    top = np.empty((len(ks),) + P.shape[1:])
+    den = np.empty_like(top)
+    W = P  # each segment's penalties are read before they turn into weights
+    for j, (a, b) in enumerate(spans):
+        np.minimum.reduce(P[a:b], axis=0, out=top[j])
+        if j:
+            np.minimum(top[j], top[j - 1], out=top[j])
+        np.subtract(top[j], P[a:b], out=W[a:b])
+    with np.errstate(over="ignore"):  # -inf at tiny T: a weight of exactly 0
+        W /= T
+        shrink = np.exp(np.diff(top, axis=0) / T)
+    np.exp(W, out=W)
+    for j, (a, b) in enumerate(spans):
+        np.add.reduce(W[a:b], axis=0, out=den[j])
+    W *= L
+    for j, (a, b) in enumerate(spans):
+        seg_num = np.add.reduce(W[a:b], axis=0)
+        if j:
+            d = d * shrink[j - 1] + den[j]
+            n = n * shrink[j - 1] + seg_num
+        else:
+            d, n = den[0], seg_num
+        sums[..., j] = (n / d).sum(axis=-1)
+    return sums

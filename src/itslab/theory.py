@@ -305,6 +305,6 @@ def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:
     q = (
         (w @ w / config.d)
         * (1.0 / config.S**2)
-        * (config.d**2 * config.sigma**2 / (config.n**2 * gamma4))
+        * (config.d**2 * config.sigma**2 / (float(config.n) * config.n * gamma4))  # n^2 may be inf
     )
     return -2.0 * q / (1.0 - 2.0 * q)

@@ -1,12 +1,28 @@
 """Synthetic data and oracles shared by the tests: judge records, the i.i.d.
-training-set reference and the per-point Monte Carlo estimator."""
+training-set reference, a brute-force selection and the per-point Monte Carlo
+estimator."""
 
 import json
 import math
 
 import numpy as np
 
-from itslab import Dataset, quadratic_reward, select
+from itslab import Dataset
+
+
+def select(values, rewards, T):
+    """Brute-force reward-weighted selection along the last axis, one selection per row.
+
+    The independent oracle of ``itslab.sampling.select_prefixes``: T = 0
+    returns the value at the first maximal reward, T > 0 the
+    softmax(rewards / T)-weighted mean of the values.
+    """
+    if T == 0:
+        best = np.argmax(rewards, axis=-1)[..., None]
+        return np.take_along_axis(values, best, axis=-1)[..., 0]
+    with np.errstate(over="ignore"):  # -inf at tiny T: a weight of exactly 0
+        w = np.exp((rewards - rewards.max(axis=-1, keepdims=True)) / T)
+    return (w * values).sum(axis=-1) / w.sum(axis=-1)
 
 
 def iid_dataset(config, w_T, rng):
@@ -25,7 +41,7 @@ def delta_x(m, s2, mu_T, mu_R, k, T, n_inner, rng):
     """delta(x) from n_inner independent batches of k draws from N(m, s2), selected at T.
 
     The oracle of the sweep engine: every batch is drawn and selected in
-    full, through :func:`itslab.select`. Returns (mean, stderr), the stderr
+    full, through :func:`select`. Returns (mean, stderr), the stderr
     over the per-batch weighted losses.
     """
     if n_inner < 1:
@@ -35,7 +51,7 @@ def delta_x(m, s2, mu_T, mu_R, k, T, n_inner, rng):
     rows_per_chunk = max(1, (1 << 23) // k)  # at most 2^23 draws held at once
     for done in range(0, n_inner, rows_per_chunk):
         Y = m + s * rng.standard_normal((min(rows_per_chunk, n_inner - done), k))
-        values[done : done + len(Y)] = select((Y - mu_T) ** 2, quadratic_reward(Y, mu_R), T)
+        values[done : done + len(Y)] = select((Y - mu_T) ** 2, -((Y - mu_R) ** 2), T)
     stderr = values.std(ddof=1) / math.sqrt(n_inner) if n_inner > 1 else math.inf
     return float(values.mean()), float(stderr)
 

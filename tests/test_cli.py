@@ -452,6 +452,19 @@ class TestExitCodes:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"question_id": "a", "sample_id": "s1", "reward": 1' + "0" * 400 + ', "correct": 1}',
+         "reward is not finite for ('a', 's1')"),
+        ("[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
+    ], ids=["reward_past_float_range", "deep_nesting"])
+    def test_judge_record_fault_is_1_with_its_line(self, line, message, tmp_path, capsys):
+        rec = tmp_path / "r.jsonl"
+        rec.write_text(json.dumps(record_rows({"a": [(0.5, 1)]})[0]) + "\n" + line + "\n")
+        assert run(["judge", "--records", str(rec), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"itslab: error: {rec}:2: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["judge", "--records", "r.jsonl", "--threads", "3"],
         ["ridge", "--threads", "2"],
@@ -508,6 +521,9 @@ class TestExitCodes:
          "--t-high-sigma2"),
         (["sweep-k", "--k-grid", "1e300"], "--k-grid"),
         (["bestofk-check", "--k-grid", "1,9.3e18"], "--k-grid"),
+        # training set sizes are integers
+        (["tradeoff", "--n-grid", "2.5", "--k-grid", "2"], "--n-grid"),
+        (["tradeoff", "--n-grid", "lin:10,20,4", "--k-grid", "2"], "--n-grid"),
     ])
     def test_non_finite_or_empty_values_are_2(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -566,12 +582,33 @@ class TestExtremeScales:
           "--k-grid", "1,4", *_SMALL_MC],
          "posterior precision is not numerically positive definite at n = 5, d = 30, "
          "sigma = 0.0001, gamma = 100000"),
+        (["tradeoff", "--mode", "exact", "--n-grid", "1e300", "--sigma", "1e-6", "--d", "3",
+          "--k-grid", "1,4", *_SMALL_MC],
+         f"the posterior precision leaves the float range at n = {int(1e300)}, d = 3, "
+         "sigma = 1e-06, gamma = 0.001"),
     ], ids=["sigma_huge", "gamma_huge_de", "gamma_tiny", "sigma_tiny_exact", "ridgeless",
-            "not_positive_definite"])
+            "not_positive_definite", "n_huge_exact"])
     def test_out_of_range_exits_1_with_message(self, argv, message, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"itslab: error: {message}\n"
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["tradeoff", "--n-grid", "1e300"],
+        ["tradeoff", "--mode", "exact", "--n-grid", "1e300"],
+        ["tradeoff", "--mode", "exact", "--n-grid", "1e20"],
+        ["tradeoff", "--n-grid", "1e20"],
+        ["sweep-k", "--mode", "exact", "--n", "100000000000000000000"],
+    ], ids=["tradeoff_de_1e300", "tradeoff_exact_1e300", "tradeoff_exact_1e20",
+            "tradeoff_de_1e20", "sweep_k_exact_1e20"])
+    def test_huge_n_runs(self, argv, tmp_path):
+        # n past the int64 and the float range of n^2: the posterior and the
+        # fixed point both reach the n -> inf limit, with no OverflowError
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--d", "3", "--k-grid", "1,4", *_SMALL_MC, "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(math.isfinite(float(r["delta"])) for r in rows)
 
     @pytest.mark.parametrize("argv", [
         ["sweep-k", "--d", "3", "--n", "30", "--k-grid", "1,4"],

@@ -14,48 +14,52 @@ from itslab import (
     delta_k_curve,
     delta_t_curve,
     fit_posterior,
-    quadratic_reward,
     refined_best_of_k_delta,
     sample_teacher,
-    select,
     solve_for_config,
     stream,
 )
 from itslab import mc
 from itslab.mc import _best_of_k_cells, _plan_shared, _softmax_cells, _winner_distance
+from itslab.sampling import select_prefixes
 
 from _synth import delta_x
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
 
+def _kernel_rows(L, P, T):
+    """The selection kernel over all k columns of each row of L and P, (rows, k)."""
+    return select_prefixes(P.T[..., None].copy(), L.T[..., None], np.array([P.shape[1]]), T)[:, 0]
+
+
 class TestSelectValues:
     def test_exchange_symmetry_exact_without_ties(self):
-        # with distinct rewards the argmax branch is permutation-invariant
+        # with distinct penalties the argmin branch is permutation-invariant
         # bit-for-bit (ties are the one place order matters, by the tie rule)
         rng = np.random.default_rng(0)
         Y = np.stack([rng.choice(16, size=6, replace=False) / 4.0 for _ in range(20)])
         L = (Y - 0.25) ** 2
-        R = quadratic_reward(Y, -0.5)
-        base = select(L, R, T=0.0)
+        P = (Y + 0.5) ** 2
+        base = _kernel_rows(L, P, T=0.0)
         for _ in range(5):
             perm = rng.permutation(6)
-            np.testing.assert_array_equal(select(L[:, perm], R[:, perm], 0.0), base)
+            np.testing.assert_array_equal(_kernel_rows(L[:, perm], P[:, perm], 0.0), base)
 
     def test_exchange_symmetry_generic(self):
         rng = np.random.default_rng(1)
         Y = rng.normal(size=(50, 8))
         L = (Y - 0.3) ** 2
-        R = quadratic_reward(Y, -0.1)
-        base = select(L, R, T=0.7)
+        P = (Y + 0.1) ** 2
+        base = _kernel_rows(L, P, T=0.7)
         for _ in range(5):
             perm = rng.permutation(8)
-            np.testing.assert_allclose(select(L[:, perm], R[:, perm], 0.7), base, rtol=1e-12)
+            np.testing.assert_allclose(_kernel_rows(L[:, perm], P[:, perm], 0.7), base, rtol=1e-12)
 
     def test_zero_t_lowest_index_ties(self):
-        R = np.array([[-1.0, -1.0, -2.0]])
+        P = np.array([[1.0, 1.0, 2.0]])
         L = np.array([[10.0, 20.0, 30.0]])
-        assert select(L, R, 0.0)[0] == 10.0
+        assert _kernel_rows(L, P, 0.0)[0] == 10.0
 
 
 def _select_values(L, P, T):

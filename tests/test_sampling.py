@@ -5,30 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from itslab import quadratic_reward, select
+from itslab import ModelConfig, RewardSpec, delta_k_curve, delta_t_curve, judge_sweep, load_records, stream
+from itslab import judge, mc
+from itslab.sampling import select_prefixes
+
+from _synth import record_rows, select as brute_select, trap_judge_questions, write_records
+
+
+def select(values, rewards, T):
+    """The kernel's selection over all k entries of the last axis, one selection per row."""
+    P = np.moveaxis(-np.asarray(rewards, dtype=float), -1, 0)[..., None]  # columns first, one row
+    L = np.moveaxis(np.asarray(values, dtype=float), -1, 0)[..., None]
+    return select_prefixes(P, L, np.array([P.shape[0]]), T)[..., 0]
 
 
 def weights(rewards, T):
-    """The selection weights of ``select``: row i of eye(k) picks out weight i."""
+    """The kernel's selection weights: row i of eye(k) picks out weight i."""
     r = np.asarray(rewards, dtype=float)
     return select(np.eye(r.size), np.tile(r, (r.size, 1)), T)
-
-
-class TestQuadraticReward:
-    def test_maximal_at_target(self):
-        assert quadratic_reward(1.3, 1.3) == 0.0
-
-    def test_unit_offset(self):
-        assert quadratic_reward(2.0, 1.0) == -1.0
-
-    def test_arithmetic(self):
-        assert quadratic_reward(3.0, 1.0) == -4.0
-
-    def test_vectorized(self):
-        np.testing.assert_array_equal(
-            quadratic_reward(np.array([0.0, 1.0, 3.0]), 1.0),
-            np.array([-1.0, 0.0, -4.0]),
-        )
 
 
 class TestSoftmaxWeights:
@@ -59,8 +53,8 @@ class TestSoftmaxWeights:
         st.integers(min_value=-30, max_value=30),
     )
     def test_shift_invariance_exact_on_integers(self, rewards, shift):
-        # Integer rewards and shifts are exact in floats, so max-subtraction
-        # cancels the shift bit-for-bit.
+        # Integer rewards and shifts are exact in floats, so subtracting the
+        # minimum penalty cancels the shift bit-for-bit.
         r = np.array(rewards, dtype=float)
         w1 = weights(r, T=1.5)
         w2 = weights(r + float(shift), T=1.5)
@@ -93,9 +87,8 @@ class TestRewardWeightedSelect:
             assert select(np.array([4.2]), np.array([-17.0]), T) == 4.2
 
     def test_zero_t_tie_breaks_low_index(self):
-        # rewards (-0.01, -0.01, -1.0): exact tie between the first two.
-        samples = np.array([0.9, 1.1, 2.0])
-        assert select(samples, quadratic_reward(samples, 1.0), 0.0) == 0.9
+        # an exact tie between the first two rewards
+        assert select(np.array([0.9, 1.1, 2.0]), np.array([-0.01, -0.01, -1.0]), 0.0) == 0.9
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=1),
@@ -133,3 +126,68 @@ class TestSoftmaxGuards:
     def test_partial_neg_inf_ok(self):
         w = weights(np.array([-np.inf, 0.0]), T=1.0)
         np.testing.assert_array_equal(w, [0.0, 1.0])
+
+
+class TestPrefixes:
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True),
+        st.sampled_from([0.0, 1e-300, 1e-9, 0.5, 1e300]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_prefix_equals_a_brute_force_selection(self, ks, T, seed, broadcast):
+        # integer penalties in [0, 3]: ties fall within and across segments
+        ks = np.array(sorted(ks))
+        rng = np.random.default_rng(seed)
+        P = rng.integers(0, 4, size=(ks[-1], 3, 5)).astype(float)
+        L = rng.random((ks[-1], 1 if broadcast else 3, 5))
+        got = select_prefixes(P.copy(), L, ks, T)
+        assert got.shape == (3, len(ks))
+        for j, k in enumerate(ks.tolist()):
+            values = np.moveaxis(np.broadcast_to(L[:k], P[:k].shape), 0, -1)
+            want = brute_select(values, np.moveaxis(-P[:k], 0, -1), T).sum(axis=-1)
+            if T == 0:
+                np.testing.assert_array_equal(got[:, j], want)
+            else:
+                np.testing.assert_allclose(got[:, j], want, rtol=1e-13, atol=0)
+
+
+class TestOneKernel:
+    """Every selection of the engine and of the judge goes through select_prefixes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # a kernel that counts its calls and selects nothing: any selection
+        # made elsewhere would leave a nonzero value behind
+        calls = []
+
+        def zeroed(P, L, ks, T):
+            calls.append(T)
+            return np.zeros_like(select_prefixes(P, L, ks, T))
+
+        monkeypatch.setattr(mc, "select_prefixes", zeroed)
+        monkeypatch.setattr(judge, "select_prefixes", zeroed)
+        return calls
+
+    def test_judge_sweep(self, calls, tmp_path):
+        rows = record_rows(trap_judge_questions(np.random.default_rng(0), 12, 8))
+        rows += record_rows({"short": [(0.3, 1), (0.3, 1), (0.1, 0)]})
+        ds = load_records(write_records(tmp_path / "r.jsonl", rows))
+        out = judge_sweep(ds, [1, 3, 8], [0.0, 0.5, 4.0], 4, stream(0, "judge"))
+        # two count groups (3 and 8 samples), one call per group and T
+        assert sorted(calls) == [0.0, 0.0, 0.5, 0.5, 4.0, 4.0]
+        assert all(row["delta"] == 0.0 for row in out)
+
+    def test_mixed_temperature_curve(self, calls):
+        cfg = ModelConfig(d=3, n=30)
+        res = delta_t_curve(cfg, RewardSpec.radial(1.0), 5, [0.0, 1e-9, 2e-8, 0.0],
+                            n_outer=20, n_inner=6, seed=1)
+        assert set(calls) == {0.0, 1e-9, 2e-8}
+        assert not res.per_x.any()
+
+    def test_zero_temperature_sweep_uses_the_sampler(self, calls):
+        cfg = ModelConfig(d=3, n=30)
+        res = delta_k_curve(cfg, RewardSpec.radial(1.0), 0.0, [1, 4, 100], n_outer=20, n_inner=6)
+        assert calls == []
+        assert res.per_x.all()
