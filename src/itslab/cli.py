@@ -149,19 +149,20 @@ def parse_grid(text: str) -> np.ndarray:
     return values
 
 
-def parse_int_grid(text: str) -> np.ndarray:
-    ints = sorted({int(round(v)) for v in parse_grid(text)})
-    if ints[0] < 1 or ints[-1] > np.iinfo(np.int64).max:  # the engine holds k in int64
-        raise argparse.ArgumentTypeError("k grid entries must be integers in [1, 2**63 - 1]")
-    return np.array(ints)
-
-
 def parse_n_grid(text: str) -> np.ndarray:
     """A grid of training set sizes: integers >= 0, in the order given."""
     values = parse_grid(text)
     if np.any(values < 0) or np.any(values % 1):
-        raise argparse.ArgumentTypeError(f"n grid entries must be integers >= 0, got {text.strip()!r}")
+        raise argparse.ArgumentTypeError(f"grid entries must be integers >= 0, got {text.strip()!r}")
     return values
+
+
+def parse_int_grid(text: str) -> np.ndarray:
+    """A k grid: the integers of an n grid, sorted and deduplicated, in [1, 2**63 - 1]."""
+    ints = sorted({int(v) for v in parse_n_grid(text)})
+    if ints[0] < 1 or ints[-1] > np.iinfo(np.int64).max:  # the engine holds k in int64
+        raise argparse.ArgumentTypeError("k grid entries must be integers in [1, 2**63 - 1]")
+    return np.array(ints)
 
 
 def nonnegative(parse):
@@ -174,7 +175,8 @@ def nonnegative(parse):
     return functools.update_wrapper(checked, parse)  # argparse's messages name parse
 
 
-def _add_model_flags(p):
+def _add_model_flags(parser):
+    p = parser.add_argument_group("model", "a flag overrides the --config file, which overrides the defaults")
     p.add_argument("--config", help="key=value model configuration file")
     p.add_argument("--d", type=int, help="input dimension")
     p.add_argument("--n", type=int, help="training set size")
@@ -208,18 +210,11 @@ def _add_temperature_flags(p):
 
 
 def build_config(args, parser) -> ModelConfig:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("d", "n", "S", "sigma", "gamma", "tau", "teacher_mode")
-        if getattr(args, key, None) is not None
-    }
+    """The config file's keys, then the model flags, over ModelConfig's defaults."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ModelConfig)
+             if getattr(args, f.name) is not None}
     try:
-        if args.config:
-            config = ModelConfig.from_file(args.config, **overrides)
-        else:
-            defaults = dict(d=10, n=10_000, S=1.0, sigma=1e-4, gamma=1e-3, tau=2.0)
-            defaults.update(overrides)
-            config = ModelConfig(**defaults)
+        config = ModelConfig.from_file(args.config, **given) if args.config else ModelConfig(**given)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
     # a runtime error, not a usage one: temperatures and variances all scale with sigma^2

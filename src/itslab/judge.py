@@ -1,7 +1,8 @@
 """Reward-weighted accuracy on externally supplied judge-scored records.
 
-Records pair a per-sample scalar reward with a binary correctness flag,
-grouped by question. For a subset of k samples the metric is
+Records pair a per-sample scalar reward with a binary correctness flag and
+stay columns sorted by (question_id, sample_id). For a subset of k samples
+the metric is
 
     delta = - E_question [ sum_i softmax(r_i / T)_i * correct_i ],
 
@@ -12,9 +13,10 @@ approximated by bootstrap subsets drawn without replacement; subsets for
 growing k extend a common permutation, which keeps curves in k smooth at a
 fixed seed.
 
-Questions with equal sample counts are stacked and their permutation
-prefixes gathered once as (kmax, Q, R) (Q questions, R resamples), so one
-selection-kernel call per T serves every k, at O(|T| * Q * R * kmax). The
+Questions with equal sample counts are gathered from the columns by offset
+and their permutation prefixes once as (kmax, Q, R) (Q questions, R
+resamples), so one selection-kernel call per T serves every k, at
+O(|T| * Q * R * kmax). The
 draws are those of a per-subset loop (the tests keep it): T = 0 rows are its
 bytes, T > 0 rows differ by rounding (the kernel sums in permutation order).
 
@@ -39,17 +41,13 @@ class JudgeRecordError(ValueError):
 
 
 @dataclass(frozen=True)
-class _Question:
-    sample_ids: tuple
-    rewards: np.ndarray   # aligned with sample_ids, which are sorted
-    correct: np.ndarray
-
-
-@dataclass(frozen=True)
 class JudgeDataset:
-    """Validated records grouped by question."""
+    """Validated records as columns sorted by (question_id, sample_id); question i starts at row starts[i]."""
 
-    questions: dict
+    question_ids: np.ndarray
+    starts: np.ndarray
+    rewards: np.ndarray
+    correct: np.ndarray  # 0.0 or 1.0
 
 
 def load_records(path) -> JudgeDataset:
@@ -91,7 +89,7 @@ def load_records(path) -> JudgeDataset:
 
 
 def _grouped(path, blanks: list, qids: list, sids: list, rewards: list, correct: list) -> JudgeDataset:
-    """Group the record columns by question after one stable sort on (question_id, sample_id).
+    """Sort the record columns by (question_id, sample_id) in one stable sort; find each question's start.
 
     Raises the first faulty record in file order (``blanks`` holds the number
     of records above each blank line): a non-finite reward, then a flag other
@@ -115,28 +113,25 @@ def _grouped(path, blanks: list, qids: list, sids: list, rewards: list, correct:
         message = (f"reward is not finite for {pair}", f"correct must be 0 or 1, got {correct[i]!r}",
                    f"duplicate record {pair}")[checks[:, i].argmax()]
         raise JudgeRecordError(f"{path}:{lineno}: {message}")
-    r, c = r[order], c[order].astype(float)
-    bounds = [*np.flatnonzero(first).tolist(), n]
-    return JudgeDataset(questions={
-        q[a]: _Question(tuple(s[a:b]), r[a:b], c[a:b]) for a, b in zip(bounds, bounds[1:])
-    })
+    starts = np.flatnonzero(first)
+    return JudgeDataset(q[starts], starts, r[order], c[order].astype(float))
 
 
-def _draw_groups(ds: JudgeDataset, qids: list, counts: np.ndarray, n_resample: int, rng) -> list:
-    """Stack the questions by sample count nq: (positions in qids, rewards, correct, perms).
+def _draw_groups(ds: JudgeDataset, counts: np.ndarray, n_resample: int, rng) -> list:
+    """Gather the questions by sample count nq: (positions, rewards (Q, nq), correct, perms).
 
     perms (Q, n_resample, nq) gets one ``rng.permuted`` draw per run of consecutive equal-count
-    questions in qids order, the same as one ``rng.permutation(nq)`` per question and resample.
+    questions in id order, the same as one ``rng.permutation(nq)`` per question and resample.
     """
     groups, perms_of, row = [], {}, np.empty(len(counts), dtype=int)
     for nq in np.unique(counts).tolist():
         positions = np.flatnonzero(counts == nq)
         row[positions] = np.arange(len(positions))
-        qs = [ds.questions[qids[i]] for i in positions]
-        perms_of[nq] = perms = np.empty((len(qs), n_resample, nq), dtype=np.int32)
-        groups.append((positions, np.array([q.rewards for q in qs]), np.array([q.correct for q in qs]), perms))
-    starts = np.flatnonzero(np.diff(counts, prepend=0)).tolist()
-    for a, b in zip(starts, starts[1:] + [len(counts)]):
+        rows = ds.starts[positions, None] + np.arange(nq)
+        perms_of[nq] = perms = np.empty((len(positions), n_resample, nq), dtype=np.int32)
+        groups.append((positions, ds.rewards[rows], ds.correct[rows], perms))
+    runs = np.flatnonzero(np.diff(counts, prepend=0)).tolist()
+    for a, b in zip(runs, runs[1:] + [len(counts)]):
         run = perms_of[counts[a]][row[a]:row[a] + b - a]
         rng.permuted(np.broadcast_to(np.arange(counts[a], dtype=np.int32), run.shape), axis=-1, out=run)
     return groups
@@ -162,14 +157,13 @@ def judge_sweep(
         raise ValueError(f"every T must be >= 0, got {T_grid}")
     if n_resample < 1:
         raise ValueError(f"n_resample must be >= 1, got {n_resample}")
-    qids = sorted(ds.questions)
-    counts = np.array([len(ds.questions[qid].sample_ids) for qid in qids], dtype=int)
+    counts = np.diff(ds.starts, append=len(ds.rewards))
     for k in k_grid:
         if not np.any(counts >= k):
             raise ValueError(f"no question has >= {k} samples")
     ks = np.unique(k_grid)
-    per_question = np.empty((len(T_grid), len(qids), len(ks)))
-    for pos, rewards, correct, perms in _draw_groups(ds, qids, counts, n_resample, rng):
+    per_question = np.empty((len(T_grid), len(counts), len(ks)))
+    for pos, rewards, correct, perms in _draw_groups(ds, counts, n_resample, rng):
         ks_q = ks[ks <= perms.shape[-1]]
         if not ks_q.size:
             continue

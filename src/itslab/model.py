@@ -14,24 +14,13 @@ and a planar offset at an angle from w_T).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 _TEACHER_MODES = ("sampled", "normalized")
 _REWARD_MODES = ("explicit", "radial_c", "polar")
-
-# Keys accepted in a config file, with their parsers.
-_CONFIG_KEYS = {
-    "d": int,
-    "n": int,
-    "S": float,
-    "sigma": float,
-    "gamma": float,
-    "tau": float,
-    "teacher_mode": str,
-}
 
 
 @dataclass(frozen=True)
@@ -41,11 +30,13 @@ class ModelConfig:
     d: input dimension, n: training set size, S: input scale (covariance
     S^2 I), sigma: label noise std, gamma: prior std, tau: teacher sampling
     std. ``teacher_mode`` selects between sampling w_T ~ N(0, tau^2 I) and
-    rescaling the draw so that ||w_T||^2 = d exactly.
+    rescaling the draw so that ||w_T||^2 = d exactly. The fields are the
+    whole schema: a config file and the CLI's model flags set these names,
+    and what they leave out takes the defaults here.
     """
 
-    d: int
-    n: int
+    d: int = 10
+    n: int = 10_000
     S: float = 1.0
     sigma: float = 1e-4
     gamma: float = 1e-3
@@ -72,10 +63,13 @@ class ModelConfig:
 
     @property
     def alpha(self) -> float:
-        """Aspect ratio d/n. Only defined for n > 0."""
+        """Aspect ratio d/n. Only defined for n > 0, and where d/n does not underflow to 0."""
         if self.n == 0:
             raise ValueError("alpha = d/n is undefined for n = 0")
-        return self.d / self.n
+        alpha = self.d / self.n
+        if alpha == 0.0:
+            raise ValueError(f"n is too large: alpha = d/n = {self.d}/n underflows to 0")
+        return alpha
 
     @property
     def prior_var(self) -> float:
@@ -93,15 +87,16 @@ class ModelConfig:
     def from_file(cls, path, **overrides) -> "ModelConfig":
         """Build a config from a key=value file, applying keyword overrides.
 
-        Recognized keys: d, n, S, sigma, gamma, tau, teacher_mode. Lines may
-        use ``key = value`` or ``key: value``; ``#`` starts a comment.
+        The keys are the field names, each parsed with its field's type; any
+        may be left out. Lines may use ``key = value`` or ``key: value``;
+        ``#`` starts a comment. A None override counts as not given.
         """
-        raw = _parse_kv_file(path)
+        types = {field.name: field.type for field in fields(cls)}
         merged: dict = {}
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
+        for key, value in _parse_kv_file(path).items():
+            if key not in types:
                 raise ValueError(f"unknown config key {key!r} in {path}")
-            merged[key] = _CONFIG_KEYS[key](value)
+            merged[key] = types[key](value)
         for key, value in overrides.items():
             if value is not None:
                 merged[key] = value

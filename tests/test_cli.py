@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from itslab import ModelConfig
 from itslab.cli import build_parser, main, parse_grid, parse_int_grid, write_csv
 
 from _synth import record_rows, trap_judge_questions, write_records
@@ -33,6 +35,7 @@ class TestParsing:
 
     def test_int_grid_sorted_unique(self):
         np.testing.assert_array_equal(parse_int_grid("5,1,5,2"), [1, 2, 5])
+        np.testing.assert_array_equal(parse_int_grid("log:1,100,3"), [1, 10, 100])
 
     def test_bad_grid_rejected(self):
         import argparse
@@ -429,6 +432,75 @@ class TestSubcommands:
         assert manifest["config"]["d"] == 6
 
 
+def _model_flag_dests(subparser):
+    group = next(g for g in subparser._action_groups if g.title == "model")
+    return {a.dest for a in group._group_actions} - {"config"}
+
+
+class TestConfigSchema:
+    """ModelConfig's fields are the one schema of config files and model flags."""
+
+    def test_fields_file_keys_and_flags_agree(self, tmp_path):
+        names = {f.name for f in dataclasses.fields(ModelConfig)}
+        subparsers = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+        with_model = [p for p in subparsers.values() if "--config" in p._option_string_actions]
+        assert len(with_model) == len(subparsers) - 1  # every subcommand but judge
+        dests = [_model_flag_dests(p) for p in with_model]
+        defaults = dataclasses.asdict(ModelConfig())
+
+        def accepted(key):
+            path = tmp_path / "key.cfg"
+            path.write_text(f"{key} = {defaults.get(key, 1)}\n")
+            try:
+                return ModelConfig.from_file(path) == ModelConfig()
+            except ValueError:
+                return False
+
+        candidates = names.union(*dests, {"alpha", "config", "seed", "dd"})
+        assert {key for key in candidates if accepted(key)} == names
+        assert all(d == names for d in dests)
+
+    def test_file_key_alone_matches_its_flag(self, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("sigma = 1e-3\n")  # no d, no n: the defaults flags use
+        flags = ["sweep-k", "--k-grid", "1,4", "--c-grid", "0,2", *_SMALL_MC]
+        assert run(flags + ["--config", str(cfg), "--out", str(tmp_path / "file.csv")]) == 0
+        assert run(flags + ["--sigma", "1e-3", "--out", str(tmp_path / "flag.csv")]) == 0
+        assert read_bytes(tmp_path / "file.csv") == read_bytes(tmp_path / "flag.csv")
+
+    def test_file_without_n_takes_the_flag(self, tmp_path):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("S = 2\n")  # no d either: it takes the default
+        out = tmp_path / "r.csv"
+        assert run(["ridge", "--config", str(cfg), "--n", "50", "--out", str(out)]) == 0
+        config = json.loads((tmp_path / "r.csv.manifest.json").read_text())["config"]
+        assert config == dataclasses.asdict(ModelConfig(d=10, n=50, S=2.0))
+
+    @pytest.mark.parametrize("text, message", [
+        ("dd = 4\n", "unknown config key 'dd' in {cfg}"),
+        ("d = ten\n", "invalid literal for int() with base 10: 'ten'"),
+        ("sigma = small\n", "could not convert string to float: 'small'"),
+        ("d 4\n", "{cfg}:1: expected 'key = value', got 'd 4'"),
+    ], ids=["unknown_key", "bad_int", "bad_float", "no_separator"])
+    def test_faulty_file_is_2_with_its_message(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run(["ridge", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == 2
+        assert f"error: {message.format(cfg=cfg)}\n" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ridge"], ["sweep-k", "--mode", "exact", "--k-grid", "1,2", *_SMALL_MC],
+    ], ids=["ridge", "sweep-k"])
+    def test_n_past_the_float_range_names_n(self, argv, tmp_path, capsys):
+        huge = "1" + "0" * 400  # d/n underflows to 0
+        assert run(argv + ["--d", "3", "--n", huge, "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "itslab: error: n is too large: alpha = d/n = 3/n underflows to 0\n"
+        assert not (tmp_path / "x.csv").exists()
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -524,6 +596,10 @@ class TestExitCodes:
         # training set sizes are integers
         (["tradeoff", "--n-grid", "2.5", "--k-grid", "2"], "--n-grid"),
         (["tradeoff", "--n-grid", "lin:10,20,4", "--k-grid", "2"], "--n-grid"),
+        # so are the sizes of a k grid: no rounding to the nearest
+        (["sweep-k", "--k-grid", "2.5,3.5"], "--k-grid"),
+        (["judge", "--records", "r.jsonl", "--k-grid", "lin:1,2,3"], "--k-grid"),
+        (["tradeoff", "--n-grid", "100", "--k-grid", "log:1,10,3"], "--k-grid"),
     ])
     def test_non_finite_or_empty_values_are_2(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

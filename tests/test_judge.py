@@ -31,10 +31,13 @@ class TestLoadRecords:
             load_records(path)
 
     def test_grouping_counts(self, tmp_path):
-        rows = record_rows({"a": [(0.1, 1)] * 3, "b": [(0.2, 0)] * 3})
+        rows = record_rows({"a": [(0.1, 1), (0.2, 0), (0.3, 1)], "b": [(0.4, 0), (0.5, 1)]})
         ds = load_records(write_records(tmp_path / "r.jsonl", rows[::-1]))
-        assert sorted(ds.questions) == ["a", "b"]
-        assert ds.questions["a"].sample_ids == ("s000", "s001", "s002")  # sorted by sample_id
+        assert ds.question_ids.tolist() == ["a", "b"]
+        assert ds.starts.tolist() == [0, 3]
+        # distinct rewards: each question's rows come back in sample_id order
+        assert ds.rewards.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert ds.correct.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
 
     def test_non_binary_correct_cites_line(self, tmp_path):
         rows = record_rows({"a": [(0.5, 1)] * 6 + [(0.2, 0)]})
@@ -295,22 +298,27 @@ def _loop_estimate(per_question):
 
 
 def loop_judge_sweep(ds, k_grid, T_grid, n_resample, rng):
-    qids = sorted(ds.questions)
+    bounds = [*ds.starts.tolist(), len(ds.rewards)]
+    questions = {  # qid -> (rewards, correct), each in sample_id order
+        qid: (ds.rewards[a:b], ds.correct[a:b])
+        for qid, a, b in zip(ds.question_ids.tolist(), bounds, bounds[1:])
+    }
+    qids = sorted(questions)
     perms = {
-        qid: [rng.permutation(len(ds.questions[qid].sample_ids)) for _ in range(n_resample)]
+        qid: [rng.permutation(len(questions[qid][0])) for _ in range(n_resample)]
         for qid in qids
     }
     rows = []
     for k in k_grid:
-        eligible = [qid for qid in qids if len(ds.questions[qid].sample_ids) >= k]
+        eligible = [qid for qid in qids if len(questions[qid][0]) >= k]
         for T in T_grid:
             per_question = np.empty(len(eligible))
             for qi, qid in enumerate(eligible):
-                q = ds.questions[qid]
+                rewards, correct = questions[qid]
                 acc = 0.0
                 for perm in perms[qid]:
                     idx = np.sort(perm[:k])
-                    acc += _loop_subset_value(q.rewards[idx], q.correct[idx], T)
+                    acc += _loop_subset_value(rewards[idx], correct[idx], T)
                 per_question[qi] = acc / n_resample
             mean, stderr = _loop_estimate(per_question)
             rows.append({"k": k, "T": T, "delta": mean, "stderr": stderr,
@@ -379,7 +387,7 @@ def test_extra_record_fields_tolerated(tmp_path):
         '{"question_id": "a", "sample_id": "s1", "reward": 0.5, "correct": 0}\n'
     )
     ds = load_records(path)
-    assert ds.questions["a"].sample_ids == ("s0", "s1")
+    assert ds.question_ids.tolist() == ["a"] and ds.rewards.tolist() == [1.0, 0.5]
     est = judge_sweep(ds, [2], [0.0], 1, stream(0, "judge"))[0]
     assert est["delta"] == -1.0
 

@@ -35,6 +35,8 @@ class TestModelConfig:
         assert ModelConfig(d=10, n=100).alpha == 0.1
         with pytest.raises(ValueError):
             ModelConfig(d=10, n=0).alpha
+        with pytest.raises(ValueError, match=r"n is too large: alpha = d/n = 10/n underflows to 0"):
+            ModelConfig(d=10, n=10**400).alpha
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "model.cfg"
@@ -49,6 +51,12 @@ class TestModelConfig:
         assert (cfg.d, cfg.n, cfg.sigma, cfg.teacher_mode) == (4, 100, 0.5, "normalized")
         cfg2 = ModelConfig.from_file(path, n=200, gamma=2.0)
         assert (cfg2.n, cfg2.gamma) == (200, 2.0)
+
+    def test_from_file_keys_are_optional(self, tmp_path):
+        path = tmp_path / "model.cfg"
+        path.write_text("# every key left out\n")
+        assert ModelConfig.from_file(path) == ModelConfig()
+        assert ModelConfig.from_file(path, n=None, tau=0.5) == ModelConfig(tau=0.5)
 
     def test_from_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "model.cfg"
