@@ -257,7 +257,7 @@ def _temperature(args, config) -> float:
 def _sweep_row(config, mode, seed, c, k, T, delta, stderr=0.0, n_outer=0, n_inner=0, **extra):
     """One row of SWEEP_SCHEMA plus ``extra``; the defaults are those of a closed-form row."""
     return {
-        "mode": mode, "d": config.d, "n": config.n, "S": config.S, "sigma": config.sigma,
+        "mode": mode, "d": config.d, "n": config.n_text, "S": config.S, "sigma": config.sigma,
         "gamma": config.gamma, "k": k, "T": T, "c": c, "theta": "", "delta": delta,
         "stderr": stderr, "n_outer": n_outer, "n_inner": n_inner, "seed": seed, **extra,
     }
@@ -387,7 +387,7 @@ def cmd_polar_map(args, parser):
     res = delta_k_curve(config, rewards, T, args.k_grid, **mc)
     rows = [
         {
-            "mode": mode, "d": config.d, "n": config.n, "S": config.S,
+            "mode": mode, "d": config.d, "n": config.n_text, "S": config.S,
             "sigma": config.sigma, "gamma": config.gamma, "c": c, "theta": theta, "T": T,
             "label": classify_k_monotonicity(res.target(r), z=args.z_gate),
             "n_outer": res.n_outer, "n_inner": args.n_inner, "seed": args.seed,
@@ -416,7 +416,7 @@ def cmd_tradeoff(args, parser):
                 theory = dict(dlogk=sd.dlogk, dlogn=sd.dlogn,
                               dlogn_closed_form=dlogn_flat_prior(config, w_T))
             except ValueError as exc:  # outside the formula's domain: empty, as at n = 0
-                _warn(f"n = {config.n}: {exc}")
+                _warn(f"n = {config.n_text}: {exc}")
         # the T = 0 and T_high rows are two targets of one call
         res = delta_k_curve(config, [RewardSpec.radial(0.0)] * 2, [0.0, T_high], args.k_grid, **mc)
         for r, T in enumerate((0.0, T_high)):

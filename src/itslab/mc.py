@@ -294,19 +294,23 @@ def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
         if mode == "exact_posterior":
             data = generate_dataset(config, w_T, stream(seed, "data", j))
             post = fit_posterior(data, config)
+            # X holds coordinates in the posterior's eigenbasis: x = V z has the law of x,
+            # N(0, S^2 I) being rotation invariant, so the weights turn once, V^T w
             m, s2 = predictive_moments_batch(post, X)
+            w_T_j, W_R_j = post.basis.T @ w_T, [post.basis.T @ w_R for w_R in W_R]
         else:
             m, s2 = de_moments_batch(X, w_T, de, config)
+            w_T_j, W_R_j = w_T, W_R
         contexts.append(
             _Context(
                 dataset_index=j,
                 m=m,
                 s=np.sqrt(s2),
-                mu_T=X @ w_T / sqrt_d,
-                mu_R=np.stack([X @ w_R / sqrt_d for w_R in W_R], axis=1),
+                mu_T=X @ w_T_j / sqrt_d,
+                mu_R=np.stack([X @ w_R / sqrt_d for w_R in W_R_j], axis=1),
             )
         )
-    return contexts, w_T, de
+    return contexts
 
 
 def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, threads, n_datasets):
@@ -344,7 +348,7 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
         per_row = kmax * (n_shared + 3) + 2 * sum(cols.size for T, *_, cols in plan if T)
         scan_points = max(1, _SCAN_ELEMS // (per_row * min(n_inner, max(1, _MAX_ELEMS // kmax))))
 
-    contexts, w_T, de = _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets)
+    contexts = _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets)
     n_rows = len(contexts) * n_outer
     per_x = np.empty((n_rows, len(cell_k)))
 
@@ -382,10 +386,8 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
         for b in blocks:
             run_block(*b)
 
-    meta = {"w_T_norm2": float(w_T @ w_T), "n_datasets": len(contexts),
-            "R": de.R if de is not None else 0.0}
     return (per_x.reshape(n_rows, *shape), per_x.mean(axis=0).reshape(shape),
-            _stderr(per_x).reshape(shape), meta)
+            _stderr(per_x).reshape(shape), {"n_datasets": len(contexts)})
 
 
 def _sweep(axis, grid, config, reward, cell_k, cell_T, n_outer, n_inner, mode, seed,

@@ -8,9 +8,9 @@ with an isotropic Gaussian prior N(0, gamma^2 I) used downstream for the
 Bayesian fit. The fit reads a training set only through X^T X and X^T y, so
 a dataset is drawn already rotated onto its column space: min(n, d) rows of
 the Bartlett factor in place of the n x d design. The reward weight w_R
-scores candidate outputs and may be misaligned with w_T; three
-parameterizations are supported (explicit vector, radial multiple of w_T,
-and a planar offset at an angle from w_T).
+scores candidate outputs and may be misaligned with w_T; two
+parameterizations are supported (a radial multiple of w_T, and a planar
+offset at an angle from w_T).
 """
 
 import math
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 _TEACHER_MODES = ("sampled", "normalized")
-_REWARD_MODES = ("explicit", "radial_c", "polar")
+_REWARD_MODES = ("radial_c", "polar")
 
 
 @dataclass(frozen=True)
@@ -72,6 +72,11 @@ class ModelConfig:
         return alpha
 
     @property
+    def n_text(self) -> str:
+        """n as printed: its digits up to 2**53, past that its short float form (1e+300)."""
+        return str(self.n) if self.n <= 2**53 else repr(float(self.n))
+
+    @property
     def prior_var(self) -> float:
         """The prior variance gamma^2; ValueError where it leaves the float range.
 
@@ -93,10 +98,13 @@ class ModelConfig:
         """
         types = {field.name: field.type for field in fields(cls)}
         merged: dict = {}
-        for key, value in _parse_kv_file(path).items():
+        for key, (lineno, value) in _parse_kv_file(path).items():
             if key not in types:
                 raise ValueError(f"unknown config key {key!r} in {path}")
-            merged[key] = types[key](value)
+            try:
+                merged[key] = types[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from None
         for key, value in overrides.items():
             if value is not None:
                 merged[key] = value
@@ -104,6 +112,7 @@ class ModelConfig:
 
 
 def _parse_kv_file(path) -> dict:
+    """Each key of a key=value file mapped to (line number, value text); a key may appear once."""
     raw = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -113,7 +122,10 @@ def _parse_kv_file(path) -> dict:
         for sep in ("=", ":"):
             if sep in line:
                 key, _, value = line.partition(sep)
-                raw[key.strip()] = value.strip()
+                key = key.strip()
+                if key in raw:
+                    raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+                raw[key] = (lineno, value.strip())
                 break
         else:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
@@ -151,28 +163,18 @@ class Dataset:
 class RewardSpec:
     """How the reward weight w_R is derived from the teacher.
 
-    explicit: use ``explicit_w`` as-is.
     radial_c: w_R = (1 + c R/(R + S^2)) w_T, a shrinkage-compensating multiple.
     polar: w_R = w_T + c (cos(theta_T + theta), sin(theta_T + theta)), d = 2
         only; theta is the angle between w_R - w_T and w_T, c its magnitude.
     """
 
     mode: str
-    explicit_w: np.ndarray | None = None
     c: float = 0.0
     theta: float = 0.0
 
     def __post_init__(self):
         if self.mode not in _REWARD_MODES:
             raise ValueError(f"mode must be one of {_REWARD_MODES}, got {self.mode!r}")
-        if self.mode == "explicit" and self.explicit_w is None:
-            raise ValueError("explicit mode requires explicit_w")
-        if self.mode != "explicit" and self.explicit_w is not None:
-            raise ValueError(f"explicit_w is only valid in explicit mode, not {self.mode!r}")
-
-    @classmethod
-    def explicit(cls, w) -> "RewardSpec":
-        return cls(mode="explicit", explicit_w=np.asarray(w, dtype=float))
 
     @classmethod
     def radial(cls, c: float) -> "RewardSpec":
@@ -229,11 +231,6 @@ def resolve_reward(spec: RewardSpec, w_T: np.ndarray, R: float, S: float) -> np.
     """Materialize the reward weight w_R for the chosen parameterization."""
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
-    if spec.mode == "explicit":
-        w = np.asarray(spec.explicit_w, dtype=float)
-        if w.shape != w_T.shape:
-            raise ValueError(f"explicit_w has shape {w.shape}, expected {w_T.shape}")
-        return w.copy()
     if spec.mode == "radial_c":
         return (1.0 + spec.c * R / (R + S * S)) * w_T
     # polar

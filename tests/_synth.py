@@ -1,6 +1,6 @@
 """Synthetic data and oracles shared by the tests: judge records, the i.i.d.
-training-set reference, a brute-force selection and the per-point Monte Carlo
-estimator."""
+training-set reference, the Cholesky route to the exact posterior, a
+brute-force selection and the per-point Monte Carlo estimator."""
 
 import json
 import math
@@ -35,6 +35,34 @@ def iid_dataset(config, w_T, rng):
     eta = rng.normal(0.0, config.sigma, size=config.n) if config.sigma > 0 else np.zeros(config.n)
     y = X @ w_T / math.sqrt(config.d) + eta
     return Dataset(inputs=X, labels=y)
+
+
+def cholesky_posterior(data, config):
+    """The exact posterior (mu, Omega) in input coordinates, through scipy's Cholesky factor.
+
+    The independent oracle of ``itslab.posterior.fit_posterior``: it factors
+    the same symmetrized precision and solves for mu and Omega with
+    ``cho_solve``.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    Xs = data.inputs / math.sqrt(config.d)
+    inv_s2 = (1.0 / config.sigma) * (1.0 / config.sigma)
+    prec = Xs.T @ Xs * inv_s2 + np.eye(config.d) * ((1.0 / config.gamma) * (1.0 / config.gamma))
+    prec = 0.5 * (prec + prec.T)
+    factor = cho_factor(prec, lower=True)
+    return cho_solve(factor, Xs.T @ data.labels) * inv_s2, cho_solve(factor, np.eye(config.d)), prec
+
+
+def cholesky_moments(mu, omega, sigma, X):
+    """Predictive (means, variances) at rows of X in input coordinates, O(d^2) per point."""
+    Xs = np.asarray(X, dtype=float) / math.sqrt(mu.shape[0])
+    return Xs @ mu, np.einsum("ij,ij->i", Xs @ omega, Xs) + sigma**2
+
+
+def input_coordinates(post):
+    """A posterior's mean vector and covariance matrix in input coordinates."""
+    return post.basis @ post.mean, (post.basis * post.var) @ post.basis.T
 
 
 def delta_x(m, s2, mu_T, mu_R, k, T, n_inner, rng):

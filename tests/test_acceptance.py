@@ -106,7 +106,7 @@ def test_02_deterministic_equivalent_fidelity():
     n_sets = 20
     for j in range(n_sets):
         post = fit_posterior(generate_dataset(cfg, w, stream(SEED, "data", j)), cfg)
-        m, v = predictive_moments_batch(post, X)
+        m, v = predictive_moments_batch(post, X @ post.basis)
         acc_means += m
         acc_vars += v
     acc_means /= n_sets

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -10,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import itslab.cli
+import itslab.mc
 from itslab import ModelConfig
 from itslab.cli import build_parser, main, parse_grid, parse_int_grid, write_csv
 
@@ -65,6 +68,17 @@ class TestDeterminism:
         assert run(base + ["--out", out2, "--threads", "2"]) == 0
         assert run(base + ["--out", out3, "--threads", "1"]) == 0
         assert read_bytes(out1) == read_bytes(out2) == read_bytes(out3)
+
+    def test_exact_sweep_k_byte_identical_across_threads_and_reruns(self, tmp_path):
+        base = [
+            "sweep-k", "--mode", "exact", "--n-datasets", "2", "--d", "6", "--n", "40",
+            "--k-grid", "1,3", "--c-grid", "0,2", "--T", "0", "--n-outer", "20",
+            "--n-inner", "10", "--seed", "7",
+        ]
+        outs = [tmp_path / f"{i}.csv" for i in range(4)]
+        for out, threads in zip(outs, ["1", "2", "3", "1"]):
+            assert run(base + ["--out", str(out), "--threads", threads]) == 0
+        assert len({read_bytes(out) for out in outs}) == 1
 
     def test_judge_byte_identical(self, tmp_path):
         rec = tmp_path / "r.jsonl"
@@ -478,10 +492,14 @@ class TestConfigSchema:
 
     @pytest.mark.parametrize("text, message", [
         ("dd = 4\n", "unknown config key 'dd' in {cfg}"),
-        ("d = ten\n", "invalid literal for int() with base 10: 'ten'"),
-        ("sigma = small\n", "could not convert string to float: 'small'"),
+        ("d = ten\n", "{cfg}:1: key 'd': invalid literal for int() with base 10: 'ten'"),
+        ("sigma = small\n", "{cfg}:1: key 'sigma': could not convert string to float: 'small'"),
         ("d 4\n", "{cfg}:1: expected 'key = value', got 'd 4'"),
-    ], ids=["unknown_key", "bad_int", "bad_float", "no_separator"])
+        ("d = 4\n# ten thousand\nn = 1e4\n",
+         "{cfg}:3: key 'n': invalid literal for int() with base 10: '1e4'"),
+        ("d = 4\nsigma = 0.1\nd = 5\n", "{cfg}:3: repeated key 'd'"),
+    ], ids=["unknown_key", "bad_int", "bad_float", "no_separator", "int_in_float_form",
+            "repeated_key"])
     def test_faulty_file_is_2_with_its_message(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "m.cfg"
         cfg.write_text(text)
@@ -660,7 +678,7 @@ class TestExtremeScales:
          "sigma = 0.0001, gamma = 100000"),
         (["tradeoff", "--mode", "exact", "--n-grid", "1e300", "--sigma", "1e-6", "--d", "3",
           "--k-grid", "1,4", *_SMALL_MC],
-         f"the posterior precision leaves the float range at n = {int(1e300)}, d = 3, "
+         "the posterior precision leaves the float range at n = 1e+300, d = 3, "
          "sigma = 1e-06, gamma = 0.001"),
     ], ids=["sigma_huge", "gamma_huge_de", "gamma_tiny", "sigma_tiny_exact", "ridgeless",
             "not_positive_definite", "n_huge_exact"])
@@ -685,6 +703,18 @@ class TestExtremeScales:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert rows and all(math.isfinite(float(r["delta"])) for r in rows)
+
+    @pytest.mark.parametrize("mode", ["exact", "de"])
+    def test_huge_n_prints_in_short_float_form(self, mode, tmp_path):
+        # n past 2**53 prints as its float; n below it and the seed keep every digit
+        out = tmp_path / "x.csv"
+        seed = str(2**53 + 1)
+        assert run(["tradeoff", "--mode", mode, "--n-grid", f"30,{2**53},1e300", "--d", "3",
+                    "--k-grid", "1,4", *_SMALL_MC, "--seed", seed, "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["n"] for r in rows] == ["30"] * 4 + [str(2**53)] * 4 + ["1e+300"] * 4
+        assert {r["seed"] for r in rows} == {seed}
 
     @pytest.mark.parametrize("argv", [
         ["sweep-k", "--d", "3", "--n", "30", "--k-grid", "1,4"],
@@ -720,6 +750,20 @@ class TestExtremeScales:
                 assert code in (0, 1), (flag, value)
                 if code == 1:
                     assert err.splitlines()[-1].startswith("itslab: error: "), (flag, value, err)
+
+
+def test_every_tracer_boundary_name_exists():
+    # perfbench/tracer.py wraps these names in itslab.cli and itslab.mc by
+    # attribute; its BOUNDARIES table is read from the source, not imported
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    table = next(node.value for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["BOUNDARIES"])
+    boundaries = ast.literal_eval(table)
+    modules = {"cli": itslab.cli, "mc": itslab.mc}
+    assert set(boundaries) == set(modules)
+    missing = [f"{ns}.{name}" for ns, names in boundaries.items() for name in names
+               if not hasattr(modules[ns], name)]
+    assert missing == []
 
 
 # Every loaded scipy module, named by the public subpackage it belongs to; scipy's

@@ -14,7 +14,9 @@ from itslab import (
     delta_k_curve,
     delta_t_curve,
     fit_posterior,
+    generate_dataset,
     refined_best_of_k_delta,
+    resolve_reward,
     sample_teacher,
     solve_for_config,
     stream,
@@ -23,7 +25,7 @@ from itslab import mc
 from itslab.mc import _best_of_k_cells, _plan_shared, _softmax_cells, _winner_distance
 from itslab.sampling import select_prefixes
 
-from _synth import delta_x
+from _synth import cholesky_moments, cholesky_posterior, delta_x
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
@@ -246,9 +248,9 @@ class TestBestOfKSampler:
 
     def test_zero_predictive_std_matches_brute_force(self):
         # sigma = 0, n > d in det_equiv mode: s = 0 and m = mu_T, so every
-        # candidate sits at the teacher whatever the reward targets
+        # candidate sits at the teacher whatever the reward target
         cfg = ModelConfig(d=4, n=500, sigma=0.0, gamma=0.5)
-        reward = RewardSpec.explicit(np.ones(4))
+        reward = RewardSpec.radial(5.0)
         kw = dict(n_outer=20, n_inner=10, seed=28)
         fast = delta_k_curve(cfg, reward, 0.0, [1, 7], **kw)
         brute = delta_t_curve(cfg, reward, 7, [0.0, 1.0], **kw)
@@ -389,8 +391,7 @@ class TestRewardTargets:
     """One call with several reward targets equals one call per target."""
 
     CFG = ModelConfig(d=4, n=500, sigma=0.05, gamma=0.5)
-    REWARDS = [RewardSpec.radial(0.0), RewardSpec.radial(3.0),
-               RewardSpec.explicit([1.0, -0.5, 0.2, 0.0])]
+    REWARDS = [RewardSpec.radial(0.0), RewardSpec.radial(3.0), RewardSpec.radial(-40.0)]
     KW = dict(n_outer=20, n_inner=30, mode="exact_posterior", seed=31, n_datasets=2)
 
     # n_inner * kmax = 270: one chunk; two targets per stack; one target per
@@ -441,6 +442,38 @@ class TestRewardTargets:
         assert len(fits) == self.KW["n_datasets"]
 
 
+class TestExactContexts:
+    """Exact mode draws its test points in the posterior's eigenbasis."""
+
+    @pytest.mark.parametrize("d, n", [(6, 20), (12, 5)])
+    def test_law_matches_the_input_coordinate_route(self, d, n):
+        # the same posterior; the oracle draws x ~ N(0, S^2 I) in input
+        # coordinates and takes the Cholesky route's moments. The first two
+        # moments of (m, s^2, mu_T, mu_R) and E[s^2 m^2] agree within 4 stderr
+        cfg = ModelConfig(d=d, n=n, S=1.3, sigma=0.3, gamma=1.0)
+        seed, points = 11, 20_000
+        rewards = [RewardSpec.radial(0.0), RewardSpec.radial(3.0)]
+        (ctx,) = mc._prepare_contexts(cfg, rewards, "exact_posterior", seed, points, 1)
+        got = np.column_stack([ctx.m, ctx.s**2, ctx.mu_T, ctx.mu_R])
+
+        w_T = sample_teacher(cfg, stream(seed, "teacher"))
+        mu, omega, _ = cholesky_posterior(generate_dataset(cfg, w_T, stream(seed, "data", 0)), cfg)
+        X = stream(seed, "oracle points").normal(0.0, cfg.S, size=(points, d))
+        m, s2 = cholesky_moments(mu, omega, cfg.sigma, X)
+        R = solve_for_config(cfg).R
+        W = np.column_stack([w_T] + [resolve_reward(r, w_T, R, cfg.S) for r in rewards])
+        want = np.column_stack([m, s2, X @ W / math.sqrt(d)])
+
+        def stats(v):
+            i, j = np.triu_indices(v.shape[1])
+            return np.column_stack([v, v[:, i] * v[:, j], v[:, 1] * v[:, 0] ** 2])
+
+        a, b = stats(got), stats(want)
+        se = np.hypot(a.std(axis=0, ddof=1), b.std(axis=0, ddof=1)) / math.sqrt(points)
+        z = np.abs(a.mean(axis=0) - b.mean(axis=0)) / se
+        assert z.max() < 4, z
+
+
 class TestDeltaX:
     def test_k1_is_plain_second_moment(self):
         rng = np.random.default_rng(3)
@@ -486,7 +519,7 @@ class TestDelta:
         # n = 0, null teacher, near-uniform weights: delta = gamma^2 S^2 + sigma^2.
         cfg = ModelConfig(d=6, n=0, S=1.0, sigma=0.3, gamma=0.8, tau=0.0)
         res = delta_k_curve(
-            cfg, RewardSpec.explicit(np.zeros(6)), 1e9, [4],
+            cfg, RewardSpec.radial(0.0), 1e9, [4],  # w_R = w_T = 0
             n_outer=3000, n_inner=60, mode="exact_posterior", seed=2,
         )
         target = cfg.gamma**2 * cfg.S**2 + cfg.sigma**2

@@ -13,6 +13,8 @@ from itslab import (
     stream,
 )
 
+from _synth import cholesky_moments, cholesky_posterior, input_coordinates
+
 
 def ridge_solution_oracle(X, y, d, sigma, gamma):
     """Normal-equations ridge fit with penalty sigma^2/gamma^2 on x/sqrt(d)."""
@@ -24,8 +26,9 @@ def ridge_solution_oracle(X, y, d, sigma, gamma):
 def test_empty_dataset_returns_prior():
     cfg = ModelConfig(d=3, n=0, sigma=0.2, gamma=1.5)
     post = fit_posterior(Dataset(np.zeros((0, 3)), np.zeros(0)), cfg)
-    assert np.array_equal(post.mu, np.zeros(3))
-    np.testing.assert_allclose(post.omega, 1.5**2 * np.eye(3), rtol=1e-15)
+    assert np.array_equal(post.basis, np.eye(3))
+    assert np.array_equal(post.mean, np.zeros(3))
+    np.testing.assert_allclose(post.var, np.full(3, 1.5**2), rtol=1e-15)
 
 
 def test_single_observation_hand_solved():
@@ -33,9 +36,11 @@ def test_single_observation_hand_solved():
     # mu = omega * 1 = 1/2.
     cfg = ModelConfig(d=1, n=1, sigma=1.0, gamma=1.0)
     post = fit_posterior(Dataset(np.array([[1.0]]), np.array([1.0])), cfg)
-    assert post.omega[0, 0] == pytest.approx(0.5, rel=1e-14)
-    assert post.mu[0] == pytest.approx(0.5, rel=1e-14)
-    means, variances = predictive_moments_batch(post, np.array([1.0])[None, :])
+    assert abs(post.basis[0, 0]) == 1.0
+    assert post.var[0] == pytest.approx(0.5, rel=1e-14)
+    mu, _ = input_coordinates(post)
+    assert mu[0] == pytest.approx(0.5, rel=1e-14)
+    means, variances = predictive_moments_batch(post, post.basis)  # x = 1
     assert means[0] == pytest.approx(0.5, rel=1e-14)
     assert variances[0] == pytest.approx(1.5, rel=1e-14)
 
@@ -65,7 +70,7 @@ def test_mean_equals_ridge_regression():
         y = rng.normal(size=n)
         post = fit_posterior(Dataset(X, y), cfg)
         oracle = ridge_solution_oracle(X, y, d, sigma, gamma)
-        np.testing.assert_allclose(post.mu, oracle, rtol=1e-8)
+        np.testing.assert_allclose(input_coordinates(post)[0], oracle, rtol=1e-8)
 
 
 def test_brute_force_covariance_agreement():
@@ -80,19 +85,20 @@ def test_brute_force_covariance_agreement():
         Xs = X / math.sqrt(d)
         prec = Xs.T @ Xs / cfg.sigma**2 + np.eye(d) / cfg.gamma**2
         omega_oracle = np.linalg.solve(prec, np.eye(d))
-        np.testing.assert_allclose(post.omega, omega_oracle, rtol=1e-8, atol=1e-14)
+        _, omega = input_coordinates(post)
+        np.testing.assert_allclose(omega, omega_oracle, rtol=1e-8, atol=1e-14)
 
 
 def test_omega_symmetric_spd_and_bounded_by_prior():
+    # Omega = V diag(var) V^T with V orthonormal and 0 < var <= gamma^2
     cfg = ModelConfig(d=8, n=40, sigma=0.2, gamma=0.9)
     w = sample_teacher(cfg, stream(0, "teacher"))
     data = generate_dataset(cfg, w, stream(0, "data"))
     post = fit_posterior(data, cfg)
-    asym = np.max(np.abs(post.omega - post.omega.T))
-    assert asym <= 1e-12 * np.max(np.abs(post.omega))
-    eigs = np.linalg.eigvalsh(post.omega)
-    assert np.all(eigs > 0)
-    assert np.all(eigs <= cfg.gamma**2 * (1 + 1e-12))
+    V = post.basis
+    assert np.max(np.abs(V.T @ V - np.eye(cfg.d))) <= 1e-14
+    assert np.all(post.var > 0)
+    assert np.all(post.var <= cfg.gamma**2 * (1 + 1e-12))
 
 
 def test_predictive_at_origin_and_prior_point():
@@ -115,7 +121,7 @@ def test_predictive_variance_strictly_above_noise():
     data = generate_dataset(cfg, w, stream(4, "data"))
     post = fit_posterior(data, cfg)
     X = stream(4, "test_points").normal(size=(50, 6))
-    _, variances = predictive_moments_batch(post, X)
+    _, variances = predictive_moments_batch(post, X @ post.basis)
     assert np.all(variances > cfg.sigma**2)
 
 
@@ -137,26 +143,16 @@ def test_duplicate_sample_never_increases_posterior_variance():
         )
         for _ in range(5):
             x = rng.normal(size=d)
-            q1 = x @ post.omega @ x
-            q2 = x @ post2.omega @ x
+            q1 = x @ input_coordinates(post)[1] @ x
+            q2 = x @ input_coordinates(post2)[1] @ x
             assert q2 <= q1 * (1 + 1e-12)
-
-
-def _same_prec(X, cfg):
-    """The symmetrized precision fit_posterior factorizes, and X^T y's scale."""
-    Xs = X / math.sqrt(cfg.d)
-    inv_s2 = (1.0 / cfg.sigma) * (1.0 / cfg.sigma)
-    prec = Xs.T @ Xs * inv_s2 + np.eye(cfg.d) * ((1.0 / cfg.gamma) * (1.0 / cfg.gamma))
-    return Xs, inv_s2, 0.5 * (prec + prec.T)
 
 
 @pytest.mark.parametrize("seed", range(12))
 def test_agrees_with_scipy_cholesky_oracle(seed):
-    # scipy's cho_factor/cho_solve on the same precision, as an independent
-    # route; n < d and gamma >> sigma make prec ill-conditioned, and the
-    # bound scales with its condition number.
-    from scipy.linalg import cho_factor, cho_solve
-
+    # the Cholesky route (scipy's cho_factor/cho_solve on the same precision)
+    # as an independent oracle; n < d and gamma >> sigma make prec
+    # ill-conditioned, and the bound scales with its condition number
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 60))
     n = int(rng.integers(1, d)) if seed % 3 == 0 else int(rng.integers(d, 4 * d))
@@ -165,21 +161,41 @@ def test_agrees_with_scipy_cholesky_oracle(seed):
     cfg = ModelConfig(d=d, n=n, sigma=sigma, gamma=gamma)
     X = rng.normal(size=(n, d))
     y = X @ rng.normal(size=d) / math.sqrt(d) + sigma * rng.normal(size=n)
-    post = fit_posterior(Dataset(X, y), cfg)
+    data = Dataset(X, y)
+    post = fit_posterior(data, cfg)
 
-    Xs, inv_s2, prec = _same_prec(X, cfg)
-    factor = cho_factor(prec, lower=True)
-    mu_ref = cho_solve(factor, Xs.T @ y) * inv_s2
-    omega_ref = cho_solve(factor, np.eye(d))
+    mu_ref, omega_ref, prec = cholesky_posterior(data, cfg)
+    mu, omega = input_coordinates(post)
     tol = 50 * np.linalg.cond(prec) * np.finfo(float).eps
-    assert np.linalg.norm(post.mu - mu_ref) <= tol * np.linalg.norm(mu_ref)
-    assert np.linalg.norm(post.omega - omega_ref) <= tol * np.linalg.norm(omega_ref)
-    assert np.array_equal(post.omega, post.omega.T)
+    assert np.linalg.norm(mu - mu_ref) <= tol * np.linalg.norm(mu_ref)
+    assert np.linalg.norm(omega - omega_ref) <= tol * np.linalg.norm(omega_ref)
+    # a test point x has eigen-coordinates x @ V: the moments agree point by point
+    T = rng.normal(size=(200, d))
+    m_ref, s2_ref = cholesky_moments(mu_ref, omega_ref, sigma, T)
+    m, s2 = predictive_moments_batch(post, T @ post.basis)
+    assert np.linalg.norm(m - m_ref) <= (1e-12 + tol) * np.linalg.norm(m_ref)
+    assert np.max(np.abs(s2 / s2_ref - 1.0)) <= 1e-12 + tol
+
+
+@pytest.mark.parametrize("d, n", [(200, 400), (50, 5000), (10, 10_000), (200, 50)])
+def test_rotated_moments_match_the_cholesky_route(d, n):
+    # the engine's configs (default sigma and gamma, Bartlett datasets): the
+    # eigenbasis route reproduces the Cholesky route's m and s^2 at fixed x
+    cfg = ModelConfig(d=d, n=n)
+    w = sample_teacher(cfg, stream(d, "teacher"))
+    data = generate_dataset(cfg, w, stream(d, "data", n))
+    post = fit_posterior(data, cfg)
+    mu, omega, _ = cholesky_posterior(data, cfg)
+    X = stream(d, "test_points", n).normal(size=(300, d))
+    m_ref, s2_ref = cholesky_moments(mu, omega, cfg.sigma, X)
+    m, s2 = predictive_moments_batch(post, X @ post.basis)
+    assert np.linalg.norm(m - m_ref) <= 1e-12 * np.linalg.norm(m_ref)
+    assert np.max(np.abs(s2 / s2_ref - 1.0)) <= 1e-12
 
 
 def test_numerically_indefinite_precision_names_the_config():
     # d = 30, n = 5, gamma = 1e5: cond(prec) ~ gamma^2/sigma^2 = 1e18 exceeds
-    # 1/eps, so the factorization meets a non-positive pivot
+    # 1/eps, so rounding drives the smallest computed eigenvalue to <= 0
     cfg = ModelConfig(d=30, n=5, gamma=1e5)
     data = generate_dataset(cfg, sample_teacher(cfg, stream(0, "teacher")), stream(0, "data", 0))
     with pytest.raises(ValueError, match=r"not numerically positive definite at n = 5, d = 30, "
@@ -199,5 +215,6 @@ def test_huge_sigma_gives_the_prior_without_overflow():
     # (1/sigma)^2 underflows to 0: the data carry no weight
     cfg = ModelConfig(d=2, n=3, sigma=1e200, gamma=0.5)
     post = fit_posterior(Dataset(np.ones((3, 2)), np.ones(3)), cfg)
-    assert np.array_equal(post.mu, np.zeros(2))
-    np.testing.assert_allclose(post.omega, 0.25 * np.eye(2), rtol=1e-15)
+    assert np.array_equal(post.mean, np.zeros(2))
+    np.testing.assert_allclose(post.var, [0.25, 0.25], rtol=1e-15)
+    np.testing.assert_allclose(input_coordinates(post)[1], 0.25 * np.eye(2), rtol=1e-15)

@@ -138,7 +138,7 @@ class TestDeMoments:
         for j in range(n_sets):
             data = generate_dataset(cfg, w, stream(seed, "data", j))
             post = fit_posterior(data, cfg)
-            m, v = predictive_moments_batch(post, X)
+            m, v = predictive_moments_batch(post, X @ post.basis)
             acc_means += m
             acc_vars += v
         acc_means /= n_sets
