@@ -175,33 +175,6 @@ def nonnegative(parse):
     return functools.update_wrapper(checked, parse)  # argparse's messages name parse
 
 
-def _add_model_flags(parser):
-    p = parser.add_argument_group("model", "a flag overrides the --config file, which overrides the defaults")
-    p.add_argument("--config", help="key=value model configuration file")
-    p.add_argument("--d", type=int, help="input dimension")
-    p.add_argument("--n", type=int, help="training set size")
-    p.add_argument("--S", type=float, help="input scale (covariance S^2 I)")
-    p.add_argument("--sigma", type=float, help="label noise std")
-    p.add_argument("--gamma", type=float, help="prior std")
-    p.add_argument("--tau", type=float, help="teacher sampling std")
-    p.add_argument("--teacher-mode", choices=["sampled", "normalized"], dest="teacher_mode")
-
-
-def _add_common(p, default_out):
-    p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    p.add_argument("--out", help=f"output CSV path (default {default_out or 'stdout, no manifest'})")
-    p.set_defaults(default_out=default_out)
-
-
-def _add_mc_flags(p):
-    p.add_argument("--n-outer", type=positive_int, default=2000, dest="n_outer")
-    p.add_argument("--n-inner", type=positive_int, default=200, dest="n_inner")
-    p.add_argument("--mode", choices=["exact", "de"], default="de")
-    p.add_argument("--n-datasets", type=positive_int, default=1, dest="n_datasets",
-                   help="training sets to average over (exact mode)")
-    p.add_argument("--threads", type=positive_int, default=1)
-
-
 def _add_temperature_flags(p):
     t = p.add_mutually_exclusive_group()
     t.add_argument("--T", type=nonnegative(finite_float))
@@ -432,37 +405,40 @@ def cmd_bestofk_check(args, parser):
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
     res = delta_k_curve(config, RewardSpec.radial(0.0), 0.0, args.k_grid, **mc)
-    theory_error = None
-    if de:  # the closed forms need the ridge fixed point, which n = 0 lacks
+    forms = {}  # the closed forms' values at k, by row label; none without the fixed point
+    if de:
         try:
             # aligned reward: the series terms reduce to the teacher deviation alone
             st = SeriesTerms.from_radial_average(config, de, w_T, w_T, 1.0)
             lam_rms = st.delta_T**2 / st.s2
+            forms = {
+                "theory_refined": lambda k: refined_best_of_k_delta(config, de, w_T, k).value,
+                # extreme-value route: mean of the scaled minimum is 2 c_k
+                "theory_bestofk": lambda k: st.s2 * 2.0 * weibull_norming(lam_rms, k),
+            }
         except ValueError as exc:  # zero predictive variance: no closed form applies
-            theory_error, de = exc, None
+            _warn(exc)
+    errors = {}  # the first message per closed form
     rows = []
     for g, k in enumerate(args.k_grid):
-        refined, theories = None, []
-        if de:
+        theories = {}
+        for label, form in forms.items():
             try:
-                refined = refined_best_of_k_delta(config, de, w_T, int(k)).value
-                theories.append(("theory_refined", refined))
-            except ValueError as exc:  # outside the refined formula's domain: leave it empty
-                theory_error = exc
-            try:  # extreme-value route: mean of the scaled minimum is 2 c_k
-                theories.append(("theory_bestofk", st.s2 * 2.0 * weibull_norming(lam_rms, int(k))))
-            except ValueError as exc:  # c_k leaves the float range: leave it empty
-                theory_error = exc
+                theories[label] = form(int(k))
+            except ValueError as exc:  # outside the formula's domain: leave it empty
+                errors.setdefault(label, exc)
+        refined = theories.get("theory_refined")
         rows.append(_sweep_row(config, mode, args.seed, 0.0, int(k), 0.0, res.mean[g],
                                res.stderr[g], res.n_outer, args.n_inner,
                                k2_delta=float(k) ** 2 * res.mean[g], asymptote=refined))
         rows += [
             _sweep_row(config, label, args.seed, 0.0, int(k), 0.0, value,
                        k2_delta=float(k) ** 2 * value, asymptote=refined)
-            for label, value in theories
+            for label, value in theories.items()
         ]
-    if theory_error is not None:
-        _warn(theory_error)
+    for label in forms:  # refined first, as in the rows
+        if label in errors:
+            _warn(errors[label])
     return config, SWEEP_SCHEMA + ["k2_delta", "asymptote"], rows
 
 
@@ -500,45 +476,53 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("ridge", help="solve the renormalized ridge and print its scalars")
-    _add_model_flags(p)
-    _add_common(p, None)
-    p.set_defaults(func=cmd_ridge)
+    def add(name, cmd, summary, model=True, mc=True):
+        """Subcommand ``name`` with its shared flags; ``cmd`` reports usage errors on its parser."""
+        p = sub.add_parser(name, help=summary)
+        if model:
+            g = p.add_argument_group("model", "a flag overrides the --config file, which overrides the defaults")
+            g.add_argument("--config", help="key=value model configuration file")
+            g.add_argument("--d", type=int, help="input dimension")
+            g.add_argument("--n", type=int, help="training set size")
+            g.add_argument("--S", type=float, help="input scale (covariance S^2 I)")
+            g.add_argument("--sigma", type=float, help="label noise std")
+            g.add_argument("--gamma", type=float, help="prior std")
+            g.add_argument("--tau", type=float, help="teacher sampling std")
+            g.add_argument("--teacher-mode", choices=["sampled", "normalized"], dest="teacher_mode")
+        default_out = None if name == "ridge" else name.replace("-", "_") + ".csv"
+        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--out", help=f"output CSV path (default {default_out or 'stdout, no manifest'})")
+        if mc:
+            p.add_argument("--n-outer", type=positive_int, default=2000, dest="n_outer")
+            p.add_argument("--n-inner", type=positive_int, default=200, dest="n_inner")
+            p.add_argument("--mode", choices=["exact", "de"], default="de")
+            p.add_argument("--n-datasets", type=positive_int, default=1, dest="n_datasets",
+                           help="training sets to average over (exact mode)")
+            p.add_argument("--threads", type=positive_int, default=1)
+        p.set_defaults(func=functools.partial(cmd, parser=p), default_out=default_out)
+        return p
 
-    p = sub.add_parser("sweep-k", help="delta vs k for a grid of radial reward offsets")
-    _add_model_flags(p)
-    _add_common(p, "sweep_k.csv")
-    _add_mc_flags(p)
+    add("ridge", cmd_ridge, "solve the renormalized ridge and print its scalars", mc=False)
+
+    p = add("sweep-k", cmd_sweep_k, "delta vs k for a grid of radial reward offsets")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("1,2,5,10,20,50,100"), dest="k_grid")
     p.add_argument("--c-grid", type=parse_grid, default=parse_grid("0"), dest="c_grid")
     _add_temperature_flags(p)
-    p.set_defaults(func=cmd_sweep_k)
 
-    p = sub.add_parser("sweep-t", help="delta vs T at fixed k, with the stationary-T column")
-    _add_model_flags(p)
-    _add_common(p, "sweep_t.csv")
-    _add_mc_flags(p)
+    p = add("sweep-t", cmd_sweep_t, "delta vs T at fixed k, with the stationary-T column")
     p.add_argument("--k", type=positive_int, default=50)
     p.add_argument("--c", type=finite_float, default=0.0)
     t = p.add_mutually_exclusive_group()
     t.add_argument("--t-grid", type=nonnegative(parse_grid), dest="t_grid")
     t.add_argument("--t-grid-sigma2", type=nonnegative(parse_grid), dest="t_grid_sigma2",
                    help="temperature grid in units of sigma^2 (default log:2,200,30)")
-    p.set_defaults(func=cmd_sweep_t)
 
-    p = sub.add_parser("sweep-c", help="delta vs radial reward offset c at fixed (k, T)")
-    _add_model_flags(p)
-    _add_common(p, "sweep_c.csv")
-    _add_mc_flags(p)
+    p = add("sweep-c", cmd_sweep_c, "delta vs radial reward offset c at fixed (k, T)")
     p.add_argument("--k", type=positive_int, default=50)
     p.add_argument("--c-grid", type=parse_grid, default=parse_grid("log:1,100,12"), dest="c_grid")
     _add_temperature_flags(p)
-    p.set_defaults(func=cmd_sweep_c)
 
-    p = sub.add_parser("polar-map", help="monotone/non-monotone region of delta(k) over (c, theta), d = 2")
-    _add_model_flags(p)
-    _add_common(p, "polar_map.csv")
-    _add_mc_flags(p)
+    p = add("polar-map", cmd_polar_map, "monotone/non-monotone region of delta(k) over (c, theta), d = 2")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("1,2,3,4,6,8,12,16,24,32"), dest="k_grid")
     p.add_argument("--c-grid", type=parse_grid, default=parse_grid("log:5e-5,5e-3,8"), dest="c_grid")
     p.add_argument("--theta-grid", type=parse_grid, default=parse_grid("lin:0,5.497787143782138,8"),
@@ -546,43 +530,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_temperature_flags(p)
     p.add_argument("--z-gate", type=finite_float, default=3.0, dest="z_gate",
                    help="paired-stderr multiple for the non-monotonicity gate")
-    p.set_defaults(func=cmd_polar_map)
 
-    p = sub.add_parser("tradeoff", help="delta over an (n, k) grid with compute trade-off derivatives")
-    _add_model_flags(p)
-    _add_common(p, "tradeoff.csv")
-    _add_mc_flags(p)
+    p = add("tradeoff", cmd_tradeoff, "delta over an (n, k) grid with compute trade-off derivatives")
     p.add_argument("--n-grid", type=parse_n_grid, default=parse_grid("10000,31623,100000"), dest="n_grid")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("100,1000,10000"), dest="k_grid")
     p.add_argument("--t-high-sigma2", type=nonnegative(finite_float), default=20.0, dest="t_high_sigma2")
-    p.set_defaults(func=cmd_tradeoff)
 
-    p = sub.add_parser("bestofk-check", help="k^2-scaled delta at T = 0 against the tail-law asymptote")
-    _add_model_flags(p)
-    _add_common(p, "bestofk_check.csv")
-    _add_mc_flags(p)
+    p = add("bestofk-check", cmd_bestofk_check, "k^2-scaled delta at T = 0 against the tail-law asymptote")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("100,1000,10000"), dest="k_grid")
-    p.set_defaults(func=cmd_bestofk_check)
 
-    p = sub.add_parser("judge", help="reward-weighted accuracy sweeps on judge-scored record files")
-    _add_common(p, "judge.csv")
+    p = add("judge", cmd_judge, "reward-weighted accuracy sweeps on judge-scored record files",
+            model=False, mc=False)
     p.add_argument("--records", action="append", default=[],
                    help="newline-delimited record file (repeatable for overlays)")
     p.add_argument("--k-grid", type=parse_int_grid, default=parse_int_grid("1,2,4,8,16,32"), dest="k_grid")
     p.add_argument("--t-grid", type=nonnegative(parse_grid), default=parse_grid("log:0.25,32,8"), dest="t_grid")
     p.add_argument("--n-resample", type=positive_int, default=16, dest="n_resample")
     p.add_argument("--accuracy", action="store_true", help="also emit -delta as an accuracy column")
-    p.set_defaults(func=cmd_judge)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        config, header, rows = args.func(args, parser)
+        config, header, rows = args.func(args)
         out = args.out or args.default_out
         if out is None:  # ridge without --out: the CSV goes to stdout, with no manifest
             sys.stdout.write(_csv_text(header, rows))

@@ -279,6 +279,9 @@ def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     w_T = sample_teacher(config, stream(seed, "teacher"))
     de = solve_for_config(config) if config.n > 0 else None
+    if de is None and any(r.mode == "radial_c" and r.c != 0 for r in rewards):
+        # w_R = (1 + c R/(R + S^2)) w_T: without the ridge R every c would give c = 0's reward
+        raise ValueError("the radial reward family requires n > 0 for c != 0")
     R = de.R if de is not None else 0.0
     W_R = [resolve_reward(reward, w_T, R, config.S) for reward in rewards]
     sqrt_d = math.sqrt(config.d)
@@ -470,8 +473,6 @@ def delta_c_curve(
     Each c is one reward target with a single cell (k, T).
     """
     c_grid = np.asarray(c_grid, dtype=float)
-    if config.n == 0:
-        raise ValueError("the radial reward family requires n > 0")
     res = _sweep(
         "c", c_grid, config, [RewardSpec.radial(c) for c in c_grid], int(k), float(T),
         n_outer, n_inner, mode, seed, threads, n_datasets, T=float(T), k=int(k),

@@ -288,6 +288,21 @@ class TestSubcommands:
         assert run(flags + ["--mode", "de"]) == 1
         assert "det_equiv mode requires n > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, c_flags", [
+        (["sweep-k", "--k-grid", "1,4"], ["--c-grid", "0,5"]),
+        (["sweep-t", "--k", "4", "--t-grid-sigma2", "2,20"], ["--c", "5"]),
+        (["sweep-c", "--k", "4"], ["--c-grid", "0,5"]),
+    ], ids=["sweep-k", "sweep-t", "sweep-c"])
+    def test_radial_offset_needs_n(self, sub, c_flags, tmp_path, capsys):
+        # w_R = (1 + c R/(R + S^2)) w_T: without the ridge R of n > 0 every c is c = 0
+        out = tmp_path / "x.csv"
+        flags = sub + ["--n", "0", "--mode", "exact", *_SMALL_MC, "--out", str(out)]
+        assert run(flags + c_flags) == 1
+        assert capsys.readouterr().err == (
+            "itslab: error: the radial reward family requires n > 0 for c != 0\n")
+        assert not out.exists()
+        assert run(flags + [c_flags[0], "0"]) == 0
+
     @pytest.mark.parametrize("mode", ["exact", "de"])
     def test_bestofk_check_outside_refined_domain(self, mode, tmp_path, capsys):
         # n = 1000 puts 2 u^T Cov u / (sigma^2 d) above 1: the refined column
@@ -307,6 +322,17 @@ class TestSubcommands:
         assert modes == [mc_mode, "theory_bestofk"] * 3
         assert all(r[-1] == "" for r in rows)  # asymptote
         assert all(float(r[10]) > 0 for r in rows)
+
+    def test_bestofk_check_warns_once_per_failing_closed_form(self, tmp_path, capsys):
+        # n = 20 leaves the refined law's domain, and c_k leaves the float range
+        out = tmp_path / "bk.csv"
+        assert run(["bestofk-check", "--n", "20", "--k-grid", "1,10,100", *_SMALL_MC,
+                    "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert err[0].startswith("itslab: warning: 2 u^T Cov u / (sigma^2 d) = ")
+        assert err[1].startswith("itslab: warning: c_k = (pi / 2 k^2) e^lambda leaves the float range")
+        assert [r.split(",")[0] for r in out.read_text().splitlines()[1:]] == ["det_equiv"] * 3
 
     def test_tradeoff_keeps_valid_n_outside_domain(self, tmp_path, capsys):
         # n = 1000 is outside the derivative formula's domain, n = 10000 is not
@@ -633,10 +659,26 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "argument --t-grid:" in capsys.readouterr().err
 
-    def test_polar_map_wrong_dimension_is_2(self, tmp_path):
+    @pytest.mark.parametrize("argv, message", [
+        (["ridge", "--config", "{cfg}"],
+         "{cfg}:1: key 'n': invalid literal for int() with base 10: '1e4'"),
+        (["polar-map", "--d", "3"], "polar-map requires d = 2"),
+        (["judge"], "at least one --records file is required"),
+        (["sweep-k", "--mode", "de", "--n-datasets", "2"],
+         "--n-datasets applies to --mode exact only (det_equiv has no training sets)"),
+    ], ids=["ridge", "polar-map", "judge", "sweep-k"])
+    def test_usage_error_names_the_subcommand(self, argv, message, tmp_path, capsys):
+        # errors found after parsing print the subcommand's usage, as its flag errors do
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text("n = 1e4\n")
+        argv = [a.format(cfg=cfg) for a in argv]
         with pytest.raises(SystemExit) as exc:
-            run(["polar-map", "--d", "3", "--out", str(tmp_path / "x.csv")])
+            run(argv + ["--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: itslab {argv[0]} [-h]")
+        assert err.endswith(f"\nitslab {argv[0]}: error: {message.format(cfg=cfg)}\n")
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestExtremeScales:
