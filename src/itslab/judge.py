@@ -21,7 +21,9 @@ draws are those of a per-subset loop (the tests keep it): T = 0 rows are its
 bytes, T > 0 rows differ by rounding (the kernel sums in permutation order).
 
 Input format: one JSON object per line with fields question_id, sample_id,
-reward, correct.
+reward (a JSON number; booleans pass as 1 and 0) and correct. The loader
+streams the file: each line is decoded by the json module's C scanner and
+its fields go straight onto the columns, so no parsed record is held.
 """
 
 import json
@@ -32,8 +34,6 @@ from pathlib import Path
 import numpy as np
 
 from .sampling import select_prefixes
-
-_UNPARSED = object()  # a line's record before json.loads returns
 
 
 class JudgeRecordError(ValueError):
@@ -53,29 +53,38 @@ class JudgeDataset:
 def load_records(path) -> JudgeDataset:
     """Parse and validate a newline-delimited record file in one pass.
 
-    Raises JudgeRecordError citing the first faulty line (blank lines count):
-    malformed JSON, a missing field, a non-numeric or non-finite reward, a
-    correct flag other than 0 or 1 (booleans pass), a repeated (question_id,
-    sample_id) pair, or no records at all.
+    Each line is decoded by the json module's C scanner, and the line is
+    accepted only where the value ends at the line's end, as ``json.loads``
+    accepts it; the four fields go straight onto the columns. Raises
+    JudgeRecordError citing the first faulty line (blank lines count):
+    malformed JSON, a missing field, a non-numeric or non-finite reward (a
+    string is not a number; JSON booleans pass as 1 and 0), a correct flag
+    other than 0 or 1 (booleans pass), a repeated (question_id, sample_id)
+    pair, or no records at all.
     """
+    scan = json.JSONDecoder().scan_once
     qids, sids, rewards, correct, blanks = [], [], [], [], []
     with Path(path).open() as fh:
         for lineno, line in enumerate(fh, start=1):
-            obj = _UNPARSED
+            text = line.strip(" \t\n\r")  # JSON whitespace only: a form feed stays invalid
             try:
-                obj = json.loads(line)
+                obj, end = scan(text, 0)
                 qid, sid, reward, flag = obj["question_id"], obj["sample_id"], obj["reward"], obj["correct"]
+                if end != len(text) or isinstance(reward, str):  # extra data; float() would parse a string
+                    raise ValueError
                 rewards.append(float(reward))  # last: a faulty line leaves the columns as they were
             except OverflowError:  # an integer reward beyond the float range: not finite
                 rewards.append(math.inf)
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            except (StopIteration, KeyError, TypeError, ValueError, RecursionError) as exc:
                 if not line.strip():
                     blanks.append(len(qids))
                     continue
                 _grouped(path, blanks, qids, sids, rewards, correct)  # earlier lines first
-                if obj is _UNPARSED:  # bad syntax, nesting too deep or an integer too long
-                    fault = f"invalid JSON ({getattr(exc, 'msg', exc)})"
-                elif isinstance(exc, KeyError):  # the first missing field, in the order read
+                try:  # the scanner's verdict, worded as json.loads words it
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as bad:  # bad syntax, nesting too deep or an integer too long
+                    raise JudgeRecordError(f"{path}:{lineno}: invalid JSON ({getattr(bad, 'msg', bad)})") from bad
+                if isinstance(exc, KeyError):  # the first missing field, in the order read
                     fault = f"missing field {exc.args[0]!r}"
                 else:
                     fault = "reward is not a number" if isinstance(obj, dict) else "expected a JSON object"
@@ -169,8 +178,8 @@ def judge_sweep(
             continue
         prefix = np.ascontiguousarray(perms[..., : ks_q[-1]].transpose(2, 0, 1))  # (kmax, Q, R)
         q = np.arange(len(pos))[:, None]
-        # a stable rank breaks T = 0 ties toward the lowest sample_id, whatever the column order
-        rank = np.argsort(np.argsort(-rewards, axis=1, kind="stable"), axis=1)[q, prefix]
+        if 0.0 in T_grid:  # a stable rank breaks T = 0 ties toward the lowest sample_id, whatever the column order
+            rank = np.argsort(np.argsort(-rewards, axis=1, kind="stable"), axis=1)[q, prefix]
         r, c = rewards[q, prefix], correct[q, prefix]
         for t, T in enumerate(T_grid):
             sums = select_prefixes(rank if T == 0 else -r, c, ks_q, T)

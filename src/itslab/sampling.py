@@ -34,8 +34,8 @@ def select_prefixes(P, L, ks, T) -> np.ndarray:
         L = np.broadcast_to(L, P.shape)
         best_p, best_l = P[0], L[0]
         for j, (a, b) in enumerate(spans):
-            first = P[a:b].argmin(axis=0)[None]
-            seg_p, seg_l = (np.take_along_axis(X[a:b], first, 0)[0] for X in (P, L))
+            seg_p = np.minimum.reduce(P[a:b], axis=0)  # argmin along axis 0 would copy the segment
+            seg_l = np.take_along_axis(L[a:b], (P[a:b] == seg_p).argmax(axis=0)[None], 0)[0]
             lower = seg_p < best_p
             best_p, best_l = np.where(lower, seg_p, best_p), np.where(lower, seg_l, best_l)
             sums[..., j] = best_l.sum(axis=-1)

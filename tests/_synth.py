@@ -1,13 +1,16 @@
-"""Synthetic data and oracles shared by the tests: judge records, the i.i.d.
-training-set reference, the Cholesky route to the exact posterior, a
-brute-force selection and the per-point Monte Carlo estimator."""
+"""Synthetic data and oracles shared by the tests: judge records, the
+per-line ``json.loads`` record loader, the i.i.d. training-set reference,
+the Cholesky route to the exact posterior, a brute-force selection and the
+per-point Monte Carlo estimator."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
-from itslab import Dataset
+from itslab import Dataset, JudgeRecordError
+from itslab.judge import _grouped
 
 
 def select(values, rewards, T):
@@ -82,6 +85,46 @@ def delta_x(m, s2, mu_T, mu_R, k, T, n_inner, rng):
         values[done : done + len(Y)] = select((Y - mu_T) ** 2, -((Y - mu_R) ** 2), T)
     stderr = values.std(ddof=1) / math.sqrt(n_inner) if n_inner > 1 else math.inf
     return float(values.mean()), float(stderr)
+
+
+def load_records_per_line(path):
+    """``itslab.load_records`` with one ``json.loads`` call per line: the loader's oracle.
+
+    It holds one parsed record at a time, as the loader must, and shares
+    ``_grouped``, the column checks after the parse. A string reward is
+    not a number.
+    """
+    unparsed = object()
+    qids, sids, rewards, correct, blanks = [], [], [], [], []
+    with Path(path).open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            obj = unparsed
+            try:
+                obj = json.loads(line)
+                qid, sid, reward, flag = obj["question_id"], obj["sample_id"], obj["reward"], obj["correct"]
+                if isinstance(reward, str):
+                    raise TypeError("a string reward")
+                rewards.append(float(reward))
+            except OverflowError:
+                rewards.append(math.inf)
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
+                if not line.strip():
+                    blanks.append(len(qids))
+                    continue
+                _grouped(path, blanks, qids, sids, rewards, correct)
+                if obj is unparsed:
+                    fault = f"invalid JSON ({getattr(exc, 'msg', exc)})"
+                elif isinstance(exc, KeyError):
+                    fault = f"missing field {exc.args[0]!r}"
+                else:
+                    fault = "reward is not a number" if isinstance(obj, dict) else "expected a JSON object"
+                raise JudgeRecordError(f"{path}:{lineno}: {fault}") from exc
+            qids.append(str(qid))
+            sids.append(str(sid))
+            correct.append(flag)
+    if not qids:
+        raise JudgeRecordError(f"{path}: no records")
+    return _grouped(path, blanks, qids, sids, rewards, correct)
 
 
 def write_records(path, rows):

@@ -1,5 +1,8 @@
 import json
 import math
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from itslab import JudgeRecordError, judge_sweep, load_records, stream
 
 from _synth import (
     argmax_correct_probability,
+    load_records_per_line,
     noisy_judge_questions,
     record_rows,
     trap_judge_questions,
@@ -103,8 +107,19 @@ class TestLoadRecords:
         ('{"a": ' * 100_000, "invalid JSON (maximum recursion depth exceeded"),
         ('{"question_id": "a", "sample_id": "s1", "reward": 1' + "0" * 5000 + ', "correct": 1}',
          "invalid JSON (Exceeds the limit"),
+        ('{"question_id": "a", "sample_id": "s1", "reward": "0.7", "correct": 1}', "reward is not a number"),
+        ('{"question_id": "a", "sample_id": "s1", "reward": " 1e3 ", "correct": 1}', "reward is not a number"),
+        ('{"question_id": "a", "sample_id": "s1", "reward": "nan", "correct": 1}', "reward is not a number"),
+        ('\ufeff{"question_id": "a", "sample_id": "s1", "reward": 1, "correct": 1}',
+         "invalid JSON (Unexpected UTF-8 BOM"),
+        ('\x0c{"question_id": "a", "sample_id": "s1", "reward": 1, "correct": 1}',
+         "invalid JSON (Expecting value)"),
+        ('{"question_id": "a", "sample_id": "s1", "reward": 1, "correct": 1} {"question_id": "a"}',
+         "invalid JSON (Extra data)"),
+        ('{"question_id": "a", "sample_id": "s1"', "invalid JSON (Expecting ',' delimiter)"),
     ], ids=["reward_past_float_range", "negative_reward_past_float_range", "deep_array",
-            "deep_object", "integer_too_long"])
+            "deep_object", "integer_too_long", "string_reward", "padded_string_reward",
+            "nan_string_reward", "bom", "form_feed", "two_records", "split_record"])
     def test_parse_faults_cite_the_line(self, line, message, tmp_path):
         # none of these escapes as an OverflowError, a RecursionError or a bare ValueError
         path = tmp_path / "faults.jsonl"
@@ -119,6 +134,85 @@ class TestLoadRecords:
         path = write_records(tmp_path / "bad.jsonl", rows)
         with pytest.raises(JudgeRecordError, match="finite"):
             load_records(path)
+
+    def test_boolean_reward_passes_as_one_and_zero(self, tmp_path):
+        path = tmp_path / "bools.jsonl"
+        path.write_text('{"question_id": "a", "sample_id": "s0", "reward": true, "correct": true}\n'
+                        '{"question_id": "a", "sample_id": "s1", "reward": false, "correct": false}\n')
+        ds = load_records(path)
+        assert ds.rewards.tolist() == [1.0, 0.0] and ds.correct.tolist() == [1.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-line json.loads loader of tests/_synth.py. The scanner
+# loader must give its columns or its exact error text on any file.
+
+_LINE = '{"question_id": "a", "sample_id": "s9", "reward": 0.5, "correct": 1}'
+_ODD_LINES = [
+    "", "   ", "\t", "\x0c", "\x0c" + _LINE, "\ufeff" + _LINE, " \t" + _LINE + " ", _LINE + " x",
+    _LINE + _LINE, _LINE + " " + _LINE,
+    '{"question_id": "q", "sample_id": "a"', '"reward": 1, "correct": 1}',  # one record split in two
+    "[" * 100_000, '{"a": ' * 100_000, '{"question_id": "a", "sample_id": "s8", "reward": 1' + "0" * 5000 + "}",
+    "[1]", "1", '"text"', "null", "{}", '{"question_id": "a"}', "not json", "{bad",
+]
+
+
+def _record(qid, sid, reward, flag):
+    return json.dumps({"question_id": qid, "sample_id": sid, "reward": reward, "correct": flag})
+
+
+_ids = (st.sampled_from(["a", "b", 1, "1"]), st.integers(0, 99).map(lambda i: f"s{i}"))
+_good = st.builds(_record, *_ids, st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                            st.integers(-3, 3), st.booleans()),
+                  st.sampled_from([0, 1, True, False, 1.0]))
+_odd = st.one_of(
+    st.builds(_record, *_ids, st.one_of(st.floats(), st.sampled_from([10**400, -10**400, "0.7", " 1e3 ", "nan",
+                                                                        None, [1]])),
+              st.sampled_from([0, 1, 2, None, "1", [1]])),
+    st.sampled_from(_ODD_LINES),
+)
+_end = st.sampled_from(["\n", "\r\n"])
+
+
+def _outcome(loader, path):
+    try:
+        ds = loader(path)
+    except JudgeRecordError as exc:
+        return str(exc)
+    return [getattr(ds, name).tolist() for name in ("question_ids", "starts", "rewards", "correct")]
+
+
+class TestLoaderOracle:
+    @given(st.lists(st.tuples(_good, _end), max_size=10),
+           st.lists(st.tuples(st.integers(0, 10), _odd, _end), max_size=3), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_columns_or_message_match_per_line_loads(self, good, odd, final_newline):
+        lines = [line + end for line, end in good]
+        for at, line, end in odd:
+            lines.insert(at, line + end)
+        text = "".join(lines)
+        if not final_newline:
+            text = text.rstrip("\r\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mixed.jsonl"
+            path.write_bytes(text.encode())  # CRLF stays CRLF
+            assert _outcome(load_records, path) == _outcome(load_records_per_line, path)
+
+    def test_loader_holds_no_parsed_record(self, tmp_path):
+        # a loader that scanned every line before filling the columns peaked at
+        # 6.7 MB on this file, against 1.5 MB for the per-line loader
+        path = write_records(tmp_path / "trap.jsonl",
+                             record_rows(trap_judge_questions(np.random.default_rng(0), 100, 64)))
+        peaks = []
+        for loader in (load_records, load_records_per_line):
+            loader(path)  # warm: first-call allocations are not the loader's
+            tracemalloc.start()
+            try:
+                loader(path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.25 * peaks[1], peaks
 
 
 class TestJudgeDelta:
