@@ -223,8 +223,16 @@ def _check_de_regime(config, mode) -> None:
 def _temperature(args, config) -> float:
     if args.T is not None:
         return args.T
-    mult = args.T_sigma2 if args.T_sigma2 is not None else 20.0
-    return mult * config.sigma**2
+    return _times_sigma2(args.T_sigma2 if args.T_sigma2 is not None else 20.0, config, "--T-sigma2")
+
+
+def _times_sigma2(mult, config, flag):
+    """A temperature or grid in units of sigma^2, as a float or an array; exits 1 naming ``flag`` past the float range."""
+    with np.errstate(over="ignore"):
+        T = np.asarray(mult, dtype=float) * config.sigma**2
+    if not np.all(np.isfinite(T)):
+        raise ValueError(f"{flag} {np.max(mult):g} times sigma^2 = {config.sigma**2:g} leaves the float range")
+    return T if T.ndim else float(T)
 
 
 def _sweep_row(config, mode, seed, c, k, T, delta, stderr=0.0, n_outer=0, n_inner=0, **extra):
@@ -316,7 +324,7 @@ def cmd_sweep_t(args, parser):
         T_grid = np.asarray(args.t_grid, dtype=float)
     else:
         mult = args.t_grid_sigma2 if args.t_grid_sigma2 is not None else parse_grid("log:2,200,30")
-        T_grid = np.asarray(mult, dtype=float) * config.sigma**2
+        T_grid = _times_sigma2(mult, config, "--t-grid-sigma2")
     res = delta_t_curve(config, RewardSpec.radial(args.c), args.k, T_grid, **mc)
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
@@ -375,7 +383,7 @@ def cmd_polar_map(args, parser):
 def cmd_tradeoff(args, parser):
     base = build_config(args, parser)
     mode, mc = _mc_args(args, parser, None)
-    T_high = args.t_high_sigma2 * base.sigma**2
+    T_high = _times_sigma2(args.t_high_sigma2, base, "--t-high-sigma2")
     rows = []
     for n in args.n_grid:
         config = dataclasses.replace(base, n=int(n))

@@ -27,6 +27,7 @@ from ._special import erfc
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_CHUNK = 1 << 22  # cap on the draws min_chisq_mc holds at once
 
 
 def chisq1_cdf(v, lam: float):
@@ -92,9 +93,7 @@ def weibull_norming(lam: float, k: int) -> float:
         ) from exc
 
 
-def min_chisq_mc(
-    lam: float, k: int, n_mc: int, rng: np.random.Generator, chunk: int = 1 << 22
-) -> tuple[float, float]:
+def min_chisq_mc(lam: float, k: int, n_mc: int, rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo mean of min over k draws of (z + sqrt(lambda))^2.
 
     Returns (mean, stderr). Draws are simulated directly, bypassing the CDF.
@@ -105,7 +104,7 @@ def min_chisq_mc(
         raise ValueError(f"k must be >= 1, got {k}")
     sl = math.sqrt(lam)
     mins = np.empty(n_mc)
-    rows_per_chunk = max(1, chunk // k)
+    rows_per_chunk = max(1, _CHUNK // k)
     done = 0
     while done < n_mc:
         rows = min(rows_per_chunk, n_mc - done)

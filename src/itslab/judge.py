@@ -20,10 +20,12 @@ O(|T| * Q * R * kmax). The
 draws are those of a per-subset loop (the tests keep it): T = 0 rows are its
 bytes, T > 0 rows differ by rounding (the kernel sums in permutation order).
 
-Input format: one JSON object per line with fields question_id, sample_id,
-reward (a JSON number; booleans pass as 1 and 0) and correct. The loader
-streams the file: each line is decoded by the json module's C scanner and
-its fields go straight onto the columns, so no parsed record is held.
+Input format: one JSON object per line with fields question_id and
+sample_id (a JSON string or integer; an integer id is its decimal text, so 1
+and "1" name the same question), reward (a JSON number; booleans pass as 1
+and 0) and correct. The loader streams the file: each line is decoded by the
+json module's C scanner and its fields go straight onto the columns, so no
+parsed record is held.
 """
 
 import json
@@ -57,10 +59,11 @@ def load_records(path) -> JudgeDataset:
     accepted only where the value ends at the line's end, as ``json.loads``
     accepts it; the four fields go straight onto the columns. Raises
     JudgeRecordError citing the first faulty line (blank lines count):
-    malformed JSON, a missing field, a non-numeric or non-finite reward (a
-    string is not a number; JSON booleans pass as 1 and 0), a correct flag
-    other than 0 or 1 (booleans pass), a repeated (question_id, sample_id)
-    pair, or no records at all.
+    malformed JSON, a missing field, an id that is neither a string nor an
+    integer (a boolean is not an integer), a non-numeric or non-finite
+    reward (a string is not a number; JSON booleans pass as 1 and 0), a
+    correct flag other than 0 or 1 (booleans pass), a repeated
+    (question_id, sample_id) pair, or no records at all.
     """
     scan = json.JSONDecoder().scan_once
     qids, sids, rewards, correct, blanks = [], [], [], [], []
@@ -89,8 +92,8 @@ def load_records(path) -> JudgeDataset:
                 else:
                     fault = "reward is not a number" if isinstance(obj, dict) else "expected a JSON object"
                 raise JudgeRecordError(f"{path}:{lineno}: {fault}") from exc
-            qids.append(str(qid))
-            sids.append(str(sid))
+            qids.append(qid)
+            sids.append(sid)
             correct.append(flag)
     if not qids:
         raise JudgeRecordError(f"{path}: no records")
@@ -100,11 +103,13 @@ def load_records(path) -> JudgeDataset:
 def _grouped(path, blanks: list, qids: list, sids: list, rewards: list, correct: list) -> JudgeDataset:
     """Sort the record columns by (question_id, sample_id) in one stable sort; find each question's start.
 
-    Raises the first faulty record in file order (``blanks`` holds the number
-    of records above each blank line): a non-finite reward, then a flag other
-    than 0 or 1, then a pair that an earlier record has.
+    Ids become text, an integer its decimal text. Raises the first faulty
+    record in file order (``blanks`` holds the number of records above each
+    blank line): an id neither string nor integer, then a non-finite reward,
+    then a flag other than 0 or 1, then a pair that an earlier record has.
     """
     n = len(qids)
+    (qids, q_ok), (sids, s_ok) = _as_text(qids), _as_text(sids)
     order = sorted(range(n), key=sids.__getitem__)
     order.sort(key=qids.__getitem__)  # stable: equal pairs stay in file order
     order = np.array(order, dtype=np.intp)
@@ -114,16 +119,24 @@ def _grouped(path, blanks: list, qids: list, sids: list, rewards: list, correct:
     repeat = np.zeros(n, dtype=bool)
     repeat[order[1:][~first[1:] & (s[1:] == s[:-1])]] = True
     r, c = np.array(rewards, dtype=float), np.fromiter(correct, dtype=object, count=n)
-    checks = np.array([~np.isfinite(r), (c != 0) & (c != 1), repeat])
+    checks = np.array([~q_ok, ~s_ok, ~np.isfinite(r), (c != 0) & (c != 1), repeat])
     if checks.any():
         i = int(checks.any(axis=0).argmax())
         lineno = i + 1 + int(np.searchsorted(blanks, i, side="right"))
         pair = f"({qids[i]!r}, {sids[i]!r})"
-        message = (f"reward is not finite for {pair}", f"correct must be 0 or 1, got {correct[i]!r}",
+        message = ("question_id must be a string or an integer", "sample_id must be a string or an integer",
+                   f"reward is not finite for {pair}", f"correct must be 0 or 1, got {correct[i]!r}",
                    f"duplicate record {pair}")[checks[:, i].argmax()]
         raise JudgeRecordError(f"{path}:{lineno}: {message}")
     starts = np.flatnonzero(first)
     return JudgeDataset(q[starts], starts, r[order], c[order].astype(float))
+
+
+def _as_text(ids: list) -> tuple[list, np.ndarray]:
+    """The ids as text and whether each is a string or an integer, with one pass over the types."""
+    if set(map(type, ids)) <= {str}:
+        return ids, np.ones(len(ids), dtype=bool)
+    return [i if type(i) is str else str(i) for i in ids], np.array([type(i) in (str, int) for i in ids])
 
 
 def _draw_groups(ds: JudgeDataset, counts: np.ndarray, n_resample: int, rng) -> list:

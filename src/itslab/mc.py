@@ -15,14 +15,15 @@ whose cells all have T = 0 samples the winner's distance directly: in
 standardized coordinates z = (y - m)/s the selected draw is the one closest
 to a = (mu_R - m)/s, and its distance D has P(D > d) = (1 - F(d))^k with
 F(d) = P(|z - a| <= d), so D is drawn by inverting that law and no k
-candidates are materialised; disjoint blocks of k_j - k_{j-1} candidates and
-a running minimum carry it along the k grid, at O(n_inner) cost per grid
-point. The other targets reweight one shared (n_inner, kmax) Gaussian draw
-matrix per test point. At each distinct T, a target's sorted k values cut
-the columns into segments, and one call of the selection kernel
-(``sampling.select_prefixes``) selects every prefix [:k] in one pass over
-them. That costs O(n_inner * kmax) per point, target and distinct T, plus an
-O(grid length) scan, where selecting each prefix anew cost
+candidates are materialised. Disjoint blocks of k_j - k_{j-1} candidates
+each give one winner, at O(n_inner) cost per grid point. The other targets
+reweight one shared (n_inner, kmax) Gaussian draw matrix per test point. So
+two candidate generators, block winners and Gaussian draws, feed one
+selection kernel (``sampling.select_prefixes``): a target's sorted k values
+(block counts for the winners) cut the candidates into segments, and one
+call per distinct T selects every prefix [:k] in one pass over them. For the
+draw matrix that costs O(n_inner * kmax) per point, target and distinct T,
+plus an O(grid length) scan, where selecting each prefix anew cost
 O(n_inner * sum of k).
 The pass runs on small batches of test points with the targets stacked, so
 a work unit makes a few dozen large numpy calls per point rather than
@@ -238,9 +239,10 @@ def _best_of_k_cells(rngs, m, s, mu_T, mu_R, cell_k, n_inner: int) -> np.ndarray
     ``rngs`` holds one generator per test point; the other arguments are
     per-point arrays. Sorted distinct k values split the candidates into
     disjoint blocks of k_j - k_{j-1}; each block draws, per inner batch, one
-    uniform for its winner's distance and one for the winner's side of a,
-    and a running minimum of the distance carries the winner's loss along
-    the grid. Each point's row depends only on its own generator.
+    uniform for its winner's distance and one for the winner's side of a.
+    The block winners are the candidates of one :func:`select_prefixes`
+    call at T = 0, whose prefix j selects among the first j + 1 blocks. Each
+    point's row depends only on its own generator.
     """
     ks, cell_of = np.unique(np.asarray(cell_k, dtype=int), return_inverse=True)
     positive = s > 0
@@ -248,19 +250,15 @@ def _best_of_k_cells(rngs, m, s, mu_T, mu_R, cell_k, n_inner: int) -> np.ndarray
     # the winner y = m + s (a +- d) has y - mu_T = (mu_R - mu_T) +- s d
     gap = np.where(positive, mu_R - mu_T, m - mu_T)[:, None]
     s = s[:, None]
-    best_d = np.full((len(rngs), n_inner), np.inf)
-    best_loss = np.zeros_like(best_d)
-    out = np.empty((len(rngs), len(ks)))
+    D = np.empty((len(ks), len(rngs), n_inner))  # block winners' distances: their penalties
+    loss = np.empty_like(D)
     for j, block in enumerate(np.diff(ks, prepend=0)):
         U = np.stack([rng.random((2, n_inner)) for rng in rngs])
-        d = _winner_distance(np.log1p(-U[:, 0]) / block, np.abs(a))
+        D[j] = d = _winner_distance(np.log1p(-U[:, 0]) / block, np.abs(a))
         # P(winner at a + d) = phi(a + d) / (phi(a + d) + phi(a - d))
         offset = np.where(U[:, 1] < expit(-2.0 * a * d), s * d, -s * d)
-        closer = d < best_d
-        best_d = np.where(closer, d, best_d)
-        best_loss = np.where(closer, (gap + offset) ** 2, best_loss)
-        out[:, j] = best_loss.mean(axis=1)
-    return out[:, cell_of]
+        loss[j] = (gap + offset) ** 2
+    return select_prefixes(D, loss, np.arange(1, len(ks) + 1), 0.0)[:, cell_of] / n_inner
 
 
 @dataclass(frozen=True)
@@ -316,6 +314,7 @@ def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
     return contexts
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow leaves a non-finite mean, refused below
 def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, threads, n_datasets):
     """Evaluate every (k, T, reward target) cell at every test point.
 
@@ -340,9 +339,9 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
     shared = ~np.isin(cell_r, t0_targets)
     shared_targets, shared_r = np.unique(cell_r[shared], return_inverse=True)
     kmax = int(cell_k[shared].max()) if shared.any() else 0
-    # points per call of the T = 0 sampler: its ~16 working arrays of n_inner
-    # values per point then hold at most _MAX_ELEMS values
-    t0_points = max(1, _MAX_ELEMS // (16 * n_inner))
+    # points per call of the T = 0 sampler: its ~16 working arrays and 2 block arrays
+    # per cell, each of n_inner values per point, then hold at most _MAX_ELEMS values
+    t0_points = max(1, _MAX_ELEMS // ((16 + 2 * shape[1]) * n_inner))
     if kmax:
         plan, cell_of = _plan_shared(cell_k[shared], cell_T[shared], shared_r)
         # points per batch: their draws, losses, penalties and segment
@@ -355,6 +354,7 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
     n_rows = len(contexts) * n_outer
     per_x = np.empty((n_rows, len(cell_k)))
 
+    @np.errstate(over="ignore", invalid="ignore")  # errstate is per thread
     def run_block(ctx: _Context, start: int, stop: int):
         base = ctx.dataset_index * n_outer
         for r in t0_targets:
@@ -389,7 +389,10 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
         for b in blocks:
             run_block(*b)
 
-    return (per_x.reshape(n_rows, *shape), per_x.mean(axis=0).reshape(shape),
+    mean = per_x.mean(axis=0)
+    if not np.isfinite(mean).all():  # a non-finite per-point value, or their sum
+        raise ValueError(f"the squared losses leave the float range at sigma = {config.sigma:g}, gamma = {config.gamma:g}")
+    return (per_x.reshape(n_rows, *shape), mean.reshape(shape),
             _stderr(per_x).reshape(shape), {"n_datasets": len(contexts)})
 
 
@@ -491,12 +494,7 @@ def classify_k_monotonicity(result: SweepResult, z: float = 3.0) -> str:
     if result.axis != "k":
         raise ValueError("classification applies to k-sweeps")
     mean = result.mean
-    n = len(mean)
-    for i in range(1, n - 2):
-        up1 = mean[i + 1] - mean[i]
-        up2 = mean[i + 2] - mean[i]
-        if up1 > z * result.paired_stderr(i, i + 1) and up2 > z * result.paired_stderr(
-            i, i + 2
-        ):
+    for i in range(1, len(mean) - 2):
+        if all(mean[j] - mean[i] > z * result.paired_stderr(i, j) for j in (i + 1, i + 2)):
             return "non_monotone"
     return "monotone"

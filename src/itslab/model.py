@@ -147,8 +147,8 @@ class Dataset:
             raise ValueError("inputs must be 2-d and labels 1-d")
         if self.inputs.shape[0] != self.labels.shape[0]:
             raise ValueError("inputs and labels disagree on n")
-        if self.labels.size and not np.all(np.isfinite(self.labels)):
-            raise ValueError("labels contain non-finite values")
+        if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.labels))):
+            raise ValueError("dataset contains non-finite values")
 
     @property
     def n(self) -> int:

@@ -54,8 +54,6 @@ def fit_posterior(data: Dataset, config: ModelConfig) -> Posterior:
                          var=np.full(config.d, config.prior_var), sigma=config.sigma)
     if config.sigma == 0:
         raise ValueError("sigma = 0 with n > 0: likelihood is degenerate")
-    if not (np.all(np.isfinite(data.inputs)) and np.all(np.isfinite(data.labels))):
-        raise ValueError("dataset contains non-finite values")
     # reciprocal squares as products: past the float range they give 0 or inf, never raise
     inv_s2 = (1.0 / config.sigma) * (1.0 / config.sigma)
     inv_g2 = (1.0 / config.gamma) * (1.0 / config.gamma)

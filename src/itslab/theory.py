@@ -26,6 +26,7 @@ from .ridge import DetEquiv, de_moments_batch, solve_ridge
 # Below this t the dropped 1/t^4 remainder is no longer a sub-percent
 # correction in the regimes of interest; callers are warned, not stopped.
 SERIES_T_WARN = 5.0
+_REL_STEP = 1e-4  # relative step of scaling_derivatives' finite difference in alpha
 
 
 class SeriesAccuracyWarning(UserWarning):
@@ -256,14 +257,12 @@ class ScalingDerivatives:
     trace_ok: bool
 
 
-def scaling_derivatives(
-    config: ModelConfig, de: DetEquiv, w: np.ndarray, rel_step: float = 1e-4
-) -> ScalingDerivatives:
+def scaling_derivatives(config: ModelConfig, de: DetEquiv, w: np.ndarray) -> ScalingDerivatives:
     """Trade-off derivatives d log delta / d log k and d log n.
 
     dlogn = -alpha d_alpha(u^T Cov u) / (sigma^2 d - 2 u^T Cov u), with the
     alpha-derivative taken by centered finite difference through the ridge
-    solver.
+    solver, at relative step _REL_STEP.
     """
     alpha = de.alpha
     w = np.asarray(w, dtype=float)
@@ -276,9 +275,7 @@ def scaling_derivatives(
         return F(solve_ridge(a, config.sigma, config.gamma, de.spectrum))
 
     F0 = F(de)
-    dF = (F_at(alpha * (1.0 + rel_step)) - F_at(alpha * (1.0 - rel_step))) / (
-        2.0 * alpha * rel_step
-    )
+    dF = (F_at(alpha * (1.0 + _REL_STEP)) - F_at(alpha * (1.0 - _REL_STEP))) / (2.0 * alpha * _REL_STEP)
     denom = config.sigma**2 * config.d - 2.0 * F0
     if denom <= 0:
         raise ValueError("sigma^2 d - 2 u^T Cov u <= 0: outside the formula's domain")

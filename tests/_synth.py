@@ -92,7 +92,8 @@ def load_records_per_line(path):
 
     It holds one parsed record at a time, as the loader must, and shares
     ``_grouped``, the column checks after the parse. A string reward is
-    not a number.
+    not a number. Each id is checked at its line: a string or an integer
+    (not a boolean), an integer being its decimal text.
     """
     unparsed = object()
     qids, sids, rewards, correct, blanks = [], [], [], [], []
@@ -119,6 +120,10 @@ def load_records_per_line(path):
                 else:
                     fault = "reward is not a number" if isinstance(obj, dict) else "expected a JSON object"
                 raise JudgeRecordError(f"{path}:{lineno}: {fault}") from exc
+            for name, value in (("question_id", qid), ("sample_id", sid)):
+                if isinstance(value, bool) or not isinstance(value, (str, int)):
+                    _grouped(path, blanks, qids, sids, rewards[:-1], correct)
+                    raise JudgeRecordError(f"{path}:{lineno}: {name} must be a string or an integer")
             qids.append(str(qid))
             sids.append(str(sid))
             correct.append(flag)

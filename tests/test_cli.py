@@ -722,8 +722,40 @@ class TestExtremeScales:
           "--k-grid", "1,4", *_SMALL_MC],
          "the posterior precision leaves the float range at n = 1e+300, d = 3, "
          "sigma = 1e-06, gamma = 0.001"),
+        # a temperature in units of sigma^2 past the float range, while sigma^2 is finite
+        (["sweep-k", "--T-sigma2", "1e300", "--sigma", "1e10", "--gamma", "1e12", "--d", "3", "--n", "30",
+          "--k-grid", "1,4", *_SMALL_MC],
+         "--T-sigma2 1e+300 times sigma^2 = 1e+20 leaves the float range"),
+        (["sweep-c", "--sigma", "1.3e154", "--gamma", "1e155", "--d", "3", "--n", "30", *_SMALL_MC],
+         "--T-sigma2 20 times sigma^2 = 1.69e+308 leaves the float range"),
+        (["polar-map", "--T-sigma2", "1e300", "--sigma", "1e10", "--gamma", "1e12", "--d", "2", "--n", "30",
+          *_SMALL_MC],
+         "--T-sigma2 1e+300 times sigma^2 = 1e+20 leaves the float range"),
+        (["sweep-t", "--t-grid-sigma2", "1,1e300", "--sigma", "1e10", "--gamma", "1e12", "--d", "3",
+          "--n", "30", *_SMALL_MC],
+         "--t-grid-sigma2 1e+300 times sigma^2 = 1e+20 leaves the float range"),
+        (["sweep-t", "--sigma", "1.3e154", "--gamma", "1e155", "--d", "3", "--n", "30", *_SMALL_MC],
+         "--t-grid-sigma2 200 times sigma^2 = 1.69e+308 leaves the float range"),
+        (["tradeoff", "--t-high-sigma2", "1e300", "--sigma", "1e10", "--gamma", "1e12", "--d", "3",
+          "--n-grid", "30", "--k-grid", "1,4", *_SMALL_MC],
+         "--t-high-sigma2 1e+300 times sigma^2 = 1e+20 leaves the float range"),
+        # sigma^2 is finite, the squared losses are not
+        (["sweep-k", "--sigma", "1.2e154", "--gamma", "1e154", "--d", "3", "--n", "30", "--T", "1",
+          "--k-grid", "1,4", "--n-outer", "4", "--n-inner", "4"],
+         "the squared losses leave the float range at sigma = 1.2e+154, gamma = 1e+154"),
+        (["bestofk-check", "--sigma", "1.2e154", "--gamma", "1e154", "--d", "3", "--n", "30",
+          "--k-grid", "1,4", "--n-outer", "4", "--n-inner", "4"],
+         "the squared losses leave the float range at sigma = 1.2e+154, gamma = 1e+154"),
+        (["sweep-k", "--mode", "exact", "--sigma", "1.2e154", "--gamma", "1e154", "--d", "3", "--n", "30",
+          "--T", "1", "--k-grid", "1,4", "--n-outer", "40", "--n-inner", "4", "--threads", "2"],
+         "the squared losses leave the float range at sigma = 1.2e+154, gamma = 1e+154"),
+        (["sweep-k", "--mode", "exact", "--gamma", "1.3e154", "--d", "3", "--n", "0", "--T", "0",
+          "--k-grid", "1,4", *_SMALL_MC],
+         "the squared losses leave the float range at sigma = 0.0001, gamma = 1.3e+154"),
     ], ids=["sigma_huge", "gamma_huge_de", "gamma_tiny", "sigma_tiny_exact", "ridgeless",
-            "not_positive_definite", "n_huge_exact"])
+            "not_positive_definite", "n_huge_exact", "T_sigma2_sweep_k", "T_sigma2_default_sweep_c",
+            "T_sigma2_polar_map", "t_grid_sigma2", "t_grid_sigma2_default", "t_high_sigma2",
+            "losses_sweep_k", "losses_bestofk_check", "losses_exact_threads", "losses_from_gamma"])
     def test_out_of_range_exits_1_with_message(self, argv, message, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"itslab: error: {message}\n"

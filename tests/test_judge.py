@@ -117,9 +117,23 @@ class TestLoadRecords:
         ('{"question_id": "a", "sample_id": "s1", "reward": 1, "correct": 1} {"question_id": "a"}',
          "invalid JSON (Extra data)"),
         ('{"question_id": "a", "sample_id": "s1"', "invalid JSON (Expecting ',' delimiter)"),
+        ('{"question_id": null, "sample_id": "s1", "reward": 1, "correct": 1}',
+         "question_id must be a string or an integer"),
+        ('{"question_id": {"a": 1}, "sample_id": "s1", "reward": 1, "correct": 1}',
+         "question_id must be a string or an integer"),
+        ('{"question_id": 1.0, "sample_id": "s1", "reward": 1, "correct": 1}',
+         "question_id must be a string or an integer"),
+        ('{"question_id": true, "sample_id": "s1", "reward": 1, "correct": 1}',
+         "question_id must be a string or an integer"),
+        ('{"question_id": "a", "sample_id": ["s1"], "reward": 1, "correct": 1}',
+         "sample_id must be a string or an integer"),
+        ('{"question_id": null, "sample_id": "s1", "reward": 1' + "0" * 400 + ', "correct": 1}',
+         "question_id must be a string or an integer"),
     ], ids=["reward_past_float_range", "negative_reward_past_float_range", "deep_array",
             "deep_object", "integer_too_long", "string_reward", "padded_string_reward",
-            "nan_string_reward", "bom", "form_feed", "two_records", "split_record"])
+            "nan_string_reward", "bom", "form_feed", "two_records", "split_record",
+            "null_id", "object_id", "float_id", "boolean_id", "array_sample_id",
+            "null_id_reward_past_float_range"])
     def test_parse_faults_cite_the_line(self, line, message, tmp_path):
         # none of these escapes as an OverflowError, a RecursionError or a bare ValueError
         path = tmp_path / "faults.jsonl"
@@ -133,6 +147,17 @@ class TestLoadRecords:
         rows[0]["reward"] = float("nan")
         path = write_records(tmp_path / "bad.jsonl", rows)
         with pytest.raises(JudgeRecordError, match="finite"):
+            load_records(path)
+
+    def test_integer_id_is_its_decimal_text(self, tmp_path):
+        path = tmp_path / "ids.jsonl"
+        path.write_text('{"question_id": 7, "sample_id": 0, "reward": 0.5, "correct": 1}\n'
+                        '{"question_id": "7", "sample_id": 1, "reward": 0.2, "correct": 0}\n'
+                        '{"question_id": -3, "sample_id": "0", "reward": 0.1, "correct": 1}\n')
+        ds = load_records(path)
+        assert ds.question_ids.tolist() == ["-3", "7"] and ds.starts.tolist() == [0, 1]
+        path.write_text(path.read_text() + '{"question_id": "7", "sample_id": "0", "reward": 1, "correct": 1}\n')
+        with pytest.raises(JudgeRecordError, match=r":4: duplicate record \('7', '0'\)"):
             load_records(path)
 
     def test_boolean_reward_passes_as_one_and_zero(self, tmp_path):
@@ -169,6 +194,9 @@ _odd = st.one_of(
     st.builds(_record, *_ids, st.one_of(st.floats(), st.sampled_from([10**400, -10**400, "0.7", " 1e3 ", "nan",
                                                                         None, [1]])),
               st.sampled_from([0, 1, 2, None, "1", [1]])),
+    st.builds(_record, st.sampled_from(["a", 1, None, True, 1.0, [1], {"a": 1}]),
+              st.sampled_from(["s1", 1, None, False, 2.5, ["s1"]]),
+              st.sampled_from([0.5, 10**400, None]), st.sampled_from([0, 1, 2])),
     st.sampled_from(_ODD_LINES),
 )
 _end = st.sampled_from(["\n", "\r\n"])
@@ -358,6 +386,65 @@ class TestJudgeSweep:
         rows = judge_sweep(ds, [2, 4], [1.0], n_resample=2, rng=stream(13, "judge"))
         assert rows[0]["n_questions_used"] == 2
         assert rows[1]["n_questions_used"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Reference: the expectation over uniform k-subsets in closed form. At T = 0
+# the record at stable reward rank i (ties to the lowest sample_id) wins a
+# uniform k-subset of a question's n records with probability
+# C(n - 1 - i, k - 1) / C(n, k); as T -> inf the selection is the subset's
+# mean, whose expectation is the question's mean correct.
+
+
+def _subset_oracle(questions, k):
+    """(T = 0, T -> inf) expected correctness of each question with >= k records, in id order."""
+    t0, flat = [], []
+    for qid in sorted(questions):
+        samples = questions[qid]  # in sample_id order
+        n = len(samples)
+        if n < k:
+            continue
+        ranked = sorted(range(n), key=lambda j: -samples[j][0])  # stable: ties keep sample_id order
+        wins = sum(samples[j][1] * math.comb(n - 1 - i, k - 1) for i, j in enumerate(ranked))
+        t0.append(wins / math.comb(n, k))
+        flat.append(sum(c for _, c in samples) / n)
+    return np.array(t0), np.array(flat)
+
+
+def _oracle_files():
+    """Trap-judge question sets: one size, two sizes, and integer rewards (ties across correctness)."""
+    one = trap_judge_questions(np.random.default_rng(40), n_questions=30, n_samples=12)
+    short = trap_judge_questions(np.random.default_rng(41), n_questions=20, n_samples=5)
+    long = trap_judge_questions(np.random.default_rng(42), n_questions=15, n_samples=9)
+    tied = trap_judge_questions(np.random.default_rng(43), n_questions=25, n_samples=10, reward_noise=0.6)
+    return {
+        "one_size": one,
+        "two_sizes": {**{f"a{q}": v for q, v in short.items()}, **{f"b{q}": v for q, v in long.items()}},
+        "tied": {q: [(float(round(r)), c) for r, c in v] for q, v in tied.items()},
+    }
+
+
+class TestSubsetOracle:
+    """judge_sweep's rows against the exact expectation over uniform k-subsets."""
+
+    @pytest.mark.parametrize("name", ["one_size", "two_sizes", "tied"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_within_three_stderr_and_exact_at_full_k(self, name, seed, tmp_path):
+        questions = _oracle_files()[name]
+        ds = _load(tmp_path, questions)
+        n_max = max(len(v) for v in questions.values())
+        k_grid = sorted({1, 2, 3, 5, n_max - 1, n_max})
+        rows = judge_sweep(ds, k_grid, [0.0, 1e12], 8, stream(seed, "judge"))
+        for row in rows:
+            t0, flat = _subset_oracle(questions, row["k"])
+            want = -(t0 if row["T"] == 0 else flat).mean()
+            assert row["n_questions_used"] == len(t0)
+            assert abs(row["delta"] - want) <= 3 * row["stderr"], row
+            if row["k"] == n_max:  # every subset is the whole question: no resampling noise
+                if row["T"] == 0:
+                    assert row["delta"] == want
+                else:  # the weights are 1 - O(1e-12), not exactly 1
+                    assert row["delta"] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,9 +295,28 @@ class TestBestOfKSampler:
         longer = delta_k_curve(cfg, RewardSpec.radial(3.0), 0.0, [1, 4, 30, 200], **kw)
         assert longer.per_x[:, :3].tobytes() == r1.per_x.tobytes()
         # a memory cap that solves 3 points at a time leaves every row as it was
-        monkeypatch.setattr(mc, "_MAX_ELEMS", 16 * 20 * 3)
+        monkeypatch.setattr(mc, "_MAX_ELEMS", (16 + 2 * 3) * 20 * 3)
         capped = delta_k_curve(cfg, RewardSpec.radial(3.0), 0.0, [1, 4, 30], **kw)
         assert capped.per_x.tobytes() == r1.per_x.tobytes()
+
+    def test_block_arrays_fit_the_memory_cap(self, monkeypatch):
+        # 40 blocks of 50 winners per point, a cap of 4 points per sampler call: sized
+        # without the two block arrays, one call held all 16 points and peaked at 5.1x
+        # the cap here, against 1.4x
+        monkeypatch.setattr(mc, "_MAX_ELEMS", (16 + 2 * 40) * 50 * 4)
+        cfg = ModelConfig(d=3, n=30)
+
+        def run(k_grid, n_outer):
+            return delta_k_curve(cfg, RewardSpec.radial(1.0), 0.0, k_grid, n_outer=n_outer, n_inner=50, seed=1)
+
+        run([1, 8], 1)  # warm: first-call allocations are not the sampler's
+        tracemalloc.start()
+        try:
+            run(np.arange(1, 41) ** 3, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * mc._MAX_ELEMS, peak
 
     def test_large_k_precision(self):
         cfg = ModelConfig(d=10, n=10_000, **FIG_LIKE)

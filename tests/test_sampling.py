@@ -158,12 +158,12 @@ class TestOneKernel:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # a kernel that counts its calls and selects nothing: any selection
-        # made elsewhere would leave a nonzero value behind
+        # a kernel that logs each call's T and candidate count and selects
+        # nothing: any selection made elsewhere would leave a nonzero value behind
         calls = []
 
         def zeroed(P, L, ks, T):
-            calls.append(T)
+            calls.append((T, P.shape[0]))
             return np.zeros_like(select_prefixes(P, L, ks, T))
 
         monkeypatch.setattr(mc, "select_prefixes", zeroed)
@@ -176,18 +176,19 @@ class TestOneKernel:
         ds = load_records(write_records(tmp_path / "r.jsonl", rows))
         out = judge_sweep(ds, [1, 3, 8], [0.0, 0.5, 4.0], 4, stream(0, "judge"))
         # two count groups (3 and 8 samples), one call per group and T
-        assert sorted(calls) == [0.0, 0.0, 0.5, 0.5, 4.0, 4.0]
+        assert sorted(T for T, _ in calls) == [0.0, 0.0, 0.5, 0.5, 4.0, 4.0]
         assert all(row["delta"] == 0.0 for row in out)
 
     def test_mixed_temperature_curve(self, calls):
         cfg = ModelConfig(d=3, n=30)
         res = delta_t_curve(cfg, RewardSpec.radial(1.0), 5, [0.0, 1e-9, 2e-8, 0.0],
                             n_outer=20, n_inner=6, seed=1)
-        assert set(calls) == {0.0, 1e-9, 2e-8}
+        assert {T for T, _ in calls} == {0.0, 1e-9, 2e-8}
         assert not res.per_x.any()
 
     def test_zero_temperature_sweep_uses_the_sampler(self, calls):
         cfg = ModelConfig(d=3, n=30)
         res = delta_k_curve(cfg, RewardSpec.radial(1.0), 0.0, [1, 4, 100], n_outer=20, n_inner=6)
-        assert calls == []
-        assert res.per_x.all()
+        # the sampler's block winners, one per distinct k, are the candidates, not a kmax draw matrix
+        assert calls and all(call == (0.0, 3) for call in calls)
+        assert not res.per_x.any()
