@@ -15,9 +15,11 @@ whose cells all have T = 0 samples the winner's distance directly: in
 standardized coordinates z = (y - m)/s the selected draw is the one closest
 to a = (mu_R - m)/s, and its distance D has P(D > d) = (1 - F(d))^k with
 F(d) = P(|z - a| <= d), so D is drawn by inverting that law and no k
-candidates are materialised. Disjoint blocks of k_j - k_{j-1} candidates
-each give one winner, at O(n_inner) cost per grid point. The other targets
-reweight one shared (n_inner, kmax) Gaussian draw matrix per test point. So
+candidates are materialised: a short distance, the rule once a block holds
+many candidates, on the Hermite series of F, and a long one on log F.
+Disjoint blocks of k_j - k_{j-1} candidates each give one winner, at
+O(n_inner) cost per grid point. The other targets reweight one shared
+(n_inner, kmax) Gaussian draw matrix per test point. So
 two candidate generators, block winners and Gaussian draws, feed one
 selection kernel (``sampling.select_prefixes``): a target's sorted k values
 (block counts for the winners) cut the candidates into segments, and one
@@ -40,8 +42,9 @@ fixed-size blocks, each test point owning its own substream, and the
 reduction is performed in index order, so results are bit-identical for any
 thread count.
 
-The T = 0 sampler takes log Phi and the logistic function from the
-package's numpy helper (``_special``), so no run loads scipy.
+The T = 0 sampler takes log Phi (for long distances only) and the logistic
+function from the package's numpy helper (``_special``), so no run loads
+scipy.
 """
 
 import math
@@ -64,6 +67,7 @@ _MAX_ELEMS = 1 << 23  # cap on draws held in memory at once (per work unit)
 _SCAN_ELEMS = 1 << 18  # cap on the values one batch of test points holds (per work unit)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _NEWTON_STEPS = 50  # cap only: the root solve converges in at most a handful
+_SERIES_TERMS = 9  # He_0 to He_16 in the short-root series of F
 
 
 def _stderr(values: np.ndarray) -> np.ndarray:
@@ -182,17 +186,80 @@ def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int) -> np.
 def _winner_distance(x: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Solve F(d) = -expm1(x) for d >= 0, elementwise, with x <= 0 and A >= 0.
 
-    F(d) = P(|z - A| <= d) = Phi(d - A) - Phi(-A - d) for z ~ N(0, 1). Both
-    terms are lower tails, so their difference keeps its relative precision
-    at large A. Newton's method starts from the larger of two lower bounds on
-    the root. Targets p = -expm1(x) <= 1/2 are solved on log F, which is
-    concave (Prekopa), so the iterates rise monotonically onto the root;
-    targets above 1/2 on log(1 - F) = x, which is exact near p = 1. Roots
-    below 1e-5 are taken from the sinh bound, which is exact there to O(d^2).
-    Every element stops on its own convergence test, so no result depends on
-    its batch-mates.
+    F(d) = P(|z - A| <= d) = Phi(d - A) - Phi(-A - d) for z ~ N(0, 1), and
+    F'(d) = 2 phi(A) e^{-d^2/2} cosh(A d). A short root, where
+    q = p / (2 phi(A)) <= 1/2 and A q <= 1/2 for p = -expm1(x), is solved on
+    the Hermite series of F (:func:`_short_root`); every other root on log F
+    or log(1 - F) (:func:`_long_root`). Every element stops on its own
+    convergence test, so no result depends on its batch-mates.
     """
-    x, A = np.broadcast_arrays(x, A)
+    p = -np.expm1(x)
+    with np.errstate(over="ignore", invalid="ignore"):  # A = inf or A^2 past the float range
+        two_phi = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * A * A)  # at A's own shape
+        # q keeps its relative precision where 2 phi(A) is a normal float
+        normal = two_phi >= np.finfo(float).tiny
+        short = normal & (p <= 0.5 * two_phi) & (A * p <= 0.5 * two_phi)
+    # q = 0, a root of 0, holds the place of each long root, and A = 0 that of an A
+    # whose roots are all long
+    q = np.divide(p, two_phi, out=np.zeros(short.shape), where=short)
+    d = _short_root(q, np.where(normal, A, 0.0))
+    if not short.all():
+        long = ~short
+        d[long] = _long_root(np.broadcast_to(x, d.shape)[long], np.broadcast_to(A, d.shape)[long])
+    return d
+
+
+def _short_root(q: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Solve G(d) = q where F(d) = 2 phi(A) G(d), with q <= 1/2 and A q <= 1/2.
+
+    By the Hermite generating function (Abramowitz and Stegun 22.9.17),
+    G(d) = int_0^d e^{-t^2/2} cosh(A t) dt = d sum_m c_m d^{2m}, with
+    c_m = He_2m(A) / (2m+1)! from He_{n+2} = (A^2 - 2n - 1) He_n - n (n - 1)
+    He_{n-2} (He_{n+1} = A He_n - n He_{n-1} taken twice), and
+    G'(d) = e^{-d^2/2} cosh(A d). Here d <= 0.523 and A d <= 0.55, so the
+    terms to He_16 leave at most 3e-15 of the root; the c_m are computed at
+    A's own shape, which q broadcasts. Newton's method starts from the sinh
+    bound asinh(A q) / A <= d (G(d) <= sinh(A d) / A), or from q where
+    A q < 1e-8: the bound is q there to rounding, and a subnormal A q would
+    lose its precision. A step of relative size s leaves an error below
+    0.15 s^2, so an element stops after a step below 1e-8 of its root.
+    """
+    w = A * A
+    c = np.empty((_SERIES_TERMS,) + w.shape)
+    c[0], c[1] = 1.0, (w - 1.0) / 6.0
+    for m in range(1, _SERIES_TERMS - 1):
+        c[m + 1] = (w - (4 * m + 1)) * c[m] - (2 * m - 1) / (2 * m + 1) * c[m - 1]
+        c[m + 1] /= (2 * m + 2) * (2 * m + 3)
+    y = A * q
+    d = np.divide(np.arcsinh(y), A, out=q.copy(), where=y >= 1e-8)
+    moving = q > 0
+    for _ in range(_NEWTON_STEPS):
+        if not moving.any():
+            break
+        v = d * d
+        G = c[-1] * v  # G(d) = d sum_m c_m v^m, by Horner's rule in place
+        for c_m in c[-2:0:-1]:
+            G += c_m
+            G *= v
+        G += c[0]
+        G *= d
+        step = (q - G) / (np.exp(-0.5 * v) * np.cosh(A * d))
+        d = np.where(moving, d + step, d)
+        moving &= np.abs(step) > 1e-8 * d
+    return d
+
+
+def _long_root(x: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Solve F(d) = -expm1(x) on log F or log(1 - F).
+
+    Both terms of F are lower tails, so their difference keeps its relative
+    precision at large A. Newton's method starts from the larger of two lower
+    bounds on the root. Targets p = -expm1(x) <= 1/2 are solved on log F,
+    which is concave (Prekopa), so the iterates rise monotonically onto the
+    root; targets above 1/2 on log(1 - F) = x, which is exact near p = 1.
+    Roots below 1e-5 are taken from the sinh bound, which is exact there to
+    O(d^2).
+    """
     p = -np.expm1(x)
     upper = p > 0.5
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -211,9 +278,9 @@ def _winner_distance(x: np.ndarray, A: np.ndarray) -> np.ndarray:
         # below A = 1e-8 the sinh bound is p sqrt(pi/2) to rounding, a bound at every A
         # (F_A(d) <= F_0(d) <= d sqrt(2/pi)) that skips the product p A, subnormal there
         sinh_bound = np.where(A >= 1e-8, sinh_bound, p * math.sqrt(0.5 * math.pi))
-    d = np.maximum(normal_bound, sinh_bound).ravel()  # 0 where p = 0
-    target = np.where(upper, x, log_p).ravel()
-    A, upper = A.ravel(), upper.ravel()
+    d = np.maximum(normal_bound, sinh_bound)  # 0 where p = 0
+    target = np.where(upper, x, log_p)
+    del p, log_p, log_4pq, t, normal_bound, log_sinh, sinh_bound  # not held through the loop
     active = np.flatnonzero(d >= 1e-5)
     for _ in range(_NEWTON_STEPS):
         if active.size == 0:
@@ -230,7 +297,7 @@ def _winner_distance(x: np.ndarray, A: np.ndarray) -> np.ndarray:
         d[active] = da + step
         # the log F branch approaches from below: a non-positive step is noise
         active = active[np.where(up, np.abs(step), step) > 1e-10 * da]
-    return d.reshape(x.shape)
+    return d
 
 
 def _best_of_k_cells(rngs, m, s, mu_T, mu_R, cell_k, n_inner: int) -> np.ndarray:
@@ -252,8 +319,10 @@ def _best_of_k_cells(rngs, m, s, mu_T, mu_R, cell_k, n_inner: int) -> np.ndarray
     s = s[:, None]
     D = np.empty((len(ks), len(rngs), n_inner))  # block winners' distances: their penalties
     loss = np.empty_like(D)
+    U = np.empty((len(rngs), 2, n_inner))
     for j, block in enumerate(np.diff(ks, prepend=0)):
-        U = np.stack([rng.random((2, n_inner)) for rng in rngs])
+        for rng, row in zip(rngs, U):
+            rng.random(out=row)
         D[j] = d = _winner_distance(np.log1p(-U[:, 0]) / block, np.abs(a))
         # P(winner at a + d) = phi(a + d) / (phi(a + d) + phi(a - d))
         offset = np.where(U[:, 1] < expit(-2.0 * a * d), s * d, -s * d)
@@ -339,9 +408,10 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
     shared = ~np.isin(cell_r, t0_targets)
     shared_targets, shared_r = np.unique(cell_r[shared], return_inverse=True)
     kmax = int(cell_k[shared].max()) if shared.any() else 0
-    # points per call of the T = 0 sampler: its ~16 working arrays and 2 block arrays
-    # per cell, each of n_inner values per point, then hold at most _MAX_ELEMS values
-    t0_points = max(1, _MAX_ELEMS // ((16 + 2 * shape[1]) * n_inner))
+    # points per call of the T = 0 sampler: its draws and root solve (at most 34 arrays,
+    # on the log branch) and 2 block arrays per cell, each of n_inner values per point,
+    # then hold at most _MAX_ELEMS values
+    t0_points = max(1, _MAX_ELEMS // ((34 + 2 * shape[1]) * n_inner))
     if kmax:
         plan, cell_of = _plan_shared(cell_k[shared], cell_T[shared], shared_r)
         # points per batch: their draws, losses, penalties and segment
@@ -354,7 +424,6 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
     n_rows = len(contexts) * n_outer
     per_x = np.empty((n_rows, len(cell_k)))
 
-    @np.errstate(over="ignore", invalid="ignore")  # errstate is per thread
     def run_block(ctx: _Context, start: int, stop: int):
         base = ctx.dataset_index * n_outer
         for r in t0_targets:
@@ -383,8 +452,10 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
         for start in range(0, n_outer, _BLOCK)
     ]
     if threads > 1:
+        # errstate is per thread: a pool worker enters its own
+        run_in_worker = np.errstate(over="ignore", invalid="ignore")(run_block)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_block(*b), blocks))
+            list(pool.map(lambda b: run_in_worker(*b), blocks))
     else:
         for b in blocks:
             run_block(*b)

@@ -1,5 +1,6 @@
 """The numpy erfc, log Phi and logistic function against mpmath and scipy, and
-the Newton start of the T = 0 sampler's root solve."""
+the T = 0 sampler's root solve: its Newton start, its step count and its roots
+against mpmath."""
 
 import math
 
@@ -89,6 +90,7 @@ def test_edges_and_shapes():
 )
 @example(u=0.5, block=2178, A=2.2250738585e-313)  # subnormal A: the sinh bound lost precision
 @example(u=0.5, block=2178, A=5e-324)  # and here underflowed to a root of 0
+@example(u=1.1125369292536007e-308, block=9999, A=0.5)  # subnormal root: so would asinh(A q) / A
 def test_newton_start_is_a_lower_bound_and_the_solve_is_short(u, block, A):
     x = np.array([math.log1p(-u) / block])
     steps = []
@@ -105,4 +107,55 @@ def test_newton_start_is_a_lower_bound_and_the_solve_is_short(u, block, A):
     assert np.isfinite(root[0]) and root[0] >= 0
     assert start[0] <= root[0] * (1 + 1e-12)
     assert len(steps) // 2 <= 8 < mc._NEWTON_STEPS  # two log Phi calls per Newton step
+    if _series_branch(x, A)[0]:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mc, "_NEWTON_STEPS", 6)
+            assert mc._winner_distance(x, np.array([A]))[0] == root[0]
+
+
+def _series_branch(x, A):
+    """Where the root solve takes the Hermite series: q = p / (2 phi(A)) <= 1/2 and A q <= 1/2."""
+    p, two_phi = -np.expm1(x), math.sqrt(2 / math.pi) * math.exp(-0.5 * A * A)
+    return (p <= 0.5 * two_phi) & (A * p <= 0.5 * two_phi) & (two_phi >= np.finfo(float).tiny)
+
+
+def _mp_winner_distance(x, A, d0):
+    """The root of F(d) = -expm1(x), F(d) = Phi(d - A) - Phi(-A - d), from d0 at 40 digits.
+
+    Solved in log d, on log F (or log(1 - F) = x above p = 1/2), with as many
+    extra digits as d has leading zeros, which the difference of the Phi's cancels.
+    """
+    x, A = mpmath.mpf(x), mpmath.mpf(A)
+    p = -mpmath.expm1(x)
+
+    def g(u):
+        d = mpmath.exp(u)
+        with mpmath.extradps(10 + int(max(0, -u / 2.3))):
+            if p <= 0.5:
+                return mpmath.log(mpmath.ncdf(d - A) - mpmath.ncdf(-A - d)) - mpmath.log(p)
+            return mpmath.log(mpmath.ncdf(A - d) + mpmath.ncdf(-A - d)) - x
+
+    return mpmath.exp(mpmath.findroot(g, mpmath.log(d0), tol=mpmath.mpf(10) ** -30))
+
+
+def test_winner_distance_against_mpmath():
+    worst = {True: 0.0, False: 0.0}  # relative error on the series branch, and on the log branch
+    for A in [0.0, 1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0, 30.0]:
+        two_phi = math.sqrt(2 / math.pi) * math.exp(-0.5 * A * A)
+        boundary = 0.5 * two_phi / max(1.0, A)  # q = 1/2 or A q = 1/2
+        # the old sinh shortcut's threshold, roots of 1e-5: F(d) = 2 phi(A) d to O(d^3)
+        sinh_edge = two_phi * 1e-5
+        p = np.concatenate([
+            np.logspace(-300, -20, 15), np.logspace(-12, -1, 12), np.linspace(0.1, 0.9, 9),
+            1 - np.logspace(-12, -2, 6),
+            boundary * np.array([1 - 1e-6, 1 - 1e-12, 1 + 1e-12, 1 + 1e-6]),
+            sinh_edge * np.array([0.9, 1 - 1e-9, 1 + 1e-9, 1.1]),
+        ])
+        x = np.log1p(-p)
+        d = mc._winner_distance(x, np.array([A]))
+        for xi, di, series in zip(x, d, _series_branch(x, A)):
+            exact = _mp_winner_distance(xi, A, di)
+            worst[series] = max(worst[series], float(abs((mpmath.mpf(di) - exact) / exact)))
+    assert worst[True] <= 1e-13, worst
+    assert worst[False] <= 1e-12, worst
 
