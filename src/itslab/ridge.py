@@ -17,6 +17,10 @@ sigma^2 + gamma^2 (x/sqrt(d))^T B (x/sqrt(d)).
 There is one representation: Cov is diagonal and is held as its eigenvalues,
 so A and B are held as theirs. A length-1 spectrum [S^2] is Cov = S^2 I; it
 broadcasts against any d-vector, so the isotropic case needs no branch.
+
+R comes from safeguarded Newton steps in a bracket that closes on two adjacent
+floats: the R of bisection to float resolution, to the bit, in a few
+evaluations of m instead of about 54.
 """
 
 import math
@@ -27,6 +31,7 @@ import numpy as np
 from .model import ModelConfig
 
 _RESIDUAL_TOL = 1e-12
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # The noise-term validity test sigma^2 <= VALIDITY_FACTOR * sigma_c^2 keeps a
 # two-decade margin below the divergence threshold of the label-noise
@@ -63,20 +68,21 @@ class DetEquiv:
 
 
 def _m1(spectrum: np.ndarray, R: float) -> float:
-    return float(np.mean(spectrum / (spectrum + R)))
+    return float((spectrum / (spectrum + R)).sum() / spectrum.size)
 
 
 def _m2(spectrum: np.ndarray, R: float) -> float:
-    return float(np.mean((spectrum / (spectrum + R)) ** 2))
+    return float(((spectrum / (spectrum + R)) ** 2).sum() / spectrum.size)
 
 
 def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
     """Solve the renormalized-ridge fixed point for a diagonal spectrum.
 
-    Uses bracketing bisection on g(R) = R (1 - alpha m(R)), which crosses
-    R_hat exactly once for the admissible inputs; the bracket starts at
-    [R_hat, 2 R_hat] and is grown by doubling. The returned solution has
-    residual |g(R) - R_hat| <= 1e-12 max(1, R_hat).
+    Solves g(R) = R (1 - alpha m(R)) = R_hat, which has one root for the
+    admissible inputs, by safeguarded Newton steps with the bracket and end
+    rule of bisection to float resolution (``_fixed_point``). The returned
+    solution has residual |g(R) - R_hat| <= 1e-12 max(1, R_hat); ValueError
+    where no finite R reaches R_hat.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -100,41 +106,53 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
             f"{alpha:g} >= 1 is outside the alpha < 1 regime this solver supports"
         )
 
-    if R_hat == 0.0:
-        R = 0.0
-    else:
-        g = lambda R: R * (1.0 - alpha * _m1(spectrum, R))
-        lo, hi = R_hat, 2.0 * R_hat
-        while g(hi) < R_hat:
-            hi *= 2.0
-        R = _bisect(g, lo, hi, R_hat)
-
-    residual = abs(R * (1.0 - alpha * _m1(spectrum, R)) - R_hat)
+    R = _fixed_point(alpha, spectrum, R_hat) if R_hat > 0.0 else 0.0
+    m1 = _m1(spectrum, R)
+    residual = abs(R * (1.0 - alpha * m1) - R_hat)
     if residual > _RESIDUAL_TOL * max(1.0, R_hat):
         raise RuntimeError(f"fixed-point residual {residual:.3e} exceeds tolerance")
 
-    return DetEquiv(
-        R=R,
-        R_hat=R_hat,
-        alpha=alpha,
-        spectrum=spectrum,
-        m1=_m1(spectrum, R),
-        m2=_m2(spectrum, R),
-    )
+    return DetEquiv(R=R, R_hat=R_hat, alpha=alpha, spectrum=spectrum, m1=m1, m2=_m2(spectrum, R))
 
 
-def _bisect(g, lo: float, hi: float, target: float) -> float:
-    # Run to float resolution: the residual criterion is then met with a wide
-    # margin even when R itself is many orders of magnitude below 1.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+def _fixed_point(alpha: float, spectrum: np.ndarray, R_hat: float) -> float:
+    """The float R where g(R) = R (1 - alpha m1(R)) reaches R_hat > 0, as bisection finds it.
+
+    In floats, g(R) < R_hat flips once as R grows (each operation of g rounds
+    monotonically), so the bracket (lo = R_hat or g(lo) < R_hat, g(hi) >=
+    R_hat) closes on one pair of adjacent floats whatever its path, and R is
+    their midpoint as rounded. g is convex with g' = 1 - alpha m2: Newton
+    steps from an upper bound fall onto the root. A step that leaves the
+    bracket takes its midpoint; one no longer than the last probe (at first,
+    no step at all) probes toward the other end, twice as far as before.
+    """
+    n = spectrum.size
+    lo, hi, probe = R_hat, math.inf, 0.0
+    x = R_hat + alpha * (float(spectrum.sum()) / n)  # g(R) >= R - alpha mean(lambda)
+    if alpha < 1.0:
+        x = min(x, R_hat / (1.0 - alpha))  # g(R) >= (1 - alpha) R
+    x = min(max(x, math.nextafter(R_hat, math.inf)), _FLOAT_MAX)  # above lo, a float
+    while True:
+        a = spectrum / (spectrum + x)
+        g = x * (1.0 - alpha * (float(a.sum()) / n))
+        if g < R_hat:
+            lo = x
+        else:
+            hi = x
+        if hi == math.inf:  # rounding kept g below R_hat at the bound: double, within the float range
+            if lo == _FLOAT_MAX:
+                raise ValueError(f"no finite R solves R (1 - alpha m(R)) = R_hat = {R_hat:g}")
+            x = min(2.0 * lo, _FLOAT_MAX)
+            continue
+        mid = 0.5 * lo + 0.5 * hi if lo > 1.0 else 0.5 * (lo + hi)  # 0.5 (lo + hi), without overflow
         if mid == lo or mid == hi:
             return mid
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        dg = 1.0 - alpha * (float((a * a).sum()) / n)
+        x_new = x - (g - R_hat) / dg if dg > 0.0 else mid
+        if abs(x_new - x) <= probe:
+            probe = max(2.0 * probe, math.ulp(x))
+            x_new = x - probe if x == hi else x + probe
+        x = x_new if lo < x_new < hi else mid
 
 
 def isotropic_ridge(alpha: float, sigma: float, gamma: float, S: float) -> float:

@@ -1,7 +1,8 @@
 """Synthetic data and oracles shared by the tests: judge records, the
 per-line ``json.loads`` record loader, the i.i.d. training-set reference,
-the Cholesky route to the exact posterior, a brute-force selection and the
-per-point Monte Carlo estimator."""
+the Cholesky route to the exact posterior, a brute-force selection, the
+per-point Monte Carlo estimator and the bisection route to the renormalized
+ridge."""
 
 import json
 import math
@@ -26,6 +27,29 @@ def select(values, rewards, T):
     with np.errstate(over="ignore"):  # -inf at tiny T: a weight of exactly 0
         w = np.exp((rewards - rewards.max(axis=-1, keepdims=True)) / T)
     return (w * values).sum(axis=-1) / w.sum(axis=-1)
+
+
+def bisect_ridge(alpha, spectrum, R_hat):
+    """The renormalized ridge R (1 - alpha m(R)) = R_hat > 0 by bisection to float resolution.
+
+    The independent oracle of ``itslab.ridge._fixed_point``, with its call
+    signature: the bracket starts at [R_hat, 2 R_hat] and doubles its upper
+    end until g reaches R_hat, past the float range if need be (then R is
+    inf), and m is ``np.mean``.
+    """
+    g = lambda R: R * (1.0 - alpha * float(np.mean(spectrum / (spectrum + R))))
+    lo, hi = R_hat, 2.0 * R_hat
+    while g(hi) < R_hat:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if g(mid) < R_hat:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def iid_dataset(config, w_T, rng):

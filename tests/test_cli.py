@@ -700,6 +700,12 @@ class TestExtremeScales:
         # the closed-form column needs gamma^2, so it is left empty with a warning
         assert "prior variance gamma^2 leaves the float range" in capsys.readouterr().err
 
+    def test_ridge_near_the_top_of_the_float_range_runs(self, capsys):
+        # R_hat = 1e308: doubling the bracket from 2 R_hat left the float range
+        assert run(["ridge", "--d", "1", "--n", "1000000", "--sigma", "1e154", "--gamma", "1e-3"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["R"] == "1e+308"
+
     @pytest.mark.parametrize("argv, message", [
         (["ridge", "--sigma", "1e200", "--d", "3", "--n", "30"],
          "sigma = 1e+200: the noise variance sigma^2 leaves the float range"),
@@ -752,10 +758,15 @@ class TestExtremeScales:
         (["sweep-k", "--mode", "exact", "--gamma", "1.3e154", "--d", "3", "--n", "0", "--T", "0",
           "--k-grid", "1,4", *_SMALL_MC],
          "the squared losses leave the float range at sigma = 0.0001, gamma = 1.3e+154"),
+        # alpha S^2 = 1e306: g(R) = R (1 - alpha m(R)) < R_hat = 1.79e308 up to the largest float
+        (["ridge", "--d", "10000000000000000", "--n", "1", "--S", "1e145", "--sigma", "1e140",
+          "--gamma", "7.47e-7"],
+         "no finite R solves R (1 - alpha m(R)) = R_hat = 1.79209e+308"),
     ], ids=["sigma_huge", "gamma_huge_de", "gamma_tiny", "sigma_tiny_exact", "ridgeless",
             "not_positive_definite", "n_huge_exact", "T_sigma2_sweep_k", "T_sigma2_default_sweep_c",
             "T_sigma2_polar_map", "t_grid_sigma2", "t_grid_sigma2_default", "t_high_sigma2",
-            "losses_sweep_k", "losses_bestofk_check", "losses_exact_threads", "losses_from_gamma"])
+            "losses_sweep_k", "losses_bestofk_check", "losses_exact_threads", "losses_from_gamma",
+            "no_finite_ridge"])
     def test_out_of_range_exits_1_with_message(self, argv, message, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"itslab: error: {message}\n"

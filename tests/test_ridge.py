@@ -1,8 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _synth import bisect_ridge
 from itslab import (
     ModelConfig,
     de_moments_batch,
@@ -11,6 +15,7 @@ from itslab import (
     isotropic_ridge,
     noise_variance_check,
     predictive_moments_batch,
+    ridge,
     sample_teacher,
     solve_for_config,
     solve_ridge,
@@ -81,6 +86,62 @@ class TestSolveRidge:
                 de = solve_ridge(alpha, sigma, gamma, [1.0])
                 iso = isotropic_ridge(alpha, sigma, gamma, 1.0)
                 assert abs(de.R - iso) <= 1e-10 * max(iso, 1e-300)
+
+
+def _outcome(alpha, sigma, gamma, spectrum):
+    """solve_ridge's R, or the type and text of what it raised."""
+    try:
+        return solve_ridge(alpha, sigma, gamma, spectrum).R
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _bisection_outcome(alpha, sigma, gamma, spectrum):
+    """The outcome with the root found by the bisection oracle instead."""
+    with mock.patch.object(ridge, "_fixed_point", bisect_ridge):
+        return _outcome(alpha, sigma, gamma, spectrum)
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+class TestNewtonMatchesBisection:
+    """The safeguarded Newton solve returns the bisection's R to the bit."""
+
+    @given(alpha=_decades(-6, 3), sigma=_decades(-150, 150), gamma=_decades(-150, 150),
+           spectrum=st.lists(_decades(-3, 3), min_size=1, max_size=50))
+    @example(alpha=1.0, sigma=1e-6, gamma=1e6, spectrum=[1.0])
+    @example(alpha=1e-6, sigma=1e154, gamma=1e-3, spectrum=[1.0])
+    @example(alpha=1.013, sigma=1e-15, gamma=1.0, spectrum=list(np.geomspace(1e-3, 1e3, 32)))
+    @example(alpha=2.0, sigma=1e-4, gamma=1e-3, spectrum=[1e4])
+    @settings(max_examples=300, deadline=None)
+    def test_same_r_or_same_error(self, alpha, sigma, gamma, spectrum):
+        new, ref = _outcome(alpha, sigma, gamma, spectrum), _bisection_outcome(alpha, sigma, gamma, spectrum)
+        if ref == (RuntimeError, "fixed-point residual inf exceeds tolerance"):
+            # the bisection doubled its bracket past the float range and returned inf
+            assert new[0] is ValueError if isinstance(new, tuple) else math.isfinite(new)
+        else:
+            assert new == ref
+
+    @pytest.mark.parametrize("alpha, sigma, gamma, R", [
+        (1.0, 1e-6, 1e6, 9.999778782798785e-13),  # 1 - alpha m2 -> 0 as R -> 0
+        (1.0, 1.0, 1e16, 1.1102230246251565e-16),  # 1 - alpha m2 rounds to 0
+        (1e8, 1e30, 1e100, 99999999.0),  # R_hat = 1e-132, the root alpha - 1
+        (0.999999, 1e-160, 1.0, 9.997418344e-315),  # R_hat = 1e-320 is subnormal
+    ], ids=["alpha_1", "alpha_1_flat", "alpha_1e8", "subnormal_r_hat"])
+    def test_edge_cases(self, alpha, sigma, gamma, R):
+        assert _outcome(alpha, sigma, gamma, [1.0]) == R == _bisection_outcome(alpha, sigma, gamma, [1.0])
+
+    def test_root_near_the_top_of_the_float_range(self):
+        # R_hat = 1e308 and R = R_hat: the bisection's bracket [R_hat, 2 R_hat] was [1e308, inf]
+        de = solve_ridge(1e-6, 1e154, 1e-3, [1.0])
+        assert de.R_hat == 1e308 and de.R == 1e308
+
+    def test_no_finite_root_names_r_hat(self):
+        # g(R) = R (1 - alpha m(R)) stays about alpha = 1e306 below R at every finite R
+        with pytest.raises(ValueError, match=r"^no finite R solves R \(1 - alpha m\(R\)\) = R_hat = 1.7956e\+308$"):
+            solve_ridge(1e306, 13.4, 1.0, [1.0])
 
 
 class TestIsotropicRidge:
