@@ -6,7 +6,7 @@ deterministic-equivalent, high-temperature and best-of-k predictions, plus
 the same selection metric on externally judge-scored records.
 """
 
-from .evt import chisq1_cdf, chisq1_pdf, chisq1_quantile, min_chisq_mc, weibull_norming
+from .evt import chisq1_cdf, chisq1_pdf, chisq1_quantile, weibull_norming
 from .judge import JudgeDataset, JudgeRecordError, judge_sweep, load_records
 from .mc import (
     SweepResult,

@@ -13,10 +13,8 @@ which is what produces the 1/k^2 tail of the best-of-k error (the Weibull
 mean contributes Gamma(1 + 1/alpha) = Gamma(3) = 2, giving
 E[min] ~ 2 c_k = (pi/k^2) e^lambda).
 
-The Monte Carlo minimum is simulated directly from (z + sqrt(lambda))^2,
-z ~ N(0,1), independent of the closed-form distribution functions, so the
-two routes genuinely cross-validate each other. The CDF takes erfc from the
-package's numpy helper, so no route of the package needs scipy.
+The CDF takes erfc from the package's numpy helper, so no route of the
+package needs scipy.
 """
 
 import math
@@ -27,7 +25,6 @@ from ._special import erfc
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-_CHUNK = 1 << 22  # cap on the draws min_chisq_mc holds at once
 
 
 def chisq1_cdf(v, lam: float):
@@ -59,14 +56,18 @@ def chisq1_pdf(v, lam: float):
 
 
 def chisq1_quantile(p: float, lam: float) -> float:
-    """Inverse of :func:`chisq1_cdf` on (0, 1); returns v <= 0."""
+    """Inverse of :func:`chisq1_cdf` on (0, 1); returns v <= 0.
+
+    ValueError where the bracket's lower end, doubled from -1, leaves the
+    float range before the CDF there falls to p.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     lo = -1.0
     while chisq1_cdf(lo, lam) > p:
         lo *= 2.0
-        if lo < -1e12:
-            break
+        if lo == -math.inf:
+            raise ValueError(f"the {p:g} quantile at lambda = {lam:g} leaves the float range")
     hi = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -91,28 +92,3 @@ def weibull_norming(lam: float, k: int) -> float:
         raise ValueError(
             f"c_k = (pi / 2 k^2) e^lambda leaves the float range at lambda = {lam:g}"
         ) from exc
-
-
-def min_chisq_mc(lam: float, k: int, n_mc: int, rng: np.random.Generator) -> tuple[float, float]:
-    """Monte Carlo mean of min over k draws of (z + sqrt(lambda))^2.
-
-    Returns (mean, stderr). Draws are simulated directly, bypassing the CDF.
-    """
-    if n_mc < 1:
-        raise ValueError(f"n_mc must be >= 1, got {n_mc}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    sl = math.sqrt(lam)
-    mins = np.empty(n_mc)
-    rows_per_chunk = max(1, _CHUNK // k)
-    done = 0
-    while done < n_mc:
-        rows = min(rows_per_chunk, n_mc - done)
-        z = rng.standard_normal((rows, k))
-        z += sl
-        np.square(z, out=z)
-        mins[done : done + rows] = z.min(axis=1)
-        done += rows
-    mean = float(mins.mean())
-    stderr = float(mins.std(ddof=1) / math.sqrt(n_mc)) if n_mc > 1 else math.inf
-    return mean, stderr

@@ -81,8 +81,9 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
     Solves g(R) = R (1 - alpha m(R)) = R_hat, which has one root for the
     admissible inputs, by safeguarded Newton steps with the bracket and end
     rule of bisection to float resolution (``_fixed_point``). The returned
-    solution has residual |g(R) - R_hat| <= 1e-12 max(1, R_hat); ValueError
-    where no finite R reaches R_hat.
+    solution is finite with residual |g(R) - R_hat| <= 1e-12 max(1, R_hat, R),
+    which covers the float rounding of g at a large R; ValueError where no
+    finite R reaches R_hat.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -109,7 +110,7 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
     R = _fixed_point(alpha, spectrum, R_hat) if R_hat > 0.0 else 0.0
     m1 = _m1(spectrum, R)
     residual = abs(R * (1.0 - alpha * m1) - R_hat)
-    if residual > _RESIDUAL_TOL * max(1.0, R_hat):
+    if not (math.isfinite(R) and residual <= _RESIDUAL_TOL * max(1.0, R_hat, R)):
         raise RuntimeError(f"fixed-point residual {residual:.3e} exceeds tolerance")
 
     return DetEquiv(R=R, R_hat=R_hat, alpha=alpha, spectrum=spectrum, m1=m1, m2=_m2(spectrum, R))

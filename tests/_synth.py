@@ -1,8 +1,8 @@
 """Synthetic data and oracles shared by the tests: judge records, the
 per-line ``json.loads`` record loader, the i.i.d. training-set reference,
 the Cholesky route to the exact posterior, a brute-force selection, the
-per-point Monte Carlo estimator and the bisection route to the renormalized
-ridge."""
+per-point Monte Carlo estimator, the exact law of the minimum of k
+chi-squares and the bisection route to the renormalized ridge."""
 
 import json
 import math
@@ -109,6 +109,22 @@ def delta_x(m, s2, mu_T, mu_R, k, T, n_inner, rng):
         values[done : done + len(Y)] = select((Y - mu_T) ** 2, -((Y - mu_R) ** 2), T)
     stderr = values.std(ddof=1) / math.sqrt(n_inner) if n_inner > 1 else math.inf
     return float(values.mean()), float(stderr)
+
+
+def min_chisq1(lam, k, n, rng):
+    """n exact draws of the minimum of k i.i.d. chi^2_1(lambda) variables, by inversion.
+
+    The minimum of k draws with CDF G is G^{-1}(1 - (1 - U)^{1/k}) (Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, sec. 2.1). G^{-1} is
+    2 erfinv(p)^2 at lambda = 0, which keeps its relative precision at small
+    p, and scipy's ``chndtrix`` otherwise. It uses nothing of ``itslab``, so
+    it stays independent of ``itslab.mc._winner_distance``, which solves the
+    same CDF.
+    """
+    from scipy.special import chndtrix, erfinv
+
+    p = -np.expm1(np.log1p(-rng.random(n)) / k)
+    return 2.0 * erfinv(p) ** 2 if lam == 0 else chndtrix(p, 1, lam)
 
 
 def load_records_per_line(path):

@@ -29,7 +29,6 @@ from itslab import (
     isotropic_ridge,
     judge_sweep,
     load_records,
-    min_chisq_mc,
     optimal_k,
     optimal_temperature,
     predictive_moments_batch,
@@ -45,7 +44,7 @@ from itslab import (
 from itslab.cli import main as cli_main
 from itslab.evt import chisq1_quantile
 
-from _synth import delta_x, record_rows, trap_judge_questions, write_records
+from _synth import delta_x, min_chisq1, record_rows, trap_judge_questions, write_records
 
 SEED = 2025
 
@@ -175,7 +174,7 @@ def test_04_best_of_k_law(bestofk_curve):
         gap = -chisq1_quantile(1.0 - 1.0 / 10_000, lam)
         r = gap / weibull_norming(lam, 10_000)
         checks.append((f"quantile gap / c_k at lam={lam}: {r:.4f} within 5%", abs(r - 1.0) < 0.05))
-    mean, _ = min_chisq_mc(0.5, 1000, 1_000_000, stream(SEED, "acc4"))
+    mean = min_chisq1(0.5, 1000, 1_000_000, stream(SEED, "acc4")).mean()
     r = mean / (2 * weibull_norming(0.5, 1000))
     checks.append((f"MC min mean / 2 c_k at lam=0.5, k=1000: {r:.4f} within 5%", abs(r - 1.0) < 0.05))
     checks.append(_runtime_check(t0, 300, extra=fixture_s))

@@ -16,7 +16,7 @@ import itslab.mc
 from itslab import ModelConfig
 from itslab.cli import build_parser, main, parse_grid, parse_int_grid, write_csv
 
-from _synth import record_rows, trap_judge_questions, write_records
+from _synth import bisect_ridge, record_rows, trap_judge_questions, write_records
 
 
 def run(argv):
@@ -705,6 +705,13 @@ class TestExtremeScales:
         assert run(["ridge", "--d", "1", "--n", "1000000", "--sigma", "1e154", "--gamma", "1e-3"]) == 0
         header, row = capsys.readouterr().out.splitlines()
         assert dict(zip(header.split(","), row.split(",")))["R"] == "1e+308"
+
+    def test_large_ridge_at_alpha_above_one_runs(self, capsys):
+        # at R = 1e4 the float rounding of g (about eps R) is above 1e-12 max(1, R_hat)
+        assert run(["ridge", "--d", "20", "--n", "10", "--S", "100", "--sigma", "1e-4", "--gamma", "1e-3"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        R = bisect_ridge(2.0, np.array([1e4]), 1e-4**2 * 2.0 / 1e-3**2)
+        assert float(dict(zip(header.split(","), row.split(",")))["R"]) == R
 
     @pytest.mark.parametrize("argv, message", [
         (["ridge", "--sigma", "1e200", "--d", "3", "--n", "30"],

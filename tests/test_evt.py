@@ -9,10 +9,11 @@ from itslab import (
     chisq1_cdf,
     chisq1_pdf,
     chisq1_quantile,
-    min_chisq_mc,
     stream,
     weibull_norming,
 )
+
+from _synth import min_chisq1
 
 
 class TestChisq1Cdf:
@@ -79,6 +80,14 @@ class TestQuantile:
                 assert v <= 0
                 assert chisq1_cdf(v, lam) == pytest.approx(p, abs=1e-12)
 
+    def test_bracket_reaches_a_far_quantile(self):
+        # the median of (z + sqrt(lambda))^2 is lambda + O(1), far below -1e12
+        assert chisq1_quantile(0.5, 1e13) == pytest.approx(-1e13, rel=1e-9)
+
+    def test_quantile_past_the_float_range_raises(self):
+        with pytest.raises(ValueError, match="float range"):
+            chisq1_quantile(0.5, 1e308)
+
 
 class TestWeibullNorming:
     def test_k1_central(self):
@@ -94,22 +103,37 @@ class TestWeibullNorming:
     def test_mc_mean_ratio(self):
         # E[min] ~ Gamma(1 + 1/alpha) c_k = 2 c_k for shape 1/2.
         lam, k = 0.5, 1000
-        mean, _ = min_chisq_mc(lam, k, 200_000, stream(77, "evt"))
+        mean = min_chisq1(lam, k, 200_000, stream(77, "evt")).mean()
         assert mean / (2 * weibull_norming(lam, k)) == pytest.approx(1.0, abs=0.05)
 
 
 class TestMinChisqMc:
+    """Monte Carlo of the minimum of k chi^2_1(lambda) draws, drawn exactly by inversion."""
+
     def test_k1_central_mean(self):
-        mean, se = min_chisq_mc(0.0, 1, 100_000, stream(1, "evt"))
-        assert abs(mean - 1.0) < 4 * se
+        mins = min_chisq1(0.0, 1, 100_000, stream(1, "evt"))
+        assert abs(mins.mean() - 1.0) < 4 * mins.std(ddof=1) / math.sqrt(mins.size)
 
     def test_k1_noncentral_mean(self):
-        mean, se = min_chisq_mc(2.0, 1, 100_000, stream(2, "evt"))
-        assert abs(mean - 3.0) < 4 * se
+        mins = min_chisq1(2.0, 1, 100_000, stream(2, "evt"))
+        assert abs(mins.mean() - 3.0) < 4 * mins.std(ddof=1) / math.sqrt(mins.size)
 
     def test_tail_law_cross_check(self):
-        mean, _ = min_chisq_mc(0.0, 1000, 100_000, stream(3, "evt"))
+        mean = min_chisq1(0.0, 1000, 100_000, stream(3, "evt")).mean()
         assert mean * 1000**2 == pytest.approx(math.pi, rel=0.05)
+
+    def test_inversion_matches_brute_force(self):
+        # the minima of 1e5 rows of k squared normals against 1e6 inverted minima
+        lam, k, n_mc = 0.5, 1000, 100_000
+        rng = stream(6, "evt")
+        brute = np.empty(n_mc)
+        rows = (1 << 22) // k
+        for done in range(0, n_mc, rows):
+            z = rng.standard_normal((min(rows, n_mc - done), k)) + math.sqrt(lam)
+            brute[done : done + len(z)] = (z * z).min(axis=1)
+        exact = min_chisq1(lam, k, 1_000_000, stream(7, "evt"))
+        se = math.hypot(brute.std(ddof=1) / math.sqrt(brute.size), exact.std(ddof=1) / math.sqrt(exact.size))
+        assert abs(brute.mean() - exact.mean()) < 4 * se
 
     def test_mean_nonincreasing_in_k(self):
         # Prefix minima of a shared draw matrix are pointwise ordered, so the
@@ -120,20 +144,11 @@ class TestMinChisqMc:
         means = [sq[:, :k].min(axis=1).mean() for k in (1, 2, 4, 8, 16, 32, 64)]
         assert np.all(np.diff(means) < 0)
 
-    def test_weibull_shape_kolmogorov(self):
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_weibull_shape_kolmogorov(self, lam):
         # Empirical CDF of min/c_k against 1 - exp(-sqrt(x)) on [0, 4].
-        lam, k, n_mc = 0.0, 10_000, 100_000
-        rng = stream(5, "evt")
-        ck = weibull_norming(lam, k)
-        mins = np.empty(n_mc)
-        done = 0
-        rows = max(1, (1 << 22) // k)
-        while done < n_mc:
-            take = min(rows, n_mc - done)
-            z = rng.standard_normal((take, k))
-            mins[done : done + take] = (z**2).min(axis=1)
-            done += take
-        scaled = np.sort(mins / ck)
+        k, n_mc = 10_000, 100_000
+        scaled = np.sort(min_chisq1(lam, k, n_mc, stream(5, "evt", str(lam))) / weibull_norming(lam, k))
         xs = np.linspace(0.0, 4.0, 401)
         ecdf = np.searchsorted(scaled, xs, side="right") / n_mc
         target = 1.0 - np.exp(-np.sqrt(xs))

@@ -47,6 +47,15 @@ class TestSolveRidge:
                 residual = abs(de.R * (1 - alpha * m1) - de.R_hat)
                 assert residual <= 1e-12 * max(1.0, de.R_hat)
 
+    @pytest.mark.parametrize("move", [lambda R: R * (1.0 + 1e-9), lambda R: math.inf, lambda R: math.nan],
+                             ids=["relative_1e-9", "inf", "nan"])
+    def test_residual_tolerance_rejects_a_moved_root(self, move, monkeypatch):
+        # the tolerance scales with R, but an R off by 1e-9 relative, or not finite, still fails
+        fixed_point = ridge._fixed_point
+        monkeypatch.setattr(ridge, "_fixed_point", lambda *args: move(fixed_point(*args)))
+        with pytest.raises(RuntimeError, match="fixed-point residual"):
+            solve_ridge(2.0, 1e-4, 1e-3, [1e4])
+
     def test_ridgeless_degenerate_rejected(self):
         with pytest.raises(ValueError, match="ridgeless"):
             solve_ridge(1.0, 0.0, 1.0, [1.0])
