@@ -29,7 +29,13 @@ plus an O(grid length) scan, where selecting each prefix anew cost
 O(n_inner * sum of k).
 The pass runs on small batches of test points with the targets stacked, so
 a work unit makes a few dozen large numpy calls per point rather than
-thousands of small ones.
+thousands of small ones. Each thread cuts a batch's draws, losses,
+penalties and kernel statistics from one workspace of flat buffers, made
+once per engine call, so the batch loop allocates nothing large; the
+workspace of a batch holds at most _SCAN_ELEMS values, or one test point's.
+With more than one thread the datasets (training set, posterior and
+predictive moments) are fitted in the same pool as the blocks of test
+points, each block waiting on its own dataset only.
 
 Every target restarts the test point's streams, so sweeps over k, T and the
 reward (c, theta) share their random numbers (common random numbers): curves
@@ -48,8 +54,10 @@ scipy.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -145,7 +153,33 @@ def _plan_shared(cell_k, cell_T, cell_r):
     return plan, np.array([col[c] for c in cells])
 
 
-def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int) -> np.ndarray:
+def _scan_layout(plan, n_inner: int, kmax: int):
+    """Rows per chunk, targets per penalty stack, and the workspace of one test point.
+
+    The workspace maps each flat buffer of :func:`_softmax_cells` to the
+    values it holds per test point in a batch: ``Y`` and ``L`` (kmax per
+    row), ``P``, the largest stack of penalties, which first holds the draws,
+    and ``stats``, the selection kernel's largest per-segment statistics.
+    """
+    rows = max(1, _MAX_ELEMS // kmax)
+    chunk = min(rows, n_inner)
+    per_stack = max(1, _MAX_ELEMS // (kmax * chunk))
+    stacks = [(T, len(ks), ks[-1], min(per_stack, len(rs))) for T, ks, rs, _ in plan]
+    sizes = {
+        "Y": kmax * chunk,
+        "L": kmax * chunk,
+        "P": chunk * max(k * n for _, _, k, n in stacks),
+        "stats": chunk * max((4 * J - 1) * n if T else 0 for T, J, _, n in stacks),
+    }
+    return rows, per_stack, sizes
+
+
+def _cut(buffer: np.ndarray, shape) -> np.ndarray:
+    """The leading values of a flat buffer as an array of ``shape``."""
+    return buffer[: math.prod(shape)].reshape(shape)
+
+
+def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, work=None) -> np.ndarray:
     """Inner-averaged weighted losses of the distinct shared cells at a batch of test points.
 
     ``rngs`` holds one generator per point; ``m``, ``s`` and ``mu_T`` are
@@ -156,29 +190,35 @@ def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int) -> np.
     entry at all points of the batch, whatever its T, with the targets
     stacked up to the same bound. Each point's row depends only on its own
     generator, and no sum depends on the batch size or on the other targets.
+    The large arrays are views of ``work``'s flat buffers, sized by
+    :func:`_scan_layout` for at least this many points (allocated here if
+    not given), so a caller that passes one workspace to batch after batch
+    allocates nothing large.
     """
     n_points = len(rngs)
+    rows_per_chunk, per_stack, sizes = _scan_layout(plan, n_inner, kmax)
+    if work is None:
+        work = {name: np.empty(n_points * size) for name, size in sizes.items()}
     out = np.zeros((n_points, sum(cols.size for *_, cols in plan)))
-    rows_per_chunk = max(1, _MAX_ELEMS // kmax)
     done = 0
     while done < n_inner:
         rows = min(rows_per_chunk, n_inner - done)
-        Z = np.empty((n_points, rows, kmax))
+        Z = _cut(work["P"], (n_points, rows, kmax))  # the draws leave before the penalties come
         for p, rng in enumerate(rngs):
             rng.standard_normal(out=Z[p])
         # columns first, so each segment reduces over whole contiguous blocks
-        Y = np.multiply(Z.transpose(2, 0, 1), s[:, None], out=np.empty((kmax, n_points, rows)))
+        Y = np.multiply(Z.transpose(2, 0, 1), s[:, None], out=_cut(work["Y"], (kmax, n_points, rows)))
         Y += m[:, None]
-        del Z
-        L = Y - mu_T[:, None]
+        L = np.subtract(Y, mu_T[:, None], out=_cut(work["L"], (kmax, n_points, rows)))
         L *= L
-        per_stack = max(1, _MAX_ELEMS // Y.size)
         for T, ks, rs, cols in plan:
             for lo in range(0, len(rs), per_stack):
                 stack = slice(lo, lo + per_stack)
-                P = Y[: ks[-1], :, None] - mu_R[:, rs[stack], None]
+                mu = mu_R[:, rs[stack], None]
+                P = _cut(work["P"], (ks[-1], n_points, mu.shape[1], rows))
+                np.subtract(Y[: ks[-1], :, None], mu, out=P)
                 P *= P
-                out[:, cols[stack]] += select_prefixes(P, L[: ks[-1], :, None], ks, T)
+                out[:, cols[stack]] += select_prefixes(P, L[: ks[-1], :, None], ks, T, scratch=work["stats"])
         done += rows
     return out / n_inner
 
@@ -342,6 +382,12 @@ class _Context:
 
 
 def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
+    """Check a run and make what its datasets share; returns one context maker per dataset.
+
+    Maker j draws dataset j's test points (in exact mode also its training
+    set and posterior) and returns its :class:`_Context`. Each maker reads
+    only its own streams, so the makers may run in any order and thread.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     w_T = sample_teacher(config, stream(seed, "teacher"))
@@ -358,8 +404,7 @@ def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
             raise ValueError("det_equiv mode requires n > 0")
         n_datasets = 1
 
-    contexts = []
-    for j in range(n_datasets):
+    def context(j):
         X = stream(seed, "test_points", j).normal(0.0, config.S, size=(n_outer, config.d))
         if mode == "exact_posterior":
             data = generate_dataset(config, w_T, stream(seed, "data", j))
@@ -371,16 +416,15 @@ def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
         else:
             m, s2 = de_moments_batch(X, w_T, de, config)
             w_T_j, W_R_j = w_T, W_R
-        contexts.append(
-            _Context(
-                dataset_index=j,
-                m=m,
-                s=np.sqrt(s2),
-                mu_T=X @ w_T_j / sqrt_d,
-                mu_R=np.stack([X @ w_R / sqrt_d for w_R in W_R_j], axis=1),
-            )
+        return _Context(
+            dataset_index=j,
+            m=m,
+            s=np.sqrt(s2),
+            mu_T=X @ w_T_j / sqrt_d,
+            mu_R=np.stack([X @ w_R / sqrt_d for w_R in W_R_j], axis=1),
         )
-    return contexts
+
+    return [partial(context, j) for j in range(n_datasets)]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow leaves a non-finite mean, refused below
@@ -414,15 +458,15 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
     t0_points = max(1, _MAX_ELEMS // ((34 + 2 * shape[1]) * n_inner))
     if kmax:
         plan, cell_of = _plan_shared(cell_k[shared], cell_T[shared], shared_r)
-        # points per batch: their draws, losses, penalties and segment
-        # statistics hold at most _SCAN_ELEMS values
-        n_shared = len(shared_targets)
-        per_row = kmax * (n_shared + 3) + 2 * sum(cols.size for T, *_, cols in plan if T)
-        scan_points = max(1, _SCAN_ELEMS // (per_row * min(n_inner, max(1, _MAX_ELEMS // kmax))))
+        # points per batch: a batch's workspace holds at most _SCAN_ELEMS values, or one point's
+        sizes = _scan_layout(plan, n_inner, kmax)[2]
+        scan_points = max(1, _SCAN_ELEMS // sum(sizes.values()))
+        batch = min(scan_points, _BLOCK, n_outer)
 
-    contexts = _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets)
-    n_rows = len(contexts) * n_outer
+    makers = _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets)
+    n_rows = len(makers) * n_outer
     per_x = np.empty((n_rows, len(cell_k)))
+    local = threading.local()  # one workspace per thread, reused by all its blocks
 
     def run_block(ctx: _Context, start: int, stop: int):
         base = ctx.dataset_index * n_outer
@@ -437,34 +481,40 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
                 )
         if not kmax:
             return
+        if not hasattr(local, "work"):
+            local.work = {name: np.empty(batch * size) for name, size in sizes.items()}
         for lo in range(start, stop, scan_points):
             hi = min(lo + scan_points, stop)
             rngs = [stream(seed, "inference", ctx.dataset_index, i) for i in range(lo, hi)]
             values = _softmax_cells(
                 rngs, ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi],
-                ctx.mu_R[lo:hi][:, shared_targets], plan, n_inner, kmax,
+                ctx.mu_R[lo:hi][:, shared_targets], plan, n_inner, kmax, local.work,
             )
             per_x[base + lo : base + hi, shared] = values[:, cell_of]
 
     blocks = [
-        (ctx, start, min(start + _BLOCK, n_outer))
-        for ctx in contexts
+        (j, start, min(start + _BLOCK, n_outer))
+        for j in range(len(makers))
         for start in range(0, n_outer, _BLOCK)
     ]
     if threads > 1:
-        # errstate is per thread: a pool worker enters its own
-        run_in_worker = np.errstate(over="ignore", invalid="ignore")(run_block)
+        # errstate is per thread: a pool worker enters its own, for a fit as for a block
+        in_errstate = np.errstate(over="ignore", invalid="ignore")
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda b: run_in_worker(*b), blocks))
+            # every fit is queued ahead of every block, so a block waits only on a fit under way
+            contexts = [pool.submit(in_errstate(make)) for make in makers]
+            run = in_errstate(lambda j, start, stop: run_block(contexts[j].result(), start, stop))
+            list(pool.map(lambda b: run(*b), blocks))
     else:
-        for b in blocks:
-            run_block(*b)
+        contexts = [make() for make in makers]
+        for j, start, stop in blocks:
+            run_block(contexts[j], start, stop)
 
     mean = per_x.mean(axis=0)
     if not np.isfinite(mean).all():  # a non-finite per-point value, or their sum
         raise ValueError(f"the squared losses leave the float range at sigma = {config.sigma:g}, gamma = {config.gamma:g}")
     return (per_x.reshape(n_rows, *shape), mean.reshape(shape),
-            _stderr(per_x).reshape(shape), {"n_datasets": len(contexts)})
+            _stderr(per_x).reshape(shape), {"n_datasets": len(makers)})
 
 
 def _sweep(axis, grid, config, reward, cell_k, cell_T, n_outer, n_inner, mode, seed,

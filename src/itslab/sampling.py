@@ -6,13 +6,16 @@ candidate is selected from the softmax Categorical(q), q_i proportional to
 exp(-p_i / T). The kernel returns the expectation of the loss over that
 draw, not a draw, which has the same mean and strictly lower variance. T = 0
 is an exact argmin branch (best-of-k), never a tiny-T limit, and its ties
-break to the lowest column.
+break to the lowest column. The T > 0 branch makes one numpy call per run
+of equal-width segments for each reduction, and writes into the caller's
+scratch buffer when given one, so a caller that selects batch after batch
+allocates nothing large.
 """
 
 import numpy as np
 
 
-def select_prefixes(P, L, ks, T) -> np.ndarray:
+def select_prefixes(P, L, ks, T, *, scratch=None) -> np.ndarray:
     """Row sums of the selected loss over the first k columns, for every k in ks.
 
     ``P`` holds the penalties as (columns, ..., rows), ``L`` the losses,
@@ -26,7 +29,13 @@ def select_prefixes(P, L, ks, T) -> np.ndarray:
     online-softmax rescale (Milakov and Gimelshein 2018): the sums so far
     shrink by exp((M_j - M_{j-1}) / T) <= 1 and segment j's add on. The
     minimising column keeps a weight of exactly 1, so the denominator never
-    underflows, at any T.
+    underflows, at any T. Each run of equal-width segments is reduced as one
+    (segments, width, ...) view of P, whose sums add the columns in the same
+    order as one segment at a time.
+
+    ``scratch``, a flat float64 array of at least (4 len(ks) - 1) P[0].size
+    values, holds the T > 0 branch's per-segment statistics (minima, sums and
+    rescale factors); without it they are allocated.
     """
     spans = list(zip([0] + ks[:-1].tolist(), ks.tolist()))
     sums = np.empty(P.shape[1:-1] + (len(ks),))
@@ -43,27 +52,44 @@ def select_prefixes(P, L, ks, T) -> np.ndarray:
             best_p, best_l = np.where(lower, seg_p, best_p), np.where(lower, seg_l, best_l)
             sums[..., j] = best_l.sum(axis=-1)
         return sums
-    top = np.empty((len(ks),) + P.shape[1:])
-    den = np.empty_like(top)
+    J, shape = len(ks), P.shape[1:]
+    N = P[0].size
+    stats = np.empty((4 * J - 1) * N) if scratch is None else scratch[: (4 * J - 1) * N]
+    top, den, num = stats[: 3 * J * N].reshape((3, J) + shape)
+    shrink = stats[3 * J * N :].reshape((J - 1,) + shape)
+    # each run of equal-width segments as one (segments, width, ...) view of P
+    runs = [(slice(j, j + n), P[a : a + n * w].reshape((n, w) + shape)) for j, n, a, w in _runs(spans)]
+    for seg, block in runs:
+        np.minimum.reduce(block, axis=1, out=top[seg])
+    for j in range(1, J):  # a running minimum; np.minimum.accumulate is several times slower
+        np.minimum(top[j], top[j - 1], out=top[j])
     W = P  # each segment's penalties are read before they turn into weights
-    for j, (a, b) in enumerate(spans):
-        np.minimum.reduce(P[a:b], axis=0, out=top[j])
-        if j:
-            np.minimum(top[j], top[j - 1], out=top[j])
-        np.subtract(top[j], P[a:b], out=W[a:b])
+    for seg, block in runs:
+        np.subtract(top[seg, None], block, out=block)
     with np.errstate(over="ignore"):  # -inf at tiny T: a weight of exactly 0
         W /= T
-        shrink = np.exp(np.diff(top, axis=0) / T)
+        np.divide(np.subtract(top[1:], top[:-1], out=shrink), T, out=shrink)
     np.exp(W, out=W)
-    for j, (a, b) in enumerate(spans):
-        np.add.reduce(W[a:b], axis=0, out=den[j])
+    np.exp(shrink, out=shrink)
+    for seg, block in runs:
+        np.add.reduce(block, axis=1, out=den[seg])
     W *= L
-    for j, (a, b) in enumerate(spans):
-        seg_num = np.add.reduce(W[a:b], axis=0)
-        if j:
-            d = d * shrink[j - 1] + den[j]
-            n = n * shrink[j - 1] + seg_num
-        else:
-            d, n = den[0], seg_num
-        sums[..., j] = (n / d).sum(axis=-1)
+    for seg, block in runs:
+        np.add.reduce(block, axis=1, out=num[seg])
+    rescaled = top[0]  # the minima are spent
+    for j in range(1, J):  # the merge, in segment order
+        den[j] += np.multiply(den[j - 1], shrink[j - 1], out=rescaled)
+        num[j] += np.multiply(num[j - 1], shrink[j - 1], out=rescaled)
+    np.sum(np.divide(num, den, out=num), axis=-1, out=np.moveaxis(sums, -1, 0))
     return sums
+
+
+def _runs(spans):
+    """The runs of equal-width segments: (first segment, segments, first column, width)."""
+    runs = []
+    for j, (a, b) in enumerate(spans):
+        if runs and runs[-1][3] == b - a:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, 1, a, b - a])
+    return runs

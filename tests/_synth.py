@@ -1,8 +1,9 @@
 """Synthetic data and oracles shared by the tests: judge records, the
 per-line ``json.loads`` record loader, the i.i.d. training-set reference,
 the Cholesky route to the exact posterior, a brute-force selection, the
-per-point Monte Carlo estimator, the exact law of the minimum of k
-chi-squares and the bisection route to the renormalized ridge."""
+segment-at-a-time softmax prefix kernel, the per-point Monte Carlo
+estimator, the exact law of the minimum of k chi-squares and the bisection
+route to the renormalized ridge."""
 
 import json
 import math
@@ -27,6 +28,41 @@ def select(values, rewards, T):
     with np.errstate(over="ignore"):  # -inf at tiny T: a weight of exactly 0
         w = np.exp((rewards - rewards.max(axis=-1, keepdims=True)) / T)
     return (w * values).sum(axis=-1) / w.sum(axis=-1)
+
+
+def segmentwise_prefixes(P, L, ks, T):
+    """The T > 0 branch of ``itslab.sampling.select_prefixes`` one segment at a time.
+
+    The kernel's oracle to the bit, with its call signature: every reduction,
+    frame subtraction and merge step is made per segment, on freshly
+    allocated statistics, in the order the segments come. T must be > 0.
+    """
+    spans = list(zip([0] + ks[:-1].tolist(), ks.tolist()))
+    sums = np.empty(P.shape[1:-1] + (len(ks),))
+    top = np.empty((len(ks),) + P.shape[1:])
+    den = np.empty_like(top)
+    W = P  # each segment's penalties are read before they turn into weights
+    for j, (a, b) in enumerate(spans):
+        np.minimum.reduce(P[a:b], axis=0, out=top[j])
+        if j:
+            np.minimum(top[j], top[j - 1], out=top[j])
+        np.subtract(top[j], P[a:b], out=W[a:b])
+    with np.errstate(over="ignore"):  # -inf at tiny T: a weight of exactly 0
+        W /= T
+        shrink = np.exp(np.diff(top, axis=0) / T)
+    np.exp(W, out=W)
+    for j, (a, b) in enumerate(spans):
+        np.add.reduce(W[a:b], axis=0, out=den[j])
+    W *= L
+    for j, (a, b) in enumerate(spans):
+        seg_num = np.add.reduce(W[a:b], axis=0)
+        if j:
+            d = d * shrink[j - 1] + den[j]
+            n = n * shrink[j - 1] + seg_num
+        else:
+            d, n = den[0], seg_num
+        sums[..., j] = (n / d).sum(axis=-1)
+    return sums
 
 
 def bisect_ridge(alpha, spectrum, R_hat):

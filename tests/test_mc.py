@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -195,21 +196,103 @@ class TestSelectReference:
         args = (0.4, 0.6, -0.2, 0.9, k, T, 300)
         assert delta_x(*args, stream(8, "ref")) == _reference_delta_x(*args, stream(8, "ref"))
 
-    @pytest.mark.parametrize("curve", ["k", "t_mixed"])
-    def test_bytes_independent_of_threads_and_batch(self, monkeypatch, curve):
+    @pytest.mark.parametrize("layout", ["k", "t_mixed", "exact_3_datasets", "two_grids"])
+    def test_bytes_independent_of_threads_and_batch(self, monkeypatch, layout):
         cfg = ModelConfig(d=4, n=500, sigma=0.05, gamma=0.5)
         rewards = [RewardSpec.radial(0.0), RewardSpec.radial(3.0)]
         kw = dict(n_outer=37, n_inner=20, seed=17)
-        if curve == "k":
-            run = lambda **t: delta_k_curve(cfg, rewards, 1e-3, [1, 2, 5, 9, 30], **kw, **t)
+        if layout == "k":
+            run = lambda threads: delta_k_curve(cfg, rewards, 1e-3, [1, 2, 5, 9, 30], threads=threads, **kw).per_x
+        elif layout == "t_mixed":
+            run = lambda threads: delta_t_curve(cfg, rewards, 7, [0.0, 1e-4, 1e-2], threads=threads, **kw).per_x
+        elif layout == "exact_3_datasets":
+            # the datasets are fitted in the pool, ahead of the blocks that wait on them
+            run = lambda threads: delta_k_curve(cfg, rewards, 1e-3, [1, 2, 5, 9, 30], mode="exact_posterior",
+                                                n_datasets=3, threads=threads, **kw).per_x
         else:
-            run = lambda **t: delta_t_curve(cfg, rewards, 7, [0.0, 1e-4, 1e-2], **kw, **t)
-        base = run(threads=1).per_x.tobytes()
-        for threads in (2, 3):
-            assert run(threads=threads).per_x.tobytes() == base
-        monkeypatch.setattr(mc, "_SCAN_ELEMS", 1)  # one test point per batch
-        assert run(threads=1).per_x.tobytes() == base
-        assert run(threads=2).per_x.tobytes() == base
+            # two plan entries whose penalty views are 30 and 7 columns long, cut from one
+            # buffer, and 37 points in blocks of 16, 16 and 5: the last batch of a block is short
+            run = lambda threads: mc._run_cells(cfg, rewards, [[1, 4, 30], [2, 3, 7]], [[1e-3], [0.5]],
+                                                37, 20, "det_equiv", 17, threads, 1)[0]
+        base = run(threads=1).tobytes()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers interleave often: a workspace they shared would show
+        try:
+            for threads in (2, 3):
+                assert run(threads=threads).tobytes() == base
+            for scan_elems in (1, 5_000):  # one test point per batch; a few
+                monkeypatch.setattr(mc, "_SCAN_ELEMS", scan_elems)
+                for threads in (1, 2, 3):
+                    assert run(threads=threads).tobytes() == base
+        finally:
+            sys.setswitchinterval(switch)
+
+
+class TestScanWorkspace:
+    """Each worker's workspace holds the softmax pass's large arrays, within _SCAN_ELEMS or one point."""
+
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        # per batch: its points, its workspace, the values that workspace holds, and
+        # the traced memory the batch allocates beyond it
+        batches = []
+        softmax_cells = mc._softmax_cells
+
+        def spy(rngs, *args):
+            work = args[-1]
+            traced = tracemalloc.is_tracing()
+            if traced:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+            values = softmax_cells(rngs, *args)
+            extra = tracemalloc.get_traced_memory()[1] - before if traced else 0
+            batches.append((len(rngs), id(work), sum(b.size for b in work.values()), extra))
+            return values
+
+        monkeypatch.setattr(mc, "_softmax_cells", spy)
+        return batches
+
+    CASES = {
+        # the benchmark's softmax cells: 13 k to 96, 3 targets at one T, 200 inner draws
+        "workload": (dict(k_grid=[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96], n_inner=200), {}),
+        "kmax_1": (dict(k_grid=[1], n_inner=200), {}),
+        # 40 one-column segments: the kernel's statistics outweigh the draws
+        "every_k": (dict(k_grid=list(range(1, 41)), n_inner=200), {}),
+        # 5-row chunks of 8 columns: one target per penalty stack of 3
+        "per_stack_below_targets": (dict(k_grid=[1, 2, 3, 8], n_inner=20), {"_MAX_ELEMS": 40}),
+        # a budget below one point's workspace: one point per batch
+        "one_point": (dict(k_grid=[1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96], n_inner=200),
+                      {"_SCAN_ELEMS": 1000}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_workspace_bound(self, monkeypatch, batches, case):
+        kw, caps = self.CASES[case]
+        for name, value in caps.items():
+            monkeypatch.setattr(mc, name, value)
+        cfg = ModelConfig(d=10, n=1000, S=1.0, sigma=1e-4, gamma=1e-3)
+        rewards = [RewardSpec.radial(c) for c in (0.0, 25.0, 50.0)]
+        run = lambda n_outer, threads: delta_k_curve(cfg, rewards, 200 * 1e-8, kw["k_grid"], n_outer=n_outer,
+                                                     n_inner=kw["n_inner"], seed=3, threads=threads)
+        run(1, 1)
+        one_point = batches[0][2]  # the workspace of a run with one test point
+        batches.clear()
+        tracemalloc.start()
+        try:
+            run(20, 1)
+        finally:
+            tracemalloc.stop()
+        one_thread = list(batches)
+        batches.clear()
+        run(20, 2)
+        for points, _, held, _ in one_thread + batches:
+            assert held <= mc._SCAN_ELEMS or (points == 1 and held == one_point), (points, held, one_point)
+        # one workspace per worker and engine call
+        assert len({work for _, work, _, _ in one_thread}) == 1
+        assert len({work for _, work, _, _ in batches}) <= 2
+        # a batch allocates nothing large beyond its workspace: numpy's iterator buffers for a
+        # ufunc of 3 operands with broadcasting (np.getbufsize() values each) and small arrays
+        assert max(extra for *_, extra in one_thread) <= 3 * 8 * np.getbufsize() + (16 << 10)
 
 
 def _t0_cells(m, s2, mu_T, mu_R, k_grid, n_points, n_inner, seed):
@@ -475,7 +558,8 @@ class TestExactContexts:
         cfg = ModelConfig(d=d, n=n, S=1.3, sigma=0.3, gamma=1.0)
         seed, points = 11, 20_000
         rewards = [RewardSpec.radial(0.0), RewardSpec.radial(3.0)]
-        (ctx,) = mc._prepare_contexts(cfg, rewards, "exact_posterior", seed, points, 1)
+        (make_context,) = mc._prepare_contexts(cfg, rewards, "exact_posterior", seed, points, 1)
+        ctx = make_context()
         got = np.column_stack([ctx.m, ctx.s**2, ctx.mu_T, ctx.mu_R])
 
         w_T = sample_teacher(cfg, stream(seed, "teacher"))

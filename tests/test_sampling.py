@@ -9,7 +9,7 @@ from itslab import ModelConfig, RewardSpec, delta_k_curve, delta_t_curve, judge_
 from itslab import judge, mc
 from itslab.sampling import select_prefixes
 
-from _synth import record_rows, select as brute_select, trap_judge_questions, write_records
+from _synth import record_rows, segmentwise_prefixes, select as brute_select, trap_judge_questions, write_records
 
 
 def select(values, rewards, T):
@@ -153,6 +153,50 @@ class TestPrefixes:
                 np.testing.assert_allclose(got[:, j], want, rtol=1e-13, atol=0)
 
 
+def _k_grids(kmax):
+    """Sorted k grids: runs of equal-width segments (width 1 among them), or any sorted subset."""
+    runs = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 4)), min_size=1, max_size=5)
+    return st.one_of(
+        runs.map(lambda rs: np.cumsum([w for w, n in rs for _ in range(n)])),
+        st.lists(st.integers(1, kmax), min_size=1, max_size=kmax, unique=True).map(sorted).map(np.array),
+        st.integers(1, kmax).map(lambda k: np.arange(1, k + 1)),
+    )
+
+
+class TestRunGroupedKernel:
+    """The T > 0 branch to the bit against the kernel made one segment at a time."""
+
+    @given(
+        ks=_k_grids(30),
+        T=st.one_of(st.sampled_from([1e-300, 1e-9, 1.0, 1e300]), st.floats(-300, 300).map(lambda e: 10.0**e)),
+        shape=st.one_of(
+            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 12)),  # points, targets, rows
+            st.tuples(st.integers(1, 4), st.integers(1, 12)),  # the judge's questions, resamples
+        ),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        ties=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_segmentwise_kernel(self, ks, T, shape, scale, ties, seed):
+        # penalties spread over scale * chi^2_1 (integers for ties): at small T most
+        # weights underflow to exactly 0
+        rng = np.random.default_rng(seed)
+        P = rng.standard_normal((int(ks[-1]),) + shape) ** 2 * scale
+        if ties:
+            P = np.round(P)
+        # the engine's losses are shared by its targets; the judge's are per candidate
+        L = rng.random(P.shape[:2] + (1,) + shape[2:] if len(shape) == 3 else P.shape)
+        want_P = P.copy()
+        want = segmentwise_prefixes(want_P, L, ks, T)
+        scratch = np.full((4 * len(ks) - 1) * P[0].size + 3, np.nan)  # spare and stale values
+        for kw in ({}, {"scratch": scratch}):
+            got_P = P.copy()
+            got = select_prefixes(got_P, L, ks, T, **kw)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_P, want_P)  # the weighted losses it leaves in P
+
+
 class TestOneKernel:
     """Every selection of the engine and of the judge goes through select_prefixes."""
 
@@ -162,9 +206,9 @@ class TestOneKernel:
         # nothing: any selection made elsewhere would leave a nonzero value behind
         calls = []
 
-        def zeroed(P, L, ks, T):
+        def zeroed(P, L, ks, T, **scratch):
             calls.append((T, P.shape[0]))
-            return np.zeros_like(select_prefixes(P, L, ks, T))
+            return np.zeros_like(select_prefixes(P, L, ks, T, **scratch))
 
         monkeypatch.setattr(mc, "select_prefixes", zeroed)
         monkeypatch.setattr(judge, "select_prefixes", zeroed)
