@@ -265,15 +265,14 @@ def _warn(message) -> None:
     print(f"itslab: warning: {message}", file=sys.stderr)
 
 
-def _series_value(config, de, w_T, w_R, T, k):
-    """The high-temperature series at (T, k) and its accuracy warnings.
+def _series_value(st, T, k):
+    """The high-temperature series of terms ``st`` at (T, k) and its accuracy warnings.
 
     ValueError where the series has no finite value, or a negative one: a
     squared error below 0 lies outside the series' domain.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", SeriesAccuracyWarning)
-        st = SeriesTerms.from_radial_average(config, de, w_T, w_R, T)
         try:
             value = high_t_delta_x(st, int(k))
         except ArithmeticError as exc:  # t**l leaves the float range at extreme T
@@ -296,12 +295,18 @@ def cmd_sweep_k(args, parser):
     rows = []
     theory_error, accuracy = None, []
     for r, c in enumerate(args.c_grid):
-        w_R = resolve_reward(rewards[r], w_T, de.R if de else 0.0, config.S)
+        terms = None
+        if T > 0 and de:  # the series has no T = 0 limit, and no fixed point exists at n = 0
+            w_R = resolve_reward(rewards[r], w_T, de.R, config.S)
+            try:  # the terms depend on c, not on k
+                terms = SeriesTerms.from_radial_average(config, de, w_T, w_R, T)
+            except ValueError as exc:  # outside the series' domain: leave c's cells empty
+                theory_error = theory_error or exc
         for g, k in enumerate(args.k_grid):
             series = None
-            if T > 0 and de:  # the series has no T = 0 limit, and no fixed point exists at n = 0
+            if terms is not None:
                 try:
-                    series, caught = _series_value(config, de, w_T, w_R, T, k)
+                    series, caught = _series_value(terms, T, k)
                     accuracy = accuracy or caught
                 except ValueError as exc:  # outside the series' domain: leave the cell empty
                     theory_error = theory_error or exc

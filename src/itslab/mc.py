@@ -29,10 +29,12 @@ plus an O(grid length) scan, where selecting each prefix anew cost
 O(n_inner * sum of k).
 The pass runs on small batches of test points with the targets stacked, so
 a work unit makes a few dozen large numpy calls per point rather than
-thousands of small ones. Each thread cuts a batch's draws, losses,
-penalties and kernel statistics from one workspace of flat buffers, made
-once per engine call, so the batch loop allocates nothing large; the
-workspace of a batch holds at most _SCAN_ELEMS values, or one test point's.
+thousands of small ones; a batch makes about a hundred whatever its size,
+so fewer, larger batches hold the Python interpreter lock less per point.
+Each thread cuts a batch's draws, losses, penalties and kernel statistics
+from one workspace of flat buffers, made once per engine call, so the batch
+loop allocates nothing large; the workspace of a batch holds at most
+_SCAN_ELEMS values (4 MB), or one test point's.
 With more than one thread the datasets (training set, posterior and
 predictive moments) are fitted in the same pool as the blocks of test
 points, each block waiting on its own dataset only.
@@ -72,7 +74,7 @@ MODES = ("exact_posterior", "det_equiv")
 
 _BLOCK = 16  # test points per work unit; fixed so results never depend on threading
 _MAX_ELEMS = 1 << 23  # cap on draws held in memory at once (per work unit)
-_SCAN_ELEMS = 1 << 18  # cap on the values one batch of test points holds (per work unit)
+_SCAN_ELEMS = 1 << 19  # cap on the values one batch of test points holds: 4 MB per worker
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _NEWTON_STEPS = 50  # cap only: the root solve converges in at most a handful
 _SERIES_TERMS = 9  # He_0 to He_16 in the short-root series of F
@@ -179,7 +181,8 @@ def _cut(buffer: np.ndarray, shape) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, work=None) -> np.ndarray:
+def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, layout=None,
+                   work=None) -> np.ndarray:
     """Inner-averaged weighted losses of the distinct shared cells at a batch of test points.
 
     ``rngs`` holds one generator per point; ``m``, ``s`` and ``mu_T`` are
@@ -190,13 +193,14 @@ def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, work=N
     entry at all points of the batch, whatever its T, with the targets
     stacked up to the same bound. Each point's row depends only on its own
     generator, and no sum depends on the batch size or on the other targets.
-    The large arrays are views of ``work``'s flat buffers, sized by
-    :func:`_scan_layout` for at least this many points (allocated here if
-    not given), so a caller that passes one workspace to batch after batch
-    allocates nothing large.
+    ``layout`` is :func:`_scan_layout`'s result for these arguments (made
+    here if not given). The large arrays are views of ``work``'s flat
+    buffers, sized by it for at least this many points (allocated here if
+    not given), so a caller that passes one layout and one workspace to
+    batch after batch allocates nothing large.
     """
     n_points = len(rngs)
-    rows_per_chunk, per_stack, sizes = _scan_layout(plan, n_inner, kmax)
+    rows_per_chunk, per_stack, sizes = layout or _scan_layout(plan, n_inner, kmax)
     if work is None:
         work = {name: np.empty(n_points * size) for name, size in sizes.items()}
     out = np.zeros((n_points, sum(cols.size for *_, cols in plan)))
@@ -206,8 +210,9 @@ def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, work=N
         Z = _cut(work["P"], (n_points, rows, kmax))  # the draws leave before the penalties come
         for p, rng in enumerate(rngs):
             rng.standard_normal(out=Z[p])
-        # columns first, so each segment reduces over whole contiguous blocks
-        Y = np.multiply(Z.transpose(2, 0, 1), s[:, None], out=_cut(work["Y"], (kmax, n_points, rows)))
+        # columns first, so each segment reduces over whole contiguous blocks; Z is read in order
+        Y = _cut(work["Y"], (kmax, n_points, rows))
+        np.multiply(Z, s[:, None, None], out=Y.transpose(1, 2, 0))
         Y += m[:, None]
         L = np.subtract(Y, mu_T[:, None], out=_cut(work["L"], (kmax, n_points, rows)))
         L *= L
@@ -459,8 +464,8 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
     if kmax:
         plan, cell_of = _plan_shared(cell_k[shared], cell_T[shared], shared_r)
         # points per batch: a batch's workspace holds at most _SCAN_ELEMS values, or one point's
-        sizes = _scan_layout(plan, n_inner, kmax)[2]
-        scan_points = max(1, _SCAN_ELEMS // sum(sizes.values()))
+        layout = _scan_layout(plan, n_inner, kmax)
+        scan_points = max(1, _SCAN_ELEMS // sum(layout[2].values()))
         batch = min(scan_points, _BLOCK, n_outer)
 
     makers = _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets)
@@ -482,13 +487,13 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
         if not kmax:
             return
         if not hasattr(local, "work"):
-            local.work = {name: np.empty(batch * size) for name, size in sizes.items()}
+            local.work = {name: np.empty(batch * size) for name, size in layout[2].items()}
         for lo in range(start, stop, scan_points):
             hi = min(lo + scan_points, stop)
             rngs = [stream(seed, "inference", ctx.dataset_index, i) for i in range(lo, hi)]
             values = _softmax_cells(
                 rngs, ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi],
-                ctx.mu_R[lo:hi][:, shared_targets], plan, n_inner, kmax, local.work,
+                ctx.mu_R[lo:hi][:, shared_targets], plan, n_inner, kmax, layout, local.work,
             )
             per_x[base + lo : base + hi, shared] = values[:, cell_of]
 

@@ -32,6 +32,7 @@ from .model import ModelConfig
 
 _RESIDUAL_TOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
+_NEWTON_STEPS = 100  # then bisection: a simple root takes 3-4; at alpha = 1 a step near 0 only halves R
 
 # The noise-term validity test sigma^2 <= VALIDITY_FACTOR * sigma_c^2 keeps a
 # two-decade margin below the divergence threshold of the label-noise
@@ -126,9 +127,12 @@ def _fixed_point(alpha: float, spectrum: np.ndarray, R_hat: float) -> float:
     steps from an upper bound fall onto the root. A step that leaves the
     bracket takes its midpoint; one no longer than the last probe (at first,
     no step at all) probes toward the other end, twice as far as before.
+    Where rounding flattens g (at alpha = 1 and a tiny R_hat, g(R) rounds to
+    0 over a range of R), Newton steps can creep by a tiny fixed amount each;
+    after _NEWTON_STEPS steps the bracket is bisected to its end instead.
     """
     n = spectrum.size
-    lo, hi, probe = R_hat, math.inf, 0.0
+    lo, hi, probe, steps = R_hat, math.inf, 0.0, 0
     x = R_hat + alpha * (float(spectrum.sum()) / n)  # g(R) >= R - alpha mean(lambda)
     if alpha < 1.0:
         x = min(x, R_hat / (1.0 - alpha))  # g(R) >= (1 - alpha) R
@@ -148,6 +152,10 @@ def _fixed_point(alpha: float, spectrum: np.ndarray, R_hat: float) -> float:
         mid = 0.5 * lo + 0.5 * hi if lo > 1.0 else 0.5 * (lo + hi)  # 0.5 (lo + hi), without overflow
         if mid == lo or mid == hi:
             return mid
+        steps += 1
+        if steps > _NEWTON_STEPS:
+            x = mid
+            continue
         dg = 1.0 - alpha * (float((a * a).sum()) / n)
         x_new = x - (g - R_hat) / dg if dg > 0.0 else mid
         if abs(x_new - x) <= probe:

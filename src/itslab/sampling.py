@@ -34,8 +34,10 @@ def select_prefixes(P, L, ks, T, *, scratch=None) -> np.ndarray:
     order as one segment at a time.
 
     ``scratch``, a flat float64 array of at least (4 len(ks) - 1) P[0].size
-    values, holds the T > 0 branch's per-segment statistics (minima, sums and
-    rescale factors); without it they are allocated.
+    values, holds the T > 0 branch's per-segment statistics: the minima, then
+    each segment's denominator and numerator side by side as (len(ks), 2,
+    ...), so one multiply and one add merge both, then the rescale factors;
+    without it they are allocated.
     """
     spans = list(zip([0] + ks[:-1].tolist(), ks.tolist()))
     sums = np.empty(P.shape[1:-1] + (len(ks),))
@@ -55,7 +57,9 @@ def select_prefixes(P, L, ks, T, *, scratch=None) -> np.ndarray:
     J, shape = len(ks), P.shape[1:]
     N = P[0].size
     stats = np.empty((4 * J - 1) * N) if scratch is None else scratch[: (4 * J - 1) * N]
-    top, den, num = stats[: 3 * J * N].reshape((3, J) + shape)
+    top = stats[: J * N].reshape((J,) + shape)
+    den_num = stats[J * N : 3 * J * N].reshape((J, 2) + shape)  # [j] holds (denominator, numerator)
+    den, num = den_num[:, 0], den_num[:, 1]
     shrink = stats[3 * J * N :].reshape((J - 1,) + shape)
     # each run of equal-width segments as one (segments, width, ...) view of P
     runs = [(slice(j, j + n), P[a : a + n * w].reshape((n, w) + shape)) for j, n, a, w in _runs(spans)]
@@ -76,10 +80,9 @@ def select_prefixes(P, L, ks, T, *, scratch=None) -> np.ndarray:
     W *= L
     for seg, block in runs:
         np.add.reduce(block, axis=1, out=num[seg])
-    rescaled = top[0]  # the minima are spent
+    rescaled = top[:2]  # the minima are spent; the merge runs only where J >= 2
     for j in range(1, J):  # the merge, in segment order
-        den[j] += np.multiply(den[j - 1], shrink[j - 1], out=rescaled)
-        num[j] += np.multiply(num[j - 1], shrink[j - 1], out=rescaled)
+        den_num[j] += np.multiply(den_num[j - 1], shrink[j - 1], out=rescaled)
     np.sum(np.divide(num, den, out=num), axis=-1, out=np.moveaxis(sums, -1, 0))
     return sums
 

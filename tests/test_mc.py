@@ -287,6 +287,9 @@ class TestScanWorkspace:
         run(20, 2)
         for points, _, held, _ in one_thread + batches:
             assert held <= mc._SCAN_ELEMS or (points == 1 and held == one_point), (points, held, one_point)
+        if case == "workload":
+            # 4 points per batch: 20 points in blocks of 16 and 4 make 5 full batches per run
+            assert [points for points, *_ in one_thread + batches] == [4] * 10
         # one workspace per worker and engine call
         assert len({work for _, work, _, _ in one_thread}) == 1
         assert len({work for _, work, _, _ in batches}) <= 2

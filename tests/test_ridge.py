@@ -1,4 +1,5 @@
 import math
+import threading
 from unittest import mock
 
 import numpy as np
@@ -141,6 +142,17 @@ class TestNewtonMatchesBisection:
     ], ids=["alpha_1", "alpha_1_flat", "alpha_1e8", "subnormal_r_hat"])
     def test_edge_cases(self, alpha, sigma, gamma, R):
         assert _outcome(alpha, sigma, gamma, [1.0]) == R == _bisection_outcome(alpha, sigma, gamma, [1.0])
+
+    def test_flat_g_ends_in_bisection(self):
+        # alpha = 1, R_hat = 1e-40: g(R) rounds to 0 on a range of R below the root, where each
+        # Newton step from below moves R by about 6e-28; uncapped, the solve takes about 1e9 steps
+        args = (1.0, 1.0, 1e20, [0.5, 2.75, 5.0])
+        result = []
+        worker = threading.Thread(target=lambda: result.append(_outcome(*args)), daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert result == [_bisection_outcome(*args)]
 
     def test_root_near_the_top_of_the_float_range(self):
         # R_hat = 1e308 and R = R_hat: the bisection's bracket [R_hat, 2 R_hat] was [1e308, inf]
