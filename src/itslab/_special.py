@@ -7,6 +7,7 @@ for x < 0 does not underflow, so neither tail needs an asymptotic branch.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -41,15 +42,33 @@ def _ratio(coef, t):
     return np.divide(num, den, out=num)
 
 
-def _erfcx(z):
-    """e^{z^2} erfc(z) for z >= 1/2."""
-    out = _ratio(_ERFCX_MID, np.minimum(z, 4.0))
-    far = np.flatnonzero(z > 4.0)
-    if far.size:
-        with np.errstate(over="ignore"):
-            w = 1.0 / (z[far] * z[far])
-        out[far] = (1.0 / math.sqrt(math.pi) + w * _ratio(_ERFCX_LARGE, w)) / z[far]
+def _piecewise(flat, pieces):
+    """Each function of ``pieces`` on the elements of a 1-D array where its mask holds.
+
+    The masks partition the elements. A piece that holds them all takes the
+    array whole; the others gather their elements and scatter their results.
+    """
+    out = np.empty_like(flat)
+    for mask, f in pieces:
+        index = np.flatnonzero(mask)
+        if index.size == flat.size:
+            return f(flat)
+        if index.size:
+            out[index] = f(flat[index])
     return out
+
+
+def _erfcx_far(z):
+    """e^{z^2} erfc(z) for z > 4."""
+    with np.errstate(over="ignore"):
+        w = 1.0 / (z * z)
+    return (1.0 / math.sqrt(math.pi) + w * _ratio(_ERFCX_LARGE, w)) / z
+
+
+def _erfcx(z):
+    """e^{z^2} erfc(z) for z >= 1/2 (and nan)."""
+    far = z > 4.0
+    return _piecewise(z, ((~far, partial(_ratio, _ERFCX_MID)), (far, _erfcx_far)))
 
 
 def _exp_neg_square(y, scale):
@@ -60,38 +79,52 @@ def _exp_neg_square(y, scale):
     return np.exp(-scale * m * m) * np.exp(-scale * (2.0 * m + f) * f)
 
 
-def _central(z):
-    """erf(z)/2 where |z| <= 1/2, and the indices of the other z (nan included)."""
-    zc = np.clip(z, -0.5, 0.5)
-    return zc * _ratio(_ERF_SMALL, zc * zc), np.flatnonzero(zc != z)
+def _half_erf(z):
+    """erf(z)/2 for |z| <= 1/2."""
+    return z * _ratio(_ERF_SMALL, z * z)
+
+
+def _erfc_tail(z):
+    """erfc(z) for |z| > 1/2 (and nan)."""
+    upper = _erfcx(np.abs(z)) * _exp_neg_square(z, 1.0)
+    return np.where(z < 0, 2.0 - upper, upper)
 
 
 def erfc(z):
     """The complementary error function, elementwise."""
     z = np.asarray(z, dtype=float)
-    half_erf, tail = _central(z.ravel())
-    out = 1.0 - 2.0 * half_erf
-    if tail.size:
-        zt = z.ravel()[tail]
-        upper = _erfcx(np.abs(zt)) * _exp_neg_square(zt, 1.0)
-        out[tail] = np.where(zt < 0, 2.0 - upper, upper)
-    return out.reshape(z.shape)
+    flat = z.ravel()
+    central = np.abs(flat) <= 0.5
+    return _piecewise(flat, (
+        (central, lambda zc: 1.0 - 2.0 * _half_erf(zc)),
+        (~central, _erfc_tail),
+    )).reshape(z.shape)
+
+
+def _log_ndtr_lower(x):
+    """log Phi(x) for x < -1/sqrt(2) (and nan): log(erfcx(-x/sqrt(2))/2) - x^2/2."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.log(0.5 * _erfcx(np.abs(x * math.sqrt(0.5)))) - 0.5 * x * x
+
+
+def _log_ndtr_upper(x):
+    """log Phi(x) = log(1 - Phi(-x)) for x > 1/sqrt(2)."""
+    half = 0.5 * _erfcx(np.abs(x * math.sqrt(0.5)))  # Phi(-x) = half e^{-x^2/2}
+    return np.log1p(-half * _exp_neg_square(x, 0.5))
 
 
 def log_ndtr(x):
     """log Phi(x) for the standard normal CDF Phi, elementwise."""
     x = np.asarray(x, dtype=float)
-    z = x.ravel() * math.sqrt(0.5)
-    half_erf, tail = _central(z)
-    out = np.log1p(half_erf - 0.5)
-    if tail.size:
-        xt = x.ravel()[tail]
-        half = 0.5 * _erfcx(np.abs(z[tail]))  # Phi(-|x|) = half e^{-x^2/2}
-        with np.errstate(over="ignore", divide="ignore"):
-            out[tail] = np.log(half) - 0.5 * xt * xt
-        upper = xt > 0
-        out[tail[upper]] = np.log1p(-half[upper] * _exp_neg_square(xt[upper], 0.5))
-    return out.reshape(x.shape)
+    flat = x.ravel()
+    z = flat * math.sqrt(0.5)
+    central = np.abs(z) <= 0.5
+    upper = ~central & (flat > 0)
+    return _piecewise(flat, (
+        (central, lambda xc: np.log1p(_half_erf(xc * math.sqrt(0.5)) - 0.5)),
+        (~(central | upper), _log_ndtr_lower),
+        (upper, _log_ndtr_upper),
+    )).reshape(x.shape)
 
 
 def expit(x):

@@ -16,7 +16,8 @@ standardized coordinates z = (y - m)/s the selected draw is the one closest
 to a = (mu_R - m)/s, and its distance D has P(D > d) = (1 - F(d))^k with
 F(d) = P(|z - a| <= d), so D is drawn by inverting that law and no k
 candidates are materialised: a short distance, the rule once a block holds
-many candidates, on the Hermite series of F, and a long one on log F.
+many candidates, from the reversion of the Hermite series of F, and a long
+one on log F.
 Disjoint blocks of k_j - k_{j-1} candidates each give one winner, at
 O(n_inner) cost per grid point. The other targets reweight one shared
 (n_inner, kmax) Gaussian draw matrix per test point. So
@@ -27,7 +28,7 @@ call per distinct T selects every prefix [:k] in one pass over them. For the
 draw matrix that costs O(n_inner * kmax) per point, target and distinct T,
 plus an O(grid length) scan, where selecting each prefix anew cost
 O(n_inner * sum of k).
-The pass runs on small batches of test points with the targets stacked, so
+The pass runs on batches of test points with the targets stacked, so
 a work unit makes a few dozen large numpy calls per point rather than
 thousands of small ones; a batch makes about a hundred whatever its size,
 so fewer, larger batches hold the Python interpreter lock less per point.
@@ -35,20 +36,26 @@ Each thread cuts a batch's draws, losses, penalties and kernel statistics
 from one workspace of flat buffers, made once per engine call, so the batch
 loop allocates nothing large; the workspace of a batch holds at most
 _SCAN_ELEMS values (4 MB), or one test point's.
-With more than one thread the datasets (training set, posterior and
-predictive moments) are fitted in the same pool as the blocks of test
-points, each block waiting on its own dataset only.
+Work units hold at least _BLOCK test points and at most a batch's worth
+(_SCAN_ELEMS values, of the softmax pass or of the T = 0 sampler), as few as
+leave each thread _UNITS_PER_THREAD of them: one-draw points are cheap, and
+small units would spend a run on scheduling. With more than one thread the datasets (training
+set, posterior and predictive moments) are fitted in the same pool as the
+units of test points, each unit waiting on its own dataset only.
 
-Every target restarts the test point's streams, so sweeps over k, T and the
+Every target restarts the test point's stream, so sweeps over k, T and the
 reward (c, theta) share their random numbers (common random numbers): curves
 are smooth at fixed seed and neighbouring grid points can be compared
 through paired differences.
 
 Reproducibility contract: all randomness is derived from (seed, purpose,
-index) named streams. The outer loop over test points is processed in
-fixed-size blocks, each test point owning its own substream, and the
-reduction is performed in index order, so results are bit-identical for any
-thread count.
+index) named streams. Each test point owns a keyed PCG64 generator
+(``rngstreams.stream_keys``): one seed sequence per (seed, "inference",
+dataset) gives every point four words, which do not depend on the number of
+points, and each route makes the point's generator afresh from them. A
+point's row therefore depends on nothing but its own key, the reduction runs
+in index order, and results are bit-identical for any thread count and unit
+size.
 
 The T = 0 sampler takes log Phi (for long distances only) and the logistic
 function from the package's numpy helper (``_special``), so no run loads
@@ -67,17 +74,44 @@ from ._special import expit, log_ndtr
 from .model import ModelConfig, RewardSpec, generate_dataset, resolve_reward, sample_teacher
 from .posterior import fit_posterior, predictive_moments_batch
 from .ridge import de_moments_batch, solve_for_config
-from .rngstreams import stream
+from .rngstreams import keyed, stream, stream_keys
 from .sampling import select_prefixes
 
 MODES = ("exact_posterior", "det_equiv")
 
-_BLOCK = 16  # test points per work unit; fixed so results never depend on threading
+_BLOCK = 16  # fewest test points per work unit
+_UNITS_PER_THREAD = 4  # work units per thread, unless that leaves them below _BLOCK points
 _MAX_ELEMS = 1 << 23  # cap on draws held in memory at once (per work unit)
 _SCAN_ELEMS = 1 << 19  # cap on the values one batch of test points holds: 4 MB per worker
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _NEWTON_STEPS = 50  # cap only: the root solve converges in at most a handful
 _SERIES_TERMS = 9  # He_0 to He_16 in the short-root series of F
+# b_1 .. b_9 of the reversion of G(d)/d = sum_m c_m d^{2m} (see _short_root): row j holds
+# b_j's coefficients in A^2 from the constant up, which tests/test_special.py derives exactly
+_REVERSION = (
+    (1/6, -1/6),
+    (7/120, -7/60, 3/40),
+    (127/5040, -127/1680, 463/5040, -5/112),
+    (4369/362880, -4369/90720, 1709/20160, -779/10080, 35/1152),
+    (34807/5702400, -34807/1140480, 465253/6652800, -608273/6652800, 299909/4435200, -63/2816),
+    (20036983/6227020800, -20036983/1037836800, 338366599/6227020800, -47540027/518918400,
+     40278503/415134720, -20996981/345945600, 231/13312),
+    (2280356863/1307674368000, -2280356863/186810624000, 17731236979/435891456000,
+     -36415268369/435891456000, 16527121453/145297152000, -329508463/3228825600,
+     537116941/9686476800, -143/10240),
+    (49020204823/50812489728000, -49020204823/6351561216000, 879989848891/29640619008000,
+     -1062234934471/14820309504000, 468122186447/3952082534400, -404873645041/2964061900800,
+     351472717571/3293402112000, -225343847/4391202816, 6435/557056),
+    (65967241200001/121645100408832000, -65967241200001/13516122267648000,
+     129385102762319/6082255020441600, -597221533023217/10137091700736000,
+     210179045032823/1843107581952000, -6530092863547/40957946265600,
+     232106738914571/1448155957248000, -125171958302381/1126343522304000,
+     576201344573/12014330904576, -12155/1245184),
+)
+_REVERSION_COEF = np.array([row + (0.0,) * (len(_REVERSION) + 1 - len(row)) for row in _REVERSION]).T
+_REVERSION_BOUND = [sum(map(abs, row)) for row in _REVERSION]
+_ROUNDING = 2.0**-55  # the largest omitted term of a short root's series, relative to the root
+_REVERSION_CUT = (_ROUNDING / _REVERSION_BOUND[-1]) ** (1 / len(_REVERSION))  # r where B_9 r^9 = 2^-55
 
 
 def _stderr(values: np.ndarray) -> np.ndarray:
@@ -233,9 +267,9 @@ def _winner_distance(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 
     F(d) = P(|z - A| <= d) = Phi(d - A) - Phi(-A - d) for z ~ N(0, 1), and
     F'(d) = 2 phi(A) e^{-d^2/2} cosh(A d). A short root, where
-    q = p / (2 phi(A)) <= 1/2 and A q <= 1/2 for p = -expm1(x), is solved on
-    the Hermite series of F (:func:`_short_root`); every other root on log F
-    or log(1 - F) (:func:`_long_root`). Every element stops on its own
+    q = p / (2 phi(A)) <= 1/2 and A q <= 1/2 for p = -expm1(x), is taken from
+    the reversion of the Hermite series of F (:func:`_short_root`); every
+    other root is solved on log F or log(1 - F) (:func:`_long_root`). Every element stops on its own
     convergence test, so no result depends on its batch-mates.
     """
     p = -np.expm1(x)
@@ -261,22 +295,48 @@ def _short_root(q: np.ndarray, A: np.ndarray) -> np.ndarray:
     G(d) = int_0^d e^{-t^2/2} cosh(A t) dt = d sum_m c_m d^{2m}, with
     c_m = He_2m(A) / (2m+1)! from He_{n+2} = (A^2 - 2n - 1) He_n - n (n - 1)
     He_{n-2} (He_{n+1} = A He_n - n He_{n-1} taken twice), and
-    G'(d) = e^{-d^2/2} cosh(A d). Here d <= 0.523 and A d <= 0.55, so the
-    terms to He_16 leave at most 3e-15 of the root; the c_m are computed at
-    A's own shape, which q broadcasts. Newton's method starts from the sinh
-    bound asinh(A q) / A <= d (G(d) <= sinh(A d) / A), or from q where
-    A q < 1e-8: the bound is q there to rounding, and a subnormal A q would
-    lose its precision. A step of relative size s leaves an error below
+    G'(d) = e^{-d^2/2} cosh(A d). Its reversion is
+    d = q (1 + sum_j b_j(A^2) q^{2j}), b_1 = -c_1, b_2 = 3 c_1^2 - c_2, ...
+    (``_REVERSION``), and |b_j(A^2) q^{2j}| <= B_j r^j with r = q^2 max(1, A^2)
+    <= 1/4 and B_j the sum of b_j's absolute coefficients. A call takes the
+    fewest terms whose first omitted one is below 2^-55 at its largest r, at
+    most 8; elements past that cut with 8 terms are solved by Newton's method
+    on the terms of G to He_16 (at most 3e-15 of the root here, d <= 0.523
+    and A d <= 0.55), from the series less 4 B_9 r^9, a bound on the omitted
+    terms, so from below. A step of relative size s leaves an error below
     0.15 s^2, so an element stops after a step below 1e-8 of its root.
     """
+    w = A * A
+    Q = q * q
+    r = Q * np.maximum(w, 1.0)
+    r_max = float(r.max(initial=0.0))
+    terms = next((j for j in range(len(_REVERSION)) if _REVERSION_BOUND[j] * r_max ** (j + 1) <= _ROUNDING),
+                 len(_REVERSION) - 1)
+    b = np.zeros(w.shape + (terms,))  # b[..., j - 1] = b_j(w), by Horner's rule in w
+    for coef in _REVERSION_COEF[terms::-1, :terms]:
+        b *= w[..., None]
+        b += coef
+    d = np.zeros(np.broadcast_shapes(Q.shape, w.shape))  # d / q - 1, by Horner's rule in Q
+    for j in range(terms - 1, -1, -1):
+        d += b[..., j]
+        d *= Q
+    d += 1.0
+    d *= q
+    if r_max > _REVERSION_CUT:  # all 8 terms, and elements past the cut
+        past = r > _REVERSION_CUT
+        qp, Ap, rp = np.broadcast_to(q, d.shape)[past], np.broadcast_to(A, d.shape)[past], r[past]
+        d[past] = _newton_short_root(qp, Ap, d[past] - 4.0 * qp * _REVERSION_BOUND[-1] * rp ** len(_REVERSION))
+    return d
+
+
+def _newton_short_root(q: np.ndarray, A: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Newton's method on G(d) = q from d, elementwise, on G's terms to He_16."""
     w = A * A
     c = np.empty((_SERIES_TERMS,) + w.shape)
     c[0], c[1] = 1.0, (w - 1.0) / 6.0
     for m in range(1, _SERIES_TERMS - 1):
         c[m + 1] = (w - (4 * m + 1)) * c[m] - (2 * m - 1) / (2 * m + 1) * c[m - 1]
         c[m + 1] /= (2 * m + 2) * (2 * m + 3)
-    y = A * q
-    d = np.divide(np.arcsinh(y), A, out=q.copy(), where=y >= 1e-8)
     moving = q > 0
     for _ in range(_NEWTON_STEPS):
         if not moving.any():
@@ -348,13 +408,14 @@ def _long_root(x: np.ndarray, A: np.ndarray) -> np.ndarray:
 def _best_of_k_cells(rngs, m, s, mu_T, mu_R, cell_k, n_inner: int) -> np.ndarray:
     """Inner-averaged T = 0 losses for every k cell at a batch of test points.
 
-    ``rngs`` holds one generator per test point; the other arguments are
-    per-point arrays. Sorted distinct k values split the candidates into
-    disjoint blocks of k_j - k_{j-1}; each block draws, per inner batch, one
-    uniform for its winner's distance and one for the winner's side of a.
-    The block winners are the candidates of one :func:`select_prefixes`
-    call at T = 0, whose prefix j selects among the first j + 1 blocks. Each
-    point's row depends only on its own generator.
+    ``rngs`` yields one generator per test point, each drawn from once
+    before the next is taken; the other arguments are per-point arrays.
+    Sorted distinct k values split the candidates into disjoint blocks of
+    k_j - k_{j-1}; each block draws, per inner batch, one uniform for its
+    winner's distance and one for the winner's side of a, block after block
+    in one call per point. The block winners are the candidates of one
+    :func:`select_prefixes` call at T = 0, whose prefix j selects among the
+    first j + 1 blocks. Each point's row depends only on its own generator.
     """
     ks, cell_of = np.unique(np.asarray(cell_k, dtype=int), return_inverse=True)
     positive = s > 0
@@ -362,24 +423,25 @@ def _best_of_k_cells(rngs, m, s, mu_T, mu_R, cell_k, n_inner: int) -> np.ndarray
     # the winner y = m + s (a +- d) has y - mu_T = (mu_R - mu_T) +- s d
     gap = np.where(positive, mu_R - mu_T, m - mu_T)[:, None]
     s = s[:, None]
-    D = np.empty((len(ks), len(rngs), n_inner))  # block winners' distances: their penalties
-    loss = np.empty_like(D)
-    U = np.empty((len(rngs), 2, n_inner))
+    # each block's uniforms give way to its winners' distances (their penalties) and losses
+    U = np.empty((len(s), len(ks), 2, n_inner))
+    for rng, u in zip(rngs, U):
+        rng.random(out=u)
     for j, block in enumerate(np.diff(ks, prepend=0)):
-        for rng, row in zip(rngs, U):
-            rng.random(out=row)
-        D[j] = d = _winner_distance(np.log1p(-U[:, 0]) / block, np.abs(a))
+        d = _winner_distance(np.log1p(-U[:, j, 0]) / block, np.abs(a))
         # P(winner at a + d) = phi(a + d) / (phi(a + d) + phi(a - d))
-        offset = np.where(U[:, 1] < expit(-2.0 * a * d), s * d, -s * d)
-        loss[j] = (gap + offset) ** 2
+        offset = np.where(U[:, j, 1] < expit(-2.0 * a * d), s * d, -s * d)
+        U[:, j, 0], U[:, j, 1] = d, (gap + offset) ** 2
+    D, loss = U[:, :, 0].swapaxes(0, 1), U[:, :, 1].swapaxes(0, 1)
     return select_prefixes(D, loss, np.arange(1, len(ks) + 1), 0.0)[:, cell_of] / n_inner
 
 
 @dataclass(frozen=True)
 class _Context:
-    """Per-dataset predictive scalars at the sampled test points."""
+    """Per-dataset predictive scalars and inference keys at the sampled test points."""
 
     dataset_index: int
+    keys: np.ndarray  # (test points, 4): each point's inference generator (rngstreams.keyed)
     m: np.ndarray
     s: np.ndarray
     mu_T: np.ndarray
@@ -423,6 +485,7 @@ def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
             w_T_j, W_R_j = w_T, W_R
         return _Context(
             dataset_index=j,
+            keys=stream_keys(seed, "inference", j, count=n_outer),
             m=m,
             s=np.sqrt(s2),
             mu_T=X @ w_T_j / sqrt_d,
@@ -457,19 +520,23 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
     shared = ~np.isin(cell_r, t0_targets)
     shared_targets, shared_r = np.unique(cell_r[shared], return_inverse=True)
     kmax = int(cell_k[shared].max()) if shared.any() else 0
-    # points per call of the T = 0 sampler: its draws and root solve (at most 34 arrays,
-    # on the log branch) and 2 block arrays per cell, each of n_inner values per point,
-    # then hold at most _MAX_ELEMS values
-    t0_points = max(1, _MAX_ELEMS // ((34 + 2 * shape[1]) * n_inner))
+    # values per point of the T = 0 sampler: its draws and root solve (at most 34 arrays,
+    # on the log branch) and 2 block arrays per cell, each of n_inner values; a call
+    # holds at most _MAX_ELEMS of them
+    t0_values = (34 + 2 * shape[1]) * n_inner
+    t0_points = max(1, _MAX_ELEMS // t0_values)
     if kmax:
         plan, cell_of = _plan_shared(cell_k[shared], cell_T[shared], shared_r)
         # points per batch: a batch's workspace holds at most _SCAN_ELEMS values, or one point's
         layout = _scan_layout(plan, n_inner, kmax)
         scan_points = max(1, _SCAN_ELEMS // sum(layout[2].values()))
-        batch = min(scan_points, _BLOCK, n_outer)
 
     makers = _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets)
     n_rows = len(makers) * n_outer
+    # points per work unit: at least _BLOCK, else at most _SCAN_ELEMS values of the softmax
+    # pass or of the T = 0 sampler, and few enough that each thread gets several units
+    cap = scan_points if kmax else _SCAN_ELEMS // t0_values
+    unit = max(_BLOCK, min(cap, -(-n_rows // (_UNITS_PER_THREAD * threads))))
     per_x = np.empty((n_rows, len(cell_k)))
     local = threading.local()  # one workspace per thread, reused by all its blocks
 
@@ -479,28 +546,27 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
             cells = cell_r == r
             for lo in range(start, stop, t0_points):
                 hi = min(lo + t0_points, stop)
-                rngs = [stream(seed, "inference", ctx.dataset_index, i) for i in range(lo, hi)]
                 per_x[base + lo : base + hi, cells] = _best_of_k_cells(
-                    rngs, ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi], ctx.mu_R[lo:hi, r],
-                    cell_k[cells], n_inner,
+                    map(keyed, ctx.keys[lo:hi]), ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi],
+                    ctx.mu_R[lo:hi, r], cell_k[cells], n_inner,
                 )
         if not kmax:
             return
         if not hasattr(local, "work"):
+            batch = min(scan_points, unit, n_outer)
             local.work = {name: np.empty(batch * size) for name, size in layout[2].items()}
         for lo in range(start, stop, scan_points):
             hi = min(lo + scan_points, stop)
-            rngs = [stream(seed, "inference", ctx.dataset_index, i) for i in range(lo, hi)]
             values = _softmax_cells(
-                rngs, ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi],
+                [keyed(key) for key in ctx.keys[lo:hi]], ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi],
                 ctx.mu_R[lo:hi][:, shared_targets], plan, n_inner, kmax, layout, local.work,
             )
             per_x[base + lo : base + hi, shared] = values[:, cell_of]
 
     blocks = [
-        (j, start, min(start + _BLOCK, n_outer))
+        (j, start, min(start + unit, n_outer))
         for j in range(len(makers))
-        for start in range(0, n_outer, _BLOCK)
+        for start in range(0, n_outer, unit)
     ]
     if threads > 1:
         # errstate is per thread: a pool worker enters its own, for a fit as for a block

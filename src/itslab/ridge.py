@@ -23,6 +23,7 @@ floats: the R of bisection to float resolution, to the bit, in a few
 evaluations of m instead of about 54.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -177,9 +178,16 @@ def isotropic_ridge(alpha: float, sigma: float, gamma: float, S: float) -> float
     return 0.5 * S2 * (alpha + r - 1.0 + math.sqrt((1.0 - alpha - r) ** 2 + 4.0 * r))
 
 
+@functools.lru_cache(maxsize=16)
 def solve_for_config(config: ModelConfig) -> DetEquiv:
-    """Solve the fixed point for a model config: spectrum [S^2], Cov = S^2 I."""
-    return solve_ridge(config.alpha, config.sigma, config.gamma, [config.S**2])
+    """Solve the fixed point for a model config: spectrum [S^2], Cov = S^2 I.
+
+    The solution is kept per config (its spectrum read-only), so a subcommand's
+    theory columns and its engine call share one solve.
+    """
+    de = solve_ridge(config.alpha, config.sigma, config.gamma, [config.S**2])
+    de.spectrum.flags.writeable = False
+    return de
 
 
 def de_moments_batch(X: np.ndarray, w_T: np.ndarray, de: DetEquiv, config: ModelConfig):

@@ -228,6 +228,47 @@ class TestSelectReference:
             sys.setswitchinterval(switch)
 
 
+class TestPointStreams:
+    """A test point's draws come from its own key: its row depends on nothing else of the run."""
+
+    CFG = ModelConfig(d=4, n=500, sigma=0.05, gamma=0.5)
+    # a T = 0 target (the sampler) and two shared ones (the draw matrix)
+    REWARDS = [RewardSpec.radial(3.0), RewardSpec.radial(0.0), RewardSpec.radial(-2.0)]
+    TEMPS = [0.0, 1e-3, 1e-2]
+
+    def run(self, n_outer, mode, threads=1, targets=(0, 1, 2)):
+        return delta_k_curve(self.CFG, [self.REWARDS[r] for r in targets], [self.TEMPS[r] for r in targets],
+                             [1, 3, 40], n_outer=n_outer, n_inner=6, seed=41, threads=threads, mode=mode).per_x
+
+    @pytest.mark.parametrize("mode", ["det_equiv", "exact_posterior"])
+    def test_rows_independent_of_n_outer_units_threads_and_targets(self, monkeypatch, mode):
+        base = self.run(70, mode)
+        np.testing.assert_array_equal(self.run(9, mode), base[:9])
+        for r in range(3):
+            np.testing.assert_array_equal(self.run(70, mode, targets=(r,))[:, 0], base[:, r])
+        for block, per_thread in ((1, 4), (16, 1), (64, 4)):  # work units of 1 to 64 points
+            monkeypatch.setattr(mc, "_BLOCK", block)
+            monkeypatch.setattr(mc, "_UNITS_PER_THREAD", per_thread)
+            for threads in (1, 2, 3):
+                assert self.run(70, mode, threads).tobytes() == base.tobytes()
+
+    def test_units_grow_with_the_work_and_leave_every_thread_several(self, monkeypatch):
+        units = []
+        run_cells = mc._softmax_cells
+
+        def spy(rngs, *args):
+            units.append(len(rngs))
+            return run_cells(rngs, *args)
+
+        monkeypatch.setattr(mc, "_softmax_cells", spy)
+        delta_k_curve(self.CFG, RewardSpec.radial(0.0), 1e-3, [1, 2, 4], n_outer=2000, n_inner=1, seed=3, threads=2)
+        # one-draw points are cheap: 2000 points make 8 units of 250, 4 per thread, not 125 of 16
+        assert units == [250] * 8
+        units.clear()
+        delta_k_curve(self.CFG, RewardSpec.radial(0.0), 1e-3, [1, 2, 4], n_outer=40, n_inner=1, seed=3, threads=2)
+        assert sorted(units) == [8, 16, 16]  # never below 16 points
+
+
 class TestScanWorkspace:
     """Each worker's workspace holds the softmax pass's large arrays, within _SCAN_ELEMS or one point."""
 

@@ -293,3 +293,27 @@ class TestNoiseVarianceCheck:
                 samples.append(xs @ omega @ rhs / cfg.sigma**2)
         var_emp = np.var(samples, ddof=1)
         assert abs(var_emp - predicted) < 0.10 * predicted
+
+
+class TestSolvedOncePerConfig:
+    @pytest.mark.parametrize("argv", [
+        ["sweep-k", "--k-grid", "1,3", "--c-grid", "0,1"],
+        ["bestofk-check", "--k-grid", "4,16"],
+        # per n, one solve and the two of scaling_derivatives' alpha +- h
+        ["tradeoff", "--n-grid", "300,3000", "--k-grid", "2"],
+    ])
+    def test_theory_columns_and_engine_share_one_solve(self, argv, tmp_path):
+        from itslab.cli import main as cli_main
+
+        solve_for_config.cache_clear()
+        flags = ["--d", "6", "--n", "300", "--sigma", "0.05", "--gamma", "0.5", "--n-outer", "4",
+                 "--n-inner", "3", "--out", str(tmp_path / "out.csv")]
+        with mock.patch.object(ridge, "_fixed_point", wraps=ridge._fixed_point) as solve:
+            assert cli_main(argv + flags) == 0
+        assert solve.call_count == (2 * 3 if argv[0] == "tradeoff" else 1)
+
+    def test_kept_solution_is_read_only(self):
+        de = solve_for_config(ModelConfig(d=6, n=300))
+        assert de is solve_for_config(ModelConfig(d=6, n=300))
+        with pytest.raises(ValueError):
+            de.spectrum[0] = 2.0

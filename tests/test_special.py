@@ -1,6 +1,7 @@
 """The numpy erfc, log Phi and logistic function against mpmath and scipy, and
-the T = 0 sampler's root solve: its Newton start, its step count and its roots
-against mpmath."""
+the T = 0 sampler's root solve: its Newton start, its step count, its roots
+against mpmath, and its short roots' series reversion against the Newton solve
+it replaced."""
 
 import math
 
@@ -11,7 +12,7 @@ import scipy.special as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from itslab import mc
+from itslab import _special, mc
 from itslab._special import erfc, expit, log_ndtr
 
 EPS = np.finfo(float).eps
@@ -159,3 +160,152 @@ def test_winner_distance_against_mpmath():
     assert worst[True] <= 1e-13, worst
     assert worst[False] <= 1e-12, worst
 
+
+
+# ---------------------------------------------------------------------------
+# The short root's reversion and the pieces of log Phi and erfc
+# ---------------------------------------------------------------------------
+
+
+def _reversion_coefficients(terms):
+    """b_1 .. b_terms of d = q (1 + sum_j b_j(w) q^{2j}), exactly, as coefficient lists in w.
+
+    Lagrange inversion of q = d C(d^2), C(v) = sum_m c_m(w) v^m: b_j is
+    [v^j] C(v)^-(2j+1) / (2j + 1). Series in v hold polynomials in w.
+    """
+    from fractions import Fraction as F
+
+    def poly_add(a, b):
+        n = max(len(a), len(b))
+        return [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
+
+    def poly_mul(a, b):
+        out = [F(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def series_mul(a, b):
+        out = [[F(0)] for _ in range(terms + 1)]
+        for i in range(terms + 1):
+            for j in range(terms + 1 - i):
+                out[i + j] = poly_add(out[i + j], poly_mul(a[i], b[j]))
+        return out
+
+    c = [[F(1)], [F(-1, 6), F(1, 6)]]  # c_m(w) = He_2m(A) / (2m+1)!, w = A^2
+    for m in range(1, terms):
+        shifted = poly_add([F(0)] + c[m], [-(4 * m + 1) * x for x in c[m]])
+        nxt = poly_add(shifted, [-F(2 * m - 1, 2 * m + 1) * x for x in c[m - 1]])
+        c.append([x / ((2 * m + 2) * (2 * m + 3)) for x in nxt])
+    inverse = [[F(1)]] + [[F(0)] for _ in range(terms)]  # 1 / C(v)
+    for j in range(1, terms + 1):
+        acc = [F(0)]
+        for t in range(1, j + 1):
+            acc = poly_add(acc, poly_mul(c[t], inverse[j - t]))
+        inverse[j] = [-x for x in acc]
+    square, power, b = series_mul(inverse, inverse), inverse, []
+    for j in range(1, terms + 1):
+        power = series_mul(power, square)  # C^-(2j+1)
+        b.append([x / (2 * j + 1) for x in power[j]][: j + 1])
+    return b
+
+
+def test_reversion_table_is_the_exact_reversion():
+    exact = _reversion_coefficients(len(mc._REVERSION))
+    assert [tuple(float(x) for x in row) for row in exact] == list(mc._REVERSION)
+    # d / q = 1 + sum_j b_j q^{2j} inverts G on a few points to rounding
+    A, d = 0.7, np.array([1e-3, 0.05, 0.1])
+    q = np.array([float(mpmath.quad(lambda t: mpmath.exp(-t * t / 2) * mpmath.cosh(A * t), [0, x])) for x in d])
+    np.testing.assert_allclose(mc._short_root(q, np.array(A)), d, rtol=1e-15, atol=0)
+
+
+def _newton_short_root(q, A):
+    """The short root as solved before the reversion: Newton's method from the sinh bound.
+
+    The oracle of ``itslab.mc._short_root``: the same terms of G, to He_16,
+    from asinh(A q) / A (q itself where A q < 1e-8).
+    """
+    w = A * A
+    c = np.empty((mc._SERIES_TERMS,) + w.shape)
+    c[0], c[1] = 1.0, (w - 1.0) / 6.0
+    for m in range(1, mc._SERIES_TERMS - 1):
+        c[m + 1] = ((w - (4 * m + 1)) * c[m] - (2 * m - 1) / (2 * m + 1) * c[m - 1]) / ((2 * m + 2) * (2 * m + 3))
+    y = A * q
+    d = np.divide(np.arcsinh(y), A, out=q.copy(), where=y >= 1e-8)
+    moving = q > 0
+    for _ in range(50):
+        if not moving.any():
+            break
+        v = d * d
+        G = c[-1] * v  # by Horner's rule
+        for c_m in c[-2:0:-1]:
+            G = (G + c_m) * v
+        G = (G + c[0]) * d
+        step = (q - G) / (np.exp(-0.5 * v) * np.cosh(A * d))
+        d = np.where(moving, d + step, d)
+        moving &= np.abs(step) > 1e-8 * d
+    return d
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    A=st.one_of(st.floats(0.0, 2.0), st.floats(2.0, 40.0), st.floats(40.0, 1e3), st.just(0.0)),
+    t=st.lists(st.one_of(st.floats(0.0, 1.0), st.floats(0.9, 1.1).map(lambda f: f * mc._REVERSION_CUT ** 0.5 / 0.5),
+                         st.floats(1e-300, 1e-3)), min_size=1, max_size=40),
+)
+def test_short_root_matches_the_newton_solve(A, t):
+    # t spans the domain q max(1, A) <= 1/2, and 0.9 to 1.1 times the cut
+    q = np.minimum(np.array(t), 1.0) * 0.5 / max(1.0, A)
+    A = np.array([A])
+    new, old = mc._short_root(q, A), _newton_short_root(q, A)
+    np.testing.assert_allclose(new, old, rtol=1e-15, atol=0)
+
+
+def _whole_array_erfc(z):
+    """erfc with every rational on every element, as before the pieces: their oracle."""
+    z = np.asarray(z, dtype=float).ravel()
+    zc = np.clip(z, -0.5, 0.5)
+    out = 1.0 - 2.0 * (zc * _special._ratio(_special._ERF_SMALL, zc * zc))
+    tail = np.flatnonzero(zc != z)
+    zt = z[tail]
+    upper = _whole_array_erfcx(np.abs(zt)) * _special._exp_neg_square(zt, 1.0)
+    out[tail] = np.where(zt < 0, 2.0 - upper, upper)
+    return out
+
+
+def _whole_array_erfcx(z):
+    out = _special._ratio(_special._ERFCX_MID, np.minimum(z, 4.0))
+    far = np.flatnonzero(z > 4.0)
+    with np.errstate(over="ignore"):
+        w = 1.0 / (z[far] * z[far])
+    out[far] = (1.0 / math.sqrt(math.pi) + w * _special._ratio(_special._ERFCX_LARGE, w)) / z[far]
+    return out
+
+
+def _whole_array_log_ndtr(x):
+    x = np.asarray(x, dtype=float).ravel()
+    z = x * math.sqrt(0.5)
+    zc = np.clip(z, -0.5, 0.5)
+    out = np.log1p(zc * _special._ratio(_special._ERF_SMALL, zc * zc) - 0.5)
+    tail = np.flatnonzero(zc != z)
+    xt = x[tail]
+    half = 0.5 * _whole_array_erfcx(np.abs(z[tail]))
+    with np.errstate(over="ignore", divide="ignore"):
+        out[tail] = np.log(half) - 0.5 * xt * xt
+    upper = xt > 0
+    out[tail[upper]] = np.log1p(-half[upper] * _special._exp_neg_square(xt[upper], 0.5))
+    return out
+
+
+_WIDE = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.floats(-8.0, 8.0), st.floats(-60.0, 40.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_WIDE, min_size=0, max_size=80), scale=st.sampled_from([1.0, 3.0, 20.0]))
+def test_pieces_equal_every_rational_on_every_element(values, scale):
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.array(values, dtype=float).reshape(-1) * scale
+        want = _whole_array_log_ndtr(x), _whole_array_erfc(x)
+    assert log_ndtr(x).tobytes() == want[0].tobytes()  # and without a warning
+    assert erfc(x).tobytes() == want[1].tobytes()
