@@ -108,7 +108,8 @@ _REVERSION = (
      232106738914571/1448155957248000, -125171958302381/1126343522304000,
      576201344573/12014330904576, -12155/1245184),
 )
-_REVERSION_COEF = np.array([row + (0.0,) * (len(_REVERSION) + 1 - len(row)) for row in _REVERSION]).T
+# b_1 .. b_8's coefficients by power of A^2, the terms every short root takes; b_9 gives their bound
+_REVERSION_COEF = np.array([row + (0.0,) * (len(_REVERSION) - len(row)) for row in _REVERSION[:-1]]).T
 _REVERSION_BOUND = [sum(map(abs, row)) for row in _REVERSION]
 _ROUNDING = 2.0**-55  # the largest omitted term of a short root's series, relative to the root
 _REVERSION_CUT = (_ROUNDING / _REVERSION_BOUND[-1]) ** (1 / len(_REVERSION))  # r where B_9 r^9 = 2^-55
@@ -298,32 +299,30 @@ def _short_root(q: np.ndarray, A: np.ndarray) -> np.ndarray:
     G'(d) = e^{-d^2/2} cosh(A d). Its reversion is
     d = q (1 + sum_j b_j(A^2) q^{2j}), b_1 = -c_1, b_2 = 3 c_1^2 - c_2, ...
     (``_REVERSION``), and |b_j(A^2) q^{2j}| <= B_j r^j with r = q^2 max(1, A^2)
-    <= 1/4 and B_j the sum of b_j's absolute coefficients. A call takes the
-    fewest terms whose first omitted one is below 2^-55 at its largest r, at
-    most 8; elements past that cut with 8 terms are solved by Newton's method
-    on the terms of G to He_16 (at most 3e-15 of the root here, d <= 0.523
-    and A d <= 0.55), from the series less 4 B_9 r^9, a bound on the omitted
-    terms, so from below. A step of relative size s leaves an error below
-    0.15 s^2, so an element stops after a step below 1e-8 of its root.
+    <= 1/4 and B_j the sum of b_j's absolute coefficients. Every element
+    takes the 8 terms b_1 .. b_8, whose first omitted one is below 2^-55 of
+    the root up to r = _REVERSION_CUT; elements past that cut are solved by
+    Newton's method on the terms of G to He_16 (at most 3e-15 of the root
+    here, d <= 0.523 and A d <= 0.55), from the series less 4 B_9 r^9, a
+    bound on the omitted terms, so from below. A step of relative size s
+    leaves an error below 0.15 s^2, so an element stops after a step below
+    1e-8 of its root. Each element's root depends on its own (q, A) only.
     """
     w = A * A
     Q = q * q
-    r = Q * np.maximum(w, 1.0)
-    r_max = float(r.max(initial=0.0))
-    terms = next((j for j in range(len(_REVERSION)) if _REVERSION_BOUND[j] * r_max ** (j + 1) <= _ROUNDING),
-                 len(_REVERSION) - 1)
-    b = np.zeros(w.shape + (terms,))  # b[..., j - 1] = b_j(w), by Horner's rule in w
-    for coef in _REVERSION_COEF[terms::-1, :terms]:
+    b = np.zeros(w.shape + (len(_REVERSION) - 1,))  # b[..., j - 1] = b_j(w), by Horner's rule in w
+    for coef in _REVERSION_COEF[::-1]:
         b *= w[..., None]
         b += coef
     d = np.zeros(np.broadcast_shapes(Q.shape, w.shape))  # d / q - 1, by Horner's rule in Q
-    for j in range(terms - 1, -1, -1):
+    for j in range(len(_REVERSION) - 2, -1, -1):
         d += b[..., j]
         d *= Q
     d += 1.0
     d *= q
-    if r_max > _REVERSION_CUT:  # all 8 terms, and elements past the cut
-        past = r > _REVERSION_CUT
+    r = Q * np.maximum(w, 1.0)
+    past = r > _REVERSION_CUT
+    if past.any():
         qp, Ap, rp = np.broadcast_to(q, d.shape)[past], np.broadcast_to(A, d.shape)[past], r[past]
         d[past] = _newton_short_root(qp, Ap, d[past] - 4.0 * qp * _REVERSION_BOUND[-1] * rp ** len(_REVERSION))
     return d

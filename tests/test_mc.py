@@ -252,6 +252,18 @@ class TestPointStreams:
             for threads in (1, 2, 3):
                 assert self.run(70, mode, threads).tobytes() == base.tobytes()
 
+    def test_large_blocks_rows_independent_of_units_and_threads(self):
+        # blocks of up to 99000 candidates, whose short roots lie far below the cut next to
+        # those of 3-candidate blocks, solved in units of 50 points (1 thread), 25 (2 threads)
+        # and 16 (40 points)
+        def run(n_outer, threads):
+            return delta_k_curve(self.CFG, self.REWARDS[1], 0.0, [3, 30, 1000, 100000], n_outer=n_outer, n_inner=200,
+                                 seed=41, threads=threads, mode="det_equiv").per_x
+
+        base = run(200, 1)
+        assert run(200, 2).tobytes() == base.tobytes()
+        assert run(40, 1).tobytes() == base[:40].tobytes()
+
     def test_units_grow_with_the_work_and_leave_every_thread_several(self, monkeypatch):
         units = []
         run_cells = mc._softmax_cells

@@ -262,6 +262,18 @@ def test_short_root_matches_the_newton_solve(A, t):
     np.testing.assert_allclose(new, old, rtol=1e-15, atol=0)
 
 
+
+def test_short_root_of_a_row_ignores_the_other_rows():
+    # rows of short roots at 1e-6 to 1e-2, each alone and stacked with the others and a
+    # row near the cut: every element takes the same terms wherever it is solved
+    rng = np.random.default_rng(0)
+    q = rng.random((100, 200)) * 10.0 ** rng.uniform(-6.0, -2.0, (100, 1))
+    A = rng.uniform(0.0, 3.0, (100, 1))
+    together = mc._short_root(np.vstack([q, np.full((1, 200), 0.3)]), np.vstack([A, [[0.5]]]))
+    for row in range(len(q)):
+        alone = mc._short_root(q[row : row + 1], A[row : row + 1])
+        assert alone.tobytes() == together[row : row + 1].tobytes()
+
 def _whole_array_erfc(z):
     """erfc with every rational on every element, as before the pieces: their oracle."""
     z = np.asarray(z, dtype=float).ravel()
