@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -134,6 +135,85 @@ def test_default_grids_byte_identical_within_one_process(sub, tmp_path):
     for out in outs:
         assert run(argv + ["--out", str(out)]) == 0
     assert read_bytes(outs[0]) == read_bytes(outs[1])
+
+
+_MC4 = ["--n-outer", "4", "--n-inner", "4"]
+
+
+def _alpha(value):
+    return (f"alpha = d/n = {value} >= 1: the deterministic equivalent assumes alpha < 1, "
+            "so det_equiv values here are extrapolated")
+
+
+_SERIES_T = "series evaluated at t = {} < 5.0; the dropped remainder may not be negligible"
+_DERIVATIVES = "n = {}: sigma^2 d - 2 u^T Cov u <= 0: outside the formula's domain"
+
+# argv at the default config, every warning it prints (in order, without the
+# "itslab: warning: " prefix) and the first 16 hex digits of its CSV's SHA-256
+_WARNED_RUNS = {
+    # the series' accuracy warning comes before the first domain error, though k = 2 fails first
+    "sweep_k_order": (["sweep-k", "--d", "2", "--n", "20", "--T-sigma2", "1e-6", "--k-grid", "2,3",
+                       *_MC4],
+                      [_SERIES_T.format("4.5e-07"),
+                       "the high-temperature series is -19.156139367653807 < 0 at T = 1e-14, k = 2"],
+                      "a02792daf881cadb"),
+    "sweep_k_alpha": (["sweep-k", "--d", "20", "--n", "10", "--k-grid", "1,4", *_MC4],
+                      [_alpha(2), _SERIES_T.format("0.192"),
+                       "the high-temperature series is -24.536275962535058 < 0 at T = 2e-07, k = 4"],
+                      "e0bd2669011dc35d"),
+    "sweep_k_no_series": (["sweep-k", "--T", "1e-300", "--k-grid", "1,4", "--c-grid", "0,2", *_MC4],
+                          ["the high-temperature series has no value at T = 1e-300: "
+                           "float division by zero"],
+                          "248b85d6c4130e0d"),
+    "sweep_t_alpha": (["sweep-t", "--d", "20", "--n", "10", "--k", "2", "--t-grid-sigma2", "2,20",
+                       *_MC4],
+                      [_alpha(2), "k must be > 2, got 2"],
+                      "90c738870f28d1ce"),
+    # a repeated n repeats its warnings
+    "tradeoff_repeat": (["tradeoff", "--n-grid", "5,8,5", "--k-grid", "1,4", *_MC4],
+                        [_alpha(2), _DERIVATIVES.format(5), _alpha(1.25), _DERIVATIVES.format(8),
+                         _alpha(2), _DERIVATIVES.format(5)],
+                        "92c4b352bb8d3517"),
+    "bestofk_alpha": (["bestofk-check", "--d", "20", "--n", "10", "--k-grid", "1,10", *_MC4],
+                      [_alpha(2),
+                       "2 u^T Cov u / (sigma^2 d) = 169030842.3488 >= 1: outside the closed form's domain",
+                       "c_k = (pi / 2 k^2) e^lambda leaves the float range at lambda = 1.62648e+06"],
+                      "aa698e662c442400"),
+    "bestofk_sigma0": (["bestofk-check", "--sigma", "0", "--mode", "de", "--k-grid", "1,10", *_MC4],
+                       ["the averaged predictive variance is 0.0; the series needs s2 > 0"],
+                       "2294e2a3ae80c6ce"),
+    # one clean run per subcommand
+    "ridge": (["ridge"], [], "6c80389681fea10a"),
+    "sweep-k": (["sweep-k", "--k-grid", "1,4", *_MC4], [], "d84a1355da755fd7"),
+    "sweep-t": (["sweep-t", "--k", "4", "--t-grid-sigma2", "5,50", *_MC4], [], "6d6ba4f57c4385c9"),
+    "sweep-c": (["sweep-c", "--k", "4", "--c-grid", "1,10", *_MC4], [], "e8be47ae326784f5"),
+    "polar-map": (["polar-map", "--d", "2", "--n", "100", "--k-grid", "1,2,3,4", "--c-grid", "1e-3",
+                   "--theta-grid", "0,1", *_MC4], [], "c514b18c701ec4eb"),
+    "tradeoff": (["tradeoff", "--n-grid", "10000,20000", "--k-grid", "2,4", *_MC4], [],
+                 "712fc0a1d34820c4"),
+    "bestofk-check": (["bestofk-check", "--k-grid", "100,1000", *_MC4], [], "0be9af48f8b69202"),
+    "judge": (["judge", "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"], [],
+              "65658b20fb508fd2"),
+}
+
+
+def _run_warned(name, tmp_path):
+    """Run ``_WARNED_RUNS[name]``; returns its expected warnings, its CSV digest and its output path."""
+    argv, warned, digest = _WARNED_RUNS[name]
+    if name == "judge":
+        rec = write_records(tmp_path / "r.jsonl",
+                            record_rows(trap_judge_questions(np.random.default_rng(0), 5, 4)))
+        argv = argv + ["--records", str(rec)]
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    return warned, digest, out
+
+
+@pytest.mark.parametrize("name", sorted(_WARNED_RUNS))
+def test_warnings_and_csv_bytes_are_pinned(name, tmp_path, capsys):
+    warned, digest, out = _run_warned(name, tmp_path)
+    assert capsys.readouterr().err.splitlines() == [f"itslab: warning: {w}" for w in warned]
+    assert hashlib.sha256(read_bytes(out)).hexdigest()[:16] == digest
 
 
 class TestSubcommands:
