@@ -86,7 +86,7 @@ def write_csv(path, header, rows):
     return path
 
 
-def _write_manifest(path, subcommand, config, args, wall_time):
+def _write_manifest(path, subcommand, config, args, wall_time, warned):
     manifest = {
         "subcommand": subcommand,
         "config": dataclasses.asdict(config) if config is not None else {},
@@ -95,6 +95,7 @@ def _write_manifest(path, subcommand, config, args, wall_time):
         "version": __version__,
         "output": str(path),
         "wall_time_s": wall_time,
+        "warnings": warned,
     }
     Path(str(path) + ".manifest.json").write_text(json.dumps(manifest, indent=2, default=_json_value) + "\n")
 
@@ -198,7 +199,38 @@ def build_config(args, parser) -> ModelConfig:
     return config
 
 
-def _mc_args(args, parser, config):
+class _ClosedForms:
+    """Every closed-form cell of a run, and the ``itslab: warning:`` lines they print."""
+
+    def __init__(self):
+        self.printed = []  # every warning line, for the manifest
+        self._kept = {}  # label -> [first accuracy warning, first domain error], in first-call order
+
+    def value(self, label, form, *args):
+        """``form(*args)``, or None where it raises ValueError: the formula has left its domain."""
+        kept = self._kept.setdefault(label, [None, None])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", SeriesAccuracyWarning)
+            try:
+                value = form(*args)
+            except ValueError as exc:
+                value, kept[1] = None, kept[1] or str(exc)
+        for w in caught:  # an accuracy warning is kept from a call that returns; others pass on
+            if not issubclass(w.category, SeriesAccuracyWarning):
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+            elif value is not None:
+                kept[0] = kept[0] or str(w.message)
+        return value
+
+    def flush(self, prefix="") -> None:
+        """Print what is kept, each label's accuracy warning before its error, and forget it."""
+        for message in (m for kept in self._kept.values() for m in kept if m):
+            print(f"itslab: warning: {prefix}{message}", file=sys.stderr)
+            self.printed.append(prefix + message)
+        self._kept.clear()
+
+
+def _mc_args(args, parser, config, forms):
     """The engine mode and the keyword arguments every Monte Carlo sweep passes.
 
     ``config`` is the configuration the sweep runs at; tradeoff, which runs
@@ -208,16 +240,17 @@ def _mc_args(args, parser, config):
         parser.error("--n-datasets applies to --mode exact only (det_equiv has no training sets)")
     mode = _MODE_ALIASES[args.mode]
     if config is not None:
-        _check_de_regime(config, mode)
+        forms.value("det_equiv", _check_de_regime, config, mode)
+        forms.flush()  # before the run
     return mode, dict(n_outer=args.n_outer, n_inner=args.n_inner, mode=mode, seed=args.seed,
                       threads=args.threads, n_datasets=args.n_datasets)
 
 
 def _check_de_regime(config, mode) -> None:
-    """Warn when det_equiv mode runs at alpha = d/n >= 1, outside the regime of ridge.py."""
+    """ValueError where det_equiv mode runs at alpha = d/n >= 1, outside the regime of ridge.py."""
     if mode == "det_equiv" and config.n > 0 and config.alpha >= 1:
-        _warn(f"alpha = d/n = {config.alpha:g} >= 1: the deterministic equivalent assumes "
-              "alpha < 1, so det_equiv values here are extrapolated")
+        raise ValueError(f"alpha = d/n = {config.alpha:g} >= 1: the deterministic equivalent assumes "
+                         "alpha < 1, so det_equiv values here are extrapolated")
 
 
 def _temperature(args, config) -> float:
@@ -250,7 +283,7 @@ def _sweep_row(config, mode, seed, c, k, T, delta, stderr=0.0, n_outer=0, n_inne
 # ---------------------------------------------------------------------------
 
 
-def cmd_ridge(args, parser):
+def cmd_ridge(args, forms, parser):
     config = build_config(args, parser)
     de = solve_for_config(config)
     nv = noise_variance_check(de, config.sigma)
@@ -261,70 +294,50 @@ def cmd_ridge(args, parser):
     return config, list(row), [row]
 
 
-def _warn(message) -> None:
-    print(f"itslab: warning: {message}", file=sys.stderr)
-
-
 def _series_value(st, T, k):
-    """The high-temperature series of terms ``st`` at (T, k) and its accuracy warnings.
+    """The high-temperature series of terms ``st`` at (T, k).
 
     ValueError where the series has no finite value, or a negative one: a
     squared error below 0 lies outside the series' domain.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", SeriesAccuracyWarning)
-        try:
-            value = high_t_delta_x(st, int(k))
-        except ArithmeticError as exc:  # t**l leaves the float range at extreme T
-            raise ValueError(f"the high-temperature series has no value at T = {T!r}: {exc}") from exc
+    try:
+        value = high_t_delta_x(st, int(k))
+    except ArithmeticError as exc:  # t**l leaves the float range at extreme T
+        raise ValueError(f"the high-temperature series has no value at T = {T!r}: {exc}") from exc
     if not math.isfinite(value):
         raise ValueError(f"the high-temperature series is {value} at T = {T!r}")
     if value < 0:
         raise ValueError(f"the high-temperature series is {value!r} < 0 at T = {T!r}, k = {k}")
-    return value, [str(w.message) for w in caught if issubclass(w.category, SeriesAccuracyWarning)]
+    return value
 
 
-def cmd_sweep_k(args, parser):
+def cmd_sweep_k(args, forms, parser):
     config = build_config(args, parser)
-    mode, mc = _mc_args(args, parser, config)
+    mode, mc = _mc_args(args, parser, config, forms)
     T = _temperature(args, config)
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
     rewards = [RewardSpec.radial(float(c)) for c in args.c_grid]
     res = delta_k_curve(config, rewards, T, args.k_grid, **mc)
     rows = []
-    theory_error, accuracy = None, []
     for r, c in enumerate(args.c_grid):
         terms = None
         if T > 0 and de:  # the series has no T = 0 limit, and no fixed point exists at n = 0
-            w_R = resolve_reward(rewards[r], w_T, de.R, config.S)
-            try:  # the terms depend on c, not on k
-                terms = SeriesTerms.from_radial_average(config, de, w_T, w_R, T)
-            except ValueError as exc:  # outside the series' domain: leave c's cells empty
-                theory_error = theory_error or exc
+            w_R = resolve_reward(rewards[r], w_T, de.R, config.S)  # the terms depend on c, not on k
+            terms = forms.value("theory_highT", SeriesTerms.from_radial_average, config, de, w_T, w_R, T)
         for g, k in enumerate(args.k_grid):
-            series = None
-            if terms is not None:
-                try:
-                    series, caught = _series_value(terms, T, k)
-                    accuracy = accuracy or caught
-                except ValueError as exc:  # outside the series' domain: leave the cell empty
-                    theory_error = theory_error or exc
+            series = None if terms is None else forms.value("theory_highT", _series_value, terms, T, k)
             rows.append(_sweep_row(config, mode, args.seed, float(c), int(k), T, res.mean[r, g],
                                    res.stderr[r, g], res.n_outer, args.n_inner, theory_highT=series))
             if series is not None:
                 rows.append(_sweep_row(config, "theory_highT", args.seed, float(c), int(k), T,
                                        series, theory_highT=series))
-    if accuracy:  # t = T / (2 s2) does not depend on c or k, so one message per run
-        _warn(accuracy[0])
-    if theory_error is not None:
-        _warn(theory_error)
     return config, SWEEP_SCHEMA + ["theory_highT"], rows
 
 
-def cmd_sweep_t(args, parser):
+def cmd_sweep_t(args, forms, parser):
     config = build_config(args, parser)
-    mode, mc = _mc_args(args, parser, config)
+    mode, mc = _mc_args(args, parser, config, forms)
     if args.t_grid is not None:
         T_grid = np.asarray(args.t_grid, dtype=float)
     else:
@@ -336,11 +349,9 @@ def cmd_sweep_t(args, parser):
     w_R = resolve_reward(RewardSpec.radial(args.c), w_T, de.R if de else 0.0, config.S)
     t_opt = None
     if de:  # the series needs the ridge fixed point, which n = 0 lacks
-        try:
-            st = SeriesTerms.from_radial_average(config, de, w_T, w_R, 1.0)
-            t_opt = optimal_temperature(st.delta_T, st.delta_R, st.s2, args.k)
-        except ValueError as exc:  # outside the formula's domain: leave the column empty
-            _warn(exc)
+        st = forms.value("theory_T_opt", SeriesTerms.from_radial_average, config, de, w_T, w_R, 1.0)
+        if st is not None:
+            t_opt = forms.value("theory_T_opt", optimal_temperature, st.delta_T, st.delta_R, st.s2, args.k)
     rows = [
         _sweep_row(config, mode, args.seed, args.c, args.k, float(T), res.mean[g], res.stderr[g],
                    res.n_outer, args.n_inner, theory_T_opt=t_opt)
@@ -349,9 +360,9 @@ def cmd_sweep_t(args, parser):
     return config, SWEEP_SCHEMA + ["theory_T_opt"], rows
 
 
-def cmd_sweep_c(args, parser):
+def cmd_sweep_c(args, forms, parser):
     config = build_config(args, parser)
-    mode, mc = _mc_args(args, parser, config)
+    mode, mc = _mc_args(args, parser, config, forms)
     T = _temperature(args, config)
     res = delta_c_curve(config, args.c_grid, T, args.k, **mc)
     rows = [
@@ -362,11 +373,11 @@ def cmd_sweep_c(args, parser):
     return config, SWEEP_SCHEMA, rows
 
 
-def cmd_polar_map(args, parser):
+def cmd_polar_map(args, forms, parser):
     config = build_config(args, parser)
     if config.d != 2:
         parser.error("polar-map requires d = 2")
-    mode, mc = _mc_args(args, parser, config)
+    mode, mc = _mc_args(args, parser, config, forms)
     T = _temperature(args, config)
     cells = [(float(c), float(theta)) for c in args.c_grid for theta in args.theta_grid]
     rewards = [RewardSpec.polar(c, theta) for c, theta in cells]
@@ -385,24 +396,23 @@ def cmd_polar_map(args, parser):
     return config, header, rows
 
 
-def cmd_tradeoff(args, parser):
+def cmd_tradeoff(args, forms, parser):
     base = build_config(args, parser)
-    mode, mc = _mc_args(args, parser, None)
+    mode, mc = _mc_args(args, parser, None, forms)
     T_high = _times_sigma2(args.t_high_sigma2, base, "--t-high-sigma2")
     rows = []
     for n in args.n_grid:
         config = dataclasses.replace(base, n=int(n))
-        _check_de_regime(config, mode)
+        forms.value("det_equiv", _check_de_regime, config, mode)
+        forms.flush()
         theory = dict(dlogk=None, dlogn=None, dlogn_closed_form=None)
         if config.n > 0:  # the derivatives need the ridge fixed point, which n = 0 lacks
             de = solve_for_config(config)
             w_T = sample_teacher(config, stream(args.seed, "teacher"))
-            try:
-                sd = scaling_derivatives(config, de, w_T)
-                theory = dict(dlogk=sd.dlogk, dlogn=sd.dlogn,
-                              dlogn_closed_form=dlogn_flat_prior(config, w_T))
-            except ValueError as exc:  # outside the formula's domain: empty, as at n = 0
-                _warn(f"n = {config.n_text}: {exc}")
+            sd = forms.value("dlogn", scaling_derivatives, config, de, w_T)
+            if sd is not None:  # else empty, as at n = 0
+                theory = dict(dlogk=sd.dlogk, dlogn=sd.dlogn, dlogn_closed_form=dlogn_flat_prior(config, w_T))
+            forms.flush(f"n = {config.n_text}: ")
         # the T = 0 and T_high rows are two targets of one call
         res = delta_k_curve(config, [RewardSpec.radial(0.0)] * 2, [0.0, T_high], args.k_grid, **mc)
         for r, T in enumerate((0.0, T_high)):
@@ -412,34 +422,24 @@ def cmd_tradeoff(args, parser):
     return base, SWEEP_SCHEMA + ["dlogk", "dlogn", "dlogn_closed_form"], rows
 
 
-def cmd_bestofk_check(args, parser):
+def cmd_bestofk_check(args, forms, parser):
     config = build_config(args, parser)
-    mode, mc = _mc_args(args, parser, config)
+    mode, mc = _mc_args(args, parser, config, forms)
     de = solve_for_config(config) if config.n > 0 else None
     w_T = sample_teacher(config, stream(args.seed, "teacher"))
     res = delta_k_curve(config, RewardSpec.radial(0.0), 0.0, args.k_grid, **mc)
-    forms = {}  # the closed forms' values at k, by row label; none without the fixed point
-    if de:
-        try:
-            # aligned reward: the series terms reduce to the teacher deviation alone
-            st = SeriesTerms.from_radial_average(config, de, w_T, w_T, 1.0)
-            lam_rms = st.delta_T**2 / st.s2
-            forms = {
-                "theory_refined": lambda k: refined_best_of_k_delta(config, de, w_T, k).value,
-                # extreme-value route: mean of the scaled minimum is 2 c_k
-                "theory_bestofk": lambda k: st.s2 * 2.0 * weibull_norming(lam_rms, k),
-            }
-        except ValueError as exc:  # zero predictive variance: no closed form applies
-            _warn(exc)
-    errors = {}  # the first message per closed form
+    at_k = {}  # the closed forms at k, by row label; none without the series terms
+    # aligned reward: the series terms reduce to the teacher deviation alone
+    st = forms.value("series_terms", SeriesTerms.from_radial_average, config, de, w_T, w_T, 1.0) if de else None
+    if st is not None:  # else n = 0 or zero predictive variance: no closed form applies
+        at_k = {
+            "theory_refined": lambda k: refined_best_of_k_delta(config, de, w_T, k).value,
+            # extreme-value route: mean of the scaled minimum is 2 c_k
+            "theory_bestofk": lambda k: st.s2 * 2.0 * weibull_norming(st.delta_T**2 / st.s2, k),
+        }
     rows = []
     for g, k in enumerate(args.k_grid):
-        theories = {}
-        for label, form in forms.items():
-            try:
-                theories[label] = form(int(k))
-            except ValueError as exc:  # outside the formula's domain: leave it empty
-                errors.setdefault(label, exc)
+        theories = {label: forms.value(label, form, int(k)) for label, form in at_k.items()}
         refined = theories.get("theory_refined")
         rows.append(_sweep_row(config, mode, args.seed, 0.0, int(k), 0.0, res.mean[g],
                                res.stderr[g], res.n_outer, args.n_inner,
@@ -447,15 +447,12 @@ def cmd_bestofk_check(args, parser):
         rows += [
             _sweep_row(config, label, args.seed, 0.0, int(k), 0.0, value,
                        k2_delta=float(k) ** 2 * value, asymptote=refined)
-            for label, value in theories.items()
+            for label, value in theories.items() if value is not None
         ]
-    for label in forms:  # refined first, as in the rows
-        if label in errors:
-            _warn(errors[label])
     return config, SWEEP_SCHEMA + ["k2_delta", "asymptote"], rows
 
 
-def cmd_judge(args, parser):
+def cmd_judge(args, forms, parser):
     if not args.records:
         parser.error("at least one --records file is required")
     header = ["source", "k", "T", "delta", "stderr", "n_questions_used", "n_resample", "seed"]
@@ -541,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-grid", type=parse_grid, default=parse_grid("lin:0,5.497787143782138,8"),
                    dest="theta_grid", help="angle grid in radians (default 8 points over [0, 2 pi))")
     _add_temperature_flags(p)
-    p.add_argument("--z-gate", type=finite_float, default=3.0, dest="z_gate",
+    p.add_argument("--z-gate", type=nonnegative(finite_float), default=3.0, dest="z_gate",
                    help="paired-stderr multiple for the non-monotonicity gate")
 
     p = add("tradeoff", cmd_tradeoff, "delta over an (n, k) grid with compute trade-off derivatives")
@@ -567,14 +564,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    forms = _ClosedForms()
     try:
-        config, header, rows = args.func(args)
+        config, header, rows = args.func(args, forms)
+        forms.flush()
         out = args.out or args.default_out
         if out is None:  # ridge without --out: the CSV goes to stdout, with no manifest
             sys.stdout.write(_csv_text(header, rows))
         else:
             path = write_csv(_resolve_out(out), header, rows)
-            _write_manifest(path, args.subcommand, config, args, time.perf_counter() - t0)
+            _write_manifest(path, args.subcommand, config, args, time.perf_counter() - t0, forms.printed)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"itslab: error: {exc}", file=sys.stderr)
         return 1

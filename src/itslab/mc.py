@@ -83,6 +83,9 @@ _BLOCK = 16  # fewest test points per work unit
 _UNITS_PER_THREAD = 4  # work units per thread, unless that leaves them below _BLOCK points
 _MAX_ELEMS = 1 << 23  # cap on draws held in memory at once (per work unit)
 _SCAN_ELEMS = 1 << 19  # cap on the values one batch of test points holds: 4 MB per worker
+# largest |mu_R - m| / s a run accepts: past it, rounding in y - mu_R costs more than
+# about 5e-7 of a draw's offset from the predictive mean
+_MAX_REWARD_OFFSET = 2.0**32
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _NEWTON_STEPS = 50  # cap only: the root solve converges in at most a handful
 _SERIES_TERMS = 9  # He_0 to He_16 in the short-root series of F
@@ -482,13 +485,22 @@ def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
         else:
             m, s2 = de_moments_batch(X, w_T, de, config)
             w_T_j, W_R_j = w_T, W_R
+        s = np.sqrt(s2)
+        mu_R = np.stack([X @ w_R / sqrt_d for w_R in W_R_j], axis=1)
+        # the reward's offset in predictive standard deviations; s = 0 points have none
+        offset = np.abs(mu_R - m[:, None]) / np.where(s > 0, s, np.inf)[:, None]
+        if np.any(offset > _MAX_REWARD_OFFSET):
+            raise ValueError(
+                f"the reward target lies up to {np.nanmax(offset):.3g} predictive standard deviations "
+                "from the predictive mean, past 2^32: rounding in y - mu_R would wipe out the draws"
+            )
         return _Context(
             dataset_index=j,
             keys=stream_keys(seed, "inference", j, count=n_outer),
             m=m,
-            s=np.sqrt(s2),
+            s=s,
             mu_T=X @ w_T_j / sqrt_d,
-            mu_R=np.stack([X @ w_R / sqrt_d for w_R in W_R_j], axis=1),
+            mu_R=mu_R,
         )
 
     return [partial(context, j) for j in range(n_datasets)]

@@ -216,6 +216,76 @@ def test_warnings_and_csv_bytes_are_pinned(name, tmp_path, capsys):
     assert hashlib.sha256(read_bytes(out)).hexdigest()[:16] == digest
 
 
+@pytest.mark.parametrize("name", sorted(_WARNED_RUNS))
+def test_manifest_lists_every_warning_printed(name, tmp_path, capsys):
+    warned, _, out = _run_warned(name, tmp_path)
+    printed = [line.removeprefix("itslab: warning: ") for line in capsys.readouterr().err.splitlines()]
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["warnings"] == printed == warned
+
+
+def test_warned_run_that_exits_1_writes_no_manifest(tmp_path, capsys):
+    # the alpha >= 1 warning is printed before the engine refuses the run
+    assert run(["sweep-k", "--d", "20", "--n", "10", "--T", "0", "--c-grid", "0,1e100", "--k-grid", "1,4",
+                *_MC4, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == f"itslab: warning: {_alpha(2)}"
+    assert err[1].startswith("itslab: error: the reward target lies up to ")
+    assert list(tmp_path.iterdir()) == []
+
+
+_FIG = ["--n-outer", "50", "--n-inner", "50"]
+
+
+class TestRewardOffset:
+    """A reward target past 2**32 predictive standard deviations is refused, not rounded away."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-k", "--T", "0", "--c-grid", "0,1e100", "--k-grid", "1,4", *_FIG],
+        ["sweep-k", "--T", "0", "--c-grid", "0,1e100", "--k-grid", "1,4", *_MC4],
+        ["sweep-k", "--mode", "exact", "--d", "10", "--n", "100", "--T", "0", "--c-grid", "0,1e100",
+         "--k-grid", "1,4", *_FIG],
+        ["sweep-c", "--T", "0", "--k", "4", "--c-grid", "1,1e100", *_FIG],
+        ["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1e100", "--k-grid", "1,4", *_FIG],
+        ["sweep-k", "--mode", "exact", "--d", "10", "--n", "100", "--T-sigma2", "20",
+         "--c-grid", "0,1e100", "--k-grid", "1,4", *_FIG],
+        # past 1e160 the T = 0 root solve divided by zero
+        ["sweep-k", "--T", "0", "--c-grid", "0,1e160", "--k-grid", "1,4", *_FIG],
+        # the first c whose k = 1 cell drifted
+        ["sweep-k", "--T", "0", "--c-grid", "1e16", "--k-grid", "1,4", *_FIG],
+    ], ids=["de_T0", "de_T0_small", "exact_T0", "sweep_c_T0", "de_hot", "exact_hot", "de_T0_1e160",
+            "de_T0_1e16"])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_far_reward_exits_1(self, argv, threads, tmp_path, capsys):
+        # pytest turns any numpy RuntimeWarning into an error, so none is raised on the way
+        assert run(argv + ["--threads", threads, "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("itslab: error: the reward target lies up to ")
+        assert err[0].endswith(" predictive standard deviations from the predictive mean, past 2^32: "
+                               "rounding in y - mu_R would wipe out the draws")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["sweep-k", "--T", "0", "--c-grid", "0,1e6", "--k-grid", "1,4"], "ba482e2b3b7209b4"),
+        (["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1e6", "--k-grid", "1,4"], "91dff59a30c1149f"),
+        (["sweep-k", "--mode", "exact", "--d", "10", "--n", "100", "--T", "0", "--c-grid", "0,1e6",
+          "--k-grid", "1,4"], "47d9246c93a58230"),
+        (["sweep-c", "--T", "0", "--k", "4", "--c-grid", "1,1e6"], "f066f32ff045549d"),
+    ], ids=["de_T0", "de_hot", "exact_T0", "sweep_c_T0"])
+    def test_reward_a_million_sds_out_runs_unchanged(self, argv, digest, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(argv + [*_FIG, "--out", str(out)]) == 0
+        assert hashlib.sha256(read_bytes(out)).hexdigest()[:16] == digest
+
+    def test_k1_cells_at_positive_T_do_not_depend_on_the_reward(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1,1e3,1e6", "--k-grid", "1,4", *_FIG,
+                    "--out", str(out)]) == 0
+        with open(out) as fh:
+            k1 = {(r["delta"], r["stderr"]) for r in csv.DictReader(fh)
+                  if r["mode"] == "det_equiv" and r["k"] == "1"}
+        assert len(k1) == 1
+
+
 class TestSubcommands:
     def test_ridge_writes_csv_and_manifest(self, tmp_path):
         out = tmp_path / "ridge.csv"
@@ -526,7 +596,7 @@ class TestSubcommands:
         assert sorted(p.name for p in out.parent.iterdir()) == ["x.csv", "x.csv.manifest.json"]
         manifest = json.loads((out.parent / "x.csv.manifest.json").read_text())
         assert list(manifest) == ["subcommand", "config", "flags", "seed", "version", "output",
-                                  "wall_time_s"]
+                                  "wall_time_s", "warnings"]
         assert manifest["subcommand"] == sub
         assert manifest["output"] == str(out)
         assert manifest["seed"] == 3
@@ -724,6 +794,8 @@ class TestExitCodes:
         (["sweep-k", "--k-grid", "2.5,3.5"], "--k-grid"),
         (["judge", "--records", "r.jsonl", "--k-grid", "lin:1,2,3"], "--k-grid"),
         (["tradeoff", "--n-grid", "100", "--k-grid", "log:1,10,3"], "--k-grid"),
+        # the non-monotonicity gate is a nonnegative multiple of the paired stderr
+        (["polar-map", "--d", "2", "--z-gate", "-5", "--k-grid", "1,2"], "--z-gate"),
     ])
     def test_non_finite_or_empty_values_are_2(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -603,6 +603,35 @@ class TestRewardTargets:
         assert len(fits) == self.KW["n_datasets"]
 
 
+class TestRewardOffset:
+    """The engine refuses a reward target past 2**32 predictive standard deviations."""
+
+    CFG = ModelConfig(d=4, n=500, sigma=0.05, gamma=0.5)
+
+    def _largest_offset(self, mode, reward):
+        (make,) = mc._prepare_contexts(self.CFG, [reward], mode, 3, 20, 1)
+        ctx = make()
+        return np.max(np.abs(ctx.mu_R[:, 0] - ctx.m) / ctx.s)
+
+    @pytest.mark.parametrize("mode", ["exact_posterior", "det_equiv"])
+    def test_bound_is_inclusive(self, monkeypatch, mode):
+        reward = RewardSpec.radial(1e4)
+        largest = self._largest_offset(mode, reward)
+        kw = dict(n_outer=20, n_inner=4, mode=mode, seed=3)
+        monkeypatch.setattr(mc, "_MAX_REWARD_OFFSET", largest)
+        delta_k_curve(self.CFG, reward, 0.0, [1, 4], **kw)
+        monkeypatch.setattr(mc, "_MAX_REWARD_OFFSET", np.nextafter(largest, 0.0))
+        with pytest.raises(ValueError, match=f"lies up to {largest:.3g} predictive standard deviations"):
+            delta_k_curve(self.CFG, reward, 0.0, [1, 4], **kw)
+
+    @pytest.mark.parametrize("T", [0.0, 1e-3])
+    def test_points_without_spread_are_exempt(self, T):
+        # sigma = 0 in det_equiv mode: s = 0 at every point, which the sampler handles exactly
+        cfg = ModelConfig(d=4, n=500, sigma=0.0, gamma=0.5)
+        res = delta_k_curve(cfg, RewardSpec.radial(1e100), T, [1, 4], n_outer=20, n_inner=4)
+        assert np.all(np.isfinite(res.mean))
+
+
 class TestExactContexts:
     """Exact mode draws its test points in the posterior's eigenbasis."""
 
