@@ -42,7 +42,6 @@ from .theory import (
     OptimalReward,
     RefinedBestOfK,
     ScalingDerivatives,
-    SeriesAccuracyWarning,
     SeriesTerms,
     dlogn_flat_prior,
     high_t_delta_batch,

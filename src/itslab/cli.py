@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from .evt import weibull_norming
 from .ridge import noise_variance_check, solve_for_config
 from .rngstreams import stream
 from .theory import (
-    SeriesAccuracyWarning,
     SeriesTerms,
     dlogn_flat_prior,
     high_t_delta_x,
@@ -124,6 +122,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    """A master seed: an integer in [0, 2**63 - 1], the seeds whose streams all differ."""
+    value = int(text)
+    if not 0 <= value <= np.iinfo(np.int64).max:  # the streams keep a seed's low 63 bits
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**63 - 1], got {value}")
+    return value
+
+
 def finite_float(text: str) -> float:
     """A float flag's value, which must be finite."""
     value = float(text)
@@ -209,18 +215,16 @@ class _ClosedForms:
     def value(self, label, form, *args):
         """``form(*args)``, or None where it raises ValueError: the formula has left its domain."""
         kept = self._kept.setdefault(label, [None, None])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", SeriesAccuracyWarning)
-            try:
-                value = form(*args)
-            except ValueError as exc:
-                value, kept[1] = None, kept[1] or str(exc)
-        for w in caught:  # an accuracy warning is kept from a call that returns; others pass on
-            if not issubclass(w.category, SeriesAccuracyWarning):
-                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-            elif value is not None:
-                kept[0] = kept[0] or str(w.message)
-        return value
+        try:
+            return form(*args)
+        except ValueError as exc:
+            kept[1] = kept[1] or str(exc)
+            return None
+
+    def note(self, label, caveat) -> None:
+        """Keep ``caveat`` (None: there is none) as the label's accuracy warning, unless it has one."""
+        kept = self._kept.setdefault(label, [None, None])
+        kept[0] = kept[0] or caveat
 
     def flush(self, prefix="") -> None:
         """Print what is kept, each label's accuracy warning before its error, and forget it."""
@@ -329,7 +333,8 @@ def cmd_sweep_k(args, forms, parser):
             series = None if terms is None else forms.value("theory_highT", _series_value, terms, T, k)
             rows.append(_sweep_row(config, mode, args.seed, float(c), int(k), T, res.mean[r, g],
                                    res.stderr[r, g], res.n_outer, args.n_inner, theory_highT=series))
-            if series is not None:
+            if series is not None:  # the accuracy caveat comes only with a value
+                forms.note("theory_highT", terms.caveat)
                 rows.append(_sweep_row(config, "theory_highT", args.seed, float(c), int(k), T,
                                        series, theory_highT=series))
     return config, SWEEP_SCHEMA + ["theory_highT"], rows
@@ -500,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
             g.add_argument("--tau", type=float, help="teacher sampling std")
             g.add_argument("--teacher-mode", choices=["sampled", "normalized"], dest="teacher_mode")
         default_out = None if name == "ridge" else name.replace("-", "_") + ".csv"
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--seed", type=seed_int, default=0, help="master seed in [0, 2**63 - 1] (default 0)")
         p.add_argument("--out", help=f"output CSV path (default {default_out or 'stdout, no manifest'})")
         if mc:
             p.add_argument("--n-outer", type=positive_int, default=2000, dest="n_outer")
@@ -574,7 +579,7 @@ def main(argv=None) -> int:
         else:
             path = write_csv(_resolve_out(out), header, rows)
             _write_manifest(path, args.subcommand, config, args, time.perf_counter() - t0, forms.printed)
-    except (ValueError, RuntimeError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
         print(f"itslab: error: {exc}", file=sys.stderr)
         return 1
     return 0

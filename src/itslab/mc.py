@@ -37,7 +37,7 @@ from one workspace of flat buffers, made once per engine call, so the batch
 loop allocates nothing large; the workspace of a batch holds at most
 _SCAN_ELEMS values (4 MB), or one test point's.
 Work units hold at least _BLOCK test points and at most a batch's worth
-(_SCAN_ELEMS values, of the softmax pass or of the T = 0 sampler), as few as
+(_SCAN_ELEMS values of the softmax pass and the T = 0 sampler together), as few as
 leave each thread _UNITS_PER_THREAD of them: one-draw points are cheap, and
 small units would spend a run on scheduling. With more than one thread the datasets (training
 set, posterior and predictive moments) are fitted in the same pool as the
@@ -81,7 +81,9 @@ MODES = ("exact_posterior", "det_equiv")
 
 _BLOCK = 16  # fewest test points per work unit
 _UNITS_PER_THREAD = 4  # work units per thread, unless that leaves them below _BLOCK points
-_MAX_ELEMS = 1 << 23  # cap on draws held in memory at once (per work unit)
+# values per draw-matrix row chunk and per penalty stack: these fix the order of the
+# softmax pass's sums, and so its bytes, whatever the batch
+_MAX_ELEMS = 1 << 23
 _SCAN_ELEMS = 1 << 19  # cap on the values one batch of test points holds: 4 MB per worker
 # largest |mu_R - m| / s a run accepts: past it, rounding in y - mu_R costs more than
 # about 5e-7 of a draw's offset from the predictive mean
@@ -219,8 +221,7 @@ def _cut(buffer: np.ndarray, shape) -> np.ndarray:
     return buffer[: math.prod(shape)].reshape(shape)
 
 
-def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, layout=None,
-                   work=None) -> np.ndarray:
+def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, layout, work) -> np.ndarray:
     """Inner-averaged weighted losses of the distinct shared cells at a batch of test points.
 
     ``rngs`` holds one generator per point; ``m``, ``s`` and ``mu_T`` are
@@ -231,16 +232,13 @@ def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, layout
     entry at all points of the batch, whatever its T, with the targets
     stacked up to the same bound. Each point's row depends only on its own
     generator, and no sum depends on the batch size or on the other targets.
-    ``layout`` is :func:`_scan_layout`'s result for these arguments (made
-    here if not given). The large arrays are views of ``work``'s flat
-    buffers, sized by it for at least this many points (allocated here if
-    not given), so a caller that passes one layout and one workspace to
-    batch after batch allocates nothing large.
+    ``layout`` is :func:`_scan_layout`'s result for these arguments. The
+    large arrays are views of ``work``'s flat buffers, sized by it for at
+    least this many points, so a caller that passes one layout and one
+    workspace to batch after batch allocates nothing large.
     """
     n_points = len(rngs)
-    rows_per_chunk, per_stack, sizes = layout or _scan_layout(plan, n_inner, kmax)
-    if work is None:
-        work = {name: np.empty(n_points * size) for name, size in sizes.items()}
+    rows_per_chunk, per_stack, _ = layout
     out = np.zeros((n_points, sum(cols.size for *_, cols in plan)))
     done = 0
     while done < n_inner:
@@ -531,48 +529,43 @@ def _run_cells(config, rewards, cell_k, cell_T, n_outer, n_inner, mode, seed, th
     shared = ~np.isin(cell_r, t0_targets)
     shared_targets, shared_r = np.unique(cell_r[shared], return_inverse=True)
     kmax = int(cell_k[shared].max()) if shared.any() else 0
-    # values per point of the T = 0 sampler: its draws and root solve (at most 34 arrays,
-    # on the log branch) and 2 block arrays per cell, each of n_inner values; a call
-    # holds at most _MAX_ELEMS of them
-    t0_values = (34 + 2 * shape[1]) * n_inner
-    t0_points = max(1, _MAX_ELEMS // t0_values)
+    # values per point of a batch: the T = 0 sampler's draws and root solve (at most 34
+    # arrays, on the log branch) and 2 block arrays per cell, each of n_inner values, and
+    # the softmax pass's workspace; a batch holds at most _SCAN_ELEMS of them, or one point's
+    per_point = (34 + 2 * shape[1]) * n_inner if t0_targets else 0
     if kmax:
         plan, cell_of = _plan_shared(cell_k[shared], cell_T[shared], shared_r)
-        # points per batch: a batch's workspace holds at most _SCAN_ELEMS values, or one point's
         layout = _scan_layout(plan, n_inner, kmax)
-        scan_points = max(1, _SCAN_ELEMS // sum(layout[2].values()))
+        per_point += sum(layout[2].values())
+    batch = max(1, _SCAN_ELEMS // per_point)
 
     makers = _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets)
     n_rows = len(makers) * n_outer
-    # points per work unit: at least _BLOCK, else at most _SCAN_ELEMS values of the softmax
-    # pass or of the T = 0 sampler, and few enough that each thread gets several units
-    cap = scan_points if kmax else _SCAN_ELEMS // t0_values
-    unit = max(_BLOCK, min(cap, -(-n_rows // (_UNITS_PER_THREAD * threads))))
+    # points per work unit: at least _BLOCK, else at most a batch, and few enough that each
+    # thread gets several units
+    unit = max(_BLOCK, min(batch, -(-n_rows // (_UNITS_PER_THREAD * threads))))
     per_x = np.empty((n_rows, len(cell_k)))
     local = threading.local()  # one workspace per thread, reused by all its blocks
 
     def run_block(ctx: _Context, start: int, stop: int):
         base = ctx.dataset_index * n_outer
-        for r in t0_targets:
-            cells = cell_r == r
-            for lo in range(start, stop, t0_points):
-                hi = min(lo + t0_points, stop)
+        if kmax and not hasattr(local, "work"):
+            points = min(batch, unit, n_outer)
+            local.work = {name: np.empty(points * size) for name, size in layout[2].items()}
+        for lo in range(start, stop, batch):
+            hi = min(lo + batch, stop)
+            for r in t0_targets:
+                cells = cell_r == r
                 per_x[base + lo : base + hi, cells] = _best_of_k_cells(
                     map(keyed, ctx.keys[lo:hi]), ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi],
                     ctx.mu_R[lo:hi, r], cell_k[cells], n_inner,
                 )
-        if not kmax:
-            return
-        if not hasattr(local, "work"):
-            batch = min(scan_points, unit, n_outer)
-            local.work = {name: np.empty(batch * size) for name, size in layout[2].items()}
-        for lo in range(start, stop, scan_points):
-            hi = min(lo + scan_points, stop)
-            values = _softmax_cells(
-                [keyed(key) for key in ctx.keys[lo:hi]], ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi],
-                ctx.mu_R[lo:hi][:, shared_targets], plan, n_inner, kmax, layout, local.work,
-            )
-            per_x[base + lo : base + hi, shared] = values[:, cell_of]
+            if kmax:
+                values = _softmax_cells(
+                    [keyed(key) for key in ctx.keys[lo:hi]], ctx.m[lo:hi], ctx.s[lo:hi], ctx.mu_T[lo:hi],
+                    ctx.mu_R[lo:hi][:, shared_targets], plan, n_inner, kmax, layout, local.work,
+                )
+                per_x[base + lo : base + hi, shared] = values[:, cell_of]
 
     blocks = [
         (j, start, min(start + unit, n_outer))

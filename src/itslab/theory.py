@@ -15,7 +15,6 @@ Four regimes are covered:
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +23,9 @@ from .model import ModelConfig
 from .ridge import DetEquiv, de_moments_batch, solve_ridge
 
 # Below this t the dropped 1/t^4 remainder is no longer a sub-percent
-# correction in the regimes of interest; callers are warned, not stopped.
+# correction in the regimes of interest; SeriesTerms.caveat flags it, nothing refuses it.
 SERIES_T_WARN = 5.0
 _REL_STEP = 1e-4  # relative step of scaling_derivatives' finite difference in alpha
-
-
-class SeriesAccuracyWarning(UserWarning):
-    """The high-temperature series was evaluated outside its comfort zone."""
 
 
 @dataclass(frozen=True)
@@ -53,6 +48,14 @@ class SeriesTerms:
     @property
     def C(self) -> tuple[float, float, float]:
         return _coefficients(self.delta_T, self.delta_R, self.s2)
+
+    @property
+    def caveat(self) -> str | None:
+        """Why the series may be inaccurate at these terms (t < SERIES_T_WARN), or None."""
+        if self.t < SERIES_T_WARN:
+            return (f"series evaluated at t = {self.t:.3g} < {SERIES_T_WARN}; "
+                    "the dropped remainder may not be negligible")
+        return None
 
     @classmethod
     def from_radial_average(
@@ -122,19 +125,12 @@ def high_t_delta_x(st: SeriesTerms, k: int) -> float:
     """Three-term high-temperature series for delta(x).
 
     Exact at k = 1 (every correction carries a factor 1 - 1/k); accurate to
-    O(t^{-4}) otherwise. Warns when t < SERIES_T_WARN.
+    O(t^{-4}) otherwise; ``st.caveat`` flags a t below SERIES_T_WARN.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not st.t > 0:
         raise ValueError(f"the series requires t > 0, got {st.t}")
-    if st.t < SERIES_T_WARN:
-        warnings.warn(
-            f"series evaluated at t = {st.t:.3g} < {SERIES_T_WARN}; the dropped "
-            "remainder may not be negligible",
-            SeriesAccuracyWarning,
-            stacklevel=2,
-        )
     return _series(st.delta_T, st.delta_R, st.s2, st.t, k)
 
 

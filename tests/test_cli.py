@@ -796,6 +796,9 @@ class TestExitCodes:
         (["tradeoff", "--n-grid", "100", "--k-grid", "log:1,10,3"], "--k-grid"),
         # the non-monotonicity gate is a nonnegative multiple of the paired stderr
         (["polar-map", "--d", "2", "--z-gate", "-5", "--k-grid", "1,2"], "--z-gate"),
+        # a seed outside [0, 2**63 - 1] would alias one inside it (2**63 that of 0, -1 that of 2**63 - 1)
+        (["sweep-k", "--seed", "-1", "--k-grid", "1,2"], "--seed"),
+        (["sweep-k", "--seed", "9223372036854775808", "--k-grid", "1,2"], "--seed"),
     ])
     def test_non_finite_or_empty_values_are_2(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -803,6 +806,25 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("seed", ["0", "9223372036854775807"])
+    def test_seeds_at_the_ends_of_the_range_run(self, seed, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["sweep-k", "--seed", seed, "--T", "0", "--k-grid", "1,2", *_SMALL_MC, "--out", str(out)]) == 0
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["seed"] == int(seed)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep-k", "--T", "1", "--k-grid", "1,1000000000000000000"],
+        ["sweep-t", "--k", "1000000000000000000", "--t-grid", "1"],
+    ], ids=["sweep-k", "sweep-t"])
+    def test_arrays_past_any_memory_are_1(self, argv, threads, tmp_path, capsys):
+        # k = 1e18 draws ask for exabytes, past any address space: the request fails at once
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--n-outer", "2", "--n-inner", "2", "--threads", threads, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("itslab: error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists() and not Path(f"{out}.manifest.json").exists()
 
     def test_empty_judge_grid_is_2(self, tmp_path, capsys):
         rec = write_records(tmp_path / "r.jsonl", record_rows({"a": [(0.1, 1), (0.2, 0)]}))

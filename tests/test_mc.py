@@ -24,7 +24,7 @@ from itslab import (
     stream,
 )
 from itslab import mc
-from itslab.mc import _best_of_k_cells, _plan_shared, _softmax_cells, _winner_distance
+from itslab.mc import _best_of_k_cells, _plan_shared, _scan_layout, _softmax_cells, _winner_distance
 from itslab.sampling import select_prefixes
 
 from _synth import cholesky_moments, cholesky_posterior, delta_x
@@ -113,8 +113,10 @@ def _engine_cell_means(rng, m, s, mu_T, mu_R, cell_k, cell_T, cell_r, n_inner, k
     """The sweep engine's shared-target kernel at one test point, one value per cell."""
     plan, cell_of = _plan_shared(np.asarray(cell_k), np.asarray(cell_T, dtype=float),
                                  np.asarray(cell_r))
+    layout = _scan_layout(plan, n_inner, kmax)
+    work = {name: np.empty(size) for name, size in layout[2].items()}
     values = _softmax_cells([rng], np.array([m]), np.array([s]), np.array([mu_T]),
-                            np.asarray(mu_R, dtype=float)[None], plan, n_inner, kmax)
+                            np.asarray(mu_R, dtype=float)[None], plan, n_inner, kmax, layout, work)
     return values[0, cell_of]
 
 
@@ -434,7 +436,7 @@ class TestBestOfKSampler:
         longer = delta_k_curve(cfg, RewardSpec.radial(3.0), 0.0, [1, 4, 30, 200], **kw)
         assert longer.per_x[:, :3].tobytes() == r1.per_x.tobytes()
         # a memory cap that solves 3 points at a time leaves every row as it was
-        monkeypatch.setattr(mc, "_MAX_ELEMS", (34 + 2 * 3) * 20 * 3)
+        monkeypatch.setattr(mc, "_SCAN_ELEMS", (34 + 2 * 3) * 20 * 3)
         capped = delta_k_curve(cfg, RewardSpec.radial(3.0), 0.0, [1, 4, 30], **kw)
         assert capped.per_x.tobytes() == r1.per_x.tobytes()
 
@@ -444,7 +446,7 @@ class TestBestOfKSampler:
         # the rest of the cap is for the run's other arrays. Sized without the block
         # arrays, one call held all 16 points; sized with 16 working arrays, 4 points,
         # and the run peaked at 1.26x the cap
-        monkeypatch.setattr(mc, "_MAX_ELEMS", 21_600)
+        monkeypatch.setattr(mc, "_SCAN_ELEMS", 21_600)
         cfg = ModelConfig(d=3, n=30)
 
         def run(k_grid, n_outer):
@@ -457,7 +459,7 @@ class TestBestOfKSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * mc._MAX_ELEMS, peak
+        assert peak <= 8 * mc._SCAN_ELEMS, peak
 
     def test_large_k_precision(self):
         cfg = ModelConfig(d=10, n=10_000, **FIG_LIKE)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from itslab import (
     solve_ridge,
     stream,
 )
-from itslab.theory import SeriesAccuracyWarning
 
 from _synth import delta_x
 
@@ -84,8 +84,6 @@ class TestSeriesTerms:
 
 class TestHighTSeries:
     def test_exact_at_k1_for_all_t(self):
-        import warnings
-
         rng = np.random.default_rng(1)
         for _ in range(20):
             st = SeriesTerms(
@@ -94,9 +92,7 @@ class TestHighTSeries:
                 s2=float(rng.uniform(0.5, 2)),
                 t=float(rng.uniform(0.1, 100)),
             )
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", SeriesAccuracyWarning)
-                assert high_t_delta_x(st, 1) == st.delta_T**2 + st.s2
+            assert high_t_delta_x(st, 1) == st.delta_T**2 + st.s2
 
     def test_infinite_t_limit(self):
         st = SeriesTerms(delta_T=0.3, delta_R=0.7, s2=1.2, t=1e30)
@@ -118,10 +114,15 @@ class TestHighTSeries:
         c3_term = (0.9 * 0.8 * 0.7) / 50**3
         assert abs(mean - series) < 4 * se + 5 * c3_term / 50
 
-    def test_low_t_warns(self):
+    def test_low_t_caveat(self):
         st = SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=2.0)
-        with pytest.warns(SeriesAccuracyWarning):
-            high_t_delta_x(st, 5)
+        assert st.caveat == "series evaluated at t = 2 < 5.0; the dropped remainder may not be negligible"
+        for t in (5.0, 50.0):  # the caveat holds below t = 5 only
+            assert SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=t).caveat is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the caveat is data: the series itself emits no warning
+            # every C_l = 1: 1 - (4/5)/2 + (4/5)(3/5)/4 - (4/5)(3/5)(2/5)/8
+            assert high_t_delta_x(st, 5) == pytest.approx(0.696, rel=1e-15)
 
     def test_k_below_one_rejected(self):
         st = SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=10.0)
