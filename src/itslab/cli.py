@@ -50,8 +50,6 @@ _MODE_ALIASES = {"exact": "exact_posterior", "de": "det_equiv"}
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -197,11 +195,13 @@ def build_config(args, parser) -> ModelConfig:
         config = ModelConfig.from_file(args.config, **given) if args.config else ModelConfig(**given)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    # a runtime error, not a usage one: temperatures and variances all scale with sigma^2
+    # runtime errors, not usage ones: temperatures and variances all scale with sigma^2,
+    # and the inputs with S^2 (even at n = 0, where no ridge is solved)
     if not config.sigma * config.sigma < math.inf:
         raise ValueError(
             f"sigma = {config.sigma:g}: the noise variance sigma^2 leaves the float range"
         )
+    config.input_var  # ValueError where S^2 leaves the float range
     return config
 
 

@@ -50,11 +50,11 @@ class ModelConfig:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if not self.S > 0:
             raise ValueError(f"S must be > 0, got {self.S}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
         if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if self.teacher_mode not in _TEACHER_MODES:
             raise ValueError(
@@ -75,6 +75,13 @@ class ModelConfig:
     def n_text(self) -> str:
         """n as printed: its digits up to 2**53, past that its short float form (1e+300)."""
         return str(self.n) if self.n <= 2**53 else repr(float(self.n))
+
+    @property
+    def input_var(self) -> float:
+        """The input variance S^2; ValueError where it leaves the float range or rounds to 0."""
+        if not 0.0 < self.S * self.S < math.inf:
+            raise ValueError(f"S = {self.S:g}: the input variance S^2 leaves the float range")
+        return self.S**2
 
     @property
     def prior_var(self) -> float:

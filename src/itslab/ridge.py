@@ -18,9 +18,9 @@ There is one representation: Cov is diagonal and is held as its eigenvalues,
 so A and B are held as theirs. A length-1 spectrum [S^2] is Cov = S^2 I; it
 broadcasts against any d-vector, so the isotropic case needs no branch.
 
-R comes from safeguarded Newton steps in a bracket that closes on two adjacent
-floats: the R of bisection to float resolution, to the bit, in a few
-evaluations of m instead of about 54.
+R comes from bisection to float resolution, from an upper bound of the root,
+in about 40-60 evaluations of m; ``solve_for_config`` keeps each config's
+solution, so a process pays for them once per config.
 """
 
 import functools
@@ -33,7 +33,6 @@ from .model import ModelConfig
 
 _RESIDUAL_TOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
-_NEWTON_STEPS = 100  # then bisection: a simple root takes 3-4; at alpha = 1 a step near 0 only halves R
 
 # The noise-term validity test sigma^2 <= VALIDITY_FACTOR * sigma_c^2 keeps a
 # two-decade margin below the divergence threshold of the label-noise
@@ -81,11 +80,10 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
     """Solve the renormalized-ridge fixed point for a diagonal spectrum.
 
     Solves g(R) = R (1 - alpha m(R)) = R_hat, which has one root for the
-    admissible inputs, by safeguarded Newton steps with the bracket and end
-    rule of bisection to float resolution (``_fixed_point``). The returned
-    solution is finite with residual |g(R) - R_hat| <= 1e-12 max(1, R_hat, R),
-    which covers the float rounding of g at a large R; ValueError where no
-    finite R reaches R_hat.
+    admissible inputs, by bisection to float resolution (``_fixed_point``).
+    The returned solution is finite with residual |g(R) - R_hat| <= 1e-12
+    max(1, R_hat, R), which covers the float rounding of g at a large R;
+    ValueError where no finite R reaches R_hat.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
@@ -119,28 +117,23 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
 
 
 def _fixed_point(alpha: float, spectrum: np.ndarray, R_hat: float) -> float:
-    """The float R where g(R) = R (1 - alpha m1(R)) reaches R_hat > 0, as bisection finds it.
+    """The float R where g(R) = R (1 - alpha m1(R)) reaches R_hat > 0, by bisection.
 
     In floats, g(R) < R_hat flips once as R grows (each operation of g rounds
     monotonically), so the bracket (lo = R_hat or g(lo) < R_hat, g(hi) >=
     R_hat) closes on one pair of adjacent floats whatever its path, and R is
-    their midpoint as rounded. g is convex with g' = 1 - alpha m2: Newton
-    steps from an upper bound fall onto the root. A step that leaves the
-    bracket takes its midpoint; one no longer than the last probe (at first,
-    no step at all) probes toward the other end, twice as far as before.
-    Where rounding flattens g (at alpha = 1 and a tiny R_hat, g(R) rounds to
-    0 over a range of R), Newton steps can creep by a tiny fixed amount each;
-    after _NEWTON_STEPS steps the bracket is bisected to its end instead.
+    their midpoint as rounded. The bracket's first upper end is a bound of
+    the root, which keeps a solve at about 40-60 evaluations of g (about 100
+    at alpha = 1 and a tiny R_hat).
     """
     n = spectrum.size
-    lo, hi, probe, steps = R_hat, math.inf, 0.0, 0
+    lo, hi = R_hat, math.inf
     x = R_hat + alpha * (float(spectrum.sum()) / n)  # g(R) >= R - alpha mean(lambda)
     if alpha < 1.0:
         x = min(x, R_hat / (1.0 - alpha))  # g(R) >= (1 - alpha) R
     x = min(max(x, math.nextafter(R_hat, math.inf)), _FLOAT_MAX)  # above lo, a float
     while True:
-        a = spectrum / (spectrum + x)
-        g = x * (1.0 - alpha * (float(a.sum()) / n))
+        g = x * (1.0 - alpha * (float((spectrum / (spectrum + x)).sum()) / n))
         if g < R_hat:
             lo = x
         else:
@@ -150,19 +143,9 @@ def _fixed_point(alpha: float, spectrum: np.ndarray, R_hat: float) -> float:
                 raise ValueError(f"no finite R solves R (1 - alpha m(R)) = R_hat = {R_hat:g}")
             x = min(2.0 * lo, _FLOAT_MAX)
             continue
-        mid = 0.5 * lo + 0.5 * hi if lo > 1.0 else 0.5 * (lo + hi)  # 0.5 (lo + hi), without overflow
-        if mid == lo or mid == hi:
-            return mid
-        steps += 1
-        if steps > _NEWTON_STEPS:
-            x = mid
-            continue
-        dg = 1.0 - alpha * (float((a * a).sum()) / n)
-        x_new = x - (g - R_hat) / dg if dg > 0.0 else mid
-        if abs(x_new - x) <= probe:
-            probe = max(2.0 * probe, math.ulp(x))
-            x_new = x - probe if x == hi else x + probe
-        x = x_new if lo < x_new < hi else mid
+        x = 0.5 * lo + 0.5 * hi if lo > 1.0 else 0.5 * (lo + hi)  # 0.5 (lo + hi), without overflow
+        if x == lo or x == hi:
+            return x
 
 
 def isotropic_ridge(alpha: float, sigma: float, gamma: float, S: float) -> float:
@@ -182,10 +165,12 @@ def isotropic_ridge(alpha: float, sigma: float, gamma: float, S: float) -> float
 def solve_for_config(config: ModelConfig) -> DetEquiv:
     """Solve the fixed point for a model config: spectrum [S^2], Cov = S^2 I.
 
-    The solution is kept per config (its spectrum read-only), so a subcommand's
-    theory columns and its engine call share one solve.
+    The solution is kept per config (its spectrum read-only), so a process
+    solves a config once and a subcommand's theory columns and its engine call
+    share that solve. The cache carries the cost of the bisection: uncached,
+    every engine call would pay two solves of about 0.1 ms each.
     """
-    de = solve_ridge(config.alpha, config.sigma, config.gamma, [config.S**2])
+    de = solve_ridge(config.alpha, config.sigma, config.gamma, [config.input_var])
     de.spectrum.flags.writeable = False
     return de
 

@@ -297,7 +297,9 @@ def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:
         gamma4 = math.inf
     q = (
         (w @ w / config.d)
-        * (1.0 / config.S**2)
+        * (1.0 / config.input_var)
         * (config.d**2 * config.sigma**2 / (float(config.n) * config.n * gamma4))  # n^2 may be inf
     )
+    if q == math.inf:  # q past the float range (a tiny S): -2q/(1 - 2q) rounds to 1
+        return 1.0
     return -2.0 * q / (1.0 - 2.0 * q)

@@ -674,8 +674,10 @@ class TestConfigSchema:
         ("d = 4\n# ten thousand\nn = 1e4\n",
          "{cfg}:3: key 'n': invalid literal for int() with base 10: '1e4'"),
         ("d = 4\nsigma = 0.1\nd = 5\n", "{cfg}:3: repeated key 'd'"),
+        ("tau = nan\n", "tau must be >= 0, got nan"),
+        ("sigma = nan\n", "sigma must be >= 0, got nan"),
     ], ids=["unknown_key", "bad_int", "bad_float", "no_separator", "int_in_float_form",
-            "repeated_key"])
+            "repeated_key", "tau_nan", "sigma_nan"])
     def test_faulty_file_is_2_with_its_message(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "m.cfg"
         cfg.write_text(text)
@@ -799,12 +801,18 @@ class TestExitCodes:
         # a seed outside [0, 2**63 - 1] would alias one inside it (2**63 that of 0, -1 that of 2**63 - 1)
         (["sweep-k", "--seed", "-1", "--k-grid", "1,2"], "--seed"),
         (["sweep-k", "--seed", "9223372036854775808", "--k-grid", "1,2"], "--seed"),
+        # a NaN scale fails the config's checks (not >= 0), not only the ones past them
+        (["sweep-k", "--tau", "nan", "--k-grid", "1,2"], "--tau"),
+        (["sweep-k", "--sigma", "nan", "--k-grid", "1,2"], "--sigma"),
     ])
     def test_non_finite_or_empty_values_are_2(self, argv, flag, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv + [*_SMALL_MC, "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-        assert f"argument {flag}:" in capsys.readouterr().err
+        # a model flag is checked where the config is built, under its field's name
+        expected = {"--tau": "error: tau must be >= 0, got nan\n",
+                    "--sigma": "error: sigma must be >= 0, got nan\n"}.get(flag, f"argument {flag}:")
+        assert expected in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("seed", ["0", "9223372036854775807"])
@@ -943,14 +951,40 @@ class TestExtremeScales:
         (["ridge", "--d", "10000000000000000", "--n", "1", "--S", "1e145", "--sigma", "1e140",
           "--gamma", "7.47e-7"],
          "no finite R solves R (1 - alpha m(R)) = R_hat = 1.79209e+308"),
+        # the input variance S^2 overflows, underflows to 0, or is inf
+        (["ridge", "--S", "1e200"], "S = 1e+200: the input variance S^2 leaves the float range"),
+        (["sweep-k", "--S", "1e-200", "--k-grid", "1,4", *_SMALL_MC],
+         "S = 1e-200: the input variance S^2 leaves the float range"),
+        (["sweep-k", "--mode", "exact", "--S", "inf", "--k-grid", "1,4", *_SMALL_MC],
+         "S = inf: the input variance S^2 leaves the float range"),
     ], ids=["sigma_huge", "gamma_huge_de", "gamma_tiny", "sigma_tiny_exact", "ridgeless",
             "not_positive_definite", "n_huge_exact", "T_sigma2_sweep_k", "T_sigma2_default_sweep_c",
             "T_sigma2_polar_map", "t_grid_sigma2", "t_grid_sigma2_default", "t_high_sigma2",
             "losses_sweep_k", "losses_bestofk_check", "losses_exact_threads", "losses_from_gamma",
-            "no_finite_ridge"])
+            "no_finite_ridge", "S_huge", "S_tiny", "S_inf"])
     def test_out_of_range_exits_1_with_message(self, argv, message, tmp_path, capsys):
         assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err == f"itslab: error: {message}\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ridge"],
+        ["sweep-k", "--k-grid", "1,4", *_SMALL_MC],
+        ["sweep-k", "--mode", "exact", "--k-grid", "1,4", *_SMALL_MC],
+        ["sweep-k", "--mode", "exact", "--n", "0", "--k-grid", "1,4", *_SMALL_MC],
+        ["sweep-c", "--k", "4", *_SMALL_MC],
+        ["sweep-t", "--k", "4", *_SMALL_MC],
+        ["tradeoff", "--n-grid", "30,60", "--k-grid", "2,4", *_SMALL_MC],
+        ["polar-map", "--d", "2", "--k-grid", "1,4", *_SMALL_MC],
+        ["bestofk-check", "--k-grid", "2,4", *_SMALL_MC],
+    ], ids=["ridge", "sweep_k_de", "sweep_k_exact", "sweep_k_exact_n0", "sweep_c", "sweep_t",
+            "tradeoff", "polar_map", "bestofk_check"])
+    def test_input_variance_past_the_float_range_names_S(self, argv, tmp_path, capsys):
+        # S^2 overflows (1e160, 1e300), underflows to 0 (1e-200) or is inf
+        for value in ("1e160", "1e300", "1e-200", "inf"):
+            assert run(argv + ["--S", value, "--out", str(tmp_path / "x.csv")]) == 1, value
+            assert capsys.readouterr().err == (
+                f"itslab: error: S = {float(value):g}: the input variance S^2 leaves the float range\n")
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -1009,7 +1043,7 @@ class TestExtremeScales:
     ], ids=["ridge", "sweep_k_de", "sweep_k_exact", "sweep_t_exact", "tradeoff_exact",
             "bestofk_check"])
     def test_no_traceback_anywhere(self, argv, tmp_path, capsys):
-        for flag in ("--sigma", "--gamma"):
+        for flag in ("--sigma", "--gamma", "--S"):
             for value in ("1e-300", "1e-160", "1e-100", "1e100", "1e160", "1e300"):
                 code = run(argv + [flag, value, "--out", str(tmp_path / "x.csv")])
                 err = capsys.readouterr().err

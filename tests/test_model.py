@@ -30,6 +30,16 @@ class TestModelConfig:
             ModelConfig(d=3, n=10, gamma=0.0)
         with pytest.raises(ValueError):
             ModelConfig(d=3, n=10, teacher_mode="bogus")
+        for field in ("sigma", "tau"):  # NaN is not >= 0
+            with pytest.raises(ValueError, match=rf"^{field} must be >= 0, got nan$"):
+                ModelConfig(**{field: math.nan})
+
+    def test_input_var(self):
+        assert ModelConfig(S=3.0).input_var == 9.0
+        assert ModelConfig(S=1e-160).input_var == 1e-160**2 > 0.0  # subnormal, still positive
+        for S in (1e160, 1e-200, math.inf):
+            with pytest.raises(ValueError, match=r"the input variance S\^2 leaves the float range$"):
+                ModelConfig(S=S).input_var
 
     def test_alpha(self):
         assert ModelConfig(d=10, n=100).alpha == 0.1

@@ -116,8 +116,8 @@ def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
-class TestNewtonMatchesBisection:
-    """The safeguarded Newton solve returns the bisection's R to the bit."""
+class TestSolveMatchesBisectionOracle:
+    """The solve returns the R of the independent bisection oracle to the bit."""
 
     @given(alpha=_decades(-6, 3), sigma=_decades(-150, 150), gamma=_decades(-150, 150),
            spectrum=st.lists(_decades(-3, 3), min_size=1, max_size=50))
@@ -144,8 +144,8 @@ class TestNewtonMatchesBisection:
         assert _outcome(alpha, sigma, gamma, [1.0]) == R == _bisection_outcome(alpha, sigma, gamma, [1.0])
 
     def test_flat_g_ends_in_bisection(self):
-        # alpha = 1, R_hat = 1e-40: g(R) rounds to 0 on a range of R below the root, where each
-        # Newton step from below moves R by about 6e-28; uncapped, the solve takes about 1e9 steps
+        # alpha = 1, R_hat = 1e-40: g(R) rounds to 0 on a range of R below the root; a solve that
+        # steps by g's slope there creeps (about 1e9 steps), one that halves its bracket ends
         args = (1.0, 1.0, 1e20, [0.5, 2.75, 5.0])
         result = []
         worker = threading.Thread(target=lambda: result.append(_outcome(*args)), daemon=True)

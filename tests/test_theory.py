@@ -285,6 +285,11 @@ class TestScalingDerivatives:
         assert dlogn_flat_prior(cfg, w) == 0.0
         assert scaling_derivatives(cfg, solve_for_config(cfg), w).dlogn == 0.0
 
+    def test_flat_prior_q_past_the_float_range(self):
+        # 1/S^2 overflows while S^2 > 0 (subnormal): the closed form's limit 1, not inf/inf
+        cfg = ModelConfig(d=3, n=30, S=1e-160)
+        assert dlogn_flat_prior(cfg, sample_teacher(cfg, stream(9, "teacher"))) == 1.0
+
     def test_training_derivative_subdominant(self):
         cfg = ModelConfig(d=10, n=30_000, **FIG_LIKE)
         de = solve_for_config(cfg)
