@@ -416,7 +416,8 @@ def cmd_tradeoff(args, forms, parser):
             w_T = sample_teacher(config, stream(args.seed, "teacher"))
             sd = forms.value("dlogn", scaling_derivatives, config, de, w_T)
             if sd is not None:  # else empty, as at n = 0
-                theory = dict(dlogk=sd.dlogk, dlogn=sd.dlogn, dlogn_closed_form=dlogn_flat_prior(config, w_T))
+                theory = dict(dlogk=sd.dlogk, dlogn=sd.dlogn,
+                              dlogn_closed_form=forms.value("dlogn_closed_form", dlogn_flat_prior, config, w_T))
             forms.flush(f"n = {config.n_text}: ")
         # the T = 0 and T_high rows are two targets of one call
         res = delta_k_curve(config, [RewardSpec.radial(0.0)] * 2, [0.0, T_high], args.k_grid, **mc)

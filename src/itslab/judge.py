@@ -15,8 +15,8 @@ fixed seed.
 
 Questions with equal sample counts are gathered from the columns by offset
 and their permutation prefixes once as (kmax, Q, R) (Q questions, R
-resamples), so one selection-kernel call per T serves every k, at
-O(|T| * Q * R * kmax). The
+resamples), so per group one selection-kernel call at T = 0 and one for
+every distinct T > 0 serve every k, at O(|T| * Q * R * kmax). The
 draws are those of a per-subset loop (the tests keep it): T = 0 rows are its
 bytes, T > 0 rows differ by rounding (the kernel sums in permutation order).
 
@@ -175,7 +175,7 @@ def judge_sweep(
     T_grid = [float(T) for T in T_grid]
     if any(k < 1 for k in k_grid):
         raise ValueError(f"every k must be >= 1, got {k_grid}")
-    if any(T < 0 for T in T_grid):
+    if not all(T >= 0 for T in T_grid):
         raise ValueError(f"every T must be >= 0, got {T_grid}")
     if n_resample < 1:
         raise ValueError(f"n_resample must be >= 1, got {n_resample}")
@@ -184,28 +184,34 @@ def judge_sweep(
         if not np.any(counts >= k):
             raise ValueError(f"no question has >= {k} samples")
     ks = np.unique(k_grid)
-    per_question = np.empty((len(T_grid), len(counts), len(ks)))
+    temps = sorted(set(T_grid))  # T = 0, if there, first
+    hot = [T for T in temps if T > 0]
+    per_question = np.empty((len(ks), len(temps), len(counts)))  # each k's (T, question) values contiguous
     for pos, rewards, correct, perms in _draw_groups(ds, counts, n_resample, rng):
         ks_q = ks[ks <= perms.shape[-1]]
         if not ks_q.size:
             continue
         prefix = np.ascontiguousarray(perms[..., : ks_q[-1]].transpose(2, 0, 1))  # (kmax, Q, R)
-        q = np.arange(len(pos))[:, None]
-        if 0.0 in T_grid:  # a stable rank breaks T = 0 ties toward the lowest sample_id, whatever the column order
-            rank = np.argsort(np.argsort(-rewards, axis=1, kind="stable"), axis=1)[q, prefix]
-        r, c = rewards[q, prefix], correct[q, prefix]
-        for t, T in enumerate(T_grid):
-            sums = select_prefixes(rank if T == 0 else -r, c, ks_q, T)
-            per_question[t, pos, : ks_q.size] = sums / n_resample
+        flat = prefix + np.arange(0, rewards.size, rewards.shape[1])[:, None]  # into the (Q, nq) arrays
+        c = correct.take(flat)
+        if temps[0] == 0:  # a stable rank breaks T = 0 ties toward the lowest sample_id, whatever the column order
+            rank = np.argsort(np.argsort(-rewards, axis=1, kind="stable"), axis=1)
+            per_question[: ks_q.size, 0, pos] = select_prefixes(rank.take(flat), c, ks_q, 0.0).T / n_resample
+        if hot:
+            sums = select_prefixes(-rewards.take(flat), c, ks_q, hot)
+            per_question[: ks_q.size, len(temps) - len(hot) :, pos] = sums.transpose(2, 0, 1) / n_resample
     rows = []
     for k in k_grid:
         used = counts >= k
         n_used = int(used.sum())
-        for t, T in enumerate(T_grid):
-            values = per_question[t, used, np.searchsorted(ks, k)]
-            stderr = values.std(ddof=1) / math.sqrt(n_used) if n_used > 1 else math.inf
+        # (T, questions used) in C order, so each row sums pairwise as one question axis does
+        values = per_question[np.searchsorted(ks, k)].compress(used, axis=1)
+        means = values.mean(axis=1)
+        stderrs = values.std(axis=1, ddof=1) / math.sqrt(n_used) if n_used > 1 else [math.inf] * len(temps)
+        for T in T_grid:
+            t = temps.index(T)
             rows.append({
-                "k": k, "T": T, "delta": -float(values.mean()), "stderr": float(stderr),
+                "k": k, "T": T, "delta": -float(means[t]), "stderr": float(stderrs[t]),
                 "n_questions_used": n_used, "n_resample": n_resample,
             })
     return rows

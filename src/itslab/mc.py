@@ -24,10 +24,11 @@ O(n_inner) cost per grid point. The other targets reweight one shared
 two candidate generators, block winners and Gaussian draws, feed one
 selection kernel (``sampling.select_prefixes``): a target's sorted k values
 (block counts for the winners) cut the candidates into segments, and one
-call per distinct T selects every prefix [:k] in one pass over them. For the
-draw matrix that costs O(n_inner * kmax) per point, target and distinct T,
-plus an O(grid length) scan, where selecting each prefix anew cost
-O(n_inner * sum of k).
+call selects every prefix [:k] in one pass over them: at T = 0, or at every
+T > 0 of the target that has those k values, whose penalties and segment
+minima are made once. For the draw matrix that costs O(n_inner * kmax) per
+point, target and distinct T, plus an O(grid length) scan, where selecting
+each prefix anew cost O(n_inner * sum of k).
 The pass runs on batches of test points with the targets stacked, so
 a work unit makes a few dozen large numpy calls per point rather than
 thousands of small ones; a batch makes about a hundred whatever its size,
@@ -177,9 +178,10 @@ def _plan_shared(cell_k, cell_T, cell_r):
 
     A cell is (target r, T, k). Returns (plan, cell_of): ``cell_of`` maps each
     cell to its column among the distinct cells, and each plan entry
-    (T, ks, targets, cols) gathers the targets whose cells at T have the same
-    sorted distinct k values ks, with cols[i, j] the column of
-    (targets[i], T, ks[j]). Only a target's own cells shape its entry, so its
+    (Ts, ks, targets, cols) gathers the targets whose cells at each T of Ts
+    have the same sorted distinct k values ks, and at no other T > 0 of
+    theirs, with cols[t, i, j] the column of (targets[i], Ts[t], ks[j]). T = 0
+    is an entry of its own. Only a target's own cells shape its entry, so its
     values do not depend on the other targets.
     """
     cells = list(zip(cell_r.tolist(), cell_T.tolist(), cell_k.tolist()))
@@ -187,11 +189,15 @@ def _plan_shared(cell_k, cell_T, cell_r):
     ks_of = {}
     for r, T, k in col:
         ks_of.setdefault((r, T), []).append(k)
-    groups = {}
+    Ts_of = {}
     for (r, T), ks in ks_of.items():
-        groups.setdefault((T, tuple(ks)), []).append(r)
-    plan = [(T, np.array(ks), np.array(rs), np.array([[col[r, T, k] for k in ks] for r in rs]))
-            for (T, ks), rs in groups.items()]
+        Ts_of.setdefault((r, T > 0, tuple(ks)), []).append(T)
+    groups = {}
+    for (r, _, ks), Ts in Ts_of.items():
+        groups.setdefault((tuple(Ts), ks), []).append(r)
+    plan = [(np.array(Ts), np.array(ks), np.array(rs),
+             np.array([[[col[r, T, k] for k in ks] for r in rs] for T in Ts]))
+            for (Ts, ks), rs in groups.items()]
     return plan, np.array([col[c] for c in cells])
 
 
@@ -201,17 +207,18 @@ def _scan_layout(plan, n_inner: int, kmax: int):
     The workspace maps each flat buffer of :func:`_softmax_cells` to the
     values it holds per test point in a batch: ``Y`` and ``L`` (kmax per
     row), ``P``, the largest stack of penalties, which first holds the draws,
-    and ``stats``, the selection kernel's largest per-segment statistics.
+    and ``stats``, the selection kernel's largest statistics: per segment,
+    and for an entry of two or more temperatures also its steps and weights.
     """
     rows = max(1, _MAX_ELEMS // kmax)
     chunk = min(rows, n_inner)
     per_stack = max(1, _MAX_ELEMS // (kmax * chunk))
-    stacks = [(T, len(ks), ks[-1], min(per_stack, len(rs))) for T, ks, rs, _ in plan]
+    stacks = [(Ts, len(ks), ks[-1], min(per_stack, len(rs))) for Ts, ks, rs, _ in plan]
     sizes = {
         "Y": kmax * chunk,
         "L": kmax * chunk,
         "P": chunk * max(k * n for _, _, k, n in stacks),
-        "stats": chunk * max((4 * J - 1) * n if T else 0 for T, J, _, n in stacks),
+        "stats": chunk * max((4 * J - 1 + (J - 1 + k) * (len(Ts) > 1)) * n * (Ts[0] > 0) for Ts, J, k, n in stacks),
     }
     return rows, per_stack, sizes
 
@@ -227,10 +234,10 @@ def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, layout
     ``rngs`` holds one generator per point; ``m``, ``s`` and ``mu_T`` are
     per-point arrays and ``mu_R`` is (points, targets). One (n_inner, kmax)
     draw matrix per point backs every cell, drawn in row chunks that bound
-    memory; cell (r, T, k) uses its first k columns. One call of
-    :func:`select_prefixes` per plan entry and chunk serves every k of the
-    entry at all points of the batch, whatever its T, with the targets
-    stacked up to the same bound. Each point's row depends only on its own
+    memory; cell (r, T, k) uses its first k columns. Per plan entry and chunk
+    the penalties are made once, and one call of :func:`select_prefixes`
+    serves every k and every T of the entry at all points of the batch, with
+    the targets stacked up to the same bound. Each point's row depends only on its own
     generator, and no sum depends on the batch size or on the other targets.
     ``layout`` is :func:`_scan_layout`'s result for these arguments. The
     large arrays are views of ``work``'s flat buffers, sized by it for at
@@ -252,14 +259,16 @@ def _softmax_cells(rngs, m, s, mu_T, mu_R, plan, n_inner: int, kmax: int, layout
         Y += m[:, None]
         L = np.subtract(Y, mu_T[:, None], out=_cut(work["L"], (kmax, n_points, rows)))
         L *= L
-        for T, ks, rs, cols in plan:
+        for Ts, ks, rs, cols in plan:
+            hot = Ts[0] > 0  # T = 0 is an argmin call of its own, without the T axis
             for lo in range(0, len(rs), per_stack):
                 stack = slice(lo, lo + per_stack)
                 mu = mu_R[:, rs[stack], None]
                 P = _cut(work["P"], (ks[-1], n_points, mu.shape[1], rows))
                 np.subtract(Y[: ks[-1], :, None], mu, out=P)
                 P *= P
-                out[:, cols[stack]] += select_prefixes(P, L[: ks[-1], :, None], ks, T, scratch=work["stats"])
+                sums = select_prefixes(P, L[: ks[-1], :, None], ks, Ts if hot else 0.0, scratch=work["stats"])
+                out[:, cols[:, stack]] += np.moveaxis(sums, 0, 1) if hot else sums[:, None]
         done += rows
     return out / n_inner
 

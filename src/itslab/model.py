@@ -239,7 +239,8 @@ def resolve_reward(spec: RewardSpec, w_T: np.ndarray, R: float, S: float) -> np.
     if R < 0:
         raise ValueError(f"R must be >= 0, got {R}")
     if spec.mode == "radial_c":
-        return (1.0 + spec.c * R / (R + S * S)) * w_T
+        # B = R/(R + S^2) is 0 at R = 0 for every S > 0, also where S^2 rounds to 0
+        return (1.0 + (spec.c * R / (R + S * S) if R else 0.0)) * w_T
     # polar
     if w_T.shape != (2,):
         raise ValueError("polar reward parameterization requires d = 2")

@@ -14,7 +14,7 @@ import pytest
 
 import itslab.cli
 import itslab.mc
-from itslab import ModelConfig
+from itslab import ModelConfig, dlogn_flat_prior, sample_teacher, stream
 from itslab.cli import build_parser, main, parse_grid, parse_int_grid, write_csv
 
 from _synth import bisect_ridge, record_rows, trap_judge_questions, write_records
@@ -881,6 +881,19 @@ class TestExtremeScales:
         assert all(float(r[10]) > 0 for r in rows)
         # the closed-form column needs gamma^2, so it is left empty with a warning
         assert "prior variance gamma^2 leaves the float range" in capsys.readouterr().err
+
+    def test_tradeoff_flat_prior_closed_form_at_a_tiny_S(self, tmp_path, capsys):
+        # 1/S^2 and gamma^4 both leave the float range; their ratio does not
+        out = tmp_path / "x.csv"
+        assert run(["tradeoff", "--mode", "exact", "--S", "1e-160", "--gamma", "1e100", "--d", "3",
+                    "--n-grid", "30", "--k-grid", "2,4", "--n-outer", "3", "--n-inner", "3",
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            cells = {r["dlogn_closed_form"] for r in csv.DictReader(fh)}
+        cfg = ModelConfig(d=3, n=30, S=1e-160, gamma=1e100)
+        assert cells == {repr(dlogn_flat_prior(cfg, sample_teacher(cfg, stream(0, "teacher"))))}
+        assert -1e-80 < float(cells.pop()) < 0.0
 
     def test_ridge_near_the_top_of_the_float_range_runs(self, capsys):
         # R_hat = 1e308: doubling the bracket from 2 R_hat left the float range

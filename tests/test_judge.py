@@ -560,6 +560,11 @@ class TestLoopOracle:
         with pytest.raises(ValueError, match="n_resample"):
             judge_sweep(ragged_dataset(tmp_path, 0), [1], [0.0], 0, stream(0, "judge"))
 
+    @pytest.mark.parametrize("T", [-1.0, math.nan])
+    def test_sweep_validates_temperatures(self, T, tmp_path):
+        with pytest.raises(ValueError, match="every T must be >= 0"):
+            judge_sweep(ragged_dataset(tmp_path, 0), [1], [0.0, T], 1, stream(0, "judge"))
+
 
 def test_extra_record_fields_tolerated(tmp_path):
     path = tmp_path / "extra.jsonl"

@@ -718,6 +718,16 @@ class TestDelta:
         target = cfg.gamma**2 * cfg.S**2 + cfg.sigma**2
         assert abs(res.mean[0] - target) < 4 * res.stderr[0]
 
+    def test_prior_predictive_where_the_input_variance_rounds_to_0(self):
+        # n = 0 has no ridge, R = 0: the radial family's B = R/(R + S^2) is 0 even where
+        # S^2 rounds to 0, so w_R = w_T and delta = sigma^2 to rounding (gamma^2 S^2 = 0)
+        cfg = ModelConfig(d=6, n=0, S=1e-200, sigma=0.3, gamma=0.8, tau=0.0)
+        kw = dict(n_outer=3000, n_inner=60, mode="exact_posterior", seed=2)
+        hot = delta_k_curve(cfg, RewardSpec.radial(0.0), 1e9, [4], **kw)
+        assert abs(hot.mean[0] - cfg.sigma**2) < 4 * hot.stderr[0]
+        best = delta_k_curve(cfg, RewardSpec.radial(0.0), 0.0, [4], **kw)  # the draw closest to mu_T = 0
+        assert 0.0 < best.mean[0] < hot.mean[0]
+
     def test_bit_identical_across_runs_and_threads(self):
         cfg = ModelConfig(d=5, n=500, sigma=0.05, gamma=0.5)
         kwargs = dict(n_outer=40, n_inner=30, seed=9)

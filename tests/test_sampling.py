@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from itslab import ModelConfig, RewardSpec, delta_k_curve, delta_t_curve, judge_sweep, load_records, stream
@@ -163,30 +163,34 @@ def _k_grids(kmax):
     )
 
 
+_TEMPERATURES = st.one_of(st.sampled_from([1e-300, 1e-9, 1.0, 1e300]), st.floats(-300, 300).map(lambda e: 10.0**e))
+_SHAPES = st.one_of(
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 12)),  # points, targets, rows
+    st.tuples(st.integers(1, 4), st.integers(1, 12)),  # the judge's questions, resamples
+)
+
+
+def _penalties_and_losses(ks, shape, scale, ties, seed):
+    """Penalties spread over scale * chi^2_1 (integers for ties), and losses shared by targets or not.
+
+    At small T most weights underflow to exactly 0. The engine's losses are
+    shared by its targets; the judge's are per candidate.
+    """
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((int(ks[-1]),) + shape) ** 2 * scale
+    if ties:
+        P = np.round(P)
+    return P, rng.random(P.shape[:2] + (1,) + shape[2:] if len(shape) == 3 else P.shape)
+
+
 class TestRunGroupedKernel:
     """The T > 0 branch to the bit against the kernel made one segment at a time."""
 
-    @given(
-        ks=_k_grids(30),
-        T=st.one_of(st.sampled_from([1e-300, 1e-9, 1.0, 1e300]), st.floats(-300, 300).map(lambda e: 10.0**e)),
-        shape=st.one_of(
-            st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 12)),  # points, targets, rows
-            st.tuples(st.integers(1, 4), st.integers(1, 12)),  # the judge's questions, resamples
-        ),
-        scale=st.sampled_from([1e-3, 1.0, 1e3]),
-        ties=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
+    @given(ks=_k_grids(30), T=_TEMPERATURES, shape=_SHAPES, scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_segmentwise_kernel(self, ks, T, shape, scale, ties, seed):
-        # penalties spread over scale * chi^2_1 (integers for ties): at small T most
-        # weights underflow to exactly 0
-        rng = np.random.default_rng(seed)
-        P = rng.standard_normal((int(ks[-1]),) + shape) ** 2 * scale
-        if ties:
-            P = np.round(P)
-        # the engine's losses are shared by its targets; the judge's are per candidate
-        L = rng.random(P.shape[:2] + (1,) + shape[2:] if len(shape) == 3 else P.shape)
+        P, L = _penalties_and_losses(ks, shape, scale, ties, seed)
         want_P = P.copy()
         want = segmentwise_prefixes(want_P, L, ks, T)
         scratch = np.full((4 * len(ks) - 1) * P[0].size + 3, np.nan)  # spare and stale values
@@ -197,17 +201,48 @@ class TestRunGroupedKernel:
             assert np.array_equal(got_P, want_P)  # the weighted losses it leaves in P
 
 
+class TestTemperatureSequence:
+    """A sequence of temperatures to the bit against one call per temperature."""
+
+    @given(ks=_k_grids(30), temps=st.lists(_TEMPERATURES, min_size=1, max_size=6), shape=_SHAPES,
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(ks=np.array([1, 2, 5, 9]), temps=[1e300, 1.0, 1e-300, 1.0, 1e-300], shape=(2, 3, 4), scale=1.0,
+             ties=True, seed=0)
+    @example(ks=np.array([3]), temps=[1e-300, 1e300, 1e300], shape=(4, 5), scale=1e3, ties=False, seed=1)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_one_call_per_temperature(self, ks, temps, shape, scale, ties, seed):
+        P, L = _penalties_and_losses(ks, shape, scale, ties, seed)
+        want = []
+        for T in temps:
+            want_P = P.copy()
+            want.append(select_prefixes(want_P, L, ks, T))
+        # the statistics, the steps and the weights, with spare and stale values
+        scratch = np.full((5 * len(ks) - 2 + ks[-1]) * P[0].size + 3, np.nan)
+        for kw in ({}, {"scratch": scratch}):
+            got_P = P.copy()
+            got = select_prefixes(got_P, L, ks, temps, **kw)
+            assert got.shape == (len(temps),) + want[0].shape
+            assert np.array_equal(got, np.array(want))
+            assert np.array_equal(got_P, want_P)  # the last temperature's weighted losses
+
+    @pytest.mark.parametrize("T", [[0.0], [1.0, 0.0], [1.0, -1.0], [1.0, math.nan], [[1.0]]])
+    def test_a_sequence_takes_positive_temperatures_only(self, T):
+        P = np.ones((2, 3))
+        with pytest.raises(ValueError, match="1-D sequence of temperatures > 0"):
+            select_prefixes(P, P, np.array([1, 2]), T)
+
+
 class TestOneKernel:
     """Every selection of the engine and of the judge goes through select_prefixes."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # a kernel that logs each call's T and candidate count and selects
-        # nothing: any selection made elsewhere would leave a nonzero value behind
+        # a kernel that logs each call's T (a tuple for a sequence) and candidate count and
+        # selects nothing: any selection made elsewhere would leave a nonzero value behind
         calls = []
 
         def zeroed(P, L, ks, T, **scratch):
-            calls.append((T, P.shape[0]))
+            calls.append((T if np.ndim(T) == 0 else tuple(T), P.shape[0]))
             return np.zeros_like(select_prefixes(P, L, ks, T, **scratch))
 
         monkeypatch.setattr(mc, "select_prefixes", zeroed)
@@ -218,16 +253,28 @@ class TestOneKernel:
         rows = record_rows(trap_judge_questions(np.random.default_rng(0), 12, 8))
         rows += record_rows({"short": [(0.3, 1), (0.3, 1), (0.1, 0)]})
         ds = load_records(write_records(tmp_path / "r.jsonl", rows))
-        out = judge_sweep(ds, [1, 3, 8], [0.0, 0.5, 4.0], 4, stream(0, "judge"))
-        # two count groups (3 and 8 samples), one call per group and T
-        assert sorted(T for T, _ in calls) == [0.0, 0.0, 0.5, 0.5, 4.0, 4.0]
+        out = judge_sweep(ds, [1, 3, 8], [0.0, 4.0, 0.5, 4.0], 4, stream(0, "judge"))
+        # two count groups (3 and 8 samples), each with one call at T = 0 and one for every distinct T > 0
+        assert calls == [(0.0, 3), ((0.5, 4.0), 3), (0.0, 8), ((0.5, 4.0), 8)]
         assert all(row["delta"] == 0.0 for row in out)
 
     def test_mixed_temperature_curve(self, calls):
         cfg = ModelConfig(d=3, n=30)
         res = delta_t_curve(cfg, RewardSpec.radial(1.0), 5, [0.0, 1e-9, 2e-8, 0.0],
                             n_outer=20, n_inner=6, seed=1)
-        assert {T for T, _ in calls} == {0.0, 1e-9, 2e-8}
+        # work units of 16 and 4 points, one chunk each: one call at T = 0 and one for both T > 0
+        assert calls == [(0.0, 5), ((1e-9, 2e-8), 5)] * 2
+        assert not res.per_x.any()
+
+    @pytest.mark.parametrize("max_elems, per_batch", [(mc._MAX_ELEMS, 1), (15, 4)])
+    def test_one_call_per_batch_and_stack_for_every_temperature(self, calls, monkeypatch, max_elems, per_batch):
+        # 15 values: chunks of 3 of the 6 rows, and one target per penalty stack
+        monkeypatch.setattr(mc, "_MAX_ELEMS", max_elems)
+        temps = [1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0]
+        res = delta_t_curve(ModelConfig(d=3, n=30), [RewardSpec.radial(1.0), RewardSpec.radial(0.0)], 5, temps,
+                            n_outer=20, n_inner=6, seed=1)
+        # work units of 16 and 4 points, each one batch
+        assert calls == [(tuple(temps), 5)] * (2 * per_batch)
         assert not res.per_x.any()
 
     def test_zero_temperature_sweep_uses_the_sampler(self, calls):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -289,6 +290,20 @@ class TestScalingDerivatives:
         # 1/S^2 overflows while S^2 > 0 (subnormal): the closed form's limit 1, not inf/inf
         cfg = ModelConfig(d=3, n=30, S=1e-160)
         assert dlogn_flat_prior(cfg, sample_teacher(cfg, stream(9, "teacher"))) == 1.0
+
+    def test_flat_prior_ratio_past_the_float_range(self):
+        # 1/S^2 overflows and gamma^4 does too, while sigma^2/(S^2 gamma^4) is about 1e-80
+        cfg = ModelConfig(d=3, n=30, S=1e-160, gamma=1e100)
+        w = sample_teacher(cfg, stream(9, "teacher"))
+        q = (Fraction(w @ w / cfg.d) * cfg.d**2 * Fraction(cfg.sigma) ** 2
+             / (cfg.n**2 * Fraction(cfg.S) ** 2 * Fraction(cfg.gamma) ** 4))
+        assert dlogn_flat_prior(cfg, w) == pytest.approx(float(-2 * q / (1 - 2 * q)), rel=1e-15, abs=0)
+
+    def test_flat_prior_pole_raises(self):
+        # w.w/d = 1/2 and d^2 sigma^2 / (n^2 S^2 gamma^4) = 1: q = 1/2 exactly
+        cfg = ModelConfig(d=2, n=2, S=1.0, sigma=1.0, gamma=1.0)
+        with pytest.raises(ValueError, match="pole"):
+            dlogn_flat_prior(cfg, np.array([1.0, 0.0]))
 
     def test_training_derivative_subdominant(self):
         cfg = ModelConfig(d=10, n=30_000, **FIG_LIKE)
