@@ -76,7 +76,7 @@ from .model import ModelConfig, RewardSpec, generate_dataset, resolve_reward, sa
 from .posterior import fit_posterior, predictive_moments_batch
 from .ridge import de_moments_batch, solve_for_config
 from .rngstreams import keyed, stream, stream_keys
-from .sampling import select_prefixes
+from .sampling import scratch_per_element, select_prefixes
 
 MODES = ("exact_posterior", "det_equiv")
 
@@ -218,7 +218,7 @@ def _scan_layout(plan, n_inner: int, kmax: int):
         "Y": kmax * chunk,
         "L": kmax * chunk,
         "P": chunk * max(k * n for _, _, k, n in stacks),
-        "stats": chunk * max((4 * J - 1 + (J - 1 + k) * (len(Ts) > 1)) * n * (Ts[0] > 0) for Ts, J, k, n in stacks),
+        "stats": chunk * max(scratch_per_element(J, k, len(Ts)) * n * (Ts[0] > 0) for Ts, J, k, n in stacks),
     }
     return rows, per_stack, sizes
 

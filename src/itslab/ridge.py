@@ -4,7 +4,7 @@ In the proportional limit (d, n -> infinity at fixed alpha = d/n < 1) the
 posterior predictive concentrates on closed-form moments parameterized by a
 renormalized ridge R solving
 
-    R (1 - alpha m(R)) = R_hat = sigma^2 alpha / gamma^2,
+    g(R) = R (1 - alpha m(R)) = R_hat = sigma^2 alpha / gamma^2,
     m(R) = (1/d) Tr[ Cov (Cov + R I)^{-1} ],
 
 where Cov is the input covariance. The shrinkage and residual factors are
@@ -15,13 +15,18 @@ so the predictive mean is (x/sqrt(d))^T A w_T and the predictive variance is
 sigma^2 + gamma^2 (x/sqrt(d))^T B (x/sqrt(d)).
 
 There is one representation: Cov is diagonal and is held as its eigenvalues,
-so A and B are held as theirs. A length-1 spectrum [S^2] is Cov = S^2 I; it
+so A and B are held as theirs, a = lambda/(lambda + R) and b = R/(lambda + R),
+neither as 1 minus the other. A length-1 spectrum [S^2] is Cov = S^2 I; it
 broadcasts against any d-vector, so the isotropic case needs no branch.
+g(R)/R = 1 - alpha m1 is taken as (1 - alpha) + alpha mean(b) at alpha <= 1,
+where no term cancels (1 - alpha m1 does as R -> 0 at alpha = 1), and as
+mean(b) - (alpha - 1) m1 above; g'(R) = 1 - alpha m2 = g(R)/R + alpha mean(a
+b), at the root R_hat/R plus a term >= 0. g' gives the noise-variance check
+and, by implicit differentiation, dR/dalpha.
 
 R comes from bisection to float resolution, from an upper bound of the root,
-in about 40-60 evaluations of m; ``solve_for_config`` keeps each config's
-solution, so a process pays for them once per config.
-"""
+in about 40-60 evaluations of g; ``solve_for_config`` keeps each config's
+solution, so a process pays for them once per config."""
 
 import functools
 import math
@@ -64,22 +69,33 @@ class DetEquiv:
 
     @property
     def b(self) -> np.ndarray:
-        """Eigenvalues of the residual factor, R/(lambda_i + R) = 1 - a."""
-        return 1.0 - self.a
+        """Eigenvalues of the residual factor, R/(lambda_i + R)."""
+        return _residual(self.spectrum, self.R)
+
+    @property
+    def slope(self) -> float:
+        """g'(R) = 1 - alpha m2, as g(R)/R + alpha mean(a b): at the root R_hat/R plus a term >= 0."""
+        return _g_over_R(self.alpha, self.spectrum, self.R) + self.alpha * float(np.mean(self.a * self.b))
 
 
-def _m1(spectrum: np.ndarray, R: float) -> float:
-    return float((spectrum / (spectrum + R)).sum() / spectrum.size)
+def _residual(spectrum: np.ndarray, R: float) -> np.ndarray:
+    """R/(lambda + R) as 1/(1 + lambda/R), which rounds monotonically in R; 0 at R = 0."""
+    with np.errstate(divide="ignore", over="ignore"):  # lambda/R = inf: b = 0
+        return 1.0 / (1.0 + spectrum / R)
 
 
-def _m2(spectrum: np.ndarray, R: float) -> float:
-    return float(((spectrum / (spectrum + R)) ** 2).sum() / spectrum.size)
+def _g_over_R(alpha: float, spectrum: np.ndarray, R: float) -> float:
+    """g(R)/R = 1 - alpha m1(R) from 1 - a = b, in the form that cancels least; it rounds monotonically up in R."""
+    mean_b = float(_residual(spectrum, R).sum()) / spectrum.size
+    if alpha <= 1.0:
+        return (1.0 - alpha) + alpha * mean_b
+    return mean_b - (alpha - 1.0) * (float((spectrum / (spectrum + R)).sum()) / spectrum.size)
 
 
 def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
     """Solve the renormalized-ridge fixed point for a diagonal spectrum.
 
-    Solves g(R) = R (1 - alpha m(R)) = R_hat, which has one root for the
+    Solves g(R) = R (1 - alpha m1(R)) = R_hat, which has one root for the
     admissible inputs, by bisection to float resolution (``_fixed_point``).
     The returned solution is finite with residual |g(R) - R_hat| <= 1e-12
     max(1, R_hat, R), which covers the float rounding of g at a large R;
@@ -108,33 +124,31 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
         )
 
     R = _fixed_point(alpha, spectrum, R_hat) if R_hat > 0.0 else 0.0
-    m1 = _m1(spectrum, R)
-    residual = abs(R * (1.0 - alpha * m1) - R_hat)
+    residual = abs(R * _g_over_R(alpha, spectrum, R) - R_hat)
     if not (math.isfinite(R) and residual <= _RESIDUAL_TOL * max(1.0, R_hat, R)):
         raise RuntimeError(f"fixed-point residual {residual:.3e} exceeds tolerance")
 
-    return DetEquiv(R=R, R_hat=R_hat, alpha=alpha, spectrum=spectrum, m1=m1, m2=_m2(spectrum, R))
+    a = spectrum / (spectrum + R)
+    return DetEquiv(R=R, R_hat=R_hat, alpha=alpha, spectrum=spectrum, m1=float(a.mean()), m2=float((a * a).mean()))
 
 
 def _fixed_point(alpha: float, spectrum: np.ndarray, R_hat: float) -> float:
     """The float R where g(R) = R (1 - alpha m1(R)) reaches R_hat > 0, by bisection.
 
-    In floats, g(R) < R_hat flips once as R grows (each operation of g rounds
-    monotonically), so the bracket (lo = R_hat or g(lo) < R_hat, g(hi) >=
-    R_hat) closes on one pair of adjacent floats whatever its path, and R is
-    their midpoint as rounded. The bracket's first upper end is a bound of
-    the root, which keeps a solve at about 40-60 evaluations of g (about 100
-    at alpha = 1 and a tiny R_hat).
+    It tests g(R)/R < R_hat/R, whose sides stay normal where R_hat may not,
+    and which flips once as R grows (the left side rounds monotonically up,
+    the right down), so the bracket closes on one pair of adjacent floats
+    whatever its path, and R is their midpoint as rounded. Its first upper
+    end bounds the root, which keeps a solve at about 40-60 evaluations of g
+    (about 100 at alpha = 1 and a tiny R_hat).
     """
-    n = spectrum.size
     lo, hi = R_hat, math.inf
-    x = R_hat + alpha * (float(spectrum.sum()) / n)  # g(R) >= R - alpha mean(lambda)
+    x = R_hat + alpha * (float(spectrum.sum()) / spectrum.size)  # g(R) >= R - alpha mean(lambda)
     if alpha < 1.0:
         x = min(x, R_hat / (1.0 - alpha))  # g(R) >= (1 - alpha) R
     x = min(max(x, math.nextafter(R_hat, math.inf)), _FLOAT_MAX)  # above lo, a float
     while True:
-        g = x * (1.0 - alpha * (float((spectrum / (spectrum + x)).sum()) / n))
-        if g < R_hat:
+        if _g_over_R(alpha, spectrum, x) < R_hat / x:
             lo = x
         else:
             hi = x
@@ -192,8 +206,8 @@ def de_moments_batch(X: np.ndarray, w_T: np.ndarray, de: DetEquiv, config: Model
 class NoiseVarianceCheck:
     """Deterministic equivalent of the label-noise variance and its validity.
 
-    ``sigma_c`` is the critical threshold sqrt((1 - alpha m2)/(alpha m2));
-    ``valid`` records sigma^2 <= VALIDITY_FACTOR * sigma_c^2. Note the
+    ``sigma_c`` is the critical threshold sqrt(slope/(alpha m2)), slope = 1 -
+    alpha m2 (``DetEquiv.slope``); ``valid`` records sigma^2 <= VALIDITY_FACTOR * sigma_c^2. Note the
     threshold compares a variance against a dimensionless ratio, exactly as
     the closed form is stated; it is reported verbatim rather than silently
     rescaled.
@@ -206,18 +220,10 @@ class NoiseVarianceCheck:
 
 def noise_variance_check(de: DetEquiv, sigma: float) -> NoiseVarianceCheck:
     """Variance of the omitted label-noise term and the small-noise test."""
-    am2 = de.alpha * de.m2
-    if am2 >= 1.0:
-        raise ValueError(
-            f"alpha * m2 = {am2:.6f} >= 1: the deterministic equivalent of the "
-            "noise variance diverges"
-        )
+    slope, am2 = de.slope, de.alpha * de.m2
+    if slope <= 0.0:
+        raise ValueError(f"1 - alpha m2 = {slope:.6g} <= 0: the deterministic equivalent of the noise variance diverges")
     if am2 == 0.0:
         return NoiseVarianceCheck(var_z=0.0, sigma_c=math.inf, valid=True)
-    var_z = sigma**2 * am2 / (1.0 - am2)
-    sigma_c = math.sqrt((1.0 - am2) / am2)
-    return NoiseVarianceCheck(
-        var_z=var_z,
-        sigma_c=sigma_c,
-        valid=sigma**2 <= VALIDITY_FACTOR * sigma_c**2,
-    )
+    sigma_c = math.sqrt(slope / am2)
+    return NoiseVarianceCheck(var_z=sigma**2 * am2 / slope, sigma_c=sigma_c, valid=sigma**2 <= VALIDITY_FACTOR * sigma_c**2)

@@ -38,9 +38,8 @@ def select_prefixes(P, L, ks, T, *, scratch=None) -> np.ndarray:
     is reduced as one (segments, width, ...) view, whose sums add the
     columns in the same order as one segment at a time.
 
-    ``scratch``, a flat float64 array of at least (4 len(ks) - 1) P[0].size
-    values, (5 len(ks) - 2 + ks[-1]) P[0].size for two or more temperatures,
-    holds the T > 0 branch's statistics: the minima, then each segment's
+    ``scratch``, a flat float64 array of at least ``scratch_per_element(len(ks),
+    ks[-1], len(T))`` P[0].size values, holds the T > 0 branch's statistics: the minima, then each segment's
     denominator and numerator side by side as (len(ks), 2, ...), so one
     multiply and one add merge both, the rescale factors, then the steps and
     the weights; without it they are allocated.
@@ -65,7 +64,7 @@ def select_prefixes(P, L, ks, T, *, scratch=None) -> np.ndarray:
     if not (scalar or np.ndim(T) == 1) or not all(temp > 0 for temp in temps):
         raise ValueError(f"T must be one temperature >= 0 or a 1-D sequence of temperatures > 0, got {T}")
     J, shape, N = len(ks), P.shape[1:], P[0].size
-    size = (4 * J - 1 + (J - 1 + len(P) if len(temps) > 1 else 0)) * N
+    size = scratch_per_element(J, len(P), len(temps)) * N
     stats = np.empty(size) if scratch is None else scratch[:size]
     top = stats[: J * N].reshape((J,) + shape)
     den_num = stats[J * N : 3 * J * N].reshape((J, 2) + shape)  # [j] holds (denominator, numerator)
@@ -107,6 +106,11 @@ def select_prefixes(P, L, ks, T, *, scratch=None) -> np.ndarray:
             den_num[j] += np.multiply(den_num[j - 1], shrink[j - 1], out=rescaled)
         np.sum(np.divide(num, den, out=num), axis=-1, out=np.moveaxis(sums[t], -1, 0))
     return sums[0] if scalar else sums
+
+
+def scratch_per_element(n_ks: int, kmax: int, n_temps: int) -> int:
+    """Values of ``select_prefixes``' scratch per element of P[0], for n_ks k values up to kmax."""
+    return 4 * n_ks - 1 + (n_ks - 1 + kmax if n_temps > 1 else 0)
 
 
 def _runs(spans):

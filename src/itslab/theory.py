@@ -11,7 +11,7 @@ Four regimes are covered:
 * stationary points of the series: the reward weight, sample count k and
   temperature that minimize the error;
 * log-log derivatives of the best-of-k error with respect to k and n, the
-  inference-vs-training compute trade-off.
+  inference-vs-training compute trade-off (in n, exact through the fixed point).
 """
 
 import math
@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelConfig
-from .ridge import DetEquiv, de_moments_batch, solve_ridge
+from .ridge import DetEquiv, de_moments_batch
 
 # Below this t the dropped 1/t^4 remainder is no longer a sub-percent
 # correction in the regimes of interest; SeriesTerms.caveat flags it, nothing refuses it.
 SERIES_T_WARN = 5.0
-_REL_STEP = 1e-4  # relative step of scaling_derivatives' finite difference in alpha
 
 
 @dataclass(frozen=True)
@@ -240,8 +239,9 @@ def optimal_temperature(delta_T: float, delta_R: float, s2: float, k: int) -> fl
 class ScalingDerivatives:
     """Log-log sensitivities of the aligned best-of-k error.
 
-    dlogk is exactly -2 (the k^{-2} law). dlogn comes from the ridge's
-    dependence on alpha = d/n. ``small_ridge_ok`` records R <= 0.01 sigma^2,
+    dlogk is exactly -2 (the k^{-2} law). dlogn is the exact derivative of
+    the deterministic equivalent in log n, through the ridge's dependence on
+    alpha = d/n. ``small_ridge_ok`` records R <= 0.01 sigma^2,
     the conservative domain of the inference-over-training dominance claim;
     ``trace_ok`` is the variance-flatness condition shared with the refined
     best-of-k formula.
@@ -256,31 +256,20 @@ class ScalingDerivatives:
 def scaling_derivatives(config: ModelConfig, de: DetEquiv, w: np.ndarray) -> ScalingDerivatives:
     """Trade-off derivatives d log delta / d log k and d log n.
 
-    dlogn = -alpha d_alpha(u^T Cov u) / (sigma^2 d - 2 u^T Cov u), with the
-    alpha-derivative taken by centered finite difference through the ridge
-    solver, at relative step _REL_STEP.
+    dlogn = -alpha dF/dalpha / (sigma^2 d - 2 F), F = u^T Cov u, u = B w, from
+    the one solve ``de`` by implicit differentiation of g(R) = R_hat: dR/dalpha
+    = (R_hat/alpha + R m1)/g'(R), dF/dR = 2 sum lambda u w a/(lambda + R) = 2 sum
+    u w a^2, and dR/denominator first, as dR dF/dR can underflow where dlogn does not.
     """
-    alpha = de.alpha
     w = np.asarray(w, dtype=float)
-
-    def F(solved: DetEquiv) -> float:
-        u = solved.b * w
-        return _cov_form(u, u, solved)
-
-    def F_at(a: float) -> float:
-        return F(solve_ridge(a, config.sigma, config.gamma, de.spectrum))
-
-    F0 = F(de)
-    dF = (F_at(alpha * (1.0 + _REL_STEP)) - F_at(alpha * (1.0 - _REL_STEP))) / (2.0 * alpha * _REL_STEP)
-    denom = config.sigma**2 * config.d - 2.0 * F0
+    u = de.b * w
+    denom = config.sigma**2 * config.d - 2.0 * _cov_form(u, u, de)
     if denom <= 0:
         raise ValueError("sigma^2 d - 2 u^T Cov u <= 0: outside the formula's domain")
-    return ScalingDerivatives(
-        dlogk=-2.0,
-        dlogn=-alpha * dF / denom,
-        small_ridge_ok=de.R <= 0.01 * config.sigma**2,
-        trace_ok=config.prior_var * _trace_b_cov(de) <= 0.01 * config.sigma**2,
-    )
+    dR, dF_dR = (de.R_hat / de.alpha + de.R * de.m1) / de.slope, 2.0 * float(np.sum(u * w * de.a**2))
+    return ScalingDerivatives(dlogk=-2.0, dlogn=-de.alpha * (dR / denom) * dF_dR,
+                              small_ridge_ok=de.R <= 0.01 * config.sigma**2,
+                              trace_ok=config.prior_var * _trace_b_cov(de) <= 0.01 * config.sigma**2)
 
 
 def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:
@@ -288,7 +277,7 @@ def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:
 
     Uses u ~ (1/S^2)(sigma^2/gamma^2)(d/n) w, which is accurate when
     alpha << 1 and R << S^2; serves as an independent cross-check of the
-    finite-difference route. Each of S, sigma, n and gamma outside
+    implicit derivative. Each of S, sigma, n and gamma outside
     [2^-100, 2^100] enters q as its mantissa, its power of two applied last,
     so no factor such as 1/S^2 or gamma^4 leaves the float range on its own.
     Raises ValueError at the pole q = 1/2.

@@ -2,17 +2,20 @@
 per-line ``json.loads`` record loader, the i.i.d. training-set reference,
 the Cholesky route to the exact posterior, a brute-force selection, the
 segment-at-a-time softmax prefix kernel, the per-point Monte Carlo
-estimator, the exact law of the minimum of k chi-squares and the bisection
-route to the renormalized ridge."""
+estimator, the exact law of the minimum of k chi-squares, and the bisection
+and mpmath routes to the renormalized ridge and its derivative in alpha."""
 
 import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
+from hypothesis import strategies as st
 
 from itslab import Dataset, JudgeRecordError
 from itslab.judge import _grouped
+from itslab.ridge import _g_over_R
 
 
 def select(values, rewards, T):
@@ -66,26 +69,109 @@ def segmentwise_prefixes(P, L, ks, T):
 
 
 def bisect_ridge(alpha, spectrum, R_hat):
-    """The renormalized ridge R (1 - alpha m(R)) = R_hat > 0 by bisection to float resolution.
+    """The renormalized ridge g(R) = R_hat > 0 by bisection to float resolution.
 
-    The independent oracle of ``itslab.ridge._fixed_point``, with its call
-    signature: the bracket starts at [R_hat, 2 R_hat] and doubles its upper
-    end until g reaches R_hat, past the float range if need be (then R is
-    inf), and m is ``np.mean``.
+    The bracket-path oracle of ``itslab.ridge._fixed_point``, with its call
+    signature and its test g(R)/R < R_hat/R (``itslab.ridge._g_over_R``), so
+    that the two meet on the same float whatever their paths: the bracket
+    starts at [R_hat, 2 R_hat] and doubles its upper end until g reaches
+    R_hat, past the float range if need be (then R is inf). The root itself
+    is checked against mpmath (``mp_ridge``).
     """
-    g = lambda R: R * (1.0 - alpha * float(np.mean(spectrum / (spectrum + R))))
+    below = lambda R: _g_over_R(alpha, spectrum, R) < R_hat / R
     lo, hi = R_hat, 2.0 * R_hat
-    while g(hi) < R_hat:
+    while below(hi):
         hi *= 2.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if g(mid) < R_hat:
+        if below(mid):
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# the ridge oracles' range: alpha over nine decades, at 1 and 1e-6 to 0.1 off it, tiny sigma, huge
+# gamma, and 1-50 eigenvalues
+MP_CONFIGS = dict(
+    alpha=st.one_of(_decades(-6, 3), st.just(1.0), st.floats(-6, -1).flatmap(
+        lambda e: st.sampled_from([1.0 - 10.0**e, 1.0 + 10.0**e]))),
+    sigma=_decades(-150, 1), gamma=_decades(-3, 150), spectrum=st.lists(_decades(-3, 3), min_size=1, max_size=50))
+
+
+def assert_close(value, ref, rel=1e-12):
+    """|value - ref| <= rel |ref|, give or take the smallest normal float, below which fewer digits exist."""
+    assert abs(value - ref) <= rel * abs(ref) + 2.0**-1022, (value, ref)
+
+
+def mp_ridge(alpha, spectrum, R_hat, start):
+    """The root of g(R) = R_hat in mpmath at its working precision, with a, b and g' there.
+
+    The independent oracle of ``itslab.ridge.solve_ridge``: g(R) = R ((1 -
+    alpha) + alpha mean(R/(lambda + R))) is evaluated in mpmath, Newton runs
+    from ``start`` (the float root), and the root is proved by the sign
+    change of g - R_hat across R (1 -+ 10^(10 - dps)), as g rises through
+    R_hat only once. g'(R) = 1 - alpha m2 is taken as (1 - alpha) + alpha
+    mean(b (1 + a)), which at 50 digits loses at most log10(alpha/g') of
+    them. Returns (R, a, b, slope), the arrays as lists of mpf.
+    """
+    alpha, R_hat = mp.mpf(alpha), mp.mpf(R_hat)
+    lam = [mp.mpf(x) for x in np.ravel(spectrum).tolist()]
+
+    def mean(values):
+        return mp.fsum(values) / len(lam)
+
+    def g(R):
+        return R * ((1 - alpha) + alpha * mean(R / (x + R) for x in lam)) - R_hat
+
+    R = mp.mpf(0)
+    if R_hat > 0:
+        R = mp.mpf(start)
+        for _ in range(100):
+            step = g(R) / ((1 - alpha) + alpha * mean(R * (2 * x + R) / (x + R) ** 2 for x in lam))
+            R -= step
+            if abs(step) <= R * mp.mpf(10) ** (5 - mp.mp.dps):
+                break
+        eps = mp.mpf(10) ** (10 - mp.mp.dps)
+        assert g(R * (1 - eps)) < 0 < g(R * (1 + eps)), "Newton did not close on the root"
+    a = [x / (x + R) for x in lam]
+    b = [R / (x + R) for x in lam]
+    slope = (1 - alpha) + alpha * mean(q * (1 + p) for p, q in zip(a, b))
+    return R, a, b, slope
+
+
+def mp_dlogn(alpha, spectrum, R_hat, sigma, w, start):
+    """d log delta / d log n of the refined best-of-k law, by central difference in mpmath.
+
+    The independent oracle of ``itslab.theory.scaling_derivatives``' dlogn =
+    -alpha F'(alpha) / (sigma^2 d - 2 F), F = sum lambda (b w)^2: F' is the
+    central difference of two ``mp_ridge`` solves at alpha (1 +- h), with
+    R_hat (1 +- h), as R_hat is proportional to alpha; ``start`` is the float
+    root. d log R / d log alpha is at most s = 1 + max(lambda)/R (near alpha
+    = 1 and a tiny R_hat, R ~ sqrt(R_hat lambda) moves by lambda/2 per unit
+    of alpha), so h = 1e-20/s and 50 + log10 s digits keep the difference's
+    error below 1e-25 relative. ``spectrum`` broadcasts against ``w``.
+    Returns dlogn and its denominator, as mpf.
+    """
+    lam = np.broadcast_to(spectrum, np.shape(w)).tolist()
+    s = 1 + max(lam) / mp.mpf(start) if start else 1  # R_hat = 0: R = 0 at every alpha
+    with mp.workdps(50 + int(mp.log10(s)) + 1):
+        alpha, R_hat, h = mp.mpf(alpha), mp.mpf(R_hat), mp.mpf("1e-20") / s
+        w = [mp.mpf(x) for x in np.ravel(w).tolist()]
+
+        def F(step):
+            b = mp_ridge(alpha * (1 + step), lam, R_hat * (1 + step), start)[2]
+            return mp.fsum(x * (q * v) ** 2 for x, q, v in zip(lam, b, w))
+
+        dF = (F(h) - F(-h)) / (2 * alpha * h)
+        denom = mp.mpf(sigma) ** 2 * len(w) - 2 * F(0)
+        return -alpha * dF / denom, denom
 
 
 def iid_dataset(config, w_T, rng):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ import itslab.mc
 from itslab import ModelConfig, dlogn_flat_prior, sample_teacher, stream
 from itslab.cli import build_parser, main, parse_grid, parse_int_grid, write_csv
 
-from _synth import bisect_ridge, record_rows, trap_judge_questions, write_records
+from _synth import assert_close, bisect_ridge, mp_ridge, record_rows, trap_judge_questions, write_records
 
 
 def run(argv):
@@ -155,12 +156,12 @@ _WARNED_RUNS = {
     "sweep_k_order": (["sweep-k", "--d", "2", "--n", "20", "--T-sigma2", "1e-6", "--k-grid", "2,3",
                        *_MC4],
                       [_SERIES_T.format("4.5e-07"),
-                       "the high-temperature series is -19.156139367653807 < 0 at T = 1e-14, k = 2"],
-                      "a02792daf881cadb"),
+                       "the high-temperature series is -19.15613936765631 < 0 at T = 1e-14, k = 2"],
+                      "9648a6a3e3d981d5"),
     "sweep_k_alpha": (["sweep-k", "--d", "20", "--n", "10", "--k-grid", "1,4", *_MC4],
                       [_alpha(2), _SERIES_T.format("0.192"),
-                       "the high-temperature series is -24.536275962535058 < 0 at T = 2e-07, k = 4"],
-                      "e0bd2669011dc35d"),
+                       "the high-temperature series is -24.536275962535072 < 0 at T = 2e-07, k = 4"],
+                      "3da06db1fc102ae8"),
     "sweep_k_no_series": (["sweep-k", "--T", "1e-300", "--k-grid", "1,4", "--c-grid", "0,2", *_MC4],
                           ["the high-temperature series has no value at T = 1e-300: "
                            "float division by zero"],
@@ -173,25 +174,25 @@ _WARNED_RUNS = {
     "tradeoff_repeat": (["tradeoff", "--n-grid", "5,8,5", "--k-grid", "1,4", *_MC4],
                         [_alpha(2), _DERIVATIVES.format(5), _alpha(1.25), _DERIVATIVES.format(8),
                          _alpha(2), _DERIVATIVES.format(5)],
-                        "92c4b352bb8d3517"),
+                        "e7669db927b1cdec"),
     "bestofk_alpha": (["bestofk-check", "--d", "20", "--n", "10", "--k-grid", "1,10", *_MC4],
                       [_alpha(2),
                        "2 u^T Cov u / (sigma^2 d) = 169030842.3488 >= 1: outside the closed form's domain",
                        "c_k = (pi / 2 k^2) e^lambda leaves the float range at lambda = 1.62648e+06"],
-                      "aa698e662c442400"),
+                      "5f4193b52d3606a9"),
     "bestofk_sigma0": (["bestofk-check", "--sigma", "0", "--mode", "de", "--k-grid", "1,10", *_MC4],
                        ["the averaged predictive variance is 0.0; the series needs s2 > 0"],
                        "2294e2a3ae80c6ce"),
     # one clean run per subcommand
-    "ridge": (["ridge"], [], "6c80389681fea10a"),
-    "sweep-k": (["sweep-k", "--k-grid", "1,4", *_MC4], [], "d84a1355da755fd7"),
-    "sweep-t": (["sweep-t", "--k", "4", "--t-grid-sigma2", "5,50", *_MC4], [], "6d6ba4f57c4385c9"),
+    "ridge": (["ridge"], [], "a8d6635c9384d7dd"),
+    "sweep-k": (["sweep-k", "--k-grid", "1,4", *_MC4], [], "3fe9e647a7f8e581"),
+    "sweep-t": (["sweep-t", "--k", "4", "--t-grid-sigma2", "5,50", *_MC4], [], "6b1ad0e509da26c7"),
     "sweep-c": (["sweep-c", "--k", "4", "--c-grid", "1,10", *_MC4], [], "e8be47ae326784f5"),
     "polar-map": (["polar-map", "--d", "2", "--n", "100", "--k-grid", "1,2,3,4", "--c-grid", "1e-3",
                    "--theta-grid", "0,1", *_MC4], [], "c514b18c701ec4eb"),
     "tradeoff": (["tradeoff", "--n-grid", "10000,20000", "--k-grid", "2,4", *_MC4], [],
-                 "712fc0a1d34820c4"),
-    "bestofk-check": (["bestofk-check", "--k-grid", "100,1000", *_MC4], [], "0be9af48f8b69202"),
+                 "355e1decd843c52e"),
+    "bestofk-check": (["bestofk-check", "--k-grid", "100,1000", *_MC4], [], "a39f4664915bf378"),
     "judge": (["judge", "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"], [],
               "65658b20fb508fd2"),
 }
@@ -265,11 +266,11 @@ class TestRewardOffset:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, digest", [
-        (["sweep-k", "--T", "0", "--c-grid", "0,1e6", "--k-grid", "1,4"], "ba482e2b3b7209b4"),
-        (["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1e6", "--k-grid", "1,4"], "91dff59a30c1149f"),
+        (["sweep-k", "--T", "0", "--c-grid", "0,1e6", "--k-grid", "1,4"], "6dfd364830e1da26"),
+        (["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1e6", "--k-grid", "1,4"], "fae912ea121677c4"),
         (["sweep-k", "--mode", "exact", "--d", "10", "--n", "100", "--T", "0", "--c-grid", "0,1e6",
-          "--k-grid", "1,4"], "47d9246c93a58230"),
-        (["sweep-c", "--T", "0", "--k", "4", "--c-grid", "1,1e6"], "f066f32ff045549d"),
+          "--k-grid", "1,4"], "ff36c417d5acaa8f"),
+        (["sweep-c", "--T", "0", "--k", "4", "--c-grid", "1,1e6"], "b84caf8e067a97bd"),
     ], ids=["de_T0", "de_hot", "exact_T0", "sweep_c_T0"])
     def test_reward_a_million_sds_out_runs_unchanged(self, argv, digest, tmp_path):
         out = tmp_path / "x.csv"
@@ -894,6 +895,20 @@ class TestExtremeScales:
         cfg = ModelConfig(d=3, n=30, S=1e-160, gamma=1e100)
         assert cells == {repr(dlogn_flat_prior(cfg, sample_teacher(cfg, stream(0, "teacher"))))}
         assert -1e-80 < float(cells.pop()) < 0.0
+
+    def test_ridge_at_alpha_1_matches_mpmath(self, capsys):
+        # alpha = 1 and R_hat = 1e-24: R^2/(1 + R) = R_hat, where 1 - alpha m1 and 1 - alpha m2 cancel
+        assert run(["ridge", "--d", "10", "--n", "10", "--sigma", "1e-6", "--gamma", "1e6"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        printed = dict(zip(header.split(","), map(float, row.split(","))))
+        with mp.workdps(50):
+            R, (a,), (b,), slope = mp_ridge(1.0, [1.0], mp.mpf(1e-6) ** 2 / mp.mpf(1e6) ** 2, printed["R"])
+            m2 = a * a
+            want = {"R": R, "A": a, "B": b, "m1": a, "m2": m2, "var_z": mp.mpf(1e-6) ** 2 * m2 / slope,
+                    "sigma_c": mp.sqrt(slope / m2)}
+            assert list(printed) == list(want)
+            for column, value in printed.items():
+                assert_close(value, want[column])
 
     def test_ridge_near_the_top_of_the_float_range_runs(self, capsys):
         # R_hat = 1e308: doubling the bracket from 2 R_hat left the float range

@@ -2,12 +2,13 @@ import math
 import threading
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _synth import bisect_ridge
+from _synth import MP_CONFIGS, assert_close, bisect_ridge, mp_ridge
 from itslab import (
     ModelConfig,
     de_moments_batch,
@@ -135,10 +136,10 @@ class TestSolveMatchesBisectionOracle:
             assert new == ref
 
     @pytest.mark.parametrize("alpha, sigma, gamma, R", [
-        (1.0, 1e-6, 1e6, 9.999778782798785e-13),  # 1 - alpha m2 -> 0 as R -> 0
-        (1.0, 1.0, 1e16, 1.1102230246251565e-16),  # 1 - alpha m2 rounds to 0
+        (1.0, 1e-6, 1e6, 1.0000000000004998e-12),  # 1 - alpha m1 -> 0 as R -> 0; the root 1.0000000000005e-12
+        (1.0, 1.0, 1e16, 1e-16),  # 1 - alpha m1 would round to 0; the root 1e-16 + 5e-33
         (1e8, 1e30, 1e100, 99999999.0),  # R_hat = 1e-132, the root alpha - 1
-        (0.999999, 1e-160, 1.0, 9.997418344e-315),  # R_hat = 1e-320 is subnormal
+        (0.999999, 1e-160, 1.0, 9.99988867e-315),  # R_hat = 1e-320 is subnormal; the root 9.9998886715e-315
     ], ids=["alpha_1", "alpha_1_flat", "alpha_1e8", "subnormal_r_hat"])
     def test_edge_cases(self, alpha, sigma, gamma, R):
         assert _outcome(alpha, sigma, gamma, [1.0]) == R == _bisection_outcome(alpha, sigma, gamma, [1.0])
@@ -163,6 +164,36 @@ class TestSolveMatchesBisectionOracle:
         # g(R) = R (1 - alpha m(R)) stays about alpha = 1e306 below R at every finite R
         with pytest.raises(ValueError, match=r"^no finite R solves R \(1 - alpha m\(R\)\) = R_hat = 1.7956e\+308$"):
             solve_ridge(1e306, 13.4, 1.0, [1.0])
+
+
+class TestSolveMatchesMpmath:
+    """Every scalar of the solve lands within 1e-12 relative of its 50-digit value (``mp_ridge``)."""
+
+    @given(**MP_CONFIGS)
+    @example(alpha=1.0, sigma=1e-6, gamma=1e6, spectrum=[1.0])  # 1 - alpha m1 cancels as R -> 0
+    @example(alpha=1.0, sigma=1.0, gamma=1e16, spectrum=[1.0])
+    @example(alpha=1e3, sigma=1e-4, gamma=1e-3, spectrum=[1e-3])  # alpha > 1: mean(b) - (alpha - 1) m1
+    @example(alpha=0.1, sigma=1e-23, gamma=1e133, spectrum=[1.0])  # R_hat and R subnormal
+    @example(alpha=1.013, sigma=1e-15, gamma=1.0, spectrum=list(np.geomspace(1e-3, 1e3, 32)))
+    @settings(max_examples=300, deadline=None)
+    def test_r_a_b_m1_m2_and_slope(self, alpha, sigma, gamma, spectrum):
+        if sigma**2 * alpha / gamma**2 == 0.0 and alpha >= 1:
+            with pytest.raises(ValueError, match="ridgeless"):
+                solve_ridge(alpha, sigma, gamma, spectrum)
+            return
+        de = solve_ridge(alpha, sigma, gamma, spectrum)
+        with mp.workdps(50):
+            R, a, b, slope = mp_ridge(alpha, spectrum, de.R_hat, de.R)
+            assert_close(de.R, R)
+            for value, ref in [*zip(de.a, a), *zip(de.b, b)]:
+                assert_close(value, ref)
+            assert_close(de.m1, mp.fsum(a) / len(a))
+            assert_close(de.m2, mp.fsum(x * x for x in a) / len(a))
+            assert_close(de.slope, slope)
+
+    def test_slope_is_one_minus_alpha_m2_where_that_does_not_cancel(self):
+        de = solve_ridge(0.3, 0.5, 1.0, [0.5, 2.0])
+        assert de.slope == pytest.approx(1.0 - 0.3 * de.m2, rel=1e-15)
 
 
 class TestIsotropicRidge:
@@ -299,7 +330,7 @@ class TestSolvedOncePerConfig:
     @pytest.mark.parametrize("argv", [
         ["sweep-k", "--k-grid", "1,3", "--c-grid", "0,1"],
         ["bestofk-check", "--k-grid", "4,16"],
-        # per n, one solve and the two of scaling_derivatives' alpha +- h
+        # one solve per n: scaling_derivatives differentiates it, and solves nothing
         ["tradeoff", "--n-grid", "300,3000", "--k-grid", "2"],
     ])
     def test_theory_columns_and_engine_share_one_solve(self, argv, tmp_path):
@@ -310,7 +341,7 @@ class TestSolvedOncePerConfig:
                  "--n-inner", "3", "--out", str(tmp_path / "out.csv")]
         with mock.patch.object(ridge, "_fixed_point", wraps=ridge._fixed_point) as solve:
             assert cli_main(argv + flags) == 0
-        assert solve.call_count == (2 * 3 if argv[0] == "tradeoff" else 1)
+        assert solve.call_count == (2 if argv[0] == "tradeoff" else 1)
 
     def test_kept_solution_is_read_only(self):
         de = solve_for_config(ModelConfig(d=6, n=300))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from itslab import ModelConfig, RewardSpec, delta_k_curve, delta_t_curve, judge_sweep, load_records, stream
 from itslab import judge, mc
-from itslab.sampling import select_prefixes
+from itslab.sampling import scratch_per_element, select_prefixes
 
 from _synth import record_rows, segmentwise_prefixes, select as brute_select, trap_judge_questions, write_records
 
@@ -230,6 +230,22 @@ class TestTemperatureSequence:
         P = np.ones((2, 3))
         with pytest.raises(ValueError, match="1-D sequence of temperatures > 0"):
             select_prefixes(P, P, np.array([1, 2]), T)
+
+
+class TestScratchSize:
+    """A scratch of exactly ``scratch_per_element`` values per element serves the kernel; one fewer does not."""
+
+    @pytest.mark.parametrize("temps, per_element", [(1.0, 15), ([1.0], 15), ([1e-3, 1.0, 30.0], 15 + 3 + 7)],
+                             ids=["one", "sequence_of_one", "several"])
+    def test_exact_size_serves(self, temps, per_element):
+        ks = np.array([1, 2, 4, 7])
+        P, L = _penalties_and_losses(ks, (3, 2, 5), 1.0, False, 0)
+        want = select_prefixes(P.copy(), L, ks, temps)
+        size = scratch_per_element(len(ks), ks[-1], np.size(temps)) * P[0].size
+        assert size == per_element * P[0].size
+        assert np.array_equal(select_prefixes(P.copy(), L, ks, temps, scratch=np.full(size, np.nan)), want)
+        with pytest.raises(ValueError):
+            select_prefixes(P.copy(), L, ks, temps, scratch=np.full(size - 1, np.nan))
 
 
 class TestOneKernel:

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from itslab import (
     ModelConfig,
@@ -26,7 +28,7 @@ from itslab import (
     stream,
 )
 
-from _synth import delta_x
+from _synth import MP_CONFIGS, assert_close, delta_x, mp_dlogn
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
@@ -318,6 +320,39 @@ class TestScalingDerivatives:
         de = solve_for_config(cfg)
         w = sample_teacher(cfg, stream(9, "teacher"))
         assert abs(scaling_derivatives(cfg, de, w).dlogn) < 1e-6
+
+
+class TestDlognMatchesMpmath:
+    """dlogn lands within 1e-12 relative of a 50-digit central difference of two solves (``mp_dlogn``)."""
+
+    @given(**MP_CONFIGS, seed=st.integers(0, 2**32 - 1))
+    @example(alpha=1.0, sigma=1e-6, gamma=1e6, spectrum=[1.0], seed=0)
+    @example(alpha=0.999999, sigma=1e-3, gamma=1e-2, spectrum=list(np.geomspace(1e-3, 1e3, 50)), seed=1)
+    @settings(max_examples=300, deadline=None)
+    def test_random_spectra(self, alpha, sigma, gamma, spectrum, seed):
+        if sigma**2 * alpha / gamma**2 == 0.0 and alpha >= 1:
+            return  # the ridgeless case, which solve_ridge refuses (TestSolveMatchesMpmath)
+        de = solve_ridge(alpha, sigma, gamma, spectrum)
+        w = np.random.default_rng(seed).standard_normal(len(spectrum))
+        cfg = ModelConfig(d=len(spectrum), sigma=sigma, gamma=gamma)
+        self._check(cfg, de, w)
+
+    @pytest.mark.parametrize("cfg", [
+        ModelConfig(d=10, n=10_000, sigma=1e-2, gamma=1.0),  # 6.8e-6 off by a finite difference
+        ModelConfig(d=10, n=3162, **FIG_LIKE),
+        ModelConfig(d=10, n=10, sigma=1e-6, gamma=1e6),
+    ], ids=["n_1e4_sigma_1e-2", "figure", "alpha_1"])
+    def test_isotropic_configs(self, cfg):
+        self._check(cfg, solve_for_config(cfg), sample_teacher(cfg, stream(0, "teacher")))
+
+    @staticmethod
+    def _check(cfg, de, w):
+        ref, denom = mp_dlogn(de.alpha, de.spectrum, de.R_hat, cfg.sigma, w, de.R)
+        if denom <= 0:
+            with pytest.raises(ValueError, match="outside the formula's domain"):
+                scaling_derivatives(cfg, de, w)
+        else:
+            assert_close(scaling_derivatives(cfg, de, w).dlogn, ref)
 
 
 def test_refined_law_never_below_plain_floor():
