@@ -25,6 +25,7 @@ from ._special import erfc
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_LOG_FLOAT_MAX = math.log(float(np.finfo(float).max))  # its exp is finite
 
 
 def chisq1_cdf(v, lam: float):
@@ -81,14 +82,20 @@ def chisq1_quantile(p: float, lam: float) -> float:
 
 
 def weibull_norming(lam: float, k: int) -> float:
-    """Norming constant c_k = (pi / 2 k^2) e^lambda of the minimum's Weibull limit."""
+    """Norming constant c_k = (pi / 2 k^2) e^lambda of the minimum's Weibull limit.
+
+    Where e^lambda overflows, c_k is exp(lambda + log(pi/2) - 2 log k), which
+    holds about 1e-13 relative there; ValueError where c_k itself does not fit.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
     try:
-        return math.pi / (2.0 * k**2) * math.exp(lam)
-    except OverflowError as exc:
-        raise ValueError(
-            f"c_k = (pi / 2 k^2) e^lambda leaves the float range at lambda = {lam:g}"
-        ) from exc
+        c_k = math.pi / (2.0 * k**2) * math.exp(lam)
+    except OverflowError:  # e^lambda overflows where c_k may not: exponentiate its log
+        log_c = lam + math.log(math.pi / 2.0) - 2.0 * math.log(k)
+        c_k = math.exp(log_c) if log_c <= _LOG_FLOAT_MAX else math.inf
+    if c_k == math.inf:
+        raise ValueError(f"c_k = (pi / 2 k^2) e^lambda leaves the float range at lambda = {lam:g}")
+    return c_k

@@ -13,12 +13,15 @@ approximated by bootstrap subsets drawn without replacement; subsets for
 growing k extend a common permutation, which keeps curves in k smooth at a
 fixed seed.
 
-Questions with equal sample counts are gathered from the columns by offset
-and their permutation prefixes once as (kmax, Q, R) (Q questions, R
-resamples), so per group one selection-kernel call at T = 0 and one for
-every distinct T > 0 serve every k, at O(|T| * Q * R * kmax). The
-draws are those of a per-subset loop (the tests keep it): T = 0 rows are its
-bytes, T > 0 rows differ by rounding (the kernel sums in permutation order).
+Questions with equal sample counts are gathered from the columns by offset.
+Only the permutation prefixes that the grid reads are drawn: Durstenfeld's
+shuffle (CACM 7(7), 1964, Algorithm 235), stopped after kmax steps, runs on
+every (question, resample) lane of a group at once, one bounded-integer draw
+per lane and step, and leaves each group's prefixes as (kmax, Q, R) (Q
+questions, R resamples). Per group one selection-kernel call at T = 0 and one
+for every distinct T > 0 serve every k, at O(|T| * Q * R * kmax). The draws
+are those of a per-subset loop (the tests keep it): T = 0 rows are its bytes,
+T > 0 rows differ by rounding (the kernel sums in permutation order).
 
 Input format: one JSON object per line with fields question_id and
 sample_id (a JSON string or integer; an integer id is its decimal text, so 1
@@ -139,24 +142,34 @@ def _as_text(ids: list) -> tuple[list, np.ndarray]:
     return [i if type(i) is str else str(i) for i in ids], np.array([type(i) in (str, int) for i in ids])
 
 
-def _draw_groups(ds: JudgeDataset, counts: np.ndarray, n_resample: int, rng) -> list:
-    """Gather the questions by sample count nq: (positions, rewards (Q, nq), correct, perms).
+def _draw_groups(ds: JudgeDataset, counts: np.ndarray, n_resample: int, kmax: int, rng) -> list:
+    """Gather the questions by sample count nq: (positions, rewards (Q, nq), correct, prefix).
 
-    perms (Q, n_resample, nq) gets one ``rng.permuted`` draw per run of consecutive equal-count
-    questions in id order, the same as one ``rng.permutation(nq)`` per question and resample.
+    prefix (min(kmax, nq), Q, n_resample) holds the first entries of one uniform permutation of
+    range(nq) per question and resample (a lane), from Durstenfeld's shuffle stopped after kmax
+    steps: step t draws j from t..nq - 1 for every lane of a group with one ``rng.integers``
+    call and swaps the lane's entries t and j. Steps are the outer loop and the groups still
+    shuffling (t < nq - 1), in ascending nq, the inner one, so a lane's first k entries come
+    from the first k steps whatever kmax is.
     """
-    groups, perms_of, row = [], {}, np.empty(len(counts), dtype=int)
+    groups = []
     for nq in np.unique(counts).tolist():
         positions = np.flatnonzero(counts == nq)
-        row[positions] = np.arange(len(positions))
         rows = ds.starts[positions, None] + np.arange(nq)
-        perms_of[nq] = perms = np.empty((len(positions), n_resample, nq), dtype=np.int32)
-        groups.append((positions, ds.rewards[rows], ds.correct[rows], perms))
-    runs = np.flatnonzero(np.diff(counts, prepend=0)).tolist()
-    for a, b in zip(runs, runs[1:] + [len(counts)]):
-        run = perms_of[counts[a]][row[a]:row[a] + b - a]
-        rng.permuted(np.broadcast_to(np.arange(counts[a], dtype=np.int32), run.shape), axis=-1, out=run)
-    return groups
+        lanes = np.empty((nq, len(positions), n_resample), dtype=np.int32)
+        lanes[...] = np.arange(nq, dtype=np.int32)[:, None, None]
+        groups.append((positions, ds.rewards[rows], ds.correct[rows], lanes))
+    for t in range(min(kmax, int(counts.max()) - 1)):
+        for *_, lanes in groups:
+            if t < len(lanes) - 1:
+                entries, head = lanes.reshape(-1), lanes[t].reshape(-1)  # views
+                at = rng.integers(t, len(lanes), size=lanes.shape[1:]).reshape(-1)
+                at *= head.size
+                at += np.arange(head.size)
+                swapped = entries[at]
+                entries[at] = head  # entry t of a lane is only written where j = t, with its own value
+                head[...] = swapped
+    return [(positions, rewards, correct, lanes[:kmax]) for positions, rewards, correct, lanes in groups]
 
 
 def judge_sweep(
@@ -187,12 +200,11 @@ def judge_sweep(
     temps = sorted(set(T_grid))  # T = 0, if there, first
     hot = [T for T in temps if T > 0]
     per_question = np.empty((len(ks), len(temps), len(counts)))  # each k's (T, question) values contiguous
-    for pos, rewards, correct, perms in _draw_groups(ds, counts, n_resample, rng):
-        ks_q = ks[ks <= perms.shape[-1]]
+    for pos, rewards, correct, prefix in _draw_groups(ds, counts, n_resample, int(ks[-1]), rng):
+        ks_q = ks[ks <= rewards.shape[1]]
         if not ks_q.size:
             continue
-        prefix = np.ascontiguousarray(perms[..., : ks_q[-1]].transpose(2, 0, 1))  # (kmax, Q, R)
-        flat = prefix + np.arange(0, rewards.size, rewards.shape[1])[:, None]  # into the (Q, nq) arrays
+        flat = prefix[: ks_q[-1]] + np.arange(0, rewards.size, rewards.shape[1])[:, None]  # into (Q, nq)
         c = correct.take(flat)
         if temps[0] == 0:  # a stable rank breaks T = 0 ties toward the lowest sample_id, whatever the column order
             rank = np.argsort(np.argsort(-rewards, axis=1, kind="stable"), axis=1)

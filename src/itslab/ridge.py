@@ -38,6 +38,7 @@ from .model import ModelConfig
 
 _RESIDUAL_TOL = 1e-12
 _FLOAT_MAX = float(np.finfo(float).max)
+_FLOAT_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 # The noise-term validity test sigma^2 <= VALIDITY_FACTOR * sigma_c^2 keeps a
 # two-decade margin below the divergence threshold of the label-noise
@@ -110,9 +111,12 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
         raise ValueError("spectrum must contain at least one positive eigenvalue")
 
     try:
-        R_hat = sigma**2 * alpha / gamma**2
-    except ArithmeticError:  # sigma^2 or gamma^2 leaves the float range: ratio first
-        R_hat = (sigma / gamma) * (sigma / gamma) * alpha
+        sigma2, gamma2 = sigma**2, gamma**2
+        in_range = min(sigma2, sigma2 * alpha, gamma2) >= _FLOAT_TINY
+    except OverflowError:
+        in_range = False
+    # a factor that overflows, or is subnormal and so has lost digits, is not formed: ratio first
+    R_hat = sigma2 * alpha / gamma2 if in_range else (sigma / gamma) * (sigma / gamma) * alpha
     if not math.isfinite(R_hat):
         raise ValueError(
             f"R_hat = sigma^2 alpha / gamma^2 overflows at sigma = {sigma:g}, gamma = {gamma:g}"

@@ -194,7 +194,7 @@ _WARNED_RUNS = {
                  "355e1decd843c52e"),
     "bestofk-check": (["bestofk-check", "--k-grid", "100,1000", *_MC4], [], "a39f4664915bf378"),
     "judge": (["judge", "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"], [],
-              "65658b20fb508fd2"),
+              "d3558f5f406f0642"),
 }
 
 

@@ -1,7 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import ncx2
 
@@ -99,6 +102,19 @@ class TestWeibullNorming:
             k = 10_000
             gap = -chisq1_quantile(1.0 - 1.0 / k, lam)
             assert gap / weibull_norming(lam, k) == pytest.approx(1.0, abs=0.02)
+
+    @given(st.floats(0.0, 746.0), st.integers(1, 2**62))
+    @example(710.0, 10**10)  # e^lambda overflows, c_k = 3.5e288 does not
+    @example(709.78, 1)  # e^lambda fits, c_k does not
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mpmath(self, lam, k):
+        with mp.workdps(50):
+            c_k = mp.pi / (2 * mp.mpf(k) ** 2) * mp.exp(lam)
+        if c_k > np.finfo(float).max:
+            with pytest.raises(ValueError, match="leaves the float range"):
+                weibull_norming(lam, k)
+        else:
+            assert abs(weibull_norming(lam, k) - c_k) <= 1e-12 * c_k
 
     def test_mc_mean_ratio(self):
         # E[min] ~ Gamma(1 + 1/alpha) c_k = 2 c_k for shape 1/2.

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tempfile
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from itslab import JudgeRecordError, judge_sweep, load_records, stream
+from itslab.judge import JudgeDataset, _draw_groups
 
 from _synth import (
     argmax_correct_probability,
@@ -478,6 +481,28 @@ def _loop_estimate(per_question):
     return -float(per_question.mean()), stderr
 
 
+def loop_shuffle(sizes, kmax, n_resample, rng):
+    """qid -> n_resample lanes, each a list permuted by Durstenfeld's shuffle stopped after kmax steps.
+
+    Steps are the outer loop; per step, every count still shuffling (t < n - 1),
+    in ascending n, draws j for its (questions in id order, resample) lanes in
+    one call, and each lane swaps its entries t and j in Python.
+    """
+    lanes = {qid: [list(range(n)) for _ in range(n_resample)] for qid, n in sizes.items()}
+    by_count = {}
+    for qid in sorted(sizes):
+        by_count.setdefault(sizes[qid], []).append(qid)
+    for t in range(kmax):
+        for n in sorted(by_count):
+            if t >= n - 1:
+                continue
+            js = rng.integers(t, n, size=(len(by_count[n]), n_resample))
+            for qid, row in zip(by_count[n], js.tolist()):
+                for lane, j in zip(lanes[qid], row):
+                    lane[t], lane[j] = lane[j], lane[t]
+    return lanes
+
+
 def loop_judge_sweep(ds, k_grid, T_grid, n_resample, rng):
     bounds = [*ds.starts.tolist(), len(ds.rewards)]
     questions = {  # qid -> (rewards, correct), each in sample_id order
@@ -485,10 +510,7 @@ def loop_judge_sweep(ds, k_grid, T_grid, n_resample, rng):
         for qid, a, b in zip(ds.question_ids.tolist(), bounds, bounds[1:])
     }
     qids = sorted(questions)
-    perms = {
-        qid: [rng.permutation(len(questions[qid][0])) for _ in range(n_resample)]
-        for qid in qids
-    }
+    perms = loop_shuffle({qid: len(questions[qid][0]) for qid in qids}, max(k_grid), n_resample, rng)
     rows = []
     for k in k_grid:
         eligible = [qid for qid in qids if len(questions[qid][0]) >= k]
@@ -564,6 +586,37 @@ class TestLoopOracle:
     def test_sweep_validates_temperatures(self, T, tmp_path):
         with pytest.raises(ValueError, match="every T must be >= 0"):
             judge_sweep(ragged_dataset(tmp_path, 0), [1], [0.0, T], 1, stream(0, "judge"))
+
+
+class TestPartialShuffle:
+    """The stopped shuffle's prefixes are uniform, and a row reads only its own k steps."""
+
+    @pytest.mark.parametrize("n, k, others", [(5, 2, ()), (4, 4, (3, 6))], ids=["5_choose_2", "all_4_among_3_6"])
+    def test_ordered_prefixes_are_uniform(self, n, k, others):
+        # every ordered k-prefix of the size-n group is one of n!/(n - k)! equally likely cells;
+        # the other sizes share the steps, so they must not bias it
+        n_per_size, n_resample = 500, 40
+        counts = np.repeat([n, *others], n_per_size)
+        ds = JudgeDataset(question_ids=np.arange(counts.size).astype(str),
+                          starts=np.concatenate([[0], np.cumsum(counts)[:-1]]),
+                          rewards=np.zeros(counts.sum()), correct=np.zeros(counts.sum()))
+        groups = _draw_groups(ds, counts, n_resample, k, stream(0, "judge"))
+        prefix = next(prefix for _, rewards, _, prefix in groups if rewards.shape[1] == n)
+        assert prefix.shape == (k, n_per_size, n_resample) and prefix.dtype == np.int32
+        codes = np.ravel_multi_index(tuple(prefix.reshape(k, -1)), (n,) * k)
+        observed = np.bincount(codes, minlength=n**k)
+        cells = [np.ravel_multi_index(p, (n,) * k) for p in itertools.permutations(range(n), k)]
+        assert observed.sum() == observed[cells].sum()  # no entry repeats within a prefix
+        expected = observed.sum() / len(cells)
+        chisq = float(((observed[cells] - expected) ** 2).sum() / expected)
+        assert chisq < chi2.ppf(0.999, len(cells) - 1), chisq
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_do_not_depend_on_the_grid_beyond_their_k(self, seed, tmp_path):
+        ds = ragged_dataset(tmp_path, seed)  # counts 1..19: several groups stop shuffling along the way
+        short = judge_sweep(ds, [1, 2, 3, 7], ORACLE_T, 5, stream(seed, "judge"))
+        long = judge_sweep(ds, [1, 2, 3, 7, 12, 19], ORACLE_T, 5, stream(seed, "judge"))
+        assert short == long[: len(short)]
 
 
 def test_extra_record_fields_tolerated(tmp_path):

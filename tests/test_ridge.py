@@ -175,14 +175,21 @@ class TestSolveMatchesMpmath:
     @example(alpha=1e3, sigma=1e-4, gamma=1e-3, spectrum=[1e-3])  # alpha > 1: mean(b) - (alpha - 1) m1
     @example(alpha=0.1, sigma=1e-23, gamma=1e133, spectrum=[1.0])  # R_hat and R subnormal
     @example(alpha=1.013, sigma=1e-15, gamma=1.0, spectrum=list(np.geomspace(1e-3, 1e3, 32)))
+    @example(alpha=0.5, sigma=1e-160, gamma=1e-10, spectrum=[1.0])  # sigma^2 subnormal, R_hat normal
+    @example(alpha=0.5, sigma=1e-170, gamma=1e-100, spectrum=[1.0])  # sigma^2 rounds to 0, R_hat does not
+    @example(alpha=0.5, sigma=1e-10, gamma=1e-160, spectrum=[1.0])  # gamma^2 subnormal
+    @example(alpha=1e-300, sigma=1e-10, gamma=1e-150, spectrum=[1.0])  # sigma^2 alpha subnormal
     @settings(max_examples=300, deadline=None)
     def test_r_a_b_m1_m2_and_slope(self, alpha, sigma, gamma, spectrum):
-        if sigma**2 * alpha / gamma**2 == 0.0 and alpha >= 1:
+        with mp.workdps(50):
+            R_hat = mp.mpf(sigma) ** 2 * alpha / mp.mpf(gamma) ** 2
+        if R_hat < mp.mpf(2) ** -1075 and alpha >= 1:  # R_hat rounds to 0
             with pytest.raises(ValueError, match="ridgeless"):
                 solve_ridge(alpha, sigma, gamma, spectrum)
             return
         de = solve_ridge(alpha, sigma, gamma, spectrum)
         with mp.workdps(50):
+            assert_close(de.R_hat, R_hat)
             R, a, b, slope = mp_ridge(alpha, spectrum, de.R_hat, de.R)
             assert_close(de.R, R)
             for value, ref in [*zip(de.a, a), *zip(de.b, b)]:
