@@ -466,13 +466,13 @@ def cmd_judge(args, forms, parser):
         header.append("accuracy")
     rows = []
     for path in args.records:
-        ds = load_records(path)
+        ds, source = load_records(path), Path(path).name
         sweep = judge_sweep(
             ds, args.k_grid, np.asarray(args.t_grid, dtype=float),
-            n_resample=args.n_resample, rng=stream(args.seed, "judge", Path(path).name),
+            n_resample=args.n_resample, rng=stream(args.seed, "judge", source),
         )
         for r in sweep:
-            row = {"source": Path(path).name, "seed": args.seed, **r}
+            row = {"source": source, "seed": args.seed, **r}
             if args.accuracy:
                 row["accuracy"] = -r["delta"]
             rows.append(row)

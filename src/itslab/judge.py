@@ -26,19 +26,32 @@ T > 0 rows differ by rounding (the kernel sums in permutation order).
 Input format: one JSON object per line with fields question_id and
 sample_id (a JSON string or integer; an integer id is its decimal text, so 1
 and "1" name the same question), reward (a JSON number; booleans pass as 1
-and 0) and correct. The loader streams the file: each line is decoded by the
-json module's C scanner and its fields go straight onto the columns, so no
-parsed record is held.
+and 0) and correct. The loader streams the file a chunk of whole lines at a
+time and holds no parsed record. A chunk whose lines are all json.dumps's
+default text for the four fields (``_RECORD``) is split into the columns by
+one regular expression; any other chunk is decoded line by line by the json
+module's C scanner, which alone reports faults.
 """
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .sampling import select_prefixes
+
+
+_CHUNK = 1 << 16  # characters of whole lines per read
+_TEXT = r'"([^"\\\x00-\x1f]*+)"'  # a JSON string without escapes: json.loads gives this text
+# One record line as json.dumps writes it, its reward with a fraction or an exponent (which json
+# parses with float(); integers stay with the scanner: it reads -0 as 0.0, float() as -0.0).
+# A str, so re compiles it on first use and caches it, not at import.
+_RECORD = (r'\{"question_id": ' + _TEXT + r', "sample_id": ' + _TEXT
+           + r', "reward": (-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++(?:[eE][-+]?+[0-9]++)?+|[eE][-+]?+[0-9]++))'
+           + r', "correct": ([01])\}(?:\n|\Z)')
 
 
 class JudgeRecordError(ValueError):
@@ -58,7 +71,11 @@ class JudgeDataset:
 def load_records(path) -> JudgeDataset:
     """Parse and validate a newline-delimited record file in one pass.
 
-    Each line is decoded by the json module's C scanner, and the line is
+    The file is read ``_CHUNK`` characters of whole lines at a time. Where
+    ``_RECORD``'s matches tile a chunk, one per line with nothing between
+    them, the chunk goes onto the columns from one ``re.split``: each such
+    line is one the scanner would decode to the same values. Any other
+    chunk is decoded line by line by the json module's C scanner, a line
     accepted only where the value ends at the line's end, as ``json.loads``
     accepts it; the four fields go straight onto the columns. Raises
     JudgeRecordError citing the first faulty line (blank lines count):
@@ -70,34 +87,44 @@ def load_records(path) -> JudgeDataset:
     """
     scan = json.JSONDecoder().scan_once
     qids, sids, rewards, correct, blanks = [], [], [], [], []
+    lineno = 0
     with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip(" \t\n\r")  # JSON whitespace only: a form feed stays invalid
-            try:
-                obj, end = scan(text, 0)
-                qid, sid, reward, flag = obj["question_id"], obj["sample_id"], obj["reward"], obj["correct"]
-                if end != len(text) or isinstance(reward, str):  # extra data; float() would parse a string
-                    raise ValueError
-                rewards.append(float(reward))  # last: a faulty line leaves the columns as they were
-            except OverflowError:  # an integer reward beyond the float range: not finite
-                rewards.append(math.inf)
-            except (StopIteration, KeyError, TypeError, ValueError, RecursionError) as exc:
-                if not line.strip():
-                    blanks.append(len(qids))
-                    continue
-                _grouped(path, blanks, qids, sids, rewards, correct)  # earlier lines first
-                try:  # the scanner's verdict, worded as json.loads words it
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as bad:  # bad syntax, nesting too deep or an integer too long
-                    raise JudgeRecordError(f"{path}:{lineno}: invalid JSON ({getattr(bad, 'msg', bad)})") from bad
-                if isinstance(exc, KeyError):  # the first missing field, in the order read
-                    fault = f"missing field {exc.args[0]!r}"
-                else:
-                    fault = "reward is not a number" if isinstance(obj, dict) else "expected a JSON object"
-                raise JudgeRecordError(f"{path}:{lineno}: {fault}") from exc
-            qids.append(qid)
-            sids.append(sid)
-            correct.append(flag)
+        while lines := fh.readlines(_CHUNK):
+            parts = re.split(_RECORD, "".join(lines))
+            if not any(parts[0::5]):  # nothing outside the matches, so each line is one record
+                qids += parts[1::5]
+                sids += parts[2::5]
+                rewards += map(float, parts[3::5])
+                correct += map(int, parts[4::5])
+                lineno += len(lines)
+                continue
+            for lineno, line in enumerate(lines, start=lineno + 1):
+                text = line.strip(" \t\n\r")  # JSON whitespace only: a form feed stays invalid
+                try:
+                    obj, end = scan(text, 0)
+                    qid, sid, reward, flag = obj["question_id"], obj["sample_id"], obj["reward"], obj["correct"]
+                    if end != len(text) or isinstance(reward, str):  # extra data; float() would parse a string
+                        raise ValueError
+                    rewards.append(float(reward))  # last: a faulty line leaves the columns as they were
+                except OverflowError:  # an integer reward beyond the float range: not finite
+                    rewards.append(math.inf)
+                except (StopIteration, KeyError, TypeError, ValueError, RecursionError) as exc:
+                    if not line.strip():
+                        blanks.append(len(qids))
+                        continue
+                    _grouped(path, blanks, qids, sids, rewards, correct)  # earlier lines first
+                    try:  # the scanner's verdict, worded as json.loads words it
+                        obj = json.loads(line)
+                    except (ValueError, RecursionError) as bad:  # bad syntax, nesting too deep or an integer too long
+                        raise JudgeRecordError(f"{path}:{lineno}: invalid JSON ({getattr(bad, 'msg', bad)})") from bad
+                    if isinstance(exc, KeyError):  # the first missing field, in the order read
+                        fault = f"missing field {exc.args[0]!r}"
+                    else:
+                        fault = "reward is not a number" if isinstance(obj, dict) else "expected a JSON object"
+                    raise JudgeRecordError(f"{path}:{lineno}: {fault}") from exc
+                qids.append(qid)
+                sids.append(sid)
+                correct.append(flag)
     if not qids:
         raise JudgeRecordError(f"{path}: no records")
     return _grouped(path, blanks, qids, sids, rewards, correct)

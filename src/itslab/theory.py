@@ -278,9 +278,10 @@ def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:
     Uses u ~ (1/S^2)(sigma^2/gamma^2)(d/n) w, which is accurate when
     alpha << 1 and R << S^2; serves as an independent cross-check of the
     implicit derivative. Each of S, sigma, n and gamma outside
-    [2^-100, 2^100] enters q as its mantissa, its power of two applied last,
-    so no factor such as 1/S^2 or gamma^4 leaves the float range on its own.
-    Raises ValueError at the pole q = 1/2.
+    [2^-100, 2^100] enters 2q as its mantissa, its power of two applied
+    last, so no factor such as 1/S^2 or gamma^4 leaves the float range on
+    its own; where 2q does, the result rounds to 1. Raises ValueError at the
+    pole q = 1/2.
     """
     w = np.asarray(w, dtype=float)
     (S, e_S), (sigma, e_sigma), (n, e_n), (gamma, e_gamma) = (
@@ -289,9 +290,9 @@ def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:
     )
     q = (w @ w / config.d) * (1.0 / S**2) * (config.d**2 * sigma**2 / (n * n * gamma**4))
     try:
-        q = math.ldexp(q, 2 * (e_sigma - e_S - e_n - 2 * e_gamma))
-    except OverflowError:  # q past the float range (a tiny S): -2q/(1 - 2q) rounds to 1
+        two_q = math.ldexp(q, 1 + 2 * (e_sigma - e_S - e_n - 2 * e_gamma))
+    except OverflowError:  # a tiny S: -2q/(1 - 2q) = 1/(1 - 1/(2q)) rounds to 1
         return 1.0
-    if q == 0.5:
+    if two_q == 1.0:
         raise ValueError("the flat-prior dlogn has a pole at q = 1/2")
-    return -2.0 * q / (1.0 - 2.0 * q)
+    return -two_q / (1.0 - two_q)

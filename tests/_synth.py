@@ -174,6 +174,17 @@ def mp_dlogn(alpha, spectrum, R_hat, sigma, w, start):
         return -alpha * dF / denom, denom
 
 
+def mp_dlogn_flat_prior(S, sigma, gamma, n, w):
+    """``itslab.theory.dlogn_flat_prior``'s q = (w.w) d sigma^2 / (S^2 n^2 gamma^4) and -2q/(1 - 2q), in mpmath.
+
+    The float inputs are exact in mpmath, whose exponents do not overflow.
+    """
+    with mp.workdps(50):
+        S, sigma, gamma, n = (mp.mpf(x) for x in (S, sigma, gamma, n))
+        q = mp.fsum(mp.mpf(x) ** 2 for x in np.ravel(w).tolist()) * len(w) * sigma**2 / (S**2 * n**2 * gamma**4)
+        return q, -2 * q / (1 - 2 * q)
+
+
 def iid_dataset(config, w_T, rng):
     """The full n x d training set, the reference that generate_dataset must match in law.
 

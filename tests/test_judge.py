@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from itslab import JudgeRecordError, judge_sweep, load_records, stream
+from itslab import JudgeRecordError, judge, judge_sweep, load_records, stream
 from itslab.judge import JudgeDataset, _draw_groups
 
 from _synth import (
@@ -206,11 +206,13 @@ _end = st.sampled_from(["\n", "\r\n"])
 
 
 def _outcome(loader, path):
+    """The error text, or each column's dtype and values: bytes where numeric, so -0.0 is not 0.0."""
     try:
         ds = loader(path)
     except JudgeRecordError as exc:
         return str(exc)
-    return [getattr(ds, name).tolist() for name in ("question_ids", "starts", "rewards", "correct")]
+    columns = (ds.question_ids, ds.starts, ds.rewards, ds.correct)
+    return [(c.dtype, c.tolist() if c.dtype == object else c.tobytes()) for c in columns]
 
 
 class TestLoaderOracle:
@@ -244,6 +246,56 @@ class TestLoaderOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 1.25 * peaks[1], peaks
+
+
+# ---------------------------------------------------------------------------
+# Files of json.dumps's canonical record lines, which the loader splits a chunk
+# at a time with one pattern, and at most one other line, which sends its
+# chunk through the scanner. Small chunks make small files span several.
+
+def _canonical(qid, sid, reward, flag):
+    return json.dumps({"question_id": qid, "sample_id": sid, "reward": reward, "correct": flag}, ensure_ascii=False)
+
+
+_id_text = st.text(st.one_of(st.just("\x7f"), st.characters(
+    exclude_categories=("Cs",), exclude_characters='"\\' + "".join(map(chr, range(32))))), max_size=4)
+_canonical_records = st.lists(
+    st.tuples(_id_text, _id_text, st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0, 1])),
+    max_size=40, unique_by=lambda record: record[:2])
+_FIELDS = '{{"question_id": {}, "sample_id": {}, "reward": {}, "correct": {}}}'
+_NON_CANONICAL = [  # each alone would send its chunk to the scanner
+    *(_FIELDS.format('"q"', '"integer reward"', reward, 1) for reward in ("-0", "0", "-12", "1" + "0" * 400)),
+    _FIELDS.format('"q"', '"true flag"', 0.5, "true"),
+    *(_FIELDS.format(qid, '"id"', -0.0, 1) for qid in ('"q\\u00e9"', '"q\\""', '"\\/"', "7", "-0")),
+    " " + _canonical("q", "leading space", -0.0, 1),
+    _canonical("q", "crlf", -0.0, 1) + "\r",  # the file's line ends in CRLF
+    "",
+    "not json",
+    '{"question_id": "q", "sample_id": "missing"}',
+    _canonical("q", "flag", 0.5, 2),
+    _canonical("q", "nan", math.nan, 1),
+    _canonical("q", "text reward", "0.5", 1),
+    _canonical("q", "s", 0.5, 1) + _canonical("q", "t", 0.5, 1),
+    _FIELDS.format('"q"', '"arabic-indic digit"', "0.\u0663", 1),
+]
+
+
+class TestCanonicalChunks:
+    @given(_canonical_records, st.none() | st.tuples(st.integers(0, 40), st.sampled_from(_NON_CANONICAL)),
+           st.integers(1, 800), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_columns_or_message_match_per_line_loads(self, records, odd, chunk, final_newline):
+        lines = [_canonical(*record) + "\n" for record in records]
+        if odd is not None:
+            lines.insert(odd[0], odd[1] + "\n")
+        text = "".join(lines)
+        if not final_newline:
+            text = text.removesuffix("\n")
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(judge, "_CHUNK", chunk)
+            path = Path(tmp) / "canonical.jsonl"
+            path.write_bytes(text.encode())
+            assert _outcome(load_records, path) == _outcome(load_records_per_line, path)
 
 
 class TestJudgeDelta:

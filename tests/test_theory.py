@@ -28,7 +28,7 @@ from itslab import (
     stream,
 )
 
-from _synth import MP_CONFIGS, assert_close, delta_x, mp_dlogn
+from _synth import MP_CONFIGS, assert_close, delta_x, mp_dlogn, mp_dlogn_flat_prior
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
@@ -353,6 +353,38 @@ class TestDlognMatchesMpmath:
                 scaling_derivatives(cfg, de, w)
         else:
             assert_close(scaling_derivatives(cfg, de, w).dlogn, ref)
+
+
+_scale = st.one_of(st.floats(-323, 308), st.floats(-3, 3)).map(lambda e: 10.0**e).filter(lambda x: x > 0)
+
+
+class TestDlognFlatPriorMatchesMpmath:
+    """dlogn_flat_prior lands within 1e-12 (1 + 2q/|1 - 2q|) relative of -2q/(1 - 2q) in mpmath.
+
+    S, sigma, gamma and n span the float range; the factor is the condition
+    number of -2q/(1 - 2q) in q (or above it), so q itself must be right to
+    about 1e-12 relative.
+    """
+
+    @given(S=_scale, sigma=st.one_of(st.just(0.0), _scale), gamma=_scale,
+           n=st.one_of(st.floats(0, 308), st.floats(0, 6)).map(lambda e: max(1, int(10.0**e))),
+           d=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    @example(S=1e-155, sigma=1.0, gamma=1.0, n=1, d=1, seed=0)  # 2q past the float range, q not
+    @example(S=1.0, sigma=5.624000141233377, gamma=1.0, n=1, d=1, seed=0)  # q rounds to the pole
+    @example(S=1.0, sigma=5.6239, gamma=1.0, n=1, d=1, seed=0)  # q = 0.49998: condition number 2.8e4
+    @example(S=1e-150, sigma=1e200, gamma=1e150, n=10**50, d=3, seed=0)  # no factor in [2^-100, 2^100]
+    @example(S=1e-160, sigma=1.0, gamma=1e100, n=30, d=3, seed=9)  # 1/S^2 and gamma^4 overflow, q does not
+    @settings(max_examples=300, deadline=None)
+    def test_float_range(self, S, sigma, gamma, n, d, seed):
+        w = np.random.default_rng(seed).standard_normal(d)
+        q, ref = mp_dlogn_flat_prior(S, sigma, gamma, n, w)
+        cfg = ModelConfig(d=d, n=n, S=S, sigma=sigma, gamma=gamma)
+        try:
+            value = dlogn_flat_prior(cfg, w)
+        except ValueError:  # the pole: q rounds to 1/2
+            assert abs(1 - 2 * q) < 1e-15, q
+            return
+        assert_close(value, float(ref), rel=1e-12 * (1 + float(2 * q / abs(1 - 2 * q))))
 
 
 def test_refined_law_never_below_plain_floor():
