@@ -32,7 +32,6 @@ from .ridge import (
     DetEquiv,
     NoiseVarianceCheck,
     de_moments_batch,
-    isotropic_ridge,
     noise_variance_check,
     solve_for_config,
     solve_ridge,

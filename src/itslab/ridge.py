@@ -24,10 +24,13 @@ mean(b) - (alpha - 1) m1 above; g'(R) = 1 - alpha m2 = g(R)/R + alpha mean(a
 b), at the root R_hat/R plus a term >= 0. g' gives the noise-variance check
 and, by implicit differentiation, dR/dalpha.
 
-R comes from bisection to float resolution, from an upper bound of the root,
-in about 40-60 evaluations of g; ``solve_for_config`` keeps each config's
-solution, so a process pays for them once per config."""
+R comes in closed form: the model draws x ~ N(0, S^2 I), so the spectrum
+holds one distinct eigenvalue S^2, and g(R) = R_hat is the quadratic R^2 +
+(S^2 (1 - alpha) - R_hat) R - R_hat S^2 = 0, whose positive root is taken
+in a form that cancels nowhere, in decimal arithmetic, and rounded once to
+float (``_fixed_point``)."""
 
+import decimal
 import functools
 import math
 from dataclasses import dataclass
@@ -37,8 +40,8 @@ import numpy as np
 from .model import ModelConfig
 
 _RESIDUAL_TOL = 1e-12
-_FLOAT_MAX = float(np.finfo(float).max)
 _FLOAT_TINY = float(np.finfo(float).tiny)  # the smallest normal float
+_DECIMAL = decimal.Context(prec=40)
 
 # The noise-term validity test sigma^2 <= VALIDITY_FACTOR * sigma_c^2 keeps a
 # two-decade margin below the divergence threshold of the label-noise
@@ -94,21 +97,22 @@ def _g_over_R(alpha: float, spectrum: np.ndarray, R: float) -> float:
 
 
 def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
-    """Solve the renormalized-ridge fixed point for a diagonal spectrum.
+    """Solve the renormalized-ridge fixed point for Cov = S^2 I.
 
     Solves g(R) = R (1 - alpha m1(R)) = R_hat, which has one root for the
-    admissible inputs, by bisection to float resolution (``_fixed_point``).
-    The returned solution is finite with residual |g(R) - R_hat| <= 1e-12
-    max(1, R_hat, R), which covers the float rounding of g at a large R;
-    ValueError where no finite R reaches R_hat.
+    admissible inputs, in closed form (``_fixed_point``). ``spectrum`` is
+    [S^2], or S^2 repeated; ValueError where it holds another eigenvalue or
+    none. The returned solution is finite with residual |g(R) - R_hat|
+    <= 1e-12 max(1, R_hat, R), which covers the float rounding of g at a
+    large R; ValueError where no finite R reaches R_hat.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     spectrum = np.atleast_1d(np.asarray(spectrum, dtype=float))
-    if spectrum.size == 0 or np.any(spectrum <= 0):
-        raise ValueError("spectrum must contain at least one positive eigenvalue")
+    if not (spectrum.size and spectrum[0] > 0 and np.all(spectrum == spectrum[0])):
+        raise ValueError(f"the spectrum must hold one eigenvalue S^2 > 0, Cov = S^2 I; got {np.unique(spectrum)}")
 
     try:
         sigma2, gamma2 = sigma**2, gamma**2
@@ -127,7 +131,7 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
             f"{alpha:g} >= 1 is outside the alpha < 1 regime this solver supports"
         )
 
-    R = _fixed_point(alpha, spectrum, R_hat) if R_hat > 0.0 else 0.0
+    R = _fixed_point(alpha, float(spectrum[0]), R_hat)
     residual = abs(R * _g_over_R(alpha, spectrum, R) - R_hat)
     if not (math.isfinite(R) and residual <= _RESIDUAL_TOL * max(1.0, R_hat, R)):
         raise RuntimeError(f"fixed-point residual {residual:.3e} exceeds tolerance")
@@ -136,57 +140,30 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
     return DetEquiv(R=R, R_hat=R_hat, alpha=alpha, spectrum=spectrum, m1=float(a.mean()), m2=float((a * a).mean()))
 
 
-def _fixed_point(alpha: float, spectrum: np.ndarray, R_hat: float) -> float:
-    """The float R where g(R) = R (1 - alpha m1(R)) reaches R_hat > 0, by bisection.
+def _fixed_point(alpha: float, S2: float, R_hat: float) -> float:
+    """The R >= 0 where g(R) = R (1 - alpha S^2/(S^2 + R)) reaches R_hat >= 0, rounded once to float.
 
-    It tests g(R)/R < R_hat/R, whose sides stay normal where R_hat may not,
-    and which flips once as R grows (the left side rounds monotonically up,
-    the right down), so the bracket closes on one pair of adjacent floats
-    whatever its path, and R is their midpoint as rounded. Its first upper
-    end bounds the root, which keeps a solve at about 40-60 evaluations of g
-    (about 100 at alpha = 1 and a tiny R_hat).
+    g(R) = R_hat is R^2 - 2 c R - R_hat S^2 = 0, c = (R_hat + S^2 (alpha - 1))/2,
+    whose root c + h, h = sqrt(c^2 + R_hat S^2), is taken as R_hat S^2/(h - c)
+    where c < 0, so that no branch cancels; in 40-digit decimals, whose
+    exponents hold every product of floats, R is the float nearest the root.
     """
-    lo, hi = R_hat, math.inf
-    x = R_hat + alpha * (float(spectrum.sum()) / spectrum.size)  # g(R) >= R - alpha mean(lambda)
-    if alpha < 1.0:
-        x = min(x, R_hat / (1.0 - alpha))  # g(R) >= (1 - alpha) R
-    x = min(max(x, math.nextafter(R_hat, math.inf)), _FLOAT_MAX)  # above lo, a float
-    while True:
-        if _g_over_R(alpha, spectrum, x) < R_hat / x:
-            lo = x
-        else:
-            hi = x
-        if hi == math.inf:  # rounding kept g below R_hat at the bound: double, within the float range
-            if lo == _FLOAT_MAX:
-                raise ValueError(f"no finite R solves R (1 - alpha m(R)) = R_hat = {R_hat:g}")
-            x = min(2.0 * lo, _FLOAT_MAX)
-            continue
-        x = 0.5 * lo + 0.5 * hi if lo > 1.0 else 0.5 * (lo + hi)  # 0.5 (lo + hi), without overflow
-        if x == lo or x == hi:
-            return x
-
-
-def isotropic_ridge(alpha: float, sigma: float, gamma: float, S: float) -> float:
-    """Closed-form renormalized ridge for Cov = S^2 I."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
-    if not S > 0:
-        raise ValueError(f"S must be > 0, got {S}")
-    S2 = S * S
-    r = sigma**2 * alpha / gamma**2 / S2  # R_hat / S^2
-    return 0.5 * S2 * (alpha + r - 1.0 + math.sqrt((1.0 - alpha - r) ** 2 + 4.0 * r))
+    with decimal.localcontext(_DECIMAL):
+        r, s = decimal.Decimal(R_hat), decimal.Decimal(S2)
+        c = (r + s * (decimal.Decimal(alpha) - 1)) / 2
+        h = (c * c + r * s).sqrt()
+        R = float(c + h if c >= 0 else r * s / (h - c))
+    if R == math.inf:
+        raise ValueError(f"no finite R solves R (1 - alpha m(R)) = R_hat = {R_hat:g}")
+    return R
 
 
 @functools.lru_cache(maxsize=16)
 def solve_for_config(config: ModelConfig) -> DetEquiv:
     """Solve the fixed point for a model config: spectrum [S^2], Cov = S^2 I.
 
-    The solution is kept per config (its spectrum read-only), so a process
-    solves a config once and a subcommand's theory columns and its engine call
-    share that solve. The cache carries the cost of the bisection: uncached,
-    every engine call would pay two solves of about 0.1 ms each.
+    The solution is kept per config (its spectrum read-only), so a
+    subcommand's theory columns and its engine call share one solve.
     """
     de = solve_ridge(config.alpha, config.sigma, config.gamma, [config.input_var])
     de.spectrum.flags.writeable = False

@@ -116,6 +116,8 @@ def _series(delta_T, delta_R, s2, t, k: int):
     prod = 1.0
     for ell, c in enumerate(_coefficients(delta_T, delta_R, s2), start=1):
         prod *= 1.0 - ell / k
+        if prod == 0.0:  # k = l: this term and every later one vanish, whatever c/t^l is
+            break
         total = total + (-1) ** ell * c / t**ell * prod
     return total
 
@@ -281,8 +283,10 @@ def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:
     [2^-100, 2^100] enters 2q as its mantissa, its power of two applied
     last, so no factor such as 1/S^2 or gamma^4 leaves the float range on
     its own; where 2q does, the result rounds to 1. Raises ValueError at the
-    pole q = 1/2.
+    pole q = 1/2, and at n = 0, where alpha = d/n is not small.
     """
+    if config.n == 0:
+        raise ValueError("the flat-prior dlogn assumes alpha = d/n << 1; n = 0 has no training data")
     w = np.asarray(w, dtype=float)
     (S, e_S), (sigma, e_sigma), (n, e_n), (gamma, e_gamma) = (
         (x, 0) if 2.0**-100 <= x <= 2.0**100 else math.frexp(x)

@@ -2,8 +2,9 @@
 per-line ``json.loads`` record loader, the i.i.d. training-set reference,
 the Cholesky route to the exact posterior, a brute-force selection, the
 segment-at-a-time softmax prefix kernel, the per-point Monte Carlo
-estimator, the exact law of the minimum of k chi-squares, and the bisection
-and mpmath routes to the renormalized ridge and its derivative in alpha."""
+estimator, the exact law of the minimum of k chi-squares, the bisection
+route to the renormalized ridge of any diagonal spectrum, and the mpmath
+routes to the ridge and its derivative in alpha."""
 
 import json
 import math
@@ -13,7 +14,7 @@ import mpmath as mp
 import numpy as np
 from hypothesis import strategies as st
 
-from itslab import Dataset, JudgeRecordError
+from itslab import Dataset, DetEquiv, JudgeRecordError, solve_ridge
 from itslab.judge import _grouped
 from itslab.ridge import _g_over_R
 
@@ -69,14 +70,14 @@ def segmentwise_prefixes(P, L, ks, T):
 
 
 def bisect_ridge(alpha, spectrum, R_hat):
-    """The renormalized ridge g(R) = R_hat > 0 by bisection to float resolution.
+    """The renormalized ridge g(R) = R_hat > 0 by bisection to float resolution, for any diagonal spectrum.
 
-    The bracket-path oracle of ``itslab.ridge._fixed_point``, with its call
-    signature and its test g(R)/R < R_hat/R (``itslab.ridge._g_over_R``), so
-    that the two meet on the same float whatever their paths: the bracket
-    starts at [R_hat, 2 R_hat] and doubles its upper end until g reaches
-    R_hat, past the float range if need be (then R is inf). The root itself
-    is checked against mpmath (``mp_ridge``).
+    The general solve that ``itslab.ridge.solve_ridge``, whose spectrum is
+    [S^2], does not need: it tests g(R)/R < R_hat/R (``itslab.ridge._g_over_R``),
+    and its bracket starts at [R_hat, 2 R_hat] and doubles its upper end
+    until g reaches R_hat, past the float range if need be (then R is inf).
+    Where lambda/R overflows, g rounds to 0 below the root and the bracket
+    closes above it. The root itself is checked against mpmath (``mp_ridge``).
     """
     below = lambda R: _g_over_R(alpha, spectrum, R) < R_hat / R
     lo, hi = R_hat, 2.0 * R_hat
@@ -93,6 +94,19 @@ def bisect_ridge(alpha, spectrum, R_hat):
     return 0.5 * (lo + hi)
 
 
+def bisect_det_equiv(alpha, sigma, gamma, spectrum):
+    """The DetEquiv of any diagonal spectrum, its R from ``bisect_ridge``.
+
+    R_hat is the one ``solve_ridge`` forms, which does not depend on the
+    spectrum, so the inputs it refuses raise the same ValueError here.
+    """
+    spectrum = np.asarray(spectrum, dtype=float)
+    R_hat = solve_ridge(alpha, sigma, gamma, [1.0]).R_hat
+    R = bisect_ridge(alpha, spectrum, R_hat) if R_hat > 0.0 else 0.0
+    a = spectrum / (spectrum + R)
+    return DetEquiv(R=R, R_hat=R_hat, alpha=alpha, spectrum=spectrum, m1=float(a.mean()), m2=float((a * a).mean()))
+
+
 def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
@@ -105,9 +119,9 @@ MP_CONFIGS = dict(
     sigma=_decades(-150, 1), gamma=_decades(-3, 150), spectrum=st.lists(_decades(-3, 3), min_size=1, max_size=50))
 
 
-def assert_close(value, ref, rel=1e-12):
-    """|value - ref| <= rel |ref|, give or take the smallest normal float, below which fewer digits exist."""
-    assert abs(value - ref) <= rel * abs(ref) + 2.0**-1022, (value, ref)
+def assert_close(value, ref, rel=1e-12, atol=0.0):
+    """|value - ref| <= rel |ref| + atol, give or take the smallest normal float, below which fewer digits exist."""
+    assert abs(value - ref) <= rel * abs(ref) + atol + 2.0**-1022, (value, ref)
 
 
 def mp_ridge(alpha, spectrum, R_hat, start):

@@ -26,7 +26,6 @@ from itslab import (
     fit_posterior,
     generate_dataset,
     high_t_delta_batch,
-    isotropic_ridge,
     judge_sweep,
     load_records,
     optimal_k,
@@ -44,7 +43,7 @@ from itslab import (
 from itslab.cli import main as cli_main
 from itslab.evt import chisq1_quantile
 
-from _synth import delta_x, min_chisq1, record_rows, trap_judge_questions, write_records
+from _synth import bisect_ridge, delta_x, min_chisq1, record_rows, trap_judge_questions, write_records
 
 SEED = 2025
 
@@ -112,8 +111,9 @@ def test_02_deterministic_equivalent_fidelity():
     acc_vars /= n_sets
     mean_rel = float(np.linalg.norm(de_means - acc_means) / np.linalg.norm(acc_means))
     var_rel = float(np.max(np.abs(de_vars / acc_vars - 1.0)))
-    iso = isotropic_ridge(cfg.alpha, cfg.sigma, cfg.gamma, cfg.S)
-    solver_rel = abs(solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, [cfg.S**2]).R - iso) / iso
+    closed = solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, [cfg.S**2])
+    general = bisect_ridge(cfg.alpha, np.array([cfg.S**2]), closed.R_hat)
+    solver_rel = abs(closed.R - general) / general
     _report(2, "deterministic-equivalent fidelity", [
         (f"predictive means within 3% (L2 rel {mean_rel:.4f})", mean_rel < 0.03),
         (f"predictive variances within 3% (max rel {var_rel:.4f})", var_rel < 0.03),

@@ -18,7 +18,7 @@ import itslab.mc
 from itslab import ModelConfig, dlogn_flat_prior, sample_teacher, stream
 from itslab.cli import build_parser, main, parse_grid, parse_int_grid, write_csv
 
-from _synth import assert_close, bisect_ridge, mp_ridge, record_rows, trap_judge_questions, write_records
+from _synth import assert_close, mp_ridge, record_rows, trap_judge_questions, write_records
 
 
 def run(argv):
@@ -156,30 +156,32 @@ _WARNED_RUNS = {
     "sweep_k_order": (["sweep-k", "--d", "2", "--n", "20", "--T-sigma2", "1e-6", "--k-grid", "2,3",
                        *_MC4],
                       [_SERIES_T.format("4.5e-07"),
-                       "the high-temperature series is -19.15613936765631 < 0 at T = 1e-14, k = 2"],
-                      "9648a6a3e3d981d5"),
+                       "the high-temperature series is -19.156139367656312 < 0 at T = 1e-14, k = 2"],
+                      "5e511772fdfd0739"),
     "sweep_k_alpha": (["sweep-k", "--d", "20", "--n", "10", "--k-grid", "1,4", *_MC4],
                       [_alpha(2), _SERIES_T.format("0.192"),
-                       "the high-temperature series is -24.536275962535072 < 0 at T = 2e-07, k = 4"],
-                      "3da06db1fc102ae8"),
+                       "the high-temperature series is -24.536275962535093 < 0 at T = 2e-07, k = 4"],
+                      "1c022fab18342c8f"),
+    # the series is exact at k = 1, so only k = 4's leaves the float range
     "sweep_k_no_series": (["sweep-k", "--T", "1e-300", "--k-grid", "1,4", "--c-grid", "0,2", *_MC4],
-                          ["the high-temperature series has no value at T = 1e-300: "
+                          [_SERIES_T.format("5e-293"),
+                           "the high-temperature series has no value at T = 1e-300: "
                            "float division by zero"],
-                          "248b85d6c4130e0d"),
+                          "4371f09f008be6d1"),
     "sweep_t_alpha": (["sweep-t", "--d", "20", "--n", "10", "--k", "2", "--t-grid-sigma2", "2,20",
                        *_MC4],
                       [_alpha(2), "k must be > 2, got 2"],
-                      "90c738870f28d1ce"),
+                      "9e4dc85fd602cf23"),
     # a repeated n repeats its warnings
     "tradeoff_repeat": (["tradeoff", "--n-grid", "5,8,5", "--k-grid", "1,4", *_MC4],
                         [_alpha(2), _DERIVATIVES.format(5), _alpha(1.25), _DERIVATIVES.format(8),
                          _alpha(2), _DERIVATIVES.format(5)],
-                        "e7669db927b1cdec"),
+                        "095f9fcebdd2c3d2"),
     "bestofk_alpha": (["bestofk-check", "--d", "20", "--n", "10", "--k-grid", "1,10", *_MC4],
                       [_alpha(2),
                        "2 u^T Cov u / (sigma^2 d) = 169030842.3488 >= 1: outside the closed form's domain",
                        "c_k = (pi / 2 k^2) e^lambda leaves the float range at lambda = 1.62648e+06"],
-                      "5f4193b52d3606a9"),
+                      "f1803b406f0dec16"),
     "bestofk_sigma0": (["bestofk-check", "--sigma", "0", "--mode", "de", "--k-grid", "1,10", *_MC4],
                        ["the averaged predictive variance is 0.0; the series needs s2 > 0"],
                        "2294e2a3ae80c6ce"),
@@ -269,7 +271,7 @@ class TestRewardOffset:
         (["sweep-k", "--T", "0", "--c-grid", "0,1e6", "--k-grid", "1,4"], "6dfd364830e1da26"),
         (["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1e6", "--k-grid", "1,4"], "fae912ea121677c4"),
         (["sweep-k", "--mode", "exact", "--d", "10", "--n", "100", "--T", "0", "--c-grid", "0,1e6",
-          "--k-grid", "1,4"], "ff36c417d5acaa8f"),
+          "--k-grid", "1,4"], "1cac6ff27ea93a1c"),
         (["sweep-c", "--T", "0", "--k", "4", "--c-grid", "1,1e6"], "b84caf8e067a97bd"),
     ], ids=["de_T0", "de_hot", "exact_T0", "sweep_c_T0"])
     def test_reward_a_million_sds_out_runs_unchanged(self, argv, digest, tmp_path):
@@ -526,22 +528,43 @@ class TestSubcommands:
         assert [r[0] for r in rows] == ["det_equiv"] * 2
         assert all(r[-1] == "" and float(r[10]) >= 0 for r in rows)  # asymptote empty
 
-    @pytest.mark.parametrize("flags, warning", [
-        # t = T / (2 s^2) leaves the float range in the series' t**l terms
-        (["--T", "1e-300"], "the high-temperature series has no value at T = 1e-300"),
-        (["--T", "1e300"], "the high-temperature series has no value at T = 1e+300"),
+    @pytest.mark.parametrize("flags, warnings, k1_series", [
+        # t = T / (2 s^2) leaves the float range in the series' t**l terms at k = 4; the series is
+        # Dt^2 + s^2 at k = 1, whatever t is
+        (["--T", "1e-300"], ["series evaluated at t = 5e-293 < 5.0",
+                             "the high-temperature series has no value at T = 1e-300"], True),
+        (["--T", "1e300"], ["the high-temperature series has no value at T = 1e+300"], True),
         # sigma = 0 in de mode: the averaged predictive variance is 0
-        (["--sigma", "0", "--mode", "de", "--T", "1"], "the averaged predictive variance is 0.0"),
+        (["--sigma", "0", "--mode", "de", "--T", "1"], ["the averaged predictive variance is 0.0"], False),
     ], ids=["T_tiny", "T_huge", "sigma_zero"])
-    def test_sweep_k_without_series_keeps_monte_carlo_rows(self, flags, warning, tmp_path, capsys):
+    def test_sweep_k_without_series_keeps_monte_carlo_rows(self, flags, warnings, k1_series, tmp_path, capsys):
         out = tmp_path / "sk.csv"
         assert run(["sweep-k", "--k-grid", "1,4", "--c-grid", "0,2", "--n-outer", "5",
                     "--n-inner", "5", "--out", str(out)] + flags) == 0
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"itslab: warning: {warning}")
-        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
-        assert [r[0] for r in rows] == ["det_equiv"] * 4  # no theory_highT rows
-        assert all(r[-1] == "" and float(r[10]) >= 0 for r in rows)  # theory_highT empty
+        assert len(err) == len(warnings)
+        assert all(line.startswith(f"itslab: warning: {w}") for line, w in zip(err, warnings))
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["mode"] for r in rows] == ["det_equiv", *["theory_highT"] * k1_series, "det_equiv"] * 2
+        assert all(float(r["delta"]) >= 0 for r in rows)
+        assert all((r["theory_highT"] != "") == (k1_series and r["k"] == "1") for r in rows)
+
+    def test_judge_accuracy_column_is_minus_delta(self, tmp_path):
+        rec = write_records(tmp_path / "r.jsonl",
+                            record_rows(trap_judge_questions(np.random.default_rng(0), 6, 4)))
+        base = ["judge", "--records", str(rec), "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"]
+        tables = {}
+        for flags in ([], ["--accuracy"]):
+            out = tmp_path / f"{len(flags)}.csv"
+            assert run(base + flags + ["--out", str(out)]) == 0
+            with open(out) as fh:
+                reader = csv.DictReader(fh)
+                tables[bool(flags)] = reader.fieldnames, list(reader)
+        (header, rows), (scored_header, scored) = tables[False], tables[True]
+        assert "accuracy" not in header and scored_header == header + ["accuracy"]
+        assert len(rows) == 4 and [{c: r[c] for c in header} for r in scored] == rows
+        assert all(float(r["accuracy"]) == -float(r["delta"]) for r in scored)
 
     def test_de_mode_warns_outside_its_regime(self, tmp_path, capsys):
         # alpha = d/n = 2: det_equiv still runs, with one warning; exact mode has no such regime.
@@ -920,8 +943,8 @@ class TestExtremeScales:
         # at R = 1e4 the float rounding of g (about eps R) is above 1e-12 max(1, R_hat)
         assert run(["ridge", "--d", "20", "--n", "10", "--S", "100", "--sigma", "1e-4", "--gamma", "1e-3"]) == 0
         header, row = capsys.readouterr().out.splitlines()
-        R = bisect_ridge(2.0, np.array([1e4]), 1e-4**2 * 2.0 / 1e-3**2)
-        assert float(dict(zip(header.split(","), row.split(",")))["R"]) == R
+        # the float nearest the root 10000.03999992000048, where R_hat = 0.02
+        assert float(dict(zip(header.split(","), row.split(",")))["R"]) == 10000.03999992
 
     @pytest.mark.parametrize("argv, message", [
         (["ridge", "--sigma", "1e200", "--d", "3", "--n", "30"],

@@ -28,7 +28,7 @@ from itslab import (
     stream,
 )
 
-from _synth import MP_CONFIGS, assert_close, delta_x, mp_dlogn, mp_dlogn_flat_prior
+from _synth import MP_CONFIGS, assert_close, bisect_det_equiv, delta_x, mp_dlogn, mp_dlogn_flat_prior
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
@@ -96,6 +96,9 @@ class TestHighTSeries:
                 t=float(rng.uniform(0.1, 100)),
             )
             assert high_t_delta_x(st, 1) == st.delta_T**2 + st.s2
+        # C_3/t^3 is inf at t = 1e-106 and t**2 overflows at t = 1e300; the factor 1 - 1/k = 0 drops both
+        for t in (1e-106, 1e300):
+            assert high_t_delta_x(SeriesTerms(delta_T=1e-4, delta_R=2e-4, s2=1e-8, t=t), 1) == 1e-4**2 + 1e-8
 
     def test_infinite_t_limit(self):
         st = SeriesTerms(delta_T=0.3, delta_R=0.7, s2=1.2, t=1e30)
@@ -307,6 +310,10 @@ class TestScalingDerivatives:
         with pytest.raises(ValueError, match="pole"):
             dlogn_flat_prior(cfg, np.array([1.0, 0.0]))
 
+    def test_flat_prior_at_n_zero_raises(self):
+        with pytest.raises(ValueError, match="n = 0"):
+            dlogn_flat_prior(ModelConfig(d=2, n=0), np.ones(2))
+
     def test_training_derivative_subdominant(self):
         cfg = ModelConfig(d=10, n=30_000, **FIG_LIKE)
         de = solve_for_config(cfg)
@@ -332,7 +339,7 @@ class TestDlognMatchesMpmath:
     def test_random_spectra(self, alpha, sigma, gamma, spectrum, seed):
         if sigma**2 * alpha / gamma**2 == 0.0 and alpha >= 1:
             return  # the ridgeless case, which solve_ridge refuses (TestSolveMatchesMpmath)
-        de = solve_ridge(alpha, sigma, gamma, spectrum)
+        de = bisect_det_equiv(alpha, sigma, gamma, spectrum)
         w = np.random.default_rng(seed).standard_normal(len(spectrum))
         cfg = ModelConfig(d=len(spectrum), sigma=sigma, gamma=gamma)
         self._check(cfg, de, w)
@@ -402,16 +409,14 @@ def test_refined_law_never_below_plain_floor():
 
 
 class TestSpectrumRepresentation:
-    """A length-1 spectrum [S^2] is Cov = S^2 I; a full spectrum is any diagonal Cov."""
+    """A length-1 spectrum [S^2] is Cov = S^2 I; a full spectrum is any diagonal Cov, solved by bisect_det_equiv."""
 
     def test_length_one_spectrum_equals_full_spectrum(self):
         cfg = ModelConfig(d=6, n=60, S=1.7, sigma=0.3, gamma=1.0)
         w_T = sample_teacher(cfg, stream(11, "teacher"))
         X = stream(11, "test_points").normal(0.0, cfg.S, size=(20, cfg.d))
-        short, full = (
-            solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, spectrum)
-            for spectrum in ([cfg.S**2], np.full(cfg.d, cfg.S**2))
-        )
+        short = solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, [cfg.S**2])
+        full = bisect_det_equiv(cfg.alpha, cfg.sigma, cfg.gamma, np.full(cfg.d, cfg.S**2))
 
         def outputs(de):
             w_R = resolve_reward(RewardSpec.radial(3.0), w_T, de.R, cfg.S)
@@ -432,7 +437,7 @@ class TestSpectrumRepresentation:
     def test_three_eigenvalue_spectrum_against_explicit_matrices(self):
         cfg = ModelConfig(d=3, n=30, sigma=0.5, gamma=1.0)
         spectrum = np.array([0.25, 1.0, 4.0])
-        de = solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, spectrum)
+        de = bisect_det_equiv(cfg.alpha, cfg.sigma, cfg.gamma, spectrum)
         w = np.array([1.0, -2.0, 0.5])
         cov = np.diag(spectrum)
         B = de.R * np.linalg.inv(cov + de.R * np.eye(3))
