@@ -292,7 +292,7 @@ def cmd_ridge(args, forms, parser):
     de = solve_for_config(config)
     nv = noise_variance_check(de, config.sigma)
     row = {
-        "R": de.R, "A": de.a[0], "B": de.b[0], "m1": de.m1, "m2": de.m2,
+        "R": de.R, "A": de.a, "B": de.b, "m1": de.m1, "m2": de.m2,
         "var_z": nv.var_z, "sigma_c": nv.sigma_c,
     }
     return config, list(row), [row]

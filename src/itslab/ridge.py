@@ -1,31 +1,24 @@
 """Deterministic-equivalent ridge: fixed point, shrinkage factors, moments.
 
 In the proportional limit (d, n -> infinity at fixed alpha = d/n < 1) the
-posterior predictive concentrates on closed-form moments parameterized by a
-renormalized ridge R solving
+posterior predictive for inputs x ~ N(0, S^2 I) concentrates on closed-form
+moments parameterized by a renormalized ridge R solving
 
-    g(R) = R (1 - alpha m(R)) = R_hat = sigma^2 alpha / gamma^2,
-    m(R) = (1/d) Tr[ Cov (Cov + R I)^{-1} ],
+    g(R) = R (1 - alpha a) = R_hat = sigma^2 alpha / gamma^2,   a = S^2/(S^2 + R).
 
-where Cov is the input covariance. The shrinkage and residual factors are
+The shrinkage and residual factors are A = a I and B = b I, b = R/(S^2 + R),
+so the predictive mean is a (x/sqrt(d))^T w_T and the predictive variance
+is sigma^2 + gamma^2 b |x|^2/d.
 
-    A = Cov (Cov + R I)^{-1},   B = R (Cov + R I)^{-1} = I - A,
+There is one representation: the covariance is held as the scalar S^2, and
+a and b are held as such, neither as 1 minus the other; m1 = (1/d) Tr A =
+a and m2 = a^2. g(R)/R = 1 - alpha a is taken as (1 - alpha) + alpha b at
+alpha <= 1, where no term cancels (1 - alpha a does as R -> 0 at alpha =
+1), and as b - (alpha - 1) a above; g'(R) = 1 - alpha m2 = g(R)/R + alpha
+a b, at the root R_hat/R plus a term >= 0. g' gives the noise-variance
+check and, by implicit differentiation, dR/dalpha.
 
-so the predictive mean is (x/sqrt(d))^T A w_T and the predictive variance is
-sigma^2 + gamma^2 (x/sqrt(d))^T B (x/sqrt(d)).
-
-There is one representation: Cov is diagonal and is held as its eigenvalues,
-so A and B are held as theirs, a = lambda/(lambda + R) and b = R/(lambda + R),
-neither as 1 minus the other. A length-1 spectrum [S^2] is Cov = S^2 I; it
-broadcasts against any d-vector, so the isotropic case needs no branch.
-g(R)/R = 1 - alpha m1 is taken as (1 - alpha) + alpha mean(b) at alpha <= 1,
-where no term cancels (1 - alpha m1 does as R -> 0 at alpha = 1), and as
-mean(b) - (alpha - 1) m1 above; g'(R) = 1 - alpha m2 = g(R)/R + alpha mean(a
-b), at the root R_hat/R plus a term >= 0. g' gives the noise-variance check
-and, by implicit differentiation, dR/dalpha.
-
-R comes in closed form: the model draws x ~ N(0, S^2 I), so the spectrum
-holds one distinct eigenvalue S^2, and g(R) = R_hat is the quadratic R^2 +
+R comes in closed form: g(R) = R_hat is the quadratic R^2 +
 (S^2 (1 - alpha) - R_hat) R - R_hat S^2 = 0, whose positive root is taken
 in a form that cancels nowhere, in decimal arithmetic, and rounded once to
 float (``_fixed_point``)."""
@@ -53,66 +46,63 @@ VALIDITY_FACTOR = 0.01
 class DetEquiv:
     """Solved renormalized ridge with its derived scalars.
 
-    ``spectrum`` holds the eigenvalues of the diagonal input covariance; a
-    length-1 spectrum [S^2] is Cov = S^2 I and broadcasts over the d inputs.
-    ``a`` and ``b`` are the eigenvalues of the shrinkage and residual factors
-    A and B, in the same shape as ``spectrum``.
+    ``S2`` is S^2, the input covariance being S^2 I; ``a`` and ``b`` are the
+    scalars of the shrinkage and residual factors A = a I and B = b I.
     """
 
     R: float
     R_hat: float
     alpha: float
-    spectrum: np.ndarray
-    m1: float
-    m2: float
+    S2: float
 
     @property
-    def a(self) -> np.ndarray:
-        """Eigenvalues of the shrinkage factor, lambda_i/(lambda_i + R)."""
-        return self.spectrum / (self.spectrum + self.R)
+    def a(self) -> float:
+        """S^2/(S^2 + R)."""
+        return self.S2 / (self.S2 + self.R)
 
     @property
-    def b(self) -> np.ndarray:
-        """Eigenvalues of the residual factor, R/(lambda_i + R)."""
-        return _residual(self.spectrum, self.R)
+    def b(self) -> float:
+        """R/(S^2 + R) as 1/(1 + S^2/R), which rounds monotonically in R; R/S^2 where S^2/R overflows or R = 0."""
+        if self.R and self.S2 / self.R < math.inf:
+            return 1.0 / (1.0 + self.S2 / self.R)
+        return self.R / self.S2
+
+    @property
+    def m1(self) -> float:
+        return self.a
+
+    @property
+    def m2(self) -> float:
+        return self.a * self.a
 
     @property
     def slope(self) -> float:
-        """g'(R) = 1 - alpha m2, as g(R)/R + alpha mean(a b): at the root R_hat/R plus a term >= 0."""
-        return _g_over_R(self.alpha, self.spectrum, self.R) + self.alpha * float(np.mean(self.a * self.b))
+        """g'(R) = 1 - alpha m2, as g(R)/R + alpha a b: at the root R_hat/R plus a term >= 0."""
+        return self.g_over_R + self.alpha * (self.a * self.b)
+
+    @property
+    def g_over_R(self) -> float:
+        """g(R)/R = 1 - alpha a from 1 - a = b, in the form that cancels least; it rounds monotonically up in R."""
+        if self.alpha <= 1.0:
+            return (1.0 - self.alpha) + self.alpha * self.b
+        return self.b - (self.alpha - 1.0) * self.a
 
 
-def _residual(spectrum: np.ndarray, R: float) -> np.ndarray:
-    """R/(lambda + R) as 1/(1 + lambda/R), which rounds monotonically in R; 0 at R = 0."""
-    with np.errstate(divide="ignore", over="ignore"):  # lambda/R = inf: b = 0
-        return 1.0 / (1.0 + spectrum / R)
-
-
-def _g_over_R(alpha: float, spectrum: np.ndarray, R: float) -> float:
-    """g(R)/R = 1 - alpha m1(R) from 1 - a = b, in the form that cancels least; it rounds monotonically up in R."""
-    mean_b = float(_residual(spectrum, R).sum()) / spectrum.size
-    if alpha <= 1.0:
-        return (1.0 - alpha) + alpha * mean_b
-    return mean_b - (alpha - 1.0) * (float((spectrum / (spectrum + R)).sum()) / spectrum.size)
-
-
-def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
-    """Solve the renormalized-ridge fixed point for Cov = S^2 I.
+def solve_ridge(alpha: float, sigma: float, gamma: float, S2: float) -> DetEquiv:
+    """Solve the renormalized-ridge fixed point for Cov = S^2 I, S2 = S^2.
 
     Solves g(R) = R (1 - alpha m1(R)) = R_hat, which has one root for the
-    admissible inputs, in closed form (``_fixed_point``). ``spectrum`` is
-    [S^2], or S^2 repeated; ValueError where it holds another eigenvalue or
-    none. The returned solution is finite with residual |g(R) - R_hat|
-    <= 1e-12 max(1, R_hat, R), which covers the float rounding of g at a
-    large R; ValueError where no finite R reaches R_hat.
+    admissible inputs, in closed form (``_fixed_point``). ValueError where
+    S2 is not finite and > 0. The returned solution is finite with residual
+    |g(R) - R_hat| <= 1e-12 max(1, R_hat, R), which covers the float
+    rounding of g at a large R; ValueError where no finite R reaches R_hat.
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if not gamma > 0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
-    spectrum = np.atleast_1d(np.asarray(spectrum, dtype=float))
-    if not (spectrum.size and spectrum[0] > 0 and np.all(spectrum == spectrum[0])):
-        raise ValueError(f"the spectrum must hold one eigenvalue S^2 > 0, Cov = S^2 I; got {np.unique(spectrum)}")
+    if not 0 < S2 < math.inf:
+        raise ValueError(f"S^2 must be finite and > 0, Cov = S^2 I; got {S2}")
 
     try:
         sigma2, gamma2 = sigma**2, gamma**2
@@ -131,13 +121,11 @@ def solve_ridge(alpha: float, sigma: float, gamma: float, spectrum) -> DetEquiv:
             f"{alpha:g} >= 1 is outside the alpha < 1 regime this solver supports"
         )
 
-    R = _fixed_point(alpha, float(spectrum[0]), R_hat)
-    residual = abs(R * _g_over_R(alpha, spectrum, R) - R_hat)
-    if not (math.isfinite(R) and residual <= _RESIDUAL_TOL * max(1.0, R_hat, R)):
+    de = DetEquiv(R=_fixed_point(alpha, S2, R_hat), R_hat=R_hat, alpha=alpha, S2=S2)
+    residual = abs(de.R * de.g_over_R - R_hat)
+    if not (math.isfinite(de.R) and residual <= _RESIDUAL_TOL * max(1.0, R_hat, de.R)):
         raise RuntimeError(f"fixed-point residual {residual:.3e} exceeds tolerance")
-
-    a = spectrum / (spectrum + R)
-    return DetEquiv(R=R, R_hat=R_hat, alpha=alpha, spectrum=spectrum, m1=float(a.mean()), m2=float((a * a).mean()))
+    return de
 
 
 def _fixed_point(alpha: float, S2: float, R_hat: float) -> float:
@@ -160,22 +148,19 @@ def _fixed_point(alpha: float, S2: float, R_hat: float) -> float:
 
 @functools.lru_cache(maxsize=16)
 def solve_for_config(config: ModelConfig) -> DetEquiv:
-    """Solve the fixed point for a model config: spectrum [S^2], Cov = S^2 I.
+    """Solve the fixed point for a model config, Cov = S^2 I.
 
-    The solution is kept per config (its spectrum read-only), so a
-    subcommand's theory columns and its engine call share one solve.
+    The solution is kept per config, so a subcommand's theory columns and
+    its engine call share one solve.
     """
-    de = solve_ridge(config.alpha, config.sigma, config.gamma, [config.input_var])
-    de.spectrum.flags.writeable = False
-    return de
+    return solve_ridge(config.alpha, config.sigma, config.gamma, config.input_var)
 
 
 def de_moments_batch(X: np.ndarray, w_T: np.ndarray, de: DetEquiv, config: ModelConfig):
     """Closed-form moments for rows of X; returns (means, variances).
 
     mean = (x/sqrt(d))^T A w_T and variance = sigma^2 + gamma^2 (x/sqrt(d))^T B
-    (x/sqrt(d)). The variance takes an elementwise product and a sum, which
-    broadcasts a length-1 ``b`` where a matrix product would not.
+    (x/sqrt(d)).
     """
     Xs = np.asarray(X, dtype=float) / math.sqrt(config.d)
     means = Xs @ (de.a * w_T)

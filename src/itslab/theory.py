@@ -63,14 +63,17 @@ class SeriesTerms:
         """Test-point-averaged terms for rewards colinear with the teacher.
 
         Over x ~ N(0, Cov), the second moments of Dt and Dr are quadratic
-        forms in a = -B w_T and b = A w_T - w_R. When a and b are parallel
+        forms in avec = -B w_T and bvec = A w_T - w_R. When they are parallel
         (every radial reward), evaluating the terms at the root-mean-square
         point reproduces the x-averages of all C_l exactly; the constructor
         refuses non-parallel pairs, for which only a numeric average over
         sampled points is faithful (see :func:`high_t_delta_batch`).
         """
         w_T = np.asarray(w_T, dtype=float)
-        avec = -de.b * w_T
+        # b scaled by 2^e into [0.5, 1), exactly: the forms in avec round as unscaled ones do where
+        # those stay normal, and where b is tiny they do not underflow, nor does avec turn
+        e = -math.frexp(de.b)[1]
+        avec = -math.ldexp(de.b, e) * w_T
         bvec = de.a * w_T - np.asarray(w_R, dtype=float)
         # E[(u.x/sqrt(d))(v.x/sqrt(d))] = u^T Cov v / d for x ~ N(0, Cov)
         aa = _cov_form(avec, avec, de) / config.d
@@ -81,26 +84,21 @@ class SeriesTerms:
                 "reward deviation is not colinear with the teacher deviation; "
                 "average the pointwise series numerically instead"
             )
-        s2_bar = config.sigma**2 + config.prior_var * _trace_b_cov(de)
+        s2_bar = config.sigma**2 + config.prior_var * (de.b * de.S2)
         if not s2_bar > 0:
             raise ValueError(f"the averaged predictive variance is {s2_bar}; the series needs s2 > 0")
         if bb > 0:
             delta_R = math.sqrt(bb)
-            delta_T = ab / delta_R
+            delta_T = math.ldexp(ab / delta_R, -e)
         else:
             delta_R = 0.0
-            delta_T = math.sqrt(aa)
+            delta_T = math.ldexp(math.sqrt(aa), -e)
         return cls(delta_T=delta_T, delta_R=delta_R, s2=s2_bar, t=T / (2.0 * s2_bar))
 
 
 def _cov_form(u: np.ndarray, v: np.ndarray, de: DetEquiv) -> float:
-    """u^T Cov v for the diagonal covariance of ``de``."""
-    return float((de.spectrum * u) @ v)
-
-
-def _trace_b_cov(de: DetEquiv) -> float:
-    """(1/d) Tr(B Cov)."""
-    return float(np.mean(de.b * de.spectrum))
+    """u^T Cov v for Cov = S^2 I."""
+    return float((de.S2 * u) @ v)
 
 
 def _coefficients(delta_T, delta_R, s2):
@@ -118,7 +116,13 @@ def _series(delta_T, delta_R, s2, t, k: int):
         prod *= 1.0 - ell / k
         if prod == 0.0:  # k = l: this term and every later one vanish, whatever c/t^l is
             break
-        total = total + (-1) ** ell * c / t**ell * prod
+        try:
+            term = (-1) ** ell * c / t**ell
+        except OverflowError:  # t^l leaves the float range where c/t^l need not: divide by t l times
+            term = (-1) ** ell * c
+            for _ in range(ell):
+                term = term / t
+        total = total + term * prod
     return total
 
 
@@ -180,7 +184,7 @@ def refined_best_of_k_delta(config: ModelConfig, de: DetEquiv, w: np.ndarray, k:
         raise ValueError(
             f"2 u^T Cov u / (sigma^2 d) = {conc:.4f} >= 1: outside the closed form's domain"
         )
-    regime_ok = config.prior_var * _trace_b_cov(de) <= 0.01 * config.sigma**2
+    regime_ok = config.prior_var * (de.b * de.S2) <= 0.01 * config.sigma**2
     value = math.pi * config.sigma**2 / k**2 / math.sqrt(1.0 - conc)
     return RefinedBestOfK(value=value, regime_ok=regime_ok, concentration=conc)
 
@@ -260,7 +264,7 @@ def scaling_derivatives(config: ModelConfig, de: DetEquiv, w: np.ndarray) -> Sca
 
     dlogn = -alpha dF/dalpha / (sigma^2 d - 2 F), F = u^T Cov u, u = B w, from
     the one solve ``de`` by implicit differentiation of g(R) = R_hat: dR/dalpha
-    = (R_hat/alpha + R m1)/g'(R), dF/dR = 2 sum lambda u w a/(lambda + R) = 2 sum
+    = (R_hat/alpha + R m1)/g'(R), dF/dR = 2 sum S^2 u w a/(S^2 + R) = 2 sum
     u w a^2, and dR/denominator first, as dR dF/dR can underflow where dlogn does not.
     """
     w = np.asarray(w, dtype=float)
@@ -268,10 +272,10 @@ def scaling_derivatives(config: ModelConfig, de: DetEquiv, w: np.ndarray) -> Sca
     denom = config.sigma**2 * config.d - 2.0 * _cov_form(u, u, de)
     if denom <= 0:
         raise ValueError("sigma^2 d - 2 u^T Cov u <= 0: outside the formula's domain")
-    dR, dF_dR = (de.R_hat / de.alpha + de.R * de.m1) / de.slope, 2.0 * float(np.sum(u * w * de.a**2))
+    dR, dF_dR = (de.R_hat / de.alpha + de.R * de.m1) / de.slope, 2.0 * float(np.sum(u * w * de.m2))
     return ScalingDerivatives(dlogk=-2.0, dlogn=-de.alpha * (dR / denom) * dF_dR,
                               small_ridge_ok=de.R <= 0.01 * config.sigma**2,
-                              trace_ok=config.prior_var * _trace_b_cov(de) <= 0.01 * config.sigma**2)
+                              trace_ok=config.prior_var * (de.b * de.S2) <= 0.01 * config.sigma**2)
 
 
 def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:

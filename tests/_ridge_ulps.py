@@ -3,7 +3,7 @@
 Draws a seeded sample of one-eigenvalue configs, alpha, sigma and gamma over
 the ranges of ``_synth.MP_CONFIGS`` and S^2 over [1e-300, 1e300], and for
 each solved config compares ``solve_ridge``'s R and the R of
-``_synth.bisect_ridge`` (the general bisection, at the same R_hat) with the
+``_synth.bisect_ridge`` (the bisection route, at the same R_hat) with the
 root of ``_synth.mp_ridge``. Errors are counted in units of the float
 spacing at the root where the root is a normal float. Prints the counts,
 the worst error of each route and how often each is the closer one.
@@ -33,7 +33,8 @@ def draw(rng):
         alpha = 1.0
     else:
         alpha = 1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6, -1)
-    return alpha, 10.0 ** rng.uniform(-150, 1), 10.0 ** rng.uniform(-3, 150), 10.0 ** rng.uniform(-300, 300)
+    return tuple(float(x) for x in (alpha, 10.0 ** rng.uniform(-150, 1), 10.0 ** rng.uniform(-3, 150),
+                                    10.0 ** rng.uniform(-300, 300)))
 
 
 def main(n_configs=20_000, seed=0):
@@ -43,14 +44,14 @@ def main(n_configs=20_000, seed=0):
     for _ in range(n_configs):
         alpha, sigma, gamma, S2 = draw(rng)
         try:
-            R = solve_ridge(alpha, sigma, gamma, [S2]).R
+            de = solve_ridge(alpha, sigma, gamma, S2)
         except ValueError:  # ridgeless, or R_hat or R past the float range
             continue
         solved += 1
-        R_hat = solve_ridge(alpha, sigma, gamma, [1.0]).R_hat
-        R_bisect = bisect_ridge(alpha, np.array([S2]), R_hat) if R_hat > 0.0 else 0.0
+        R, R_hat = de.R, de.R_hat
+        R_bisect = bisect_ridge(alpha, S2, R_hat) if R_hat > 0.0 else 0.0
         with mp.workdps(50):
-            root = mp_ridge(alpha, [S2], R_hat, R)[0]
+            root = mp_ridge(alpha, S2, R_hat, R)[0]
             if not 2.0**-1022 <= root <= sys.float_info.max:
                 continue
             normal += 1

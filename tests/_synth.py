@@ -3,8 +3,8 @@ per-line ``json.loads`` record loader, the i.i.d. training-set reference,
 the Cholesky route to the exact posterior, a brute-force selection, the
 segment-at-a-time softmax prefix kernel, the per-point Monte Carlo
 estimator, the exact law of the minimum of k chi-squares, the bisection
-route to the renormalized ridge of any diagonal spectrum, and the mpmath
-routes to the ridge and its derivative in alpha."""
+route to the renormalized ridge of Cov = S^2 I, and the mpmath routes to
+the ridge, its derivative in alpha and the closed forms built on it."""
 
 import json
 import math
@@ -14,9 +14,8 @@ import mpmath as mp
 import numpy as np
 from hypothesis import strategies as st
 
-from itslab import Dataset, DetEquiv, JudgeRecordError, solve_ridge
+from itslab import Dataset, JudgeRecordError
 from itslab.judge import _grouped
-from itslab.ridge import _g_over_R
 
 
 def select(values, rewards, T):
@@ -69,17 +68,23 @@ def segmentwise_prefixes(P, L, ks, T):
     return sums
 
 
-def bisect_ridge(alpha, spectrum, R_hat):
-    """The renormalized ridge g(R) = R_hat > 0 by bisection to float resolution, for any diagonal spectrum.
+def bisect_ridge(alpha, S2, R_hat):
+    """The renormalized ridge g(R) = R_hat > 0 for Cov = S^2 I by bisection to float resolution.
 
-    The general solve that ``itslab.ridge.solve_ridge``, whose spectrum is
-    [S^2], does not need: it tests g(R)/R < R_hat/R (``itslab.ridge._g_over_R``),
-    and its bracket starts at [R_hat, 2 R_hat] and doubles its upper end
-    until g reaches R_hat, past the float range if need be (then R is inf).
-    Where lambda/R overflows, g rounds to 0 below the root and the bracket
-    closes above it. The root itself is checked against mpmath (``mp_ridge``).
+    The independent route to ``itslab.ridge.solve_ridge``'s closed form. It
+    tests g(R)/R < R_hat/R, with g(R)/R = 1 - alpha a taken as (1 - alpha) +
+    alpha b at alpha <= 1 and as b - (alpha - 1) a above, b = 1/(1 + S^2/R)
+    and a = S^2/(S^2 + R), so that no term cancels; its bracket starts at
+    [R_hat, 2 R_hat] and doubles its upper end until g reaches R_hat, past
+    the float range if need be (then R is inf). Where S^2/R overflows, g
+    rounds to 0 below the root and the bracket closes above it. The root
+    itself is checked against mpmath (``mp_ridge``).
     """
-    below = lambda R: _g_over_R(alpha, spectrum, R) < R_hat / R
+    def below(R):
+        b = 1.0 / (1.0 + S2 / R)
+        g_over_R = (1.0 - alpha) + alpha * b if alpha <= 1.0 else b - (alpha - 1.0) * (S2 / (S2 + R))
+        return g_over_R < R_hat / R
+
     lo, hi = R_hat, 2.0 * R_hat
     while below(hi):
         hi *= 2.0
@@ -94,29 +99,16 @@ def bisect_ridge(alpha, spectrum, R_hat):
     return 0.5 * (lo + hi)
 
 
-def bisect_det_equiv(alpha, sigma, gamma, spectrum):
-    """The DetEquiv of any diagonal spectrum, its R from ``bisect_ridge``.
-
-    R_hat is the one ``solve_ridge`` forms, which does not depend on the
-    spectrum, so the inputs it refuses raise the same ValueError here.
-    """
-    spectrum = np.asarray(spectrum, dtype=float)
-    R_hat = solve_ridge(alpha, sigma, gamma, [1.0]).R_hat
-    R = bisect_ridge(alpha, spectrum, R_hat) if R_hat > 0.0 else 0.0
-    a = spectrum / (spectrum + R)
-    return DetEquiv(R=R, R_hat=R_hat, alpha=alpha, spectrum=spectrum, m1=float(a.mean()), m2=float((a * a).mean()))
-
-
 def _decades(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 
 
 # the ridge oracles' range: alpha over nine decades, at 1 and 1e-6 to 0.1 off it, tiny sigma, huge
-# gamma, and 1-50 eigenvalues
+# gamma, and S^2 over six decades
 MP_CONFIGS = dict(
     alpha=st.one_of(_decades(-6, 3), st.just(1.0), st.floats(-6, -1).flatmap(
         lambda e: st.sampled_from([1.0 - 10.0**e, 1.0 + 10.0**e]))),
-    sigma=_decades(-150, 1), gamma=_decades(-3, 150), spectrum=st.lists(_decades(-3, 3), min_size=1, max_size=50))
+    sigma=_decades(-150, 1), gamma=_decades(-3, 150), S2=_decades(-3, 3))
 
 
 def assert_close(value, ref, rel=1e-12, atol=0.0):
@@ -124,68 +116,102 @@ def assert_close(value, ref, rel=1e-12, atol=0.0):
     assert abs(value - ref) <= rel * abs(ref) + atol + 2.0**-1022, (value, ref)
 
 
-def mp_ridge(alpha, spectrum, R_hat, start):
-    """The root of g(R) = R_hat in mpmath at its working precision, with a, b and g' there.
+def mp_ridge(alpha, S2, R_hat, start):
+    """The root of g(R) = R_hat for Cov = S^2 I in mpmath at its working precision, with a, b and g' there.
 
     The independent oracle of ``itslab.ridge.solve_ridge``: g(R) = R ((1 -
-    alpha) + alpha mean(R/(lambda + R))) is evaluated in mpmath, Newton runs
-    from ``start`` (the float root), and the root is proved by the sign
-    change of g - R_hat across R (1 -+ 10^(10 - dps)), as g rises through
-    R_hat only once. g'(R) = 1 - alpha m2 is taken as (1 - alpha) + alpha
-    mean(b (1 + a)), which at 50 digits loses at most log10(alpha/g') of
-    them. Returns (R, a, b, slope), the arrays as lists of mpf.
+    alpha) + alpha R/(S^2 + R)) is evaluated in mpmath, Newton runs from
+    ``start`` (the float root), and the root is proved by the sign change of
+    g - R_hat across R (1 -+ 10^(10 - dps)), as g rises through R_hat only
+    once. g'(R) = 1 - alpha a^2 is taken as (1 - alpha) + alpha b (1 + a),
+    which at 50 digits loses at most log10(alpha/g') of them. Returns (R,
+    a, b, slope) as mpf.
     """
-    alpha, R_hat = mp.mpf(alpha), mp.mpf(R_hat)
-    lam = [mp.mpf(x) for x in np.ravel(spectrum).tolist()]
-
-    def mean(values):
-        return mp.fsum(values) / len(lam)
+    alpha, R_hat, S2 = mp.mpf(alpha), mp.mpf(R_hat), mp.mpf(S2)
 
     def g(R):
-        return R * ((1 - alpha) + alpha * mean(R / (x + R) for x in lam)) - R_hat
+        return R * ((1 - alpha) + alpha * R / (S2 + R)) - R_hat
 
     R = mp.mpf(0)
     if R_hat > 0:
         R = mp.mpf(start)
         for _ in range(100):
-            step = g(R) / ((1 - alpha) + alpha * mean(R * (2 * x + R) / (x + R) ** 2 for x in lam))
+            step = g(R) / ((1 - alpha) + alpha * R * (2 * S2 + R) / (S2 + R) ** 2)
             R -= step
             if abs(step) <= R * mp.mpf(10) ** (5 - mp.mp.dps):
                 break
         eps = mp.mpf(10) ** (10 - mp.mp.dps)
         assert g(R * (1 - eps)) < 0 < g(R * (1 + eps)), "Newton did not close on the root"
-    a = [x / (x + R) for x in lam]
-    b = [R / (x + R) for x in lam]
-    slope = (1 - alpha) + alpha * mean(q * (1 + p) for p, q in zip(a, b))
-    return R, a, b, slope
+    a, b = S2 / (S2 + R), R / (S2 + R)
+    return R, a, b, (1 - alpha) + alpha * b * (1 + a)
 
 
-def mp_dlogn(alpha, spectrum, R_hat, sigma, w, start):
+def mp_dlogn(alpha, S2, R_hat, sigma, w, start):
     """d log delta / d log n of the refined best-of-k law, by central difference in mpmath.
 
     The independent oracle of ``itslab.theory.scaling_derivatives``' dlogn =
-    -alpha F'(alpha) / (sigma^2 d - 2 F), F = sum lambda (b w)^2: F' is the
+    -alpha F'(alpha) / (sigma^2 d - 2 F), F = S^2 sum (b w)^2: F' is the
     central difference of two ``mp_ridge`` solves at alpha (1 +- h), with
     R_hat (1 +- h), as R_hat is proportional to alpha; ``start`` is the float
-    root. d log R / d log alpha is at most s = 1 + max(lambda)/R (near alpha
-    = 1 and a tiny R_hat, R ~ sqrt(R_hat lambda) moves by lambda/2 per unit
-    of alpha), so h = 1e-20/s and 50 + log10 s digits keep the difference's
-    error below 1e-25 relative. ``spectrum`` broadcasts against ``w``.
-    Returns dlogn and its denominator, as mpf.
+    root. d log R / d log alpha is at most s = 1 + S^2/R (near alpha = 1 and
+    a tiny R_hat, R ~ sqrt(R_hat S^2) moves by S^2/2 per unit of alpha), so
+    h = 1e-20/s and 50 + log10 s digits keep the difference's error below
+    1e-25 relative. Returns dlogn and its denominator, as mpf.
     """
-    lam = np.broadcast_to(spectrum, np.shape(w)).tolist()
-    s = 1 + max(lam) / mp.mpf(start) if start else 1  # R_hat = 0: R = 0 at every alpha
+    s = 1 + S2 / mp.mpf(start) if start else 1  # R_hat = 0: R = 0 at every alpha
     with mp.workdps(50 + int(mp.log10(s)) + 1):
         alpha, R_hat, h = mp.mpf(alpha), mp.mpf(R_hat), mp.mpf("1e-20") / s
         w = [mp.mpf(x) for x in np.ravel(w).tolist()]
 
         def F(step):
-            b = mp_ridge(alpha * (1 + step), lam, R_hat * (1 + step), start)[2]
-            return mp.fsum(x * (q * v) ** 2 for x, q, v in zip(lam, b, w))
+            b = mp_ridge(alpha * (1 + step), S2, R_hat * (1 + step), start)[2]
+            return S2 * mp.fsum((b * v) ** 2 for v in w)
 
         dF = (F(h) - F(-h)) / (2 * alpha * h)
         denom = mp.mpf(sigma) ** 2 * len(w) - 2 * F(0)
         return -alpha * dF / denom, denom
+
+
+def mp_refined_best_of_k(S2, b, sigma, w, k):
+    """``itslab.theory.refined_best_of_k_delta``'s concentration and value, in mpmath from the ridge's b (an mpf).
+
+    The concentration is 2 S^2 sum (b w)^2 / (sigma^2 d) and the value (pi
+    sigma^2/k^2) (1 - concentration)^(-1/2), None where the concentration
+    is >= 1. Returns (value, concentration).
+    """
+    sigma2, w = mp.mpf(sigma) ** 2, [mp.mpf(x) for x in np.ravel(w).tolist()]
+    conc = 2 * S2 * mp.fsum((b * v) ** 2 for v in w) / (sigma2 * len(w))
+    return (mp.pi * sigma2 / k**2 / mp.sqrt(1 - conc) if conc < 1 else None), conc
+
+
+def mp_radial_terms(S2, a, b, sigma, gamma, w_T, w_R, T):
+    """``itslab.theory.SeriesTerms.from_radial_average``'s terms, in mpmath from the ridge's a and b.
+
+    With u = -b w_T and v = a w_T - w_R, the forms u^T Cov u/d, u^T Cov v/d
+    and v^T Cov v/d give delta_R = sqrt(v^T Cov v/d) and delta_T = u^T Cov
+    v/(d delta_R) (delta_R = 0 and delta_T = sqrt(u^T Cov u/d) where v = 0);
+    s2 = sigma^2 + gamma^2 b S^2 and t = T/(2 s2); ``a`` and ``b`` are mpf.
+    Returns (delta_T, delta_R, s2, t, (C_1, C_2, C_3)).
+    """
+    w_T, w_R = ([mp.mpf(x) for x in np.ravel(w).tolist()] for w in (w_T, w_R))
+    u, v = [-b * x for x in w_T], [a * x - y for x, y in zip(w_T, w_R)]
+    aa, ab, bb = (S2 * mp.fsum(x * y for x, y in zip(p, q)) / len(u) for p, q in ((u, u), (u, v), (v, v)))
+    delta_R = mp.sqrt(bb)
+    delta_T = ab / delta_R if bb > 0 else mp.sqrt(aa)
+    s2 = mp.mpf(sigma) ** 2 + mp.mpf(gamma) ** 2 * b * S2
+    c1 = 2 * delta_T * delta_R + s2
+    return delta_T, delta_R, s2, T / (2 * s2), (c1, c1 + delta_R**2, c1 + 2 * delta_R**2)
+
+
+def mp_optimal_temperature(delta_T, delta_R, s2, k):
+    """``itslab.theory.optimal_temperature``'s 2 s^2 . 2 (1 - 2/k) C_2/C_1 in mpmath, from its float inputs.
+
+    Returns (T, C_1, C_2), T None where C_1 or C_2 is <= 0.
+    """
+    delta_T, delta_R, s2 = (mp.mpf(x) for x in (delta_T, delta_R, s2))
+    c1 = 2 * delta_T * delta_R + s2
+    c2 = c1 + delta_R**2
+    return (4 * s2 * (1 - mp.mpf(2) / k) * c2 / c1 if c1 > 0 and c2 > 0 else None), c1, c2
 
 
 def mp_dlogn_flat_prior(S, sigma, gamma, n, w):

@@ -111,13 +111,13 @@ def test_02_deterministic_equivalent_fidelity():
     acc_vars /= n_sets
     mean_rel = float(np.linalg.norm(de_means - acc_means) / np.linalg.norm(acc_means))
     var_rel = float(np.max(np.abs(de_vars / acc_vars - 1.0)))
-    closed = solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, [cfg.S**2])
-    general = bisect_ridge(cfg.alpha, np.array([cfg.S**2]), closed.R_hat)
-    solver_rel = abs(closed.R - general) / general
+    closed = solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, cfg.S**2)
+    bisected = bisect_ridge(cfg.alpha, cfg.S**2, closed.R_hat)
+    solver_rel = abs(closed.R - bisected) / bisected
     _report(2, "deterministic-equivalent fidelity", [
         (f"predictive means within 3% (L2 rel {mean_rel:.4f})", mean_rel < 0.03),
         (f"predictive variances within 3% (max rel {var_rel:.4f})", var_rel < 0.03),
-        (f"closed-form vs general ridge within 1e-10 (rel {solver_rel:.2e})", solver_rel <= 1e-10),
+        (f"closed-form vs bisection ridge within 1e-10 (rel {solver_rel:.2e})", solver_rel <= 1e-10),
         _runtime_check(t0, 60),
     ])
 
@@ -183,8 +183,8 @@ def test_04_best_of_k_law(bestofk_curve):
 
 def _solve_radial_c(cfg, de, w_T, ratio_target):
     """c such that the averaged series has C2/C1 = ratio_target."""
-    V = de.b[0]**2 * cfg.S**2 * float(w_T @ w_T) / cfg.d
-    s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b[0] * cfg.S**2
+    V = de.b**2 * cfg.S**2 * float(w_T @ w_T) / cfg.d
+    s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b * cfg.S**2
     rho = ratio_target - 1.0
     return rho + math.sqrt(rho**2 + rho * s2_bar / V) - 1.0
 
@@ -220,7 +220,7 @@ def test_06_optimal_k():
     de = solve_for_config(cfg)
     w_T = sample_teacher(cfg, stream(SEED, "teacher"))
     T = 200 * cfg.sigma**2
-    s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b[0] * cfg.S**2
+    s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b * cfg.S**2
     t = T / (2 * s2_bar)
     k_grid = [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 24, 32, 48, 96]
     checks = []

@@ -528,16 +528,17 @@ class TestSubcommands:
         assert [r[0] for r in rows] == ["det_equiv"] * 2
         assert all(r[-1] == "" and float(r[10]) >= 0 for r in rows)  # asymptote empty
 
-    @pytest.mark.parametrize("flags, warnings, k1_series", [
-        # t = T / (2 s^2) leaves the float range in the series' t**l terms at k = 4; the series is
+    @pytest.mark.parametrize("flags, warnings, series_ks", [
+        # t = T / (2 s^2) leaves the float range in the series' c/t**l terms at k = 4; the series is
         # Dt^2 + s^2 at k = 1, whatever t is
         (["--T", "1e-300"], ["series evaluated at t = 5e-293 < 5.0",
-                             "the high-temperature series has no value at T = 1e-300"], True),
-        (["--T", "1e300"], ["the high-temperature series has no value at T = 1e+300"], True),
+                             "the high-temperature series has no value at T = 1e-300"], ["1"]),
+        # t**l overflows where c/t^l does not, which the series forms without t**l
+        (["--T", "1e300"], [], ["1", "4"]),
         # sigma = 0 in de mode: the averaged predictive variance is 0
-        (["--sigma", "0", "--mode", "de", "--T", "1"], ["the averaged predictive variance is 0.0"], False),
+        (["--sigma", "0", "--mode", "de", "--T", "1"], ["the averaged predictive variance is 0.0"], []),
     ], ids=["T_tiny", "T_huge", "sigma_zero"])
-    def test_sweep_k_without_series_keeps_monte_carlo_rows(self, flags, warnings, k1_series, tmp_path, capsys):
+    def test_sweep_k_without_series_keeps_monte_carlo_rows(self, flags, warnings, series_ks, tmp_path, capsys):
         out = tmp_path / "sk.csv"
         assert run(["sweep-k", "--k-grid", "1,4", "--c-grid", "0,2", "--n-outer", "5",
                     "--n-inner", "5", "--out", str(out)] + flags) == 0
@@ -546,9 +547,10 @@ class TestSubcommands:
         assert all(line.startswith(f"itslab: warning: {w}") for line, w in zip(err, warnings))
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
-        assert [r["mode"] for r in rows] == ["det_equiv", *["theory_highT"] * k1_series, "det_equiv"] * 2
+        modes = [mode for k in ("1", "4") for mode in ["det_equiv", *["theory_highT"] * (k in series_ks)]]
+        assert [r["mode"] for r in rows] == modes * 2
         assert all(float(r["delta"]) >= 0 for r in rows)
-        assert all((r["theory_highT"] != "") == (k1_series and r["k"] == "1") for r in rows)
+        assert all((r["theory_highT"] != "") == (r["k"] in series_ks) for r in rows)
 
     def test_judge_accuracy_column_is_minus_delta(self, tmp_path):
         rec = write_records(tmp_path / "r.jsonl",
@@ -925,7 +927,7 @@ class TestExtremeScales:
         header, row = capsys.readouterr().out.splitlines()
         printed = dict(zip(header.split(","), map(float, row.split(","))))
         with mp.workdps(50):
-            R, (a,), (b,), slope = mp_ridge(1.0, [1.0], mp.mpf(1e-6) ** 2 / mp.mpf(1e6) ** 2, printed["R"])
+            R, a, b, slope = mp_ridge(1.0, 1.0, mp.mpf(1e-6) ** 2 / mp.mpf(1e6) ** 2, printed["R"])
             m2 = a * a
             want = {"R": R, "A": a, "B": b, "m1": a, "m2": m2, "var_z": mp.mpf(1e-6) ** 2 * m2 / slope,
                     "sigma_c": mp.sqrt(slope / m2)}

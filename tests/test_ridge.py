@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import sys
 from unittest import mock
 
 import mpmath as mp
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _synth import MP_CONFIGS, assert_close, bisect_det_equiv, bisect_ridge, mp_ridge
+from _synth import MP_CONFIGS, assert_close, bisect_ridge, mp_ridge
 from itslab import (
     ModelConfig,
     de_moments_batch,
@@ -26,34 +28,24 @@ from itslab import (
 class TestSolveRidge:
     def test_small_alpha_limit(self):
         # alpha -> 0: the correction alpha*m1 vanishes, so R -> R_hat.
-        de = solve_ridge(1e-9, 0.3, 1.0, [1.0])
+        de = solve_ridge(1e-9, 0.3, 1.0, 1.0)
         assert abs(de.R - de.R_hat) <= 2e-9 * de.R_hat
 
     def test_zero_noise_below_one(self):
-        de = solve_ridge(0.5, 0.0, 1.0, [1.0])
+        de = solve_ridge(0.5, 0.0, 1.0, 1.0)
         assert de.R == 0.0
-        assert de.a[0] == 1.0 and de.b[0] == 0.0
+        assert de.a == 1.0 and de.b == 0.0
 
     def test_matches_closed_form_at_tiny_ridge(self):
-        de = solve_ridge(1e-3, 1e-4, 1e-3, [1.0])
-        general = bisect_ridge(1e-3, np.array([1.0]), de.R_hat)
+        de = solve_ridge(1e-3, 1e-4, 1e-3, 1.0)
+        general = bisect_ridge(1e-3, 1.0, de.R_hat)
         assert abs(de.R - general) <= 1e-10 * general
 
-    def test_more_than_one_distinct_eigenvalue_rejected(self):
-        assert solve_ridge(0.3, 0.5, 1.0, [2.0, 2.0, 2.0]).R == solve_ridge(0.3, 0.5, 1.0, [2.0]).R
-        message = r"^the spectrum must hold one eigenvalue S\^2 > 0, Cov = S\^2 I; got "
-        for spectrum in ([1.0, 2.0, 1.0], [], [0.0], [-1.0, -1.0]):
-            with pytest.raises(ValueError, match=message):
-                solve_ridge(0.3, 0.5, 1.0, spectrum)
-
-    def test_residual_met_at_construction(self):
-        # the general solve of the tests (bisect_det_equiv) meets the residual the closed form is held to
-        for alpha in (1e-4, 0.01, 0.3, 0.9):
-            for sigma in (1e-4, 0.1, 1.0):
-                de = bisect_det_equiv(alpha, sigma, 1e-2, [1.0, 2.0, 0.5])
-                m1 = np.mean(de.spectrum / (de.spectrum + de.R))
-                residual = abs(de.R * (1 - alpha * m1) - de.R_hat)
-                assert residual <= 1e-12 * max(1.0, de.R_hat)
+    @pytest.mark.parametrize("S2", [0.0, -1.0, math.nan, math.inf, -math.inf],
+                             ids=["zero", "negative", "nan", "inf", "minus_inf"])
+    def test_s2_not_finite_and_positive_rejected(self, S2):
+        with pytest.raises(ValueError, match=r"^S\^2 must be finite and > 0, Cov = S\^2 I; got "):
+            solve_ridge(0.3, 0.5, 1.0, S2)
 
     @pytest.mark.parametrize("move", [lambda R: R * (1.0 + 1e-9), lambda R: math.inf, lambda R: math.nan],
                              ids=["relative_1e-9", "inf", "nan"])
@@ -62,37 +54,36 @@ class TestSolveRidge:
         fixed_point = ridge._fixed_point
         monkeypatch.setattr(ridge, "_fixed_point", lambda *args: move(fixed_point(*args)))
         with pytest.raises(RuntimeError, match="fixed-point residual"):
-            solve_ridge(2.0, 1e-4, 1e-3, [1e4])
+            solve_ridge(2.0, 1e-4, 1e-3, 1e4)
 
     def test_ridgeless_degenerate_rejected(self):
         with pytest.raises(ValueError, match="ridgeless"):
-            solve_ridge(1.0, 0.0, 1.0, [1.0])
+            solve_ridge(1.0, 0.0, 1.0, 1.0)
 
     def test_ridgeless_message_names_r_hat_not_sigma(self):
         # sigma = 1e-4 here: it is R_hat that vanishes, as gamma = inf
         with pytest.raises(ValueError, match=r"R_hat = sigma\^2 alpha / gamma\^2 = 0 with alpha = 10"):
-            solve_ridge(10.0, 1e-4, math.inf, [1.0])
+            solve_ridge(10.0, 1e-4, math.inf, 1.0)
 
     def test_squares_past_the_float_range_form_the_ratio(self):
         # sigma^2 and gamma^2 overflow but sigma/gamma does not
-        assert solve_ridge(0.1, 1e200, 1e200, [1.0]).R_hat == 0.1
-        assert solve_ridge(0.1, 1e-4, 1e200, [1.0]).R == 0.0  # R_hat underflows to 0
+        assert solve_ridge(0.1, 1e200, 1e200, 1.0).R_hat == 0.1
+        assert solve_ridge(0.1, 1e-4, 1e200, 1.0).R == 0.0  # R_hat underflows to 0
         for sigma, gamma in ((1e200, 1.0), (1.0, 1e-200), (1e150, 1e-150)):
             with pytest.raises(ValueError, match="R_hat = sigma\\^2 alpha / gamma\\^2 overflows"):
-                solve_ridge(0.1, sigma, gamma, [1.0])
+                solve_ridge(0.1, sigma, gamma, 1.0)
 
     def test_monotone_in_alpha_and_noise(self):
-        for solve, spectrum in ((solve_ridge, [3.0]), (bisect_det_equiv, [1.0, 3.0])):
-            Rs = [solve(a, 0.2, 0.7, spectrum).R for a in np.linspace(0.05, 0.95, 10)]
-            assert np.all(np.diff(Rs) > 0)
-            Rs = [solve(0.4, s, 0.7, spectrum).R for s in np.linspace(0.01, 2.0, 10)]
-            assert np.all(np.diff(Rs) > 0)
+        Rs = [solve_ridge(a, 0.2, 0.7, 3.0).R for a in np.linspace(0.05, 0.95, 10)]
+        assert np.all(np.diff(Rs) > 0)
+        Rs = [solve_ridge(0.4, s, 0.7, 3.0).R for s in np.linspace(0.01, 2.0, 10)]
+        assert np.all(np.diff(Rs) > 0)
 
     def test_a_plus_b_exact_and_bounded(self):
         for alpha in (0.01, 0.5):
-            de = solve_ridge(alpha, 0.5, 1.0, [2.0])
-            assert de.a[0] + de.b[0] == 1.0
-            assert 0 < de.a[0] < 1 and 0 < de.b[0] < 1
+            de = solve_ridge(alpha, 0.5, 1.0, 2.0)
+            assert de.a + de.b == 1.0
+            assert 0 < de.a < 1 and 0 < de.b < 1
             assert 0 < de.m1 < 1 and 0 < de.m2 < 1
 
     def test_isotropic_vs_general_on_grid(self):
@@ -101,24 +92,24 @@ class TestSolveRidge:
         for alpha in np.geomspace(1e-4, 0.9, 10):
             for rhat in np.geomspace(1e-6, 10.0, 10):
                 sigma = math.sqrt(rhat * gamma**2 / alpha)
-                de = solve_ridge(alpha, sigma, gamma, [1.0])
-                general = bisect_ridge(alpha, np.array([1.0]), de.R_hat)
+                de = solve_ridge(alpha, sigma, gamma, 1.0)
+                general = bisect_ridge(alpha, 1.0, de.R_hat)
                 assert abs(de.R - general) <= 1e-10 * general
 
 
-def _outcome(alpha, sigma, gamma, spectrum):
+def _outcome(alpha, sigma, gamma, S2):
     """solve_ridge's R, or the type and text of what it raised."""
     try:
-        return solve_ridge(alpha, sigma, gamma, spectrum).R
+        return solve_ridge(alpha, sigma, gamma, S2).R
     except (ValueError, RuntimeError) as exc:
         return type(exc), str(exc)
 
 
-def _bisection_outcome(alpha, sigma, gamma, spectrum):
+def _bisection_outcome(alpha, sigma, gamma, S2):
     """The outcome with the root found by the bisection oracle instead (R = 0 at R_hat = 0)."""
-    oracle = lambda alpha, S2, R_hat: bisect_ridge(alpha, np.array([S2]), R_hat) if R_hat > 0.0 else 0.0
+    oracle = lambda alpha, S2, R_hat: bisect_ridge(alpha, S2, R_hat) if R_hat > 0.0 else 0.0
     with mock.patch.object(ridge, "_fixed_point", oracle):
-        return _outcome(alpha, sigma, gamma, spectrum)
+        return _outcome(alpha, sigma, gamma, S2)
 
 
 def _decades(lo, hi):
@@ -135,7 +126,7 @@ class TestSolveMatchesBisectionOracle:
     @example(alpha=1e306, sigma=13.4, gamma=1.0, S2=1.0)
     @settings(max_examples=300, deadline=None)
     def test_same_error_as_the_oracle(self, alpha, sigma, gamma, S2):
-        new, ref = _outcome(alpha, sigma, gamma, [S2]), _bisection_outcome(alpha, sigma, gamma, [S2])
+        new, ref = _outcome(alpha, sigma, gamma, S2), _bisection_outcome(alpha, sigma, gamma, S2)
         if ref == (RuntimeError, "fixed-point residual inf exceeds tolerance"):
             # the bisection doubled its bracket past the float range and returned inf
             assert new[0] is ValueError if isinstance(new, tuple) else math.isfinite(new)
@@ -151,79 +142,82 @@ class TestSolveMatchesBisectionOracle:
         (0.999999, 1e-160, 1.0, 9.99988867e-315),  # R_hat = 1e-320 is subnormal; the root 9.9998886715e-315
     ], ids=["alpha_1", "alpha_1_flat", "alpha_1e8", "subnormal_r_hat"])
     def test_edge_cases(self, alpha, sigma, gamma, R):
-        assert _outcome(alpha, sigma, gamma, [1.0]) == R
+        assert _outcome(alpha, sigma, gamma, 1.0) == R
 
     def test_root_near_the_top_of_the_float_range(self):
         # R_hat = 1e308 and R = R_hat: the bisection's bracket [R_hat, 2 R_hat] was [1e308, inf]
-        de = solve_ridge(1e-6, 1e154, 1e-3, [1.0])
+        de = solve_ridge(1e-6, 1e154, 1e-3, 1.0)
         assert de.R_hat == 1e308 and de.R == 1e308
 
     def test_no_finite_root_names_r_hat(self):
         # g(R) = R (1 - alpha m(R)) stays about alpha = 1e306 below R at every finite R
         with pytest.raises(ValueError, match=r"^no finite R solves R \(1 - alpha m\(R\)\) = R_hat = 1.7956e\+308$"):
-            solve_ridge(1e306, 13.4, 1.0, [1.0])
+            solve_ridge(1e306, 13.4, 1.0, 1.0)
 
 
 class TestSolveMatchesMpmath:
-    """Every scalar of the solve lands within 1e-12 relative of its 50-digit value (``mp_ridge``).
+    """R is the float nearest its 50-digit root (``mp_ridge``), and every other scalar lands within 1e-12 relative.
 
-    S^2 spans [1e-300, 1e300]. Where R is subnormal, its last place 2^-1074
-    is more than 1e-12 of it, and b = R/(S^2 + R), so a, m1, m2 and the
-    slope with it, can be no closer than that spacing times their rate of
-    change in R, at most 3 max(1, alpha)/S^2, for any solver: they are held
-    to 1e-12 plus that much there. R itself is held to 1e-12.
+    S^2 spans [1e-300, 1e300]. R is held to half its last place wherever the
+    root is a normal float, and to 1e-12 relative below. Where R is
+    subnormal, its last place 2^-1074 is more than 1e-12 of it, and b =
+    R/(S^2 + R), so a, m1, m2 and the slope with it, can be no closer than
+    that spacing times their rate of change in R, at most 3 max(1,
+    alpha)/S^2, for any solver: they are held to 1e-12 plus that much there.
     """
 
-    @given(**dict(MP_CONFIGS, spectrum=_decades(-300, 300).map(lambda S2: [S2])))
-    @example(alpha=1.0, sigma=1e-6, gamma=1e6, spectrum=[1.0])  # 1 - alpha m1 cancels as R -> 0
-    @example(alpha=1.0, sigma=1.0, gamma=1e16, spectrum=[1.0])
-    @example(alpha=1e3, sigma=1e-4, gamma=1e-3, spectrum=[1e-3])  # alpha > 1: mean(b) - (alpha - 1) m1
-    @example(alpha=0.1, sigma=1e-23, gamma=1e133, spectrum=[1.0])  # R_hat and R subnormal
-    @example(alpha=0.5, sigma=1e-160, gamma=1e-10, spectrum=[1.0])  # sigma^2 subnormal, R_hat normal
-    @example(alpha=0.5, sigma=1e-170, gamma=1e-100, spectrum=[1.0])  # sigma^2 rounds to 0, R_hat does not
-    @example(alpha=0.5, sigma=1e-10, gamma=1e-160, spectrum=[1.0])  # gamma^2 subnormal
-    @example(alpha=1e-300, sigma=1e-10, gamma=1e-150, spectrum=[1.0])  # sigma^2 alpha subnormal
+    @given(**dict(MP_CONFIGS, S2=_decades(-300, 300)))
+    @example(alpha=1.0, sigma=1e-6, gamma=1e6, S2=1.0)  # 1 - alpha m1 cancels as R -> 0
+    @example(alpha=1.0, sigma=1.0, gamma=1e16, S2=1.0)
+    @example(alpha=1e3, sigma=1e-4, gamma=1e-3, S2=1e-3)  # alpha > 1: b - (alpha - 1) a
+    @example(alpha=0.1, sigma=1e-23, gamma=1e133, S2=1.0)  # R_hat and R subnormal
+    @example(alpha=0.5, sigma=1e-160, gamma=1e-10, S2=1.0)  # sigma^2 subnormal, R_hat normal
+    @example(alpha=0.5, sigma=1e-170, gamma=1e-100, S2=1.0)  # sigma^2 rounds to 0, R_hat does not
+    @example(alpha=0.5, sigma=1e-10, gamma=1e-160, S2=1.0)  # gamma^2 subnormal
+    @example(alpha=1e-300, sigma=1e-10, gamma=1e-150, S2=1.0)  # sigma^2 alpha subnormal
     # a float root formed as (R_hat/(h - c)) S^2 would underflow to 0 before S^2 brings it back
-    @example(alpha=1.1e-4, sigma=1.2e-34, gamma=5.4e116, spectrum=[5.7e165])
-    @example(alpha=0.1, sigma=1e-93, gamma=1e63, spectrum=[1e-16])  # R subnormal, b normal
+    @example(alpha=1.1e-4, sigma=1.2e-34, gamma=5.4e116, S2=5.7e165)
+    @example(alpha=0.1, sigma=1e-93, gamma=1e63, S2=1e-16)  # R subnormal, b normal
     @settings(max_examples=300, deadline=None)
-    def test_r_a_b_m1_m2_and_slope(self, alpha, sigma, gamma, spectrum):
+    def test_r_a_b_m1_m2_and_slope(self, alpha, sigma, gamma, S2):
         with mp.workdps(50):
             R_hat = mp.mpf(sigma) ** 2 * alpha / mp.mpf(gamma) ** 2
         if R_hat < mp.mpf(2) ** -1075 and alpha >= 1:  # R_hat rounds to 0
             with pytest.raises(ValueError, match="ridgeless"):
-                solve_ridge(alpha, sigma, gamma, spectrum)
+                solve_ridge(alpha, sigma, gamma, S2)
             return
-        de = solve_ridge(alpha, sigma, gamma, spectrum)
-        spacing = 3 * max(1.0, alpha) * 2.0**-1074 / spectrum[0] if de.R < 2.0**-1022 else 0.0
+        de = solve_ridge(alpha, sigma, gamma, S2)
+        spacing = 3 * max(1.0, alpha) * 2.0**-1074 / S2 if de.R < 2.0**-1022 else 0.0
         with mp.workdps(50):
             assert_close(de.R_hat, R_hat)
-            R, a, b, slope = mp_ridge(alpha, spectrum, de.R_hat, de.R)
-            assert_close(de.R, R)
-            for value, ref in [*zip(de.a, a), *zip(de.b, b), (de.m1, mp.fsum(a) / len(a)),
-                               (de.m2, mp.fsum(x * x for x in a) / len(a)), (de.slope, slope)]:
+            R, a, b, slope = mp_ridge(alpha, S2, de.R_hat, de.R)
+            if 2.0**-1022 <= R <= sys.float_info.max:
+                assert abs(de.R - R) <= math.ulp(de.R) / 2, (de.R, R)
+            else:
+                assert_close(de.R, R)
+            for value, ref in [(de.a, a), (de.b, b), (de.m1, a), (de.m2, a * a), (de.slope, slope)]:
                 assert_close(value, ref, atol=spacing)
 
     def test_slope_is_one_minus_alpha_m2_where_that_does_not_cancel(self):
-        de = bisect_det_equiv(0.3, 0.5, 1.0, [0.5, 2.0])
+        de = solve_ridge(0.3, 0.5, 1.0, 2.0)
         assert de.slope == pytest.approx(1.0 - 0.3 * de.m2, rel=1e-15)
 
 
 class TestIsotropicRidge:
     def test_zero_rhat(self):
-        assert solve_ridge(0.5, 0.0, 1.0, [1.0]).R == 0.0
+        assert solve_ridge(0.5, 0.0, 1.0, 1.0).R == 0.0
 
     def test_small_alpha_goes_to_rhat(self):
         gamma = 1.0
         sigma = 0.7
         alpha = 1e-10
         rhat = sigma**2 * alpha / gamma**2
-        assert solve_ridge(alpha, sigma, gamma, [1.0]).R == pytest.approx(rhat, rel=1e-4)
+        assert solve_ridge(alpha, sigma, gamma, 1.0).R == pytest.approx(rhat, rel=1e-4)
 
     def test_half_alpha_unit_rhat(self):
         # alpha = 0.5, R_hat = S^2 = 1: R = (0.5 + sqrt(0.25 + 4)) / 2.
         sigma = math.sqrt(2.0)  # R_hat = sigma^2 * 0.5 = 1 at gamma = 1
-        R = solve_ridge(0.5, sigma, 1.0, [1.0]).R
+        R = solve_ridge(0.5, sigma, 1.0, 1.0).R
         assert R == pytest.approx(0.5 * (0.5 + math.sqrt(4.25)), rel=1e-14)
         residual = R * (1 - 0.5 * (1.0 / (1.0 + R))) - 1.0
         assert abs(residual) < 1e-12
@@ -274,30 +268,29 @@ class TestDeMoments:
         assert np.max(np.abs(de_vars / acc_vars - 1.0)) < 0.02
 
     def test_diagonal_spectrum_path(self):
-        cfg = ModelConfig(d=3, n=300, sigma=0.1, gamma=1.0)
-        spectrum = np.array([0.5, 1.0, 2.0])
-        de = bisect_det_equiv(cfg.alpha, cfg.sigma, cfg.gamma, spectrum)
+        # Cov = S^2 I at a non-unit S, against A = Cov (Cov + R I)^{-1} and B = I - A as matrices
+        cfg = ModelConfig(d=3, n=300, S=1.7, sigma=0.1, gamma=1.0)
+        de = solve_for_config(cfg)
         w = np.array([1.0, 2.0, -1.0])
         x = np.array([0.5, -0.5, 1.0])
         means, variances = de_moments_batch(x[None, :], w, de, cfg)
         xs = x / math.sqrt(3)
-        a = spectrum / (spectrum + de.R)
-        expected_mean = xs @ (a * w)
-        expected_var = cfg.sigma**2 + cfg.gamma**2 * (xs**2) @ (1 - a)
-        assert means[0] == pytest.approx(expected_mean, rel=1e-14)
-        assert variances[0] == pytest.approx(expected_var, rel=1e-14)
+        cov = cfg.S**2 * np.eye(3)
+        A = cov @ np.linalg.inv(cov + de.R * np.eye(3))
+        assert means[0] == pytest.approx(xs @ A @ w, rel=1e-14)
+        assert variances[0] == pytest.approx(cfg.sigma**2 + cfg.gamma**2 * xs @ (np.eye(3) - A) @ xs, rel=1e-14)
 
 
 class TestNoiseVarianceCheck:
     def test_vanishes_at_small_alpha(self):
-        de = solve_ridge(1e-8, 0.3, 1.0, [1.0])
+        de = solve_ridge(1e-8, 0.3, 1.0, 1.0)
         out = noise_variance_check(de, 0.3)
         assert out.var_z < 1e-8
         assert out.valid
 
     def test_suppressed_at_large_ridge(self):
         # Large R_hat drives m2 -> 0 and the noise term with it.
-        de = solve_ridge(0.5, 30.0, 1.0, [1.0])
+        de = solve_ridge(0.5, 30.0, 1.0, 1.0)
         assert de.R > 100
         out = noise_variance_check(de, 30.0)
         assert de.m2 < 1e-4
@@ -307,10 +300,7 @@ class TestNoiseVarianceCheck:
         # A handcrafted DetEquiv in the divergent zone alpha*m2 >= 1.
         from itslab.ridge import DetEquiv
 
-        de = DetEquiv(
-            R=0.0, R_hat=0.0, alpha=1.5, spectrum=np.array([1.0]),
-            m1=1.0, m2=1.0,
-        )
+        de = DetEquiv(R=0.0, R_hat=0.0, alpha=1.5, S2=1.0)
         with pytest.raises(ValueError, match="diverges"):
             noise_variance_check(de, 0.1)
 
@@ -359,5 +349,5 @@ class TestSolvedOncePerConfig:
     def test_kept_solution_is_read_only(self):
         de = solve_for_config(ModelConfig(d=6, n=300))
         assert de is solve_for_config(ModelConfig(d=6, n=300))
-        with pytest.raises(ValueError):
-            de.spectrum[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            de.S2 = 2.0

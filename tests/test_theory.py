@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,16 @@ from itslab import (
     stream,
 )
 
-from _synth import MP_CONFIGS, assert_close, bisect_det_equiv, delta_x, mp_dlogn, mp_dlogn_flat_prior
+from _synth import (
+    MP_CONFIGS,
+    assert_close,
+    delta_x,
+    mp_dlogn,
+    mp_dlogn_flat_prior,
+    mp_optimal_temperature,
+    mp_radial_terms,
+    mp_refined_best_of_k,
+)
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
@@ -99,6 +109,17 @@ class TestHighTSeries:
         # C_3/t^3 is inf at t = 1e-106 and t**2 overflows at t = 1e300; the factor 1 - 1/k = 0 drops both
         for t in (1e-106, 1e300):
             assert high_t_delta_x(SeriesTerms(delta_T=1e-4, delta_R=2e-4, s2=1e-8, t=t), 1) == 1e-4**2 + 1e-8
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_huge_t_past_the_float_range(self, k):
+        # t**2 overflows at t = 1e300, where every correction C_l/t^l rounds to 0
+        assert high_t_delta_x(SeriesTerms(delta_T=1e-4, delta_R=2e-4, s2=1e-8, t=1e300), k) == 1e-4**2 + 1e-8
+        # and at t = 1e200, where C_2/t^2 = 1e-100 is the series, C_1 = s^2 = 1e-300 and Dr^2 = 1e300
+        st = SeriesTerms(delta_T=0.0, delta_R=1e150, s2=1e-300, t=1e200)
+        c1, c2, c3 = (Fraction(c) for c in st.C)
+        t, terms = Fraction(st.t), (1 - Fraction(1, k), (1 - Fraction(1, k)) * (1 - Fraction(2, k)))
+        exact = Fraction(st.s2) - c1 / t * terms[0] + c2 / t**2 * terms[1] - c3 / t**3 * terms[1] * (1 - Fraction(3, k))
+        assert high_t_delta_x(st, k) == pytest.approx(float(exact), rel=1e-15)
 
     def test_infinite_t_limit(self):
         st = SeriesTerms(delta_T=0.3, delta_R=0.7, s2=1.2, t=1e30)
@@ -173,7 +194,7 @@ class TestRefinedBestOfK:
         cfg = ModelConfig(d=4, n=5, S=1.0, sigma=2.0, gamma=1.0)
         de = solve_for_config(cfg)
         w = np.full(4, 2.0)
-        u = de.b[0] * w
+        u = de.b * w
         assert 2 * cfg.S**2 * (u @ u) >= cfg.sigma**2 * cfg.d
         with pytest.raises(ValueError, match="outside"):
             refined_best_of_k_delta(cfg, de, w, 10)
@@ -194,7 +215,7 @@ class TestOptimalReward:
         w = np.ones(3)
         t = 20.0
         out = optimal_reward(w, de, k=10**9, t=t)
-        np.testing.assert_allclose(out.w, w + t * de.b[0] * w, rtol=1e-8)
+        np.testing.assert_allclose(out.w, w + t * de.b * w, rtol=1e-8)
 
     def test_small_k_rejected(self):
         cfg = ModelConfig(d=3, n=100)
@@ -209,7 +230,7 @@ class TestOptimalReward:
         de = solve_for_config(cfg)
         T = 100 * cfg.sigma**2
         k = 50
-        s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b[0] * cfg.S**2
+        s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b * cfg.S**2
         t_bar = T / (2 * s2_bar)
         c_pred = (k / (k - 2)) * t_bar
         c_grid = np.geomspace(10.0, 270.0, 12)
@@ -332,17 +353,16 @@ class TestScalingDerivatives:
 class TestDlognMatchesMpmath:
     """dlogn lands within 1e-12 relative of a 50-digit central difference of two solves (``mp_dlogn``)."""
 
-    @given(**MP_CONFIGS, seed=st.integers(0, 2**32 - 1))
-    @example(alpha=1.0, sigma=1e-6, gamma=1e6, spectrum=[1.0], seed=0)
-    @example(alpha=0.999999, sigma=1e-3, gamma=1e-2, spectrum=list(np.geomspace(1e-3, 1e3, 50)), seed=1)
+    @given(**MP_CONFIGS, d=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    @example(alpha=1.0, sigma=1e-6, gamma=1e6, S2=1.0, d=1, seed=0)
+    @example(alpha=0.999999, sigma=1e-3, gamma=1e-2, S2=1e3, d=50, seed=1)
     @settings(max_examples=300, deadline=None)
-    def test_random_spectra(self, alpha, sigma, gamma, spectrum, seed):
+    def test_random_spectra(self, alpha, sigma, gamma, S2, d, seed):
         if sigma**2 * alpha / gamma**2 == 0.0 and alpha >= 1:
             return  # the ridgeless case, which solve_ridge refuses (TestSolveMatchesMpmath)
-        de = bisect_det_equiv(alpha, sigma, gamma, spectrum)
-        w = np.random.default_rng(seed).standard_normal(len(spectrum))
-        cfg = ModelConfig(d=len(spectrum), sigma=sigma, gamma=gamma)
-        self._check(cfg, de, w)
+        de = solve_ridge(alpha, sigma, gamma, S2)
+        w = np.random.default_rng(seed).standard_normal(d)
+        self._check(ModelConfig(d=d, sigma=sigma, gamma=gamma), de, w)
 
     @pytest.mark.parametrize("cfg", [
         ModelConfig(d=10, n=10_000, sigma=1e-2, gamma=1.0),  # 6.8e-6 off by a finite difference
@@ -354,12 +374,141 @@ class TestDlognMatchesMpmath:
 
     @staticmethod
     def _check(cfg, de, w):
-        ref, denom = mp_dlogn(de.alpha, de.spectrum, de.R_hat, cfg.sigma, w, de.R)
+        ref, denom = mp_dlogn(de.alpha, de.S2, de.R_hat, cfg.sigma, w, de.R)
         if denom <= 0:
             with pytest.raises(ValueError, match="outside the formula's domain"):
                 scaling_derivatives(cfg, de, w)
         else:
             assert_close(scaling_derivatives(cfg, de, w).dlogn, ref)
+
+
+def _ridge_case(alpha, sigma, gamma, S2, d, seed):
+    """The solve, its config and a teacher for an MP_CONFIGS draw, with a and b in mpmath at its R; None if ridgeless."""
+    try:
+        de = solve_ridge(alpha, sigma, gamma, S2)
+    except ValueError as exc:
+        assert "ridgeless" in str(exc)
+        return None
+    cfg = ModelConfig(d=d, S=math.sqrt(S2), sigma=sigma, gamma=gamma)
+    with mp.workdps(50):
+        R = mp.mpf(de.R)
+        a, b = S2 / (S2 + R), R / (S2 + R)
+    return de, cfg, np.random.default_rng(seed).standard_normal(d), a, b
+
+
+_CASES = dict(MP_CONFIGS, d=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+# w_R = c w_T; c = 1 is the aligned reward
+_REWARDS = dict(c=st.one_of(st.floats(-4, 4), st.just(1.0)), T=st.floats(-3, 3).map(lambda e: 10.0**e))
+
+
+class TestClosedFormsMatchMpmath:
+    """The closed forms on the ridge land within 1e-12 relative of their 50-digit values, times their condition number.
+
+    The oracles read the solve's R (whose own error ``TestSolveMatchesMpmath``
+    bounds) and every other float input as exact. Two float limits are
+    allowed for, as no float evaluation of the same formulas escapes them:
+    a subnormal b = R/(S^2 + R) holds only its last place 2^-1074, as does
+    b S^2, which gamma^2 carries into s2 = sigma^2 + gamma^2 b S^2; and the
+    terms of F = S^2 sum (b w)^2 that fall below the normal range hold as
+    little, so the concentration 2 F/(sigma^2 d) may be off by
+    2^-1073/sigma^2.
+    """
+
+    @given(**_CASES, k=st.integers(1, 10**4))
+    @settings(max_examples=300, deadline=None)
+    def test_refined_best_of_k(self, alpha, sigma, gamma, S2, d, seed, k):
+        self._check_refined(alpha, sigma, gamma, S2, d, seed, k)
+
+    @given(**_CASES, **_REWARDS)
+    @example(alpha=1e-5, sigma=6e-118, gamma=3e8, S2=2.0, d=26, seed=0, c=1.0, T=40.0)  # (b w)^2 underflows
+    @example(alpha=1.0, sigma=1e-132, gamma=3.9e29, S2=300.0, d=12, seed=0, c=3.3, T=50.0)  # and turned a
+    @example(alpha=0.5, sigma=1e-14, gamma=1e146, S2=1.0, d=3, seed=0, c=2.0, T=1.0)  # S^2/R overflows, b does not
+    @settings(max_examples=300, deadline=None)
+    def test_radial_series_terms(self, alpha, sigma, gamma, S2, d, seed, c, T):
+        self._check_radial(alpha, sigma, gamma, S2, d, seed, c, T)
+
+    @given(**_CASES, **_REWARDS, k=st.integers(3, 10**4))
+    @settings(max_examples=300, deadline=None)
+    def test_optimal_temperature(self, alpha, sigma, gamma, S2, d, seed, c, T, k):
+        self._check_optimal_temperature(alpha, sigma, gamma, S2, d, seed, c, T, k)
+
+    @staticmethod
+    def _check_refined(alpha, sigma, gamma, S2, d, seed, k):
+        case = _ridge_case(alpha, sigma, gamma, S2, d, seed)
+        if case is None:
+            return
+        de, cfg, w, _, b = case
+        with mp.workdps(50):
+            value, conc = mp_refined_best_of_k(S2, b, sigma, w, k)
+        conc_atol = 2.0**-1073 / sigma**2
+        try:
+            out = refined_best_of_k_delta(cfg, de, w, k)
+        except ValueError as exc:  # the float concentration is >= 1
+            assert "outside the closed form's domain" in str(exc)
+            assert conc >= 1 - 1e-12 - conc_atol, conc
+            return
+        assert_close(out.concentration, conc, atol=conc_atol)
+        if value is not None:  # the pole 1/sqrt(1 - conc), condition number 1/(1 - conc)
+            assert_close(out.value, value, rel=1e-12 / float(1 - conc))
+
+    @staticmethod
+    def _radial(de, cfg, w, a, b, c, T):
+        """The float terms, the 50-digit ones, the condition number of a w_T - w_R and the allowance on s2."""
+        with mp.workdps(50):
+            ref = mp_radial_terms(de.S2, a, b, cfg.sigma, cfg.gamma, w, c * w, T)
+            # a w_T - c w_T, rounded element by element, cancels as a nears c (a = c only at R = 0 and c = 1,
+            # where a is exact)
+            kappa = 1 + (abs(a) + abs(c)) / abs(a - c) if a != c else 1
+        s2_atol = cfg.prior_var * (de.S2 + 1) * 2.0**-1074 if de.b < 2.0**-1022 else 0.0
+        try:
+            st = SeriesTerms.from_radial_average(cfg, de, w, c * w, T)
+        except ValueError as exc:
+            # the rounding of each element, kappa 2^-53 relative, turns the deviation by up to
+            # 2 kappa 2^-53 radians; the check refuses a turn past sqrt(2e-9)
+            assert "not colinear" in str(exc) and kappa > 1e11, kappa
+            st = None
+        return st, ref, float(kappa), s2_atol
+
+    @classmethod
+    def _check_radial(cls, alpha, sigma, gamma, S2, d, seed, c, T):
+        case = _ridge_case(alpha, sigma, gamma, S2, d, seed)
+        if case is None:
+            return
+        st, (delta_T, delta_R, s2, t, C), kappa, s2_atol = cls._radial(*case, c, T)
+        if st is None:
+            return
+        assert_close(st.delta_T, delta_T, rel=1e-12 * kappa)
+        assert_close(st.delta_R, delta_R, rel=1e-12 * kappa)
+        assert_close(st.s2, s2, atol=s2_atol)
+        assert_close(st.t, t, rel=1e-12 + s2_atol / float(s2))
+        # C_l = 2 Dt Dr + s^2 + (l - 1) Dr^2 cancels where 2 Dt Dr nears -s^2: its summands' magnitudes
+        for ell, (value, ref) in enumerate(zip(st.C, C)):
+            summands = 2 * abs(delta_T * delta_R) + s2 + ell * delta_R**2
+            assert_close(value, ref, rel=0.0, atol=float(3e-12 * kappa * summands) + s2_atol)
+
+    @classmethod
+    def _check_optimal_temperature(cls, alpha, sigma, gamma, S2, d, seed, c, T, k):
+        case = _ridge_case(alpha, sigma, gamma, S2, d, seed)
+        if case is None:
+            return
+        st = cls._radial(*case, c, T)[0]
+        if st is None:
+            return
+        with mp.workdps(50):
+            ref, c1, c2 = mp_optimal_temperature(st.delta_T, st.delta_R, st.s2, k)
+            # C_1 = 2 Dt Dr + s^2 and C_2 = C_1 + Dr^2 cancel where 2 Dt Dr nears -s^2; T_opt ~ C_2/C_1
+            mag = 2 * abs(mp.mpf(st.delta_T) * st.delta_R) + st.s2
+            kappa = (mag / abs(c1) if c1 else mp.inf) + ((mag + mp.mpf(st.delta_R) ** 2) / abs(c2) if c2 else mp.inf)
+        try:
+            value = optimal_temperature(st.delta_T, st.delta_R, st.s2, k)
+        except ValueError as exc:  # C_1 or C_2 <= 0 in floats: so in mpmath, or within rounding of 0
+            assert "requires C1 > 0 and C2 > 0" in str(exc)
+            assert ref is None or kappa > 1e15, (c1, c2)
+            return
+        if ref is None:
+            assert kappa > 1e15, (c1, c2)
+            return
+        assert_close(value, ref, rel=1e-12 * float(kappa))
 
 
 _scale = st.one_of(st.floats(-323, 308), st.floats(-3, 3)).map(lambda e: 10.0**e).filter(lambda x: x > 0)
@@ -408,38 +557,14 @@ def test_refined_law_never_below_plain_floor():
             assert out.value >= math.pi * cfg.sigma**2 / 50**2
 
 
-class TestSpectrumRepresentation:
-    """A length-1 spectrum [S^2] is Cov = S^2 I; a full spectrum is any diagonal Cov, solved by bisect_det_equiv."""
+class TestScalarCovariance:
+    """Cov = S^2 I, held as the scalar S^2, against explicit d x d matrices at a non-unit S."""
 
-    def test_length_one_spectrum_equals_full_spectrum(self):
-        cfg = ModelConfig(d=6, n=60, S=1.7, sigma=0.3, gamma=1.0)
-        w_T = sample_teacher(cfg, stream(11, "teacher"))
-        X = stream(11, "test_points").normal(0.0, cfg.S, size=(20, cfg.d))
-        short = solve_ridge(cfg.alpha, cfg.sigma, cfg.gamma, [cfg.S**2])
-        full = bisect_det_equiv(cfg.alpha, cfg.sigma, cfg.gamma, np.full(cfg.d, cfg.S**2))
-
-        def outputs(de):
-            w_R = resolve_reward(RewardSpec.radial(3.0), w_T, de.R, cfg.S)
-            st = SeriesTerms.from_radial_average(cfg, de, w_T, w_R, 0.5)
-            refined = refined_best_of_k_delta(cfg, de, w_T, 40)
-            sd = scaling_derivatives(cfg, de, w_T)
-            opt = optimal_reward(w_T, de, k=10, t=5.0)
-            return np.concatenate([
-                *de_moments_batch(X, w_T, de, cfg),
-                [st.delta_T, st.delta_R, st.s2, st.t],
-                [refined.value, refined.concentration],
-                [sd.dlogk, sd.dlogn],
-                opt.w, [opt.shift_ratio],
-            ])
-
-        np.testing.assert_allclose(outputs(short), outputs(full), rtol=1e-12, atol=0)
-
-    def test_three_eigenvalue_spectrum_against_explicit_matrices(self):
-        cfg = ModelConfig(d=3, n=30, sigma=0.5, gamma=1.0)
-        spectrum = np.array([0.25, 1.0, 4.0])
-        de = bisect_det_equiv(cfg.alpha, cfg.sigma, cfg.gamma, spectrum)
+    def test_against_explicit_matrices(self):
+        cfg = ModelConfig(d=3, n=30, S=1.7, sigma=0.5, gamma=1.0)
+        de = solve_for_config(cfg)
         w = np.array([1.0, -2.0, 0.5])
-        cov = np.diag(spectrum)
+        cov = cfg.S**2 * np.eye(3)
         B = de.R * np.linalg.inv(cov + de.R * np.eye(3))
         u = B @ w
         conc = 2.0 * (u @ cov @ u) / (cfg.sigma**2 * cfg.d)
