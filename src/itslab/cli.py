@@ -328,7 +328,7 @@ def cmd_sweep_k(args, forms, parser):
         terms = None
         if T > 0 and de:  # the series has no T = 0 limit, and no fixed point exists at n = 0
             w_R = resolve_reward(rewards[r], w_T, de.R, config.S)  # the terms depend on c, not on k
-            terms = forms.value("theory_highT", SeriesTerms.from_radial_average, config, de, w_T, w_R, T)
+            terms = forms.value("theory_highT", SeriesTerms.averaged, config, de, w_T, w_R, T)
         for g, k in enumerate(args.k_grid):
             series = None if terms is None else forms.value("theory_highT", _series_value, terms, T, k)
             rows.append(_sweep_row(config, mode, args.seed, float(c), int(k), T, res.mean[r, g],
@@ -354,9 +354,9 @@ def cmd_sweep_t(args, forms, parser):
     w_R = resolve_reward(RewardSpec.radial(args.c), w_T, de.R if de else 0.0, config.S)
     t_opt = None
     if de:  # the series needs the ridge fixed point, which n = 0 lacks
-        st = forms.value("theory_T_opt", SeriesTerms.from_radial_average, config, de, w_T, w_R, 1.0)
+        st = forms.value("theory_T_opt", SeriesTerms.averaged, config, de, w_T, w_R, 1.0)
         if st is not None:
-            t_opt = forms.value("theory_T_opt", optimal_temperature, st.delta_T, st.delta_R, st.s2, args.k)
+            t_opt = forms.value("theory_T_opt", optimal_temperature, st, args.k)
     rows = [
         _sweep_row(config, mode, args.seed, args.c, args.k, float(T), res.mean[g], res.stderr[g],
                    res.n_outer, args.n_inner, theory_T_opt=t_opt)
@@ -436,12 +436,12 @@ def cmd_bestofk_check(args, forms, parser):
     res = delta_k_curve(config, RewardSpec.radial(0.0), 0.0, args.k_grid, **mc)
     at_k = {}  # the closed forms at k, by row label; none without the series terms
     # aligned reward: the series terms reduce to the teacher deviation alone
-    st = forms.value("series_terms", SeriesTerms.from_radial_average, config, de, w_T, w_T, 1.0) if de else None
+    st = forms.value("series_terms", SeriesTerms.averaged, config, de, w_T, w_T, 1.0) if de else None
     if st is not None:  # else n = 0 or zero predictive variance: no closed form applies
         at_k = {
             "theory_refined": lambda k: refined_best_of_k_delta(config, de, w_T, k).value,
             # extreme-value route: mean of the scaled minimum is 2 c_k
-            "theory_bestofk": lambda k: st.s2 * 2.0 * weibull_norming(st.delta_T**2 / st.s2, k),
+            "theory_bestofk": lambda k: st.s2 * 2.0 * weibull_norming(st.dt2 / st.s2, k),
         }
     rows = []
     for g, k in enumerate(args.k_grid):

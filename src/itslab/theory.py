@@ -4,10 +4,11 @@ Four regimes are covered:
 
 * a high-temperature series in 1/t, t = T / (2 s^2), whose coefficients
   C_l = 2 Dt Dr + s^2 + (l-1) Dr^2 are built from the deviations of the
-  predictive mean from the teacher (Dt) and reward (Dr) targets;
+  predictive mean from the teacher (Dt) and reward (Dr) targets, or from
+  their second moments over x for any reward;
 * the best-of-k tail law delta(x) = (pi/k^2) s^2 exp(Dt^2/s^2) for an
   aligned reward at T = 0, plus its x-averaged refinement
-  (pi sigma^2/k^2) (1 - 2 u^T Cov u / (sigma^2 d))^{-1/2}, u = B w;
+  (pi sigma^2/k^2) (1 - 2 E Dt^2/sigma^2)^{-1/2}, E Dt^2 = b^2 S^2 |w|^2/d;
 * stationary points of the series: the reward weight, sample count k and
   temperature that minimize the error;
 * log-log derivatives of the best-of-k error with respect to k and n, the
@@ -25,18 +26,23 @@ from .ridge import DetEquiv, de_moments_batch
 # Below this t the dropped 1/t^4 remainder is no longer a sub-percent
 # correction in the regimes of interest; SeriesTerms.caveat flags it, nothing refuses it.
 SERIES_T_WARN = 5.0
+# Past this ratio of the series' second term to its first, |C_2|/(|C_1| t), the caveat flags it
+# too: on the figure config the series met Monte Carlo within 2 stderr at ratios up to 0.36 and
+# missed it by 7 to 101 stderr (worst cell per c and T) at ratios 0.44 to 2.3 with c > 0.
+SERIES_RATIO_WARN = 0.4
 
 
 @dataclass(frozen=True)
 class SeriesTerms:
-    """Inputs of the high-temperature series at one (possibly averaged) point.
+    """Inputs of the high-temperature series at one point, or their x-averages (:meth:`averaged`).
 
-    delta_T = m - mu_T, delta_R = m - mu_R, s2 the predictive variance and
-    t = T / (2 s2). ``C`` gives the three series coefficients.
+    dt2 = Dt^2, dtdr = Dt Dr, dr2 = Dr^2 (Dt = m - mu_T, Dr = m - mu_R), s2 the
+    predictive variance and t = T / (2 s2). ``C`` gives the three series coefficients.
     """
 
-    delta_T: float
-    delta_R: float
+    dt2: float
+    dtdr: float
+    dr2: float
     s2: float
     t: float
 
@@ -46,73 +52,66 @@ class SeriesTerms:
 
     @property
     def C(self) -> tuple[float, float, float]:
-        return _coefficients(self.delta_T, self.delta_R, self.s2)
+        return _coefficients(self.dtdr, self.dr2, self.s2)
 
     @property
     def caveat(self) -> str | None:
-        """Why the series may be inaccurate at these terms (t < SERIES_T_WARN), or None."""
+        """Why the series may be inaccurate (t < SERIES_T_WARN or |C_2|/(|C_1| t) > SERIES_RATIO_WARN), or None."""
         if self.t < SERIES_T_WARN:
             return (f"series evaluated at t = {self.t:.3g} < {SERIES_T_WARN}; "
+                    "the dropped remainder may not be negligible")
+        c1, c2, _ = self.C
+        ratio = abs(c2) / (abs(c1) * self.t) if c1 else math.inf
+        if ratio > SERIES_RATIO_WARN:
+            return (f"series terms fall slowly: |C_2|/(|C_1| t) = {ratio:.3g} > {SERIES_RATIO_WARN}; "
                     "the dropped remainder may not be negligible")
         return None
 
     @classmethod
-    def from_radial_average(
+    def averaged(
         cls, config: ModelConfig, de: DetEquiv, w_T: np.ndarray, w_R: np.ndarray, T: float
     ) -> "SeriesTerms":
-        """Test-point-averaged terms for rewards colinear with the teacher.
+        """The terms averaged over test points x ~ N(0, S^2 I), for any reward.
 
-        Over x ~ N(0, Cov), the second moments of Dt and Dr are quadratic
-        forms in avec = -B w_T and bvec = A w_T - w_R. When they are parallel
-        (every radial reward), evaluating the terms at the root-mean-square
-        point reproduces the x-averages of all C_l exactly; the constructor
-        refuses non-parallel pairs, for which only a numeric average over
-        sampled points is faithful (see :func:`high_t_delta_batch`).
+        Dt = -b w_T . x/sqrt(d) and Dr = ((w_T - w_R) - b w_T) . x/sqrt(d), a
+        weight that does not cancel as w_R nears w_T; E (u.x)(v.x)/d = (S^2/d) u.v;
+        s2 = sigma^2 + gamma^2 b S^2 is the x-average of s^2(x), at which the
+        series of these terms is the x-average of the pointwise one (see
+        :func:`high_t_delta_batch` for s^2 varying in x).
         """
         w_T = np.asarray(w_T, dtype=float)
-        # b scaled by 2^e into [0.5, 1), exactly: the forms in avec round as unscaled ones do where
-        # those stay normal, and where b is tiny they do not underflow, nor does avec turn
-        e = -math.frexp(de.b)[1]
-        avec = -math.ldexp(de.b, e) * w_T
-        bvec = de.a * w_T - np.asarray(w_R, dtype=float)
-        # E[(u.x/sqrt(d))(v.x/sqrt(d))] = u^T Cov v / d for x ~ N(0, Cov)
-        aa = _cov_form(avec, avec, de) / config.d
-        ab = _cov_form(avec, bvec, de) / config.d
-        bb = _cov_form(bvec, bvec, de) / config.d
-        if aa > 0 and bb > 0 and abs(ab) < (1.0 - 1e-9) * math.sqrt(aa * bb):
-            raise ValueError(
-                "reward deviation is not colinear with the teacher deviation; "
-                "average the pointwise series numerically instead"
-            )
-        s2_bar = config.sigma**2 + config.prior_var * (de.b * de.S2)
+        dt = -de.b * w_T
+        dr = (w_T - np.asarray(w_R, dtype=float)) + dt
+        scale = de.S2 / config.d
+        s2_bar = config.sigma**2 + _spread(config, de)
         if not s2_bar > 0:
             raise ValueError(f"the averaged predictive variance is {s2_bar}; the series needs s2 > 0")
-        if bb > 0:
-            delta_R = math.sqrt(bb)
-            delta_T = math.ldexp(ab / delta_R, -e)
-        else:
-            delta_R = 0.0
-            delta_T = math.ldexp(math.sqrt(aa), -e)
-        return cls(delta_T=delta_T, delta_R=delta_R, s2=s2_bar, t=T / (2.0 * s2_bar))
+        return cls(dt2=scale * float(dt @ dt), dtdr=scale * float(dt @ dr), dr2=scale * float(dr @ dr),
+                   s2=s2_bar, t=T / (2.0 * s2_bar))
 
 
-def _cov_form(u: np.ndarray, v: np.ndarray, de: DetEquiv) -> float:
-    """u^T Cov v for Cov = S^2 I."""
-    return float((de.S2 * u) @ v)
+def _spread(config: ModelConfig, de: DetEquiv) -> float:
+    """gamma^2 b S^2 = E s^2(x) - sigma^2, as gamma^2 (a R): equal, and a R keeps a subnormal b's digits."""
+    return config.prior_var * (de.a * de.R)
 
 
-def _coefficients(delta_T, delta_R, s2):
+def _teacher_rms(config: ModelConfig, de: DetEquiv, w: np.ndarray) -> float:
+    """sqrt(E Dt^2) = b q over x ~ N(0, S^2 I), q^2 = S^2 |w|^2/d."""
+    w = np.asarray(w, dtype=float)
+    return de.b * math.sqrt(de.S2 * float(w @ w) / config.d)
+
+
+def _coefficients(dtdr, dr2, s2):
     """C_l = 2 Dt Dr + s^2 + (l-1) Dr^2, l = 1..3; plain arithmetic for floats or arrays."""
-    c1 = 2.0 * delta_T * delta_R + s2
-    dr2 = delta_R**2
+    c1 = 2.0 * dtdr + s2
     return c1, c1 + dr2, c1 + 2.0 * dr2
 
 
-def _series(delta_T, delta_R, s2, t, k: int):
+def _series(dt2, dtdr, dr2, s2, t, k: int):
     """Dt^2 + s^2 + sum_l (-1)^l C_l t^-l prod_{j<=l} (1 - j/k), floats or arrays."""
-    total = delta_T**2 + s2
+    total = dt2 + s2
     prod = 1.0
-    for ell, c in enumerate(_coefficients(delta_T, delta_R, s2), start=1):
+    for ell, c in enumerate(_coefficients(dtdr, dr2, s2), start=1):
         prod *= 1.0 - ell / k
         if prod == 0.0:  # k = l: this term and every later one vanish, whatever c/t^l is
             break
@@ -127,16 +126,16 @@ def _series(delta_T, delta_R, s2, t, k: int):
 
 
 def high_t_delta_x(st: SeriesTerms, k: int) -> float:
-    """Three-term high-temperature series for delta(x).
+    """Three-term high-temperature series for delta(x), or its x-average.
 
     Exact at k = 1 (every correction carries a factor 1 - 1/k); accurate to
-    O(t^{-4}) otherwise; ``st.caveat`` flags a t below SERIES_T_WARN.
+    O(t^{-4}) otherwise; ``st.caveat`` flags terms where that may not hold.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not st.t > 0:
         raise ValueError(f"the series requires t > 0, got {st.t}")
-    return _series(st.delta_T, st.delta_R, st.s2, st.t, k)
+    return _series(st.dt2, st.dtdr, st.dr2, st.s2, st.t, k)
 
 
 def high_t_delta_batch(
@@ -157,16 +156,17 @@ def high_t_delta_batch(
     m, s2 = de_moments_batch(X, w_T, de, config)
     dT = m - X @ w_T / sqrt_d
     dR = m - X @ w_R / sqrt_d
-    return _series(dT, dR, s2, T / (2.0 * s2), k)
+    return _series(dT**2, dT * dR, dR**2, s2, T / (2.0 * s2), k)
 
 
 @dataclass(frozen=True)
 class RefinedBestOfK:
     """x-averaged best-of-k error with its validity diagnostics.
 
-    ``concentration`` is 2 u^T Cov u / (sigma^2 d); the closed form needs it
-    below 1. ``regime_ok`` records the variance-flatness condition
-    (gamma^2/d) Tr(B Cov) <= 0.01 sigma^2 under which s^2(x) ~ sigma^2.
+    ``concentration`` is 2 E Dt^2 / sigma^2 = 2 (b q / sigma)^2, q^2 =
+    S^2 |w|^2/d; the closed form needs it below 1. ``regime_ok`` records
+    the variance-flatness condition gamma^2 b S^2 <= 0.01 sigma^2 under
+    which s^2(x) ~ sigma^2.
     """
 
     value: float
@@ -175,16 +175,18 @@ class RefinedBestOfK:
 
 
 def refined_best_of_k_delta(config: ModelConfig, de: DetEquiv, w: np.ndarray, k: int) -> RefinedBestOfK:
-    """x-averaged best-of-k error (pi sigma^2/k^2)(1 - concentration)^{-1/2}."""
+    """x-averaged best-of-k error (pi sigma^2/k^2)(1 - concentration)^{-1/2}.
+
+    The concentration 2 (b q/sigma)^2 is formed ratio first, so it keeps its digits where b^2 q^2 underflows.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    u = de.b * np.asarray(w, dtype=float)
-    conc = 2.0 * _cov_form(u, u, de) / (config.sigma**2 * config.d)
+    conc = 2.0 * (_teacher_rms(config, de, w) / config.sigma) ** 2
     if conc >= 1.0:
         raise ValueError(
             f"2 u^T Cov u / (sigma^2 d) = {conc:.4f} >= 1: outside the closed form's domain"
         )
-    regime_ok = config.prior_var * (de.b * de.S2) <= 0.01 * config.sigma**2
+    regime_ok = _spread(config, de) <= 0.01 * config.sigma**2
     value = math.pi * config.sigma**2 / k**2 / math.sqrt(1.0 - conc)
     return RefinedBestOfK(value=value, regime_ok=regime_ok, concentration=conc)
 
@@ -228,17 +230,15 @@ def optimal_k(st: SeriesTerms) -> int | None:
     return math.ceil((4.0 / 3.0) * t_star / (t_star - st.t))
 
 
-def optimal_temperature(delta_T: float, delta_R: float, s2: float, k: int) -> float:
-    """Error-minimizing temperature T_opt = 2 s^2 . 2 (1 - 2/k) C2 / C1."""
+def optimal_temperature(st: SeriesTerms, k: int) -> float:
+    """Error-minimizing temperature T_opt = 2 s^2 . 2 (1 - 2/k) C2 / C1 of terms ``st``; ``st.t`` is not read."""
     if k <= 2:
         raise ValueError(f"k must be > 2, got {k}")
-    if not s2 > 0:
-        raise ValueError(f"s2 must be > 0, got {s2}")
-    c1, c2, _ = _coefficients(delta_T, delta_R, s2)
+    c1, c2, _ = st.C
     if c1 <= 0 or c2 <= 0:
         raise ValueError(f"stationary temperature requires C1 > 0 and C2 > 0, got {c1}, {c2}")
     t_opt = 2.0 * (1.0 - 2.0 / k) * c2 / c1
-    return 2.0 * s2 * t_opt
+    return 2.0 * st.s2 * t_opt
 
 
 @dataclass(frozen=True)
@@ -248,34 +248,29 @@ class ScalingDerivatives:
     dlogk is exactly -2 (the k^{-2} law). dlogn is the exact derivative of
     the deterministic equivalent in log n, through the ridge's dependence on
     alpha = d/n. ``small_ridge_ok`` records R <= 0.01 sigma^2,
-    the conservative domain of the inference-over-training dominance claim;
-    ``trace_ok`` is the variance-flatness condition shared with the refined
-    best-of-k formula.
+    the conservative domain of the inference-over-training dominance claim.
     """
 
     dlogk: float
     dlogn: float
     small_ridge_ok: bool
-    trace_ok: bool
 
 
 def scaling_derivatives(config: ModelConfig, de: DetEquiv, w: np.ndarray) -> ScalingDerivatives:
     """Trade-off derivatives d log delta / d log k and d log n.
 
-    dlogn = -alpha dF/dalpha / (sigma^2 d - 2 F), F = u^T Cov u, u = B w, from
+    dlogn = -alpha dE/dalpha / (sigma^2 - 2 E), E = E Dt^2 = b^2 q^2, from
     the one solve ``de`` by implicit differentiation of g(R) = R_hat: dR/dalpha
-    = (R_hat/alpha + R m1)/g'(R), dF/dR = 2 sum S^2 u w a/(S^2 + R) = 2 sum
-    u w a^2, and dR/denominator first, as dR dF/dR can underflow where dlogn does not.
+    = (R_hat/alpha + R m1)/g'(R), dE/dR = 2 b q^2 a^2/S^2 = 2 b m2 |w|^2/d,
+    and dR/denominator first, as dR dE/dR can underflow where dlogn does not.
     """
     w = np.asarray(w, dtype=float)
-    u = de.b * w
-    denom = config.sigma**2 * config.d - 2.0 * _cov_form(u, u, de)
+    denom = config.sigma**2 - 2.0 * _teacher_rms(config, de, w) ** 2
     if denom <= 0:
         raise ValueError("sigma^2 d - 2 u^T Cov u <= 0: outside the formula's domain")
-    dR, dF_dR = (de.R_hat / de.alpha + de.R * de.m1) / de.slope, 2.0 * float(np.sum(u * w * de.m2))
-    return ScalingDerivatives(dlogk=-2.0, dlogn=-de.alpha * (dR / denom) * dF_dR,
-                              small_ridge_ok=de.R <= 0.01 * config.sigma**2,
-                              trace_ok=config.prior_var * (de.b * de.S2) <= 0.01 * config.sigma**2)
+    dR, dE_dR = (de.R_hat / de.alpha + de.R * de.m1) / de.slope, 2.0 * de.b * de.m2 * (float(w @ w) / config.d)
+    return ScalingDerivatives(dlogk=-2.0, dlogn=-de.alpha * (dR / denom) * dE_dR,
+                              small_ridge_ok=de.R <= 0.01 * config.sigma**2)
 
 
 def dlogn_flat_prior(config: ModelConfig, w: np.ndarray) -> float:

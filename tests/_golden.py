@@ -10,7 +10,7 @@ leaves set (b) alone.
 
 Run from the root of the repository:
 
-    PYTHONPATH=src python tests/_golden.py a   # re-pin set (a)
+    PYTHONPATH=src python tests/_golden.py a   # re-pin set (a); prints every cell that moves
     PYTHONPATH=src python tests/_golden.py b   # re-pin set (b): needs its own CHANGES.md entry
 """
 
@@ -96,6 +96,23 @@ def mc_cells(text: str) -> dict:
     return cells
 
 
+def moved_cells(name: str, old: str, new: str) -> list:
+    """One line per cell of CSV ``new`` that differs from ``old``, with its relative change where both are numbers."""
+    old_rows, new_rows = (list(csv.reader(io.StringIO(text))) for text in (old, new))
+    if old_rows[:1] != new_rows[:1] or len(old_rows) != len(new_rows):
+        return [f"{name}: the header or the number of rows changed"]
+    lines = []
+    for i, (old_row, new_row) in enumerate(zip(old_rows[1:], new_rows[1:]), start=1):
+        for col, was, now in zip(old_rows[0], old_row, new_row):
+            if was != now:
+                try:
+                    change = f" ({(float(now) - float(was)) / abs(float(was)):+.2e})"
+                except (ValueError, ZeroDivisionError):
+                    change = ""
+                lines.append(f"{name} row {i} ({new_row[0]}) {col}: {was} -> {now}{change}")
+    return lines
+
+
 def main(which: str) -> None:
     scratch = HERE / ".pin"
     scratch.mkdir(parents=True, exist_ok=True)
@@ -105,7 +122,10 @@ def main(which: str) -> None:
             for name, argv in SET_A.items():
                 argv = [a.replace("{records}", str(records)) for a in argv]
                 (HERE / "a").mkdir(exist_ok=True)
-                (HERE / "a" / f"{name}.csv").write_text(run_csv(argv, scratch / "out.csv"))
+                path, text = HERE / "a" / f"{name}.csv", run_csv(argv, scratch / "out.csv")
+                if path.exists():
+                    print("\n".join(moved_cells(name, path.read_text(), text)) or f"{name}: unchanged")
+                path.write_text(text)
         elif which == "b":
             pinned = {name: mc_cells(run_csv(law_argv(name, LAW_SCALE), scratch / "out.csv"))
                       for name in SET_B}

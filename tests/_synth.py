@@ -184,33 +184,32 @@ def mp_refined_best_of_k(S2, b, sigma, w, k):
     return (mp.pi * sigma2 / k**2 / mp.sqrt(1 - conc) if conc < 1 else None), conc
 
 
-def mp_radial_terms(S2, a, b, sigma, gamma, w_T, w_R, T):
-    """``itslab.theory.SeriesTerms.from_radial_average``'s terms, in mpmath from the ridge's a and b.
+def mp_radial_terms(S2, b, sigma, gamma, w_T, w_R, T):
+    """``itslab.theory.SeriesTerms.averaged``'s terms, in mpmath from the ridge's b (an mpf).
 
-    With u = -b w_T and v = a w_T - w_R, the forms u^T Cov u/d, u^T Cov v/d
-    and v^T Cov v/d give delta_R = sqrt(v^T Cov v/d) and delta_T = u^T Cov
-    v/(d delta_R) (delta_R = 0 and delta_T = sqrt(u^T Cov u/d) where v = 0);
-    s2 = sigma^2 + gamma^2 b S^2 and t = T/(2 s2); ``a`` and ``b`` are mpf.
-    Returns (delta_T, delta_R, s2, t, (C_1, C_2, C_3)).
+    Over x ~ N(0, S^2 I), Dt = u.x/sqrt(d) and Dr = v.x/sqrt(d) with u = -b
+    w_T and v = (1 - b) w_T - w_R, taken as (w_T - w_R) - b w_T because 1 - b
+    at 50 digits drops the digits of a tiny b; E Dt^2, E Dt Dr and E Dr^2
+    are S^2 u.u/d, S^2 u.v/d and S^2 v.v/d; s2 = sigma^2 + gamma^2 b S^2 and
+    t = T/(2 s2). Returns (E Dt^2, E Dt Dr, E Dr^2, s2, t, (C_1, C_2, C_3)).
     """
     w_T, w_R = ([mp.mpf(x) for x in np.ravel(w).tolist()] for w in (w_T, w_R))
-    u, v = [-b * x for x in w_T], [a * x - y for x, y in zip(w_T, w_R)]
-    aa, ab, bb = (S2 * mp.fsum(x * y for x, y in zip(p, q)) / len(u) for p, q in ((u, u), (u, v), (v, v)))
-    delta_R = mp.sqrt(bb)
-    delta_T = ab / delta_R if bb > 0 else mp.sqrt(aa)
+    u, v = [-b * x for x in w_T], [(x - y) - b * x for x, y in zip(w_T, w_R)]
+    dt2, dtdr, dr2 = (S2 * mp.fsum(x * y for x, y in zip(p, q)) / len(u) for p, q in ((u, u), (u, v), (v, v)))
     s2 = mp.mpf(sigma) ** 2 + mp.mpf(gamma) ** 2 * b * S2
-    c1 = 2 * delta_T * delta_R + s2
-    return delta_T, delta_R, s2, T / (2 * s2), (c1, c1 + delta_R**2, c1 + 2 * delta_R**2)
+    c1 = 2 * dtdr + s2
+    return dt2, dtdr, dr2, s2, T / (2 * s2), (c1, c1 + dr2, c1 + 2 * dr2)
 
 
-def mp_optimal_temperature(delta_T, delta_R, s2, k):
-    """``itslab.theory.optimal_temperature``'s 2 s^2 . 2 (1 - 2/k) C_2/C_1 in mpmath, from its float inputs.
+def mp_optimal_temperature(dtdr, dr2, s2, k):
+    """``itslab.theory.optimal_temperature``'s 2 s^2 . 2 (1 - 2/k) C_2/C_1 in mpmath, from its float terms.
 
-    Returns (T, C_1, C_2), T None where C_1 or C_2 is <= 0.
+    C_1 = 2 E Dt Dr + s^2 and C_2 = C_1 + E Dr^2. Returns (T, C_1, C_2), T
+    None where C_1 or C_2 is <= 0.
     """
-    delta_T, delta_R, s2 = (mp.mpf(x) for x in (delta_T, delta_R, s2))
-    c1 = 2 * delta_T * delta_R + s2
-    c2 = c1 + delta_R**2
+    dtdr, dr2, s2 = (mp.mpf(x) for x in (dtdr, dr2, s2))
+    c1 = 2 * dtdr + s2
+    c2 = c1 + dr2
     return (4 * s2 * (1 - mp.mpf(2) / k) * c2 / c1 if c1 > 0 and c2 > 0 else None), c1, c2
 
 

@@ -197,8 +197,7 @@ def test_05_optimal_temperature():
     k = 50
     c = _solve_radial_c(cfg, de, w_T, ratio_target=12.0)
     w_R = resolve_reward(RewardSpec.radial(c), w_T, de.R, cfg.S)
-    st = SeriesTerms.from_radial_average(cfg, de, w_T, w_R, 1.0)
-    T_opt = optimal_temperature(st.delta_T, st.delta_R, st.s2, k)
+    T_opt = optimal_temperature(SeriesTerms.averaged(cfg, de, w_T, w_R, 1.0), k)
     T_grid = np.geomspace(2.0, 200.0, 30) * cfg.sigma**2
     res = delta_t_curve(
         cfg, RewardSpec.radial(c), k, T_grid, n_outer=1000, n_inner=300, seed=SEED,
@@ -228,7 +227,7 @@ def test_06_optimal_k():
         # targets t* = 3 C2/C1 of 2t and (4/3)t, i.e. interior optima
         c = _solve_radial_c(cfg, de, w_T, ratio_target=ratio)
         w_R = resolve_reward(RewardSpec.radial(c), w_T, de.R, cfg.S)
-        st = SeriesTerms.from_radial_average(cfg, de, w_T, w_R, T)
+        st = SeriesTerms.averaged(cfg, de, w_T, w_R, T)
         k_opt = optimal_k(st)
         res = delta_k_curve(
             cfg, RewardSpec.radial(c), T, k_grid, n_outer=600, n_inner=500, seed=SEED,

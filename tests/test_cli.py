@@ -156,12 +156,12 @@ _WARNED_RUNS = {
     "sweep_k_order": (["sweep-k", "--d", "2", "--n", "20", "--T-sigma2", "1e-6", "--k-grid", "2,3",
                        *_MC4],
                       [_SERIES_T.format("4.5e-07"),
-                       "the high-temperature series is -19.156139367656312 < 0 at T = 1e-14, k = 2"],
-                      "5e511772fdfd0739"),
+                       "the high-temperature series is -19.156139367659254 < 0 at T = 1e-14, k = 2"],
+                      "fcdcd2832c96450b"),
     "sweep_k_alpha": (["sweep-k", "--d", "20", "--n", "10", "--k-grid", "1,4", *_MC4],
                       [_alpha(2), _SERIES_T.format("0.192"),
-                       "the high-temperature series is -24.536275962535093 < 0 at T = 2e-07, k = 4"],
-                      "1c022fab18342c8f"),
+                       "the high-temperature series is -24.536275962535083 < 0 at T = 2e-07, k = 4"],
+                      "8eaed56016bc4a09"),
     # the series is exact at k = 1, so only k = 4's leaves the float range
     "sweep_k_no_series": (["sweep-k", "--T", "1e-300", "--k-grid", "1,4", "--c-grid", "0,2", *_MC4],
                           [_SERIES_T.format("5e-293"),
@@ -187,14 +187,14 @@ _WARNED_RUNS = {
                        "2294e2a3ae80c6ce"),
     # one clean run per subcommand
     "ridge": (["ridge"], [], "a8d6635c9384d7dd"),
-    "sweep-k": (["sweep-k", "--k-grid", "1,4", *_MC4], [], "3fe9e647a7f8e581"),
-    "sweep-t": (["sweep-t", "--k", "4", "--t-grid-sigma2", "5,50", *_MC4], [], "6b1ad0e509da26c7"),
+    "sweep-k": (["sweep-k", "--k-grid", "1,4", *_MC4], [], "21b877370f7f4229"),
+    "sweep-t": (["sweep-t", "--k", "4", "--t-grid-sigma2", "5,50", *_MC4], [], "57ed22b14367f866"),
     "sweep-c": (["sweep-c", "--k", "4", "--c-grid", "1,10", *_MC4], [], "e8be47ae326784f5"),
     "polar-map": (["polar-map", "--d", "2", "--n", "100", "--k-grid", "1,2,3,4", "--c-grid", "1e-3",
                    "--theta-grid", "0,1", *_MC4], [], "c514b18c701ec4eb"),
     "tradeoff": (["tradeoff", "--n-grid", "10000,20000", "--k-grid", "2,4", *_MC4], [],
-                 "355e1decd843c52e"),
-    "bestofk-check": (["bestofk-check", "--k-grid", "100,1000", *_MC4], [], "a39f4664915bf378"),
+                 "eaf0ffc7b23ffdfc"),
+    "bestofk-check": (["bestofk-check", "--k-grid", "100,1000", *_MC4], [], "5671aeff1955f3e5"),
     "judge": (["judge", "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"], [],
               "d3558f5f406f0642"),
 }
@@ -269,7 +269,7 @@ class TestRewardOffset:
 
     @pytest.mark.parametrize("argv, digest", [
         (["sweep-k", "--T", "0", "--c-grid", "0,1e6", "--k-grid", "1,4"], "6dfd364830e1da26"),
-        (["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1e6", "--k-grid", "1,4"], "fae912ea121677c4"),
+        (["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1e6", "--k-grid", "1,4"], "021064015f2b83b9"),
         (["sweep-k", "--mode", "exact", "--d", "10", "--n", "100", "--T", "0", "--c-grid", "0,1e6",
           "--k-grid", "1,4"], "1cac6ff27ea93a1c"),
         (["sweep-c", "--T", "0", "--k", "4", "--c-grid", "1,1e6"], "b84caf8e067a97bd"),
@@ -514,6 +514,32 @@ class TestSubcommands:
         assert capsys.readouterr().err.splitlines() == ["itslab: warning: k must be > 2, got 2"]
         rows = out.read_text().splitlines()[1:]
         assert len(rows) == 2 and all(r.endswith(",") for r in rows)  # theory_T_opt
+
+    def test_bestofk_check_aligned_reward_at_huge_n(self, tmp_path, capsys):
+        # b = 1e-12: the aligned reward's series terms are formed without cancelling, so both closed forms apply
+        out = tmp_path / "bk.csv"
+        assert run(["bestofk-check", "--n", "10000000000000", "--k-grid", "4", "--n-outer", "2",
+                    "--n-inner", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["mode"] for r in rows] == ["det_equiv", "theory_refined", "theory_bestofk"]
+        assert all(float(r["asymptote"]) > 0 for r in rows)
+        # with Dt^2 ~ 1e-20 << s^2 both are pi sigma^2/(2 k^2) (1 + ...)
+        assert float(rows[2]["delta"]) == pytest.approx(float(rows[1]["delta"]), rel=1e-11)
+
+    def test_sweep_k_flags_slowly_falling_series_terms(self, tmp_path, capsys):
+        # t = 10 at T = 20 sigma^2, but at c = 50 the second term is 2.3 times the first
+        out = tmp_path / "sk.csv"
+        assert run(["sweep-k", "--T-sigma2", "20", "--k-grid", "1,4", "--c-grid", "0,5,50", "--n-outer", "5",
+                    "--n-inner", "5", "--seed", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            "itslab: warning: series terms fall slowly: |C_2|/(|C_1| t) = 2.34 > 0.4; "
+            "the dropped remainder may not be negligible\n")
+        # at T = 200 sigma^2 the ratio is 0.23
+        assert run(["sweep-k", "--T-sigma2", "200", "--k-grid", "1,4", "--c-grid", "0,5,50", "--n-outer", "5",
+                    "--n-inner", "5", "--seed", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_bestofk_check_zero_predictive_variance(self, tmp_path, capsys):
         # sigma = 0 in de mode: s = 0 everywhere, so no closed form applies

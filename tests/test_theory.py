@@ -43,33 +43,33 @@ from _synth import (
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
 
+def _terms(dT, dR, s2, t):
+    """The series terms of one point with deviations Dt = dT and Dr = dR."""
+    return SeriesTerms(dt2=dT * dT, dtdr=dT * dR, dr2=dR * dR, s2=s2, t=t)
+
+
 class TestSeriesTerms:
     def test_coefficients_formula(self):
-        st = SeriesTerms(delta_T=0.5, delta_R=-0.25, s2=2.0, t=10.0)
+        st = _terms(0.5, -0.25, s2=2.0, t=10.0)
         c1, c2, c3 = st.C
         assert c1 == 2 * 0.5 * (-0.25) + 2.0
         assert c2 == c1 + 0.25**2
         assert c3 == c1 + 2 * 0.25**2
 
     def test_recurrence_exact_on_dyadics(self):
-        st = SeriesTerms(delta_T=0.5, delta_R=0.25, s2=1.0, t=8.0)
+        st = _terms(0.5, 0.25, s2=1.0, t=8.0)
         c1, c2, c3 = st.C
-        assert c2 - c1 == st.delta_R**2
-        assert c3 - c2 == st.delta_R**2
+        assert c2 - c1 == st.dr2
+        assert c3 - c2 == st.dr2
 
     def test_recurrence_near_exact_generally(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            st = SeriesTerms(
-                delta_T=rng.normal(),
-                delta_R=rng.normal(),
-                s2=float(rng.uniform(0.1, 5)),
-                t=10.0,
-            )
+            st = _terms(rng.normal(), rng.normal(), s2=float(rng.uniform(0.1, 5)), t=10.0)
             c1, c2, c3 = st.C
-            scale = max(abs(c1), abs(c2), abs(c3), st.delta_R**2)
-            assert abs((c2 - c1) - st.delta_R**2) <= 1e-12 * scale
-            assert abs((c3 - c2) - st.delta_R**2) <= 1e-12 * scale
+            scale = max(abs(c1), abs(c2), abs(c3), st.dr2)
+            assert abs((c2 - c1) - st.dr2) <= 1e-12 * scale
+            assert abs((c3 - c2) - st.dr2) <= 1e-12 * scale
 
     def test_radial_average_matches_numeric_average(self):
         cfg = ModelConfig(d=10, n=10_000, **FIG_LIKE)
@@ -77,7 +77,7 @@ class TestSeriesTerms:
         w_T = sample_teacher(cfg, stream(3, "teacher"))
         w_R = resolve_reward(RewardSpec.radial(5.0), w_T, de.R, cfg.S)
         T = 20 * cfg.sigma**2
-        st = SeriesTerms.from_radial_average(cfg, de, w_T, w_R, T)
+        st = SeriesTerms.averaged(cfg, de, w_T, w_R, T)
         X = stream(3, "test_points").normal(0.0, cfg.S, size=(400_000, cfg.d))
         for k in (2, 10):
             series = high_t_delta_x(st, k)
@@ -86,54 +86,64 @@ class TestSeriesTerms:
             # through the tiny x-dependence of s^2
             assert series == pytest.approx(numeric, rel=2e-3)
 
-    def test_radial_average_rejects_nonparallel(self):
+    def test_perpendicular_offset_average_matches_numeric_average(self):
+        # a reward off the teacher's line: the moments average the series as for a radial one
         cfg = ModelConfig(d=2, n=10_000, **FIG_LIKE)
         de = solve_for_config(cfg)
         w_T = np.array([2.0, 0.0])
         w_R = w_T + np.array([0.0, 0.5])  # perpendicular offset
-        with pytest.raises(ValueError, match="colinear"):
-            SeriesTerms.from_radial_average(cfg, de, w_T, w_R, 1e-3)
+        T = 1e-3
+        st = SeriesTerms.averaged(cfg, de, w_T, w_R, T)
+        assert st.dtdr**2 < st.dt2 * st.dr2  # Dt and Dr are not colinear
+        X = stream(3, "test_points").normal(0.0, cfg.S, size=(400_000, cfg.d))
+        for k in (2, 10, 100):
+            numeric = high_t_delta_batch(cfg, de, w_T, w_R, T, k, X).mean()
+            assert high_t_delta_x(st, k) == pytest.approx(numeric, rel=1e-4)
+
+    def test_aligned_reward_at_huge_n(self):
+        # w_R = w_T: Dr's weight is -b w_T exactly, so the three moments agree even where b is 1e-12
+        cfg = ModelConfig(n=10**13)
+        de = solve_for_config(cfg)
+        w_T = sample_teacher(cfg, stream(0, "teacher"))
+        st = SeriesTerms.averaged(cfg, de, w_T, w_T, 1.0)
+        assert st.dt2 == st.dtdr == st.dr2 > 0
+        assert st.dt2 == pytest.approx(de.b**2 * cfg.S**2 * (w_T @ w_T) / cfg.d, rel=1e-14)
 
 
 class TestHighTSeries:
     def test_exact_at_k1_for_all_t(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            st = SeriesTerms(
-                delta_T=rng.normal(),
-                delta_R=rng.normal(),
-                s2=float(rng.uniform(0.5, 2)),
-                t=float(rng.uniform(0.1, 100)),
-            )
-            assert high_t_delta_x(st, 1) == st.delta_T**2 + st.s2
+            st = _terms(rng.normal(), rng.normal(), s2=float(rng.uniform(0.5, 2)), t=float(rng.uniform(0.1, 100)))
+            assert high_t_delta_x(st, 1) == st.dt2 + st.s2
         # C_3/t^3 is inf at t = 1e-106 and t**2 overflows at t = 1e300; the factor 1 - 1/k = 0 drops both
         for t in (1e-106, 1e300):
-            assert high_t_delta_x(SeriesTerms(delta_T=1e-4, delta_R=2e-4, s2=1e-8, t=t), 1) == 1e-4**2 + 1e-8
+            assert high_t_delta_x(_terms(1e-4, 2e-4, s2=1e-8, t=t), 1) == 1e-4**2 + 1e-8
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_huge_t_past_the_float_range(self, k):
         # t**2 overflows at t = 1e300, where every correction C_l/t^l rounds to 0
-        assert high_t_delta_x(SeriesTerms(delta_T=1e-4, delta_R=2e-4, s2=1e-8, t=1e300), k) == 1e-4**2 + 1e-8
+        assert high_t_delta_x(_terms(1e-4, 2e-4, s2=1e-8, t=1e300), k) == 1e-4**2 + 1e-8
         # and at t = 1e200, where C_2/t^2 = 1e-100 is the series, C_1 = s^2 = 1e-300 and Dr^2 = 1e300
-        st = SeriesTerms(delta_T=0.0, delta_R=1e150, s2=1e-300, t=1e200)
+        st = _terms(0.0, 1e150, s2=1e-300, t=1e200)
         c1, c2, c3 = (Fraction(c) for c in st.C)
         t, terms = Fraction(st.t), (1 - Fraction(1, k), (1 - Fraction(1, k)) * (1 - Fraction(2, k)))
         exact = Fraction(st.s2) - c1 / t * terms[0] + c2 / t**2 * terms[1] - c3 / t**3 * terms[1] * (1 - Fraction(3, k))
         assert high_t_delta_x(st, k) == pytest.approx(float(exact), rel=1e-15)
 
     def test_infinite_t_limit(self):
-        st = SeriesTerms(delta_T=0.3, delta_R=0.7, s2=1.2, t=1e30)
+        st = _terms(0.3, 0.7, s2=1.2, t=1e30)
         assert high_t_delta_x(st, 10) == pytest.approx(0.3**2 + 1.2, rel=1e-15)
 
     def test_frozen_arithmetic_example(self):
-        # delta_T = delta_R = 0, s = 1: every C_l = 1.
-        st = SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=50.0)
+        # Dt = Dr = 0, s = 1: every C_l = 1.
+        st = _terms(0.0, 0.0, s2=1.0, t=50.0)
         expected = 1 - 0.9 / 50 + (0.9 * 0.8) / 2500 - (0.9 * 0.8 * 0.7) / 125000
         assert expected == pytest.approx(0.982283968, abs=1e-9)
         assert high_t_delta_x(st, 10) == pytest.approx(expected, rel=1e-15)
 
     def test_mc_cross_check(self):
-        st = SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=50.0)
+        st = _terms(0.0, 0.0, s2=1.0, t=50.0)
         series = high_t_delta_x(st, 10)
         mean, se = delta_x(m=0.0, s2=1.0, mu_T=0.0, mu_R=0.0, k=10, T=100.0,
                            n_inner=200_000, rng=stream(11, "inference"))
@@ -142,19 +152,27 @@ class TestHighTSeries:
         assert abs(mean - series) < 4 * se + 5 * c3_term / 50
 
     def test_low_t_caveat(self):
-        st = SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=2.0)
+        st = _terms(0.0, 0.0, s2=1.0, t=2.0)
         assert st.caveat == "series evaluated at t = 2 < 5.0; the dropped remainder may not be negligible"
-        for t in (5.0, 50.0):  # the caveat holds below t = 5 only
-            assert SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=t).caveat is None
+        for t in (5.0, 50.0):  # with Dr = 0 the caveat holds below t = 5 only
+            assert _terms(0.0, 0.0, s2=1.0, t=t).caveat is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the caveat is data: the series itself emits no warning
             # every C_l = 1: 1 - (4/5)/2 + (4/5)(3/5)/4 - (4/5)(3/5)(2/5)/8
             assert high_t_delta_x(st, 5) == pytest.approx(0.696, rel=1e-15)
 
     def test_k_below_one_rejected(self):
-        st = SeriesTerms(delta_T=0.0, delta_R=0.0, s2=1.0, t=10.0)
+        st = _terms(0.0, 0.0, s2=1.0, t=10.0)
         with pytest.raises(ValueError):
             high_t_delta_x(st, 0)
+
+    def test_term_ratio_caveat(self):
+        # |C_2|/(|C_1| t) with C_1 = s^2 = 1 and C_2 = 1 + Dr^2, at t = 10
+        assert SeriesTerms(dt2=0.0, dtdr=0.0, dr2=3.0, s2=1.0, t=10.0).caveat is None  # ratio 0.4
+        assert SeriesTerms(dt2=0.0, dtdr=0.0, dr2=4.0, s2=1.0, t=10.0).caveat == (
+            "series terms fall slowly: |C_2|/(|C_1| t) = 0.5 > 0.4; the dropped remainder may not be negligible")
+        # C_1 = 0: the first correction vanishes and the second does not
+        assert "= inf > 0.4" in SeriesTerms(dt2=0.25, dtdr=-0.5, dr2=1.0, s2=1.0, t=10.0).caveat
 
 
 class TestRefinedBestOfK:
@@ -244,10 +262,10 @@ class TestOptimalReward:
 
 class TestOptimalK:
     def _st(self, ratio, t):
-        # build terms with C2/C1 = ratio (delta_T = 0 keeps C1 = s2)
+        # build terms with C2/C1 = ratio (Dt = 0 keeps C1 = s2)
         s2 = 1.0
         dr = math.sqrt((ratio - 1.0) * s2)
-        return SeriesTerms(delta_T=0.0, delta_R=dr, s2=s2, t=t)
+        return _terms(0.0, dr, s2=s2, t=t)
 
     def test_monotone_regime_none(self):
         st = self._st(ratio=2.0, t=6.0)  # t* = 6 exactly, t >= t*
@@ -259,12 +277,12 @@ class TestOptimalK:
         assert optimal_k(st) == 3
 
     def test_aligned_reward_is_monotone(self):
-        # delta_R = 0 makes t* = 3; any t > 3 is monotone.
-        st = SeriesTerms(delta_T=0.2, delta_R=0.0, s2=1.0, t=5.0)
+        # Dr = 0 makes t* = 3; any t > 3 is monotone.
+        st = _terms(0.2, 0.0, s2=1.0, t=5.0)
         assert optimal_k(st) is None
 
     def test_negative_coefficients_none(self):
-        st = SeriesTerms(delta_T=1.0, delta_R=-1.0, s2=0.5, t=10.0)
+        st = _terms(1.0, -1.0, s2=0.5, t=10.0)
         assert st.C[0] < 0
         assert optimal_k(st) is None
 
@@ -274,19 +292,19 @@ class TestOptimalTemperature:
         dT, dR, s2 = 0.1, 0.5, 1.0
         c1 = 2 * dT * dR + s2
         c2 = c1 + dR**2
-        T = optimal_temperature(dT, dR, s2, k=10**9)
+        T = optimal_temperature(_terms(dT, dR, s2, 1.0), k=10**9)
         assert T == pytest.approx(2 * s2 * 2 * c2 / c1, rel=1e-8)
 
     def test_aligned_reward_collapse(self):
-        # delta_R = 0: C2 = C1, so t_opt = 2 (1 - 2/k).
-        T = optimal_temperature(0.3, 0.0, 2.0, k=10)
+        # Dr = 0: C2 = C1, so t_opt = 2 (1 - 2/k).
+        T = optimal_temperature(_terms(0.3, 0.0, 2.0, 1.0), k=10)
         assert T == pytest.approx(2 * 2.0 * 2 * (1 - 0.2), rel=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            optimal_temperature(0.1, 0.5, 1.0, k=2)
+            optimal_temperature(_terms(0.1, 0.5, 1.0, 1.0), k=2)
         with pytest.raises(ValueError):
-            optimal_temperature(1.0, -1.0, 0.5, k=10)  # C1 < 0
+            optimal_temperature(_terms(1.0, -1.0, 0.5, 1.0), k=10)  # C1 < 0
 
 
 class TestScalingDerivatives:
@@ -383,7 +401,7 @@ class TestDlognMatchesMpmath:
 
 
 def _ridge_case(alpha, sigma, gamma, S2, d, seed):
-    """The solve, its config and a teacher for an MP_CONFIGS draw, with a and b in mpmath at its R; None if ridgeless."""
+    """The solve, its config and a teacher for an MP_CONFIGS draw, with b in mpmath at its R; None if ridgeless."""
     try:
         de = solve_ridge(alpha, sigma, gamma, S2)
     except ValueError as exc:
@@ -392,115 +410,109 @@ def _ridge_case(alpha, sigma, gamma, S2, d, seed):
     cfg = ModelConfig(d=d, S=math.sqrt(S2), sigma=sigma, gamma=gamma)
     with mp.workdps(50):
         R = mp.mpf(de.R)
-        a, b = S2 / (S2 + R), R / (S2 + R)
-    return de, cfg, np.random.default_rng(seed).standard_normal(d), a, b
+        b = R / (S2 + R)
+    return de, cfg, np.random.default_rng(seed).standard_normal(d), b
 
 
 _CASES = dict(MP_CONFIGS, d=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
-# w_R = c w_T; c = 1 is the aligned reward
-_REWARDS = dict(c=st.one_of(st.floats(-4, 4), st.just(1.0)), T=st.floats(-3, 3).map(lambda e: 10.0**e))
+# w_R = c w_T + e roll(w_T): e = 0 is the radial family, c = 1 there the aligned reward; e != 0 turns
+# w_R off the teacher's line (d >= 2)
+_REWARDS = dict(c=st.one_of(st.floats(-4, 4), st.just(1.0)), e=st.one_of(st.just(0.0), st.floats(-4, 4)),
+                T=st.floats(-3, 3).map(lambda x: 10.0**x))
 
 
 class TestClosedFormsMatchMpmath:
     """The closed forms on the ridge land within 1e-12 relative of their 50-digit values, times their condition number.
 
     The oracles read the solve's R (whose own error ``TestSolveMatchesMpmath``
-    bounds) and every other float input as exact. Two float limits are
-    allowed for, as no float evaluation of the same formulas escapes them:
-    a subnormal b = R/(S^2 + R) holds only its last place 2^-1074, as does
-    b S^2, which gamma^2 carries into s2 = sigma^2 + gamma^2 b S^2; and the
-    terms of F = S^2 sum (b w)^2 that fall below the normal range hold as
-    little, so the concentration 2 F/(sigma^2 d) may be off by
-    2^-1073/sigma^2.
+    bounds) and every other float input as exact. A value below the normal
+    range holds only its last place 2^-1074, which ``assert_close``'s floor
+    of 2^-1022 covers: b S^2 enters s2 as a R, which keeps its digits where b
+    is subnormal, and the concentration is formed as 2 (b q/sigma)^2, which
+    keeps them where the terms of b^2 q^2 fall below the normal range.
     """
 
     @given(**_CASES, k=st.integers(1, 10**4))
+    @example(alpha=1.14e-5, sigma=5.99e-118, gamma=3.13e8, S2=2.02, d=26, seed=0, k=1)  # (b w)^2 underflows
     @settings(max_examples=300, deadline=None)
     def test_refined_best_of_k(self, alpha, sigma, gamma, S2, d, seed, k):
         self._check_refined(alpha, sigma, gamma, S2, d, seed, k)
 
     @given(**_CASES, **_REWARDS)
-    @example(alpha=1e-5, sigma=6e-118, gamma=3e8, S2=2.0, d=26, seed=0, c=1.0, T=40.0)  # (b w)^2 underflows
-    @example(alpha=1.0, sigma=1e-132, gamma=3.9e29, S2=300.0, d=12, seed=0, c=3.3, T=50.0)  # and turned a
-    @example(alpha=0.5, sigma=1e-14, gamma=1e146, S2=1.0, d=3, seed=0, c=2.0, T=1.0)  # S^2/R overflows, b does not
+    @example(alpha=1e-5, sigma=6e-118, gamma=3e8, S2=2.0, d=26, seed=0, c=1.0, e=0.0, T=40.0)  # (b w)^2 underflows
+    @example(alpha=1.0, sigma=1e-132, gamma=3.9e29, S2=300.0, d=12, seed=0, c=3.3, e=0.0, T=50.0)  # and aa did
+    @example(alpha=0.5, sigma=1e-14, gamma=1e146, S2=1.0, d=3, seed=0, c=2.0, e=0.0, T=1.0)  # S^2/R overflows, not b
+    @example(alpha=0.5, sigma=1e-150, gamma=1e11, S2=300.0, d=5, seed=0, c=1.0, e=0.0, T=1.0)  # R = 1e-322: b is 0
+    @example(alpha=0.5, sigma=1e-150, gamma=1e10, S2=3.0, d=5, seed=0, c=1.0, e=0.0, T=1.0)  # b subnormal
+    @example(alpha=1e-9, sigma=1e-4, gamma=1e-3, S2=1.0, d=10, seed=0, c=1.0, e=0.0, T=1.0)  # aligned, b = 1e-11
+    @example(alpha=1e-3, sigma=1e-4, gamma=1e-3, S2=1.0, d=2, seed=0, c=1.0, e=0.25, T=1.0)  # off the line
     @settings(max_examples=300, deadline=None)
-    def test_radial_series_terms(self, alpha, sigma, gamma, S2, d, seed, c, T):
-        self._check_radial(alpha, sigma, gamma, S2, d, seed, c, T)
+    def test_radial_series_terms(self, alpha, sigma, gamma, S2, d, seed, c, e, T):
+        self._check_terms(alpha, sigma, gamma, S2, d, seed, c, e, T)
 
     @given(**_CASES, **_REWARDS, k=st.integers(3, 10**4))
     @settings(max_examples=300, deadline=None)
-    def test_optimal_temperature(self, alpha, sigma, gamma, S2, d, seed, c, T, k):
-        self._check_optimal_temperature(alpha, sigma, gamma, S2, d, seed, c, T, k)
+    def test_optimal_temperature(self, alpha, sigma, gamma, S2, d, seed, c, e, T, k):
+        self._check_optimal_temperature(alpha, sigma, gamma, S2, d, seed, c, e, T, k)
 
     @staticmethod
     def _check_refined(alpha, sigma, gamma, S2, d, seed, k):
         case = _ridge_case(alpha, sigma, gamma, S2, d, seed)
         if case is None:
             return
-        de, cfg, w, _, b = case
+        de, cfg, w, b = case
         with mp.workdps(50):
             value, conc = mp_refined_best_of_k(S2, b, sigma, w, k)
-        conc_atol = 2.0**-1073 / sigma**2
         try:
             out = refined_best_of_k_delta(cfg, de, w, k)
         except ValueError as exc:  # the float concentration is >= 1
             assert "outside the closed form's domain" in str(exc)
-            assert conc >= 1 - 1e-12 - conc_atol, conc
+            assert conc >= 1 - 1e-12, conc
             return
-        assert_close(out.concentration, conc, atol=conc_atol)
+        assert_close(out.concentration, conc)
         if value is not None:  # the pole 1/sqrt(1 - conc), condition number 1/(1 - conc)
             assert_close(out.value, value, rel=1e-12 / float(1 - conc))
 
     @staticmethod
-    def _radial(de, cfg, w, a, b, c, T):
-        """The float terms, the 50-digit ones, the condition number of a w_T - w_R and the allowance on s2."""
+    def _terms(de, cfg, w, b, c, e, T):
+        """The float terms, the 50-digit ones and the summands' magnitudes of E Dt^2, E Dt Dr and E Dr^2."""
+        w_R = c * w + e * np.roll(w, 1)
         with mp.workdps(50):
-            ref = mp_radial_terms(de.S2, a, b, cfg.sigma, cfg.gamma, w, c * w, T)
-            # a w_T - c w_T, rounded element by element, cancels as a nears c (a = c only at R = 0 and c = 1,
-            # where a is exact)
-            kappa = 1 + (abs(a) + abs(c)) / abs(a - c) if a != c else 1
-        s2_atol = cfg.prior_var * (de.S2 + 1) * 2.0**-1074 if de.b < 2.0**-1022 else 0.0
-        try:
-            st = SeriesTerms.from_radial_average(cfg, de, w, c * w, T)
-        except ValueError as exc:
-            # the rounding of each element, kappa 2^-53 relative, turns the deviation by up to
-            # 2 kappa 2^-53 radians; the check refuses a turn past sqrt(2e-9)
-            assert "not colinear" in str(exc) and kappa > 1e11, kappa
-            st = None
-        return st, ref, float(kappa), s2_atol
+            ref = mp_radial_terms(de.S2, b, cfg.sigma, cfg.gamma, w, w_R, T)
+            # Dr's weight (w_T - w_R) - b w_T rounds within 2^-52 of its summands' magnitudes, so each moment
+            # is off by that times its other factor: its condition number times its size
+            u, v = [abs(b * x) for x in w], [abs(x - y) + abs(b * x) for x, y in zip(w, w_R)]
+            r = [abs((x - y) - b * x) for x, y in zip(w, w_R)]
+            mags = [de.S2 * mp.fsum(x * y for x, y in zip(p, q)) / len(w) for p, q in ((u, u), (u, v), (r, v))]
+        return SeriesTerms.averaged(cfg, de, w, w_R, T), ref, mags
 
     @classmethod
-    def _check_radial(cls, alpha, sigma, gamma, S2, d, seed, c, T):
+    def _check_terms(cls, alpha, sigma, gamma, S2, d, seed, c, e, T):
         case = _ridge_case(alpha, sigma, gamma, S2, d, seed)
         if case is None:
             return
-        st, (delta_T, delta_R, s2, t, C), kappa, s2_atol = cls._radial(*case, c, T)
-        if st is None:
-            return
-        assert_close(st.delta_T, delta_T, rel=1e-12 * kappa)
-        assert_close(st.delta_R, delta_R, rel=1e-12 * kappa)
-        assert_close(st.s2, s2, atol=s2_atol)
-        assert_close(st.t, t, rel=1e-12 + s2_atol / float(s2))
-        # C_l = 2 Dt Dr + s^2 + (l - 1) Dr^2 cancels where 2 Dt Dr nears -s^2: its summands' magnitudes
+        st, (*moments, s2, t, C), mags = cls._terms(*case, c, e, T)
+        for value, ref, mag in zip((st.dt2, st.dtdr, st.dr2), moments, mags):
+            assert_close(value, ref, rel=0.0, atol=float(2e-12 * mag))
+        assert_close(st.s2, s2)
+        assert_close(st.t, t)
+        # C_l = 2 E Dt Dr + s^2 + (l - 1) E Dr^2 cancels where 2 E Dt Dr nears -s^2: its summands' magnitudes
         for ell, (value, ref) in enumerate(zip(st.C, C)):
-            summands = 2 * abs(delta_T * delta_R) + s2 + ell * delta_R**2
-            assert_close(value, ref, rel=0.0, atol=float(3e-12 * kappa * summands) + s2_atol)
+            assert_close(value, ref, rel=0.0, atol=float(3e-12 * (2 * mags[1] + s2 + ell * mags[2])))
 
     @classmethod
-    def _check_optimal_temperature(cls, alpha, sigma, gamma, S2, d, seed, c, T, k):
+    def _check_optimal_temperature(cls, alpha, sigma, gamma, S2, d, seed, c, e, T, k):
         case = _ridge_case(alpha, sigma, gamma, S2, d, seed)
         if case is None:
             return
-        st = cls._radial(*case, c, T)[0]
-        if st is None:
-            return
+        st = cls._terms(*case, c, e, T)[0]
         with mp.workdps(50):
-            ref, c1, c2 = mp_optimal_temperature(st.delta_T, st.delta_R, st.s2, k)
-            # C_1 = 2 Dt Dr + s^2 and C_2 = C_1 + Dr^2 cancel where 2 Dt Dr nears -s^2; T_opt ~ C_2/C_1
-            mag = 2 * abs(mp.mpf(st.delta_T) * st.delta_R) + st.s2
-            kappa = (mag / abs(c1) if c1 else mp.inf) + ((mag + mp.mpf(st.delta_R) ** 2) / abs(c2) if c2 else mp.inf)
+            ref, c1, c2 = mp_optimal_temperature(st.dtdr, st.dr2, st.s2, k)
+            # C_1 = 2 E Dt Dr + s^2 and C_2 = C_1 + E Dr^2 cancel where 2 E Dt Dr nears -s^2; T_opt ~ C_2/C_1
+            mag = 2 * abs(mp.mpf(st.dtdr)) + st.s2
+            kappa = (mag / abs(c1) if c1 else mp.inf) + ((mag + st.dr2) / abs(c2) if c2 else mp.inf)
         try:
-            value = optimal_temperature(st.delta_T, st.delta_R, st.s2, k)
+            value = optimal_temperature(st, k)
         except ValueError as exc:  # C_1 or C_2 <= 0 in floats: so in mpmath, or within rounding of 0
             assert "requires C1 > 0 and C2 > 0" in str(exc)
             assert ref is None or kappa > 1e15, (c1, c2)
@@ -571,10 +583,10 @@ class TestScalarCovariance:
         out = refined_best_of_k_delta(cfg, de, w, 10)
         assert 0 < out.concentration < 1
         assert out.concentration == pytest.approx(conc, rel=1e-12)
-        st = SeriesTerms.from_radial_average(cfg, de, w, w, 1.0)
+        st = SeriesTerms.averaged(cfg, de, w, w, 1.0)
         assert st.s2 == pytest.approx(
             cfg.sigma**2 + cfg.gamma**2 * np.trace(B @ cov) / cfg.d, rel=1e-12
         )
-        # aligned reward: both deviations are -B w, so both terms are sqrt(u^T Cov u / d)
-        assert st.delta_R == pytest.approx(math.sqrt(u @ cov @ u / cfg.d), rel=1e-12)
-        assert st.delta_T == pytest.approx(st.delta_R, rel=1e-12)
+        # aligned reward: both deviations are -B w, so every moment is u^T Cov u / d
+        assert st.dr2 == pytest.approx(u @ cov @ u / cfg.d, rel=1e-12)
+        assert st.dt2 == st.dtdr == st.dr2
