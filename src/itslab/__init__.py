@@ -43,7 +43,6 @@ from .theory import (
     ScalingDerivatives,
     SeriesTerms,
     dlogn_flat_prior,
-    high_t_delta_batch,
     high_t_delta_x,
     optimal_k,
     optimal_reward,

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -163,9 +164,10 @@ def parse_n_grid(text: str) -> np.ndarray:
 
 
 def parse_int_grid(text: str) -> np.ndarray:
-    """A k grid: the integers of an n grid, sorted and deduplicated, in [1, 2**63 - 1]."""
-    ints = sorted({int(v) for v in parse_n_grid(text)})
-    if ints[0] < 1 or ints[-1] > np.iinfo(np.int64).max:  # the engine holds k in int64
+    """A k grid: integers in [1, 2**63 - 1], sorted and deduplicated."""
+    values = parse_grid(text)
+    ints = sorted({int(v) for v in values})
+    if np.any(values % 1) or ints[0] < 1 or ints[-1] > np.iinfo(np.int64).max:  # the engine holds k in int64
         raise argparse.ArgumentTypeError("k grid entries must be integers in [1, 2**63 - 1]")
     return np.array(ints)
 
@@ -568,6 +570,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value that starts with '-' and a digit or '.' ('-5,0') for a flag of its
+    # own; joined to its flag ('--c-grid=-5,0') it is read as the flag's value
+    for i in range(len(argv) - 1, 0, -1):
+        if re.fullmatch(r"--[\w-]+", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     forms = _ClosedForms()

@@ -10,14 +10,18 @@ The estimator averages the softmax-weighted loss inside each batch of k
 draws (same expectation as sampling the categorical index, strictly lower
 variance). One engine call evaluates a set of cells (k, T, reward target),
 making the teacher, ridge fixed point, training sets, posteriors and test
-points once, and mu_R = x.w_R/sqrt(d) once per (point, target). A target
-whose cells all have T = 0 samples the winner's distance directly: in
-standardized coordinates z = (y - m)/s the selected draw is the one closest
-to a = (mu_R - m)/s, and its distance D has P(D > d) = (1 - F(d))^k with
-F(d) = P(|z - a| <= d), so D is drawn by inverting that law and no k
-candidates are materialised: a short distance, the rule once a block holds
-many candidates, from the reversion of the Hermite series of F, and a long
-one on log F.
+points once, and mu_R = x.w_R/sqrt(d) once per (point, target). In det_equiv
+mode a test point is only what its moments m = a u and s^2 = sigma^2 +
+gamma^2 b |x|^2/d (u = x.w_T/sqrt(d)) and its targets read: its coordinates
+on a basis B of every weight (R^d at d <= 2, else the teacher's direction)
+and |x|^2/d, whose part off B is S^2 chi^2 with d - dim B degrees of freedom;
+so a point costs O(1) values at any d. A target whose cells all have T = 0
+samples the winner's distance directly: in standardized coordinates
+z = (y - m)/s the selected draw is the one closest to a = (mu_R - m)/s, and
+its distance D has P(D > d) = (1 - F(d))^k with F(d) = P(|z - a| <= d), so D
+is drawn by inverting that law and no k candidates are materialised: a short
+distance, the rule once a block holds many candidates, from the reversion of
+the Hermite series of F, and a long one on log F.
 Disjoint blocks of k_j - k_{j-1} candidates each give one winner, at
 O(n_inner) cost per grid point. The other targets reweight one shared
 (n_inner, kmax) Gaussian draw matrix per test point. So
@@ -481,19 +485,29 @@ def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
         n_datasets = 1
 
     def context(j):
-        X = stream(seed, "test_points", j).normal(0.0, config.S, size=(n_outer, config.d))
+        points = stream(seed, "test_points", j)
         if mode == "exact_posterior":
-            data = generate_dataset(config, w_T, stream(seed, "data", j))
-            post = fit_posterior(data, config)
-            # X holds coordinates in the posterior's eigenbasis: x = V z has the law of x,
-            # N(0, S^2 I) being rotation invariant, so the weights turn once, V^T w
-            m, s2 = predictive_moments_batch(post, X)
-            w_T_j, W_R_j = post.basis.T @ w_T, [post.basis.T @ w_R for w_R in W_R]
+            post = fit_posterior(generate_dataset(config, w_T, stream(seed, "data", j)), config)
+            # Z holds coordinates on the posterior's eigenbasis B: x = B z has the law of x,
+            # N(0, S^2 I) being rotation invariant
+            B, Z = post.basis, points.normal(0.0, config.S, size=(n_outer, config.d))
+            m, s2 = predictive_moments_batch(post, Z)
         else:
-            m, s2 = de_moments_batch(X, w_T, de, config)
-            w_T_j, W_R_j = w_T, W_R
+            # Z holds coordinates on a basis B of every weight: all of R^d at d <= 2, where polar
+            # targets live, else the teacher's direction (e_1 where w_T = 0), of which every
+            # radial reward is a multiple. The squared norm of x off B comes from a stream of its
+            # own, so it is prefix-stable like Z
+            p, top = (config.d if config.d <= 2 else 1), np.abs(w_T).max()
+            B = (w_T / top)[:, None] if p == 1 and top > 0 else np.eye(config.d, p)
+            B /= np.linalg.norm(B, axis=0)
+            Z = points.normal(0.0, config.S, size=(n_outer, p))
+            rest = stream(seed, "test_points", j, "rest").chisquare(config.d - p, n_outer) if config.d > p else 0.0
+            r2 = (np.sum(Z * Z, axis=1) + config.input_var * rest) / config.d
+            m, s2 = de_moments_batch(Z @ (B.T @ w_T) / sqrt_d, r2, de, config)
+        # every weight turns once onto the basis: x.w/sqrt(d) = z.(B^T w)/sqrt(d)
+        mu_T = Z @ (B.T @ w_T) / sqrt_d
+        mu_R = np.stack([Z @ (B.T @ w_R) / sqrt_d for w_R in W_R], axis=1)
         s = np.sqrt(s2)
-        mu_R = np.stack([X @ w_R / sqrt_d for w_R in W_R_j], axis=1)
         # the reward's offset in predictive standard deviations; s = 0 points have none
         offset = np.abs(mu_R - m[:, None]) / np.where(s > 0, s, np.inf)[:, None]
         if np.any(offset > _MAX_REWARD_OFFSET):
@@ -506,7 +520,7 @@ def _prepare_contexts(config, rewards, mode, seed, n_outer, n_datasets):
             keys=stream_keys(seed, "inference", j, count=n_outer),
             m=m,
             s=s,
-            mu_T=X @ w_T_j / sqrt_d,
+            mu_T=mu_T,
             mu_R=mu_R,
         )
 

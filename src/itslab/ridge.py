@@ -156,16 +156,13 @@ def solve_for_config(config: ModelConfig) -> DetEquiv:
     return solve_ridge(config.alpha, config.sigma, config.gamma, config.input_var)
 
 
-def de_moments_batch(X: np.ndarray, w_T: np.ndarray, de: DetEquiv, config: ModelConfig):
-    """Closed-form moments for rows of X; returns (means, variances).
+def de_moments_batch(u: np.ndarray, r2: np.ndarray, de: DetEquiv, config: ModelConfig):
+    """Closed-form (means, variances) at test points x given by u = x.w_T/sqrt(d) and r2 = |x|^2/d.
 
-    mean = (x/sqrt(d))^T A w_T and variance = sigma^2 + gamma^2 (x/sqrt(d))^T B
-    (x/sqrt(d)).
+    mean = (x/sqrt(d))^T A w_T = a u and variance = sigma^2 + gamma^2
+    (x/sqrt(d))^T B (x/sqrt(d)) = sigma^2 + gamma^2 b r2.
     """
-    Xs = np.asarray(X, dtype=float) / math.sqrt(config.d)
-    means = Xs @ (de.a * w_T)
-    variances = config.sigma**2 + config.prior_var * np.sum(Xs * Xs * de.b, axis=1)
-    return means, variances
+    return de.a * u, config.sigma**2 + config.prior_var * (de.b * r2)
 
 
 @dataclass(frozen=True)

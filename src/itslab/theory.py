@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelConfig
-from .ridge import DetEquiv, de_moments_batch
+from .ridge import DetEquiv
 
 # Below this t the dropped 1/t^4 remainder is no longer a sub-percent
 # correction in the regimes of interest; SeriesTerms.caveat flags it, nothing refuses it.
@@ -75,9 +75,8 @@ class SeriesTerms:
 
         Dt = -b w_T . x/sqrt(d) and Dr = ((w_T - w_R) - b w_T) . x/sqrt(d), a
         weight that does not cancel as w_R nears w_T; E (u.x)(v.x)/d = (S^2/d) u.v;
-        s2 = sigma^2 + gamma^2 b S^2 is the x-average of s^2(x), at which the
-        series of these terms is the x-average of the pointwise one (see
-        :func:`high_t_delta_batch` for s^2 varying in x).
+        s2 = sigma^2 + gamma^2 b S^2 is the x-average of s^2(x); where s^2 does
+        not vary in x, the series of these terms is the x-average of the pointwise one.
         """
         w_T = np.asarray(w_T, dtype=float)
         dt = -de.b * w_T
@@ -136,27 +135,6 @@ def high_t_delta_x(st: SeriesTerms, k: int) -> float:
     if not st.t > 0:
         raise ValueError(f"the series requires t > 0, got {st.t}")
     return _series(st.dt2, st.dtdr, st.dr2, st.s2, st.t, k)
-
-
-def high_t_delta_batch(
-    config: ModelConfig,
-    de: DetEquiv,
-    w_T: np.ndarray,
-    w_R: np.ndarray,
-    T: float,
-    k: int,
-    X: np.ndarray,
-) -> np.ndarray:
-    """Pointwise series values at the rows of X (for numeric x-averaging)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not T > 0:
-        raise ValueError(f"the series requires T > 0, got {T}")
-    sqrt_d = math.sqrt(config.d)
-    m, s2 = de_moments_batch(X, w_T, de, config)
-    dT = m - X @ w_T / sqrt_d
-    dR = m - X @ w_R / sqrt_d
-    return _series(dT**2, dT * dR, dR**2, s2, T / (2.0 * s2), k)
 
 
 @dataclass(frozen=True)

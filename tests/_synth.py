@@ -14,8 +14,9 @@ import mpmath as mp
 import numpy as np
 from hypothesis import strategies as st
 
-from itslab import Dataset, JudgeRecordError
+from itslab import Dataset, JudgeRecordError, de_moments_batch
 from itslab.judge import _grouped
+from itslab.theory import _series
 
 
 def select(values, rewards, T):
@@ -234,6 +235,41 @@ def iid_dataset(config, w_T, rng):
     eta = rng.normal(0.0, config.sigma, size=config.n) if config.sigma > 0 else np.zeros(config.n)
     y = X @ w_T / math.sqrt(config.d) + eta
     return Dataset(inputs=X, labels=y)
+
+
+def x_statistics(X, w_T):
+    """(u, r2) = (x.w_T/sqrt(d), |x|^2/d) at the rows of X: what the det_equiv moments read of x."""
+    d = X.shape[1]
+    return X @ w_T / math.sqrt(d), np.sum(X * X, axis=1) / d
+
+
+def x_route_points(config, de, w_T, W_R, n, rng):
+    """Per-point (m, s2, mu_T, mu_R, r2) of n det_equiv test points x ~ N(0, S^2 I), drawn in full.
+
+    The X route, the oracle of the engine's points, which hold only their
+    coordinates on a basis of the weights and |x|^2/d: X is drawn as an
+    (n, d) matrix, and mu_R has one column per weight of ``W_R``.
+    """
+    X = rng.normal(0.0, config.S, size=(n, config.d))
+    u, r2 = x_statistics(X, w_T)
+    m, s2 = de_moments_batch(u, r2, de, config)
+    return m, s2, u, np.stack([X @ w / math.sqrt(config.d) for w in W_R], axis=1), r2
+
+
+def high_t_delta_batch(config, de, w_T, w_R, T, k, X):
+    """The pointwise high-temperature series at the rows of X, whose mean is the numeric x-average.
+
+    The reference of ``SeriesTerms.averaged``: each x has its own
+    det_equiv moments, so s^2 varies in x here.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not T > 0:
+        raise ValueError(f"the series requires T > 0, got {T}")
+    u, r2 = x_statistics(X, w_T)
+    m, s2 = de_moments_batch(u, r2, de, config)
+    dT, dR = m - u, m - X @ w_R / math.sqrt(config.d)
+    return _series(dT**2, dT * dR, dR**2, s2, T / (2.0 * s2), k)
 
 
 def cholesky_posterior(data, config):

@@ -25,7 +25,6 @@ from itslab import (
     dlogn_flat_prior,
     fit_posterior,
     generate_dataset,
-    high_t_delta_batch,
     judge_sweep,
     load_records,
     optimal_k,
@@ -43,7 +42,10 @@ from itslab import (
 from itslab.cli import main as cli_main
 from itslab.evt import chisq1_quantile
 
-from _synth import bisect_ridge, delta_x, min_chisq1, record_rows, trap_judge_questions, write_records
+from _synth import (
+    bisect_ridge, delta_x, high_t_delta_batch, min_chisq1, record_rows, trap_judge_questions, write_records,
+    x_statistics,
+)
 
 SEED = 2025
 
@@ -98,7 +100,7 @@ def test_02_deterministic_equivalent_fidelity():
     w = sample_teacher(cfg, stream(SEED, "teacher"))
     de = solve_for_config(cfg)
     X = stream(SEED, "test_points").normal(0.0, cfg.S, size=(100, cfg.d))
-    de_means, de_vars = de_moments_batch(X, w, de, cfg)
+    de_means, de_vars = de_moments_batch(*x_statistics(X, w), de, cfg)
     acc_means = np.zeros(100)
     acc_vars = np.zeros(100)
     n_sets = 20
@@ -131,9 +133,9 @@ def test_03_high_temperature_series():
     k_grid = [1, 2, 5, 10, 50]
     n_outer = 800
     X = stream(SEED, "test_points", 0).normal(0.0, cfg.S, size=(n_outer, cfg.d))
-    m, s2 = de_moments_batch(X, w_T, de, cfg)
+    mu_T, r2 = x_statistics(X, w_T)
+    m, s2 = de_moments_batch(mu_T, r2, de, cfg)
     t_x = T / (2 * s2)
-    mu_T = X @ w_T / math.sqrt(cfg.d)
     checks = []
     for c in (-2.0, 0.0, 2.0):
         res = delta_k_curve(

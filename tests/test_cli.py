@@ -157,44 +157,44 @@ _WARNED_RUNS = {
                        *_MC4],
                       [_SERIES_T.format("4.5e-07"),
                        "the high-temperature series is -19.156139367659254 < 0 at T = 1e-14, k = 2"],
-                      "fcdcd2832c96450b"),
+                      "70dfd1751f2271c5"),
     "sweep_k_alpha": (["sweep-k", "--d", "20", "--n", "10", "--k-grid", "1,4", *_MC4],
                       [_alpha(2), _SERIES_T.format("0.192"),
                        "the high-temperature series is -24.536275962535083 < 0 at T = 2e-07, k = 4"],
-                      "8eaed56016bc4a09"),
+                      "92cac8dc288c2635"),
     # the series is exact at k = 1, so only k = 4's leaves the float range
     "sweep_k_no_series": (["sweep-k", "--T", "1e-300", "--k-grid", "1,4", "--c-grid", "0,2", *_MC4],
                           [_SERIES_T.format("5e-293"),
                            "the high-temperature series has no value at T = 1e-300: "
                            "float division by zero"],
-                          "4371f09f008be6d1"),
+                          "a358bff6877648a1"),
     "sweep_t_alpha": (["sweep-t", "--d", "20", "--n", "10", "--k", "2", "--t-grid-sigma2", "2,20",
                        *_MC4],
                       [_alpha(2), "k must be > 2, got 2"],
-                      "9e4dc85fd602cf23"),
+                      "40fe219f7d1851cc"),
     # a repeated n repeats its warnings
     "tradeoff_repeat": (["tradeoff", "--n-grid", "5,8,5", "--k-grid", "1,4", *_MC4],
                         [_alpha(2), _DERIVATIVES.format(5), _alpha(1.25), _DERIVATIVES.format(8),
                          _alpha(2), _DERIVATIVES.format(5)],
-                        "095f9fcebdd2c3d2"),
+                        "a9aeae05c3fad14e"),
     "bestofk_alpha": (["bestofk-check", "--d", "20", "--n", "10", "--k-grid", "1,10", *_MC4],
                       [_alpha(2),
                        "2 u^T Cov u / (sigma^2 d) = 169030842.3488 >= 1: outside the closed form's domain",
                        "c_k = (pi / 2 k^2) e^lambda leaves the float range at lambda = 1.62648e+06"],
-                      "f1803b406f0dec16"),
+                      "07b888717242ec73"),
     "bestofk_sigma0": (["bestofk-check", "--sigma", "0", "--mode", "de", "--k-grid", "1,10", *_MC4],
                        ["the averaged predictive variance is 0.0; the series needs s2 > 0"],
-                       "2294e2a3ae80c6ce"),
+                       "549a66dfbb3c19a3"),
     # one clean run per subcommand
     "ridge": (["ridge"], [], "a8d6635c9384d7dd"),
-    "sweep-k": (["sweep-k", "--k-grid", "1,4", *_MC4], [], "21b877370f7f4229"),
-    "sweep-t": (["sweep-t", "--k", "4", "--t-grid-sigma2", "5,50", *_MC4], [], "57ed22b14367f866"),
-    "sweep-c": (["sweep-c", "--k", "4", "--c-grid", "1,10", *_MC4], [], "e8be47ae326784f5"),
+    "sweep-k": (["sweep-k", "--k-grid", "1,4", *_MC4], [], "a6782028baba174b"),
+    "sweep-t": (["sweep-t", "--k", "4", "--t-grid-sigma2", "5,50", *_MC4], [], "ff35b2d0cfbf5f7a"),
+    "sweep-c": (["sweep-c", "--k", "4", "--c-grid", "1,10", *_MC4], [], "79b02a2c9f7a14d0"),
     "polar-map": (["polar-map", "--d", "2", "--n", "100", "--k-grid", "1,2,3,4", "--c-grid", "1e-3",
                    "--theta-grid", "0,1", *_MC4], [], "c514b18c701ec4eb"),
     "tradeoff": (["tradeoff", "--n-grid", "10000,20000", "--k-grid", "2,4", *_MC4], [],
-                 "eaf0ffc7b23ffdfc"),
-    "bestofk-check": (["bestofk-check", "--k-grid", "100,1000", *_MC4], [], "5671aeff1955f3e5"),
+                 "76d243e28a04b4c6"),
+    "bestofk-check": (["bestofk-check", "--k-grid", "100,1000", *_MC4], [], "853195f2ce783467"),
     "judge": (["judge", "--k-grid", "1,4", "--t-grid", "0,1", "--n-resample", "2"], [],
               "d3558f5f406f0642"),
 }
@@ -268,11 +268,11 @@ class TestRewardOffset:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, digest", [
-        (["sweep-k", "--T", "0", "--c-grid", "0,1e6", "--k-grid", "1,4"], "6dfd364830e1da26"),
-        (["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1e6", "--k-grid", "1,4"], "021064015f2b83b9"),
+        (["sweep-k", "--T", "0", "--c-grid", "0,1e6", "--k-grid", "1,4"], "394812a2e6fbc1a1"),
+        (["sweep-k", "--T-sigma2", "20", "--c-grid", "0,1e6", "--k-grid", "1,4"], "91a26b312e4a2af3"),
         (["sweep-k", "--mode", "exact", "--d", "10", "--n", "100", "--T", "0", "--c-grid", "0,1e6",
           "--k-grid", "1,4"], "1cac6ff27ea93a1c"),
-        (["sweep-c", "--T", "0", "--k", "4", "--c-grid", "1,1e6"], "b84caf8e067a97bd"),
+        (["sweep-c", "--T", "0", "--k", "4", "--c-grid", "1,1e6"], "02feadc1ff961847"),
     ], ids=["de_T0", "de_hot", "exact_T0", "sweep_c_T0"])
     def test_reward_a_million_sds_out_runs_unchanged(self, argv, digest, tmp_path):
         out = tmp_path / "x.csv"
@@ -754,6 +754,24 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run(["sweep-k", "--bogus-flag"])
         assert exc.value.code == 2
+
+    def test_grid_value_with_a_leading_minus_is_the_flags_value(self, tmp_path):
+        # argparse took '-5,0' for a flag of its own and exited 2: "expected one argument"
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        mc_flags = ["--k-grid", "1,4", "--n-outer", "4", "--n-inner", "4"]
+        assert run(["sweep-k", "--c-grid", "-5,0", *mc_flags, "--out", str(spaced)]) == 0
+        assert run(["sweep-k", "--c-grid=-5,0", *mc_flags, "--out", str(joined)]) == 0
+        assert read_bytes(spaced) == read_bytes(joined)
+        assert {row["c"] for row in csv.DictReader(spaced.read_text().splitlines())} == {"-5.0", "0.0"}
+
+    @pytest.mark.parametrize("argv", [["--k-grid", "-1,4"], ["--k-grid=-1,4"]], ids=["spaced", "joined"])
+    def test_negative_k_grid_prints_the_k_grid_rule(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["sweep-k", *argv, "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: argument --k-grid: k grid entries must be integers in [1, 2**63 - 1]\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["sweep-k", "--T", "1.0", "--T-sigma2", "10", "--k-grid", "1"],

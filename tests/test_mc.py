@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
+from scipy.stats import ks_2samp
 
 from itslab import (
     ModelConfig,
     RewardSpec,
     classify_k_monotonicity,
+    de_moments_batch,
     delta_c_curve,
     delta_k_curve,
     delta_t_curve,
@@ -27,7 +29,7 @@ from itslab import mc
 from itslab.mc import _best_of_k_cells, _plan_shared, _scan_layout, _softmax_cells, _winner_distance
 from itslab.sampling import select_prefixes
 
-from _synth import cholesky_moments, cholesky_posterior, delta_x
+from _synth import cholesky_moments, cholesky_posterior, delta_x, x_route_points
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
 
@@ -665,6 +667,80 @@ class TestExactContexts:
         se = np.hypot(a.std(axis=0, ddof=1), b.std(axis=0, ddof=1)) / math.sqrt(points)
         z = np.abs(a.mean(axis=0) - b.mean(axis=0)) / se
         assert z.max() < 4, z
+
+
+class TestDePoints:
+    """A det_equiv test point is its coordinates on a basis of every weight and |x|^2/d."""
+
+    _SIGMA = dict(sigma=0.3, gamma=1.0)
+    _RADIAL = [RewardSpec.radial(0.0), RewardSpec.radial(3.0)]
+    CASES = {
+        "d1": (ModelConfig(d=1, n=4, **_SIGMA), _RADIAL),
+        "d2_polar": (ModelConfig(d=2, n=8, **_SIGMA), [RewardSpec.polar(0.5, 1.0), RewardSpec.polar(2.0, 3.0)]),
+        "d3": (ModelConfig(d=3, n=12, **_SIGMA), _RADIAL),
+        "d50": (ModelConfig(d=50, n=200, **_SIGMA), _RADIAL),
+        "tau0": (ModelConfig(d=5, n=20, tau=0.0, **_SIGMA), _RADIAL),
+    }
+
+    def oracle(self, case, seed, points):
+        """The X route's per-point (m, s2, mu_T, mu_R, r2) at the engine's teacher and rewards."""
+        cfg, rewards = self.CASES[case]
+        de = solve_for_config(cfg)
+        w_T = sample_teacher(cfg, stream(seed, "teacher"))
+        W_R = [resolve_reward(r, w_T, de.R, cfg.S) for r in rewards]
+        return x_route_points(cfg, de, w_T, W_R, points, stream(seed, "oracle points")), w_T
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_law_matches_the_x_route(self, case, monkeypatch):
+        # per coordinate, a two-sample KS test at a fixed seed, and E u^2 = q^2, E |x|^2/d = S^2
+        # within 4 stderr
+        cfg, rewards = self.CASES[case]
+        seed, points = 5, 4000
+        r2 = []
+
+        def spy(u, x2, de, config):
+            r2.append(x2)
+            return de_moments_batch(u, x2, de, config)
+
+        monkeypatch.setattr(mc, "de_moments_batch", spy)
+        (make_context,) = mc._prepare_contexts(cfg, rewards, "det_equiv", seed, points, 1)
+        ctx = make_context()
+        got = np.column_stack([ctx.m, ctx.s**2, ctx.mu_T, ctx.mu_R, r2[0]])
+        (m, s2, mu_T, mu_R, x2), w_T = self.oracle(case, seed, points)
+        want = np.column_stack([m, s2, mu_T, mu_R, x2])
+        assert got.shape == want.shape == (points, 6)
+        p_values = [ks_2samp(got[:, i], want[:, i]).pvalue for i in range(got.shape[1])]
+        assert min(p_values) > 1e-3, p_values
+        q2 = cfg.S**2 * float(w_T @ w_T) / cfg.d
+        for values, mean in ((ctx.mu_T**2, q2), (r2[0], cfg.S**2)):
+            assert abs(values.mean() - mean) <= 4 * values.std(ddof=1) / math.sqrt(points)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_sweep_cell_matches_the_x_route(self, case):
+        # one cell (k = 4, T = 20 sigma^2, the second target) within 3 stderr of the route that
+        # draws every x in full and every batch of candidates through the oracle's selection
+        cfg, rewards = self.CASES[case]
+        seed, points, n_inner, k, T = 9, 400, 50, 4, 20 * cfg.sigma**2
+        res = delta_k_curve(cfg, rewards[1], T, [k], n_outer=points, n_inner=n_inner, seed=seed)
+        (m, s2, mu_T, mu_R, _), _ = self.oracle(case, seed, points)
+        rng = stream(seed, "oracle candidates")
+        per_x = [delta_x(m[i], s2[i], mu_T[i], mu_R[i, 1], k, T, n_inner, rng)[0] for i in range(points)]
+        se = math.hypot(res.stderr[0], np.std(per_x, ddof=1) / math.sqrt(points))
+        assert abs(res.mean[0] - np.mean(per_x)) <= 3 * se
+
+    def test_one_call_at_large_d_holds_no_per_point_vector(self):
+        # d = 1e5: the teacher, reward and basis vectors take O(d) values, an (n_outer, d)
+        # matrix of test points 64 d
+        d = 100_000
+        cfg = ModelConfig(d=d, n=1000 * d)
+        tracemalloc.start()
+        try:
+            delta_k_curve(cfg, [RewardSpec.radial(0.0), RewardSpec.radial(2.0)], [0.0, 20 * cfg.sigma**2],
+                          [1, 2, 8], n_outer=64, n_inner=4, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * d * 8, peak
 
 
 class TestDeltaX:

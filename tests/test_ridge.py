@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _synth import MP_CONFIGS, assert_close, bisect_ridge, mp_ridge
+from _synth import MP_CONFIGS, assert_close, bisect_ridge, mp_ridge, x_statistics
 from itslab import (
     ModelConfig,
     de_moments_batch,
@@ -228,7 +228,7 @@ class TestDeMoments:
         cfg = ModelConfig(d=4, n=100, sigma=0.3)
         de = solve_for_config(cfg)
         w = np.ones(4)
-        means, variances = de_moments_batch(np.zeros((1, 4)), w, de, cfg)
+        means, variances = de_moments_batch(*x_statistics(np.zeros((1, 4)), w), de, cfg)
         assert means[0] == 0.0
         assert variances[0] == pytest.approx(cfg.sigma**2, rel=1e-15)
 
@@ -238,7 +238,7 @@ class TestDeMoments:
         assert de.R == 0.0
         w = np.array([1.0, -1.0, 2.0])
         x = np.array([0.3, 0.7, -0.2])
-        means, variances = de_moments_batch(x[None, :], w, de, cfg)
+        means, variances = de_moments_batch(*x_statistics(x[None, :], w), de, cfg)
         assert means[0] == pytest.approx(w @ x / math.sqrt(3), rel=1e-14)
         assert variances[0] == pytest.approx(cfg.sigma**2, abs=1e-30)
 
@@ -251,7 +251,7 @@ class TestDeMoments:
         w = sample_teacher(cfg, stream(seed, "teacher"))
         de = solve_for_config(cfg)
         X = stream(seed, "test_points").normal(0.0, cfg.S, size=(100, cfg.d))
-        de_means, de_vars = de_moments_batch(X, w, de, cfg)
+        de_means, de_vars = de_moments_batch(*x_statistics(X, w), de, cfg)
         acc_means = np.zeros(100)
         acc_vars = np.zeros(100)
         n_sets = 20
@@ -273,12 +273,46 @@ class TestDeMoments:
         de = solve_for_config(cfg)
         w = np.array([1.0, 2.0, -1.0])
         x = np.array([0.5, -0.5, 1.0])
-        means, variances = de_moments_batch(x[None, :], w, de, cfg)
+        means, variances = de_moments_batch(*x_statistics(x[None, :], w), de, cfg)
         xs = x / math.sqrt(3)
         cov = cfg.S**2 * np.eye(3)
         A = cov @ np.linalg.inv(cov + de.R * np.eye(3))
         assert means[0] == pytest.approx(xs @ A @ w, rel=1e-14)
         assert variances[0] == pytest.approx(cfg.sigma**2 + cfg.gamma**2 * xs @ (np.eye(3) - A) @ xs, rel=1e-14)
+
+
+class TestFirstOrderGap:
+    """De mode's k = 1 error omits the posterior mean's fluctuation over training sets.
+
+    In closed forms only: de delta_1 = b^2 q^2 + sigma^2 + gamma^2 b S^2, and
+    exact delta_1 = S^2 |mean - V^T w_T|^2/d + sigma^2 + S^2 sum(var)/d, the
+    x-average at one dataset, averaged over datasets. The second-order
+    equivalent of the fluctuation, V = (b^2 q^2 + sigma^2) alpha m2 / (1 - alpha m2),
+    closes the gap (1 - alpha m2 is ``DetEquiv.slope``).
+    """
+
+    @pytest.mark.parametrize("d, n, sigma, raw_gap", [(160, 320, 0.3, -0.310), (160, 1600, 0.1, -0.091)])
+    def test_fluctuation_closes_the_gap(self, d, n, sigma, raw_gap):
+        cfg = ModelConfig(d=d, n=n, sigma=sigma, gamma=1.0)
+        seed, n_sets = 2, 48
+        w = sample_teacher(cfg, stream(seed, "teacher"))
+        de = solve_for_config(cfg)
+        S2 = cfg.S**2
+        first = de.b**2 * (S2 * float(w @ w) / d) + cfg.sigma**2  # E (m - mu_T)^2 + sigma^2
+        de_delta = first + cfg.gamma**2 * de.b * S2
+        exact = []
+        for j in range(n_sets):
+            post = fit_posterior(generate_dataset(cfg, w, stream(seed, "data", j)), cfg)
+            miss = post.mean - post.basis.T @ w
+            exact.append(S2 * float(miss @ miss) / d + cfg.sigma**2 + S2 * post.var.sum() / d)
+        exact_delta = np.mean(exact)
+        V = first * de.alpha * de.m2 / de.slope
+        gap, corrected = de_delta / exact_delta - 1.0, (de_delta + V) / exact_delta - 1.0
+        stderr = (de_delta + V) / exact_delta * np.std(exact, ddof=1) / math.sqrt(n_sets) / exact_delta
+        bound = 3 * stderr + 0.02
+        assert gap == pytest.approx(raw_gap, abs=1e-3)
+        assert abs(corrected) <= bound
+        assert abs(gap) > 3 * bound
 
 
 class TestNoiseVarianceCheck:

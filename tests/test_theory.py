@@ -15,7 +15,6 @@ from itslab import (
     de_moments_batch,
     delta_c_curve,
     dlogn_flat_prior,
-    high_t_delta_batch,
     high_t_delta_x,
     optimal_k,
     optimal_reward,
@@ -33,11 +32,13 @@ from _synth import (
     MP_CONFIGS,
     assert_close,
     delta_x,
+    high_t_delta_batch,
     mp_dlogn,
     mp_dlogn_flat_prior,
     mp_optimal_temperature,
     mp_radial_terms,
     mp_refined_best_of_k,
+    x_statistics,
 )
 
 FIG_LIKE = dict(S=1.0, sigma=1e-4, gamma=1e-3)
@@ -194,8 +195,9 @@ class TestRefinedBestOfK:
         out = refined_best_of_k_delta(cfg, de, w, k)
         assert out.regime_ok
         X = stream(6, "test_points").normal(0.0, cfg.S, size=(400_000, cfg.d))
-        m, s2 = de_moments_batch(X, w, de, cfg)
-        dT = m - X @ w / math.sqrt(cfg.d)
+        u, r2 = x_statistics(X, w)
+        m, s2 = de_moments_batch(u, r2, de, cfg)
+        dT = m - u
         pointwise = (math.pi / k**2) * s2 * np.exp(dT**2 / s2)
         assert out.value == pytest.approx(float(pointwise.mean()), rel=0.03)
 
