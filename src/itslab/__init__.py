@@ -38,14 +38,13 @@ from .ridge import (
 )
 from .rngstreams import stream
 from .theory import (
-    OptimalReward,
     RefinedBestOfK,
     ScalingDerivatives,
     SeriesTerms,
     dlogn_flat_prior,
     high_t_delta_x,
+    optimal_c,
     optimal_k,
-    optimal_reward,
     optimal_temperature,
     refined_best_of_k_delta,
     scaling_derivatives,

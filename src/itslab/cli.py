@@ -300,23 +300,6 @@ def cmd_ridge(args, forms, parser):
     return config, list(row), [row]
 
 
-def _series_value(st, T, k):
-    """The high-temperature series of terms ``st`` at (T, k).
-
-    ValueError where the series has no finite value, or a negative one: a
-    squared error below 0 lies outside the series' domain.
-    """
-    try:
-        value = high_t_delta_x(st, int(k))
-    except ArithmeticError as exc:  # t**l leaves the float range at extreme T
-        raise ValueError(f"the high-temperature series has no value at T = {T!r}: {exc}") from exc
-    if not math.isfinite(value):
-        raise ValueError(f"the high-temperature series is {value} at T = {T!r}")
-    if value < 0:
-        raise ValueError(f"the high-temperature series is {value!r} < 0 at T = {T!r}, k = {k}")
-    return value
-
-
 def cmd_sweep_k(args, forms, parser):
     config = build_config(args, parser)
     mode, mc = _mc_args(args, parser, config, forms)
@@ -332,7 +315,7 @@ def cmd_sweep_k(args, forms, parser):
             w_R = resolve_reward(rewards[r], w_T, de.R, config.S)  # the terms depend on c, not on k
             terms = forms.value("theory_highT", SeriesTerms.averaged, config, de, w_T, w_R, T)
         for g, k in enumerate(args.k_grid):
-            series = None if terms is None else forms.value("theory_highT", _series_value, terms, T, k)
+            series = None if terms is None else forms.value("theory_highT", high_t_delta_x, terms, int(k))
             rows.append(_sweep_row(config, mode, args.seed, float(c), int(k), T, res.mean[r, g],
                                    res.stderr[r, g], res.n_outer, args.n_inner, theory_highT=series))
             if series is not None:  # the accuracy caveat comes only with a value
@@ -466,9 +449,13 @@ def cmd_judge(args, forms, parser):
     header = ["source", "k", "T", "delta", "stderr", "n_questions_used", "n_resample", "seed"]
     if args.accuracy:
         header.append("accuracy")
+    sources = [Path(path).name for path in args.records]  # a file's name labels its rows and keys its stream
+    for source in sources:
+        if sources.count(source) > 1:
+            parser.error(f"--records files must have distinct names; {source!r} is given more than once")
     rows = []
-    for path in args.records:
-        ds, source = load_records(path), Path(path).name
+    for path, source in zip(args.records, sources):
+        ds = load_records(path)
         sweep = judge_sweep(
             ds, args.k_grid, np.asarray(args.t_grid, dtype=float),
             n_resample=args.n_resample, rng=stream(args.seed, "judge", source),
@@ -571,10 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes a value that starts with '-' and a digit or '.' ('-5,0') for a flag of its
-    # own; joined to its flag ('--c-grid=-5,0') it is read as the flag's value
+    # argparse takes a value that starts with '-' and a digit, '.', 'inf' or 'nan' ('-5,0', '-inf') for a
+    # flag of its own; joined to its flag ('--c-grid=-5,0') it is read as the flag's value
     for i in range(len(argv) - 1, 0, -1):
-        if re.fullmatch(r"--[\w-]+", argv[i - 1]) and re.match(r"-[\d.]", argv[i]):
+        if re.fullmatch(r"--[\w-]+", argv[i - 1]) and re.match(r"-([\d.]|(inf|infinity|nan)(,|$))", argv[i], re.I):
             argv[i - 1 : i + 1] = [argv[i - 1] + "=" + argv[i]]
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()

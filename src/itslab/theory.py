@@ -9,8 +9,8 @@ Four regimes are covered:
 * the best-of-k tail law delta(x) = (pi/k^2) s^2 exp(Dt^2/s^2) for an
   aligned reward at T = 0, plus its x-averaged refinement
   (pi sigma^2/k^2) (1 - 2 E Dt^2/sigma^2)^{-1/2}, E Dt^2 = b^2 S^2 |w|^2/d;
-* stationary points of the series: the reward weight, sample count k and
-  temperature that minimize the error;
+* stationary points of the series: the radial reward offset c, sample count
+  k and temperature that minimize the error;
 * log-log derivatives of the best-of-k error with respect to k and n, the
   inference-vs-training compute trade-off (in n, exact through the fixed point).
 """
@@ -116,7 +116,7 @@ def _series(dt2, dtdr, dr2, s2, t, k: int):
             break
         try:
             term = (-1) ** ell * c / t**ell
-        except OverflowError:  # t^l leaves the float range where c/t^l need not: divide by t l times
+        except (OverflowError, ZeroDivisionError):  # t^l leaves the float range: divide by t l times
             term = (-1) ** ell * c
             for _ in range(ell):
                 term = term / t
@@ -129,12 +129,16 @@ def high_t_delta_x(st: SeriesTerms, k: int) -> float:
 
     Exact at k = 1 (every correction carries a factor 1 - 1/k); accurate to
     O(t^{-4}) otherwise; ``st.caveat`` flags terms where that may not hold.
+    ValueError where the value is not finite or is negative, as no squared error is.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not st.t > 0:
         raise ValueError(f"the series requires t > 0, got {st.t}")
-    return _series(st.dt2, st.dtdr, st.dr2, st.s2, st.t, k)
+    value = _series(st.dt2, st.dtdr, st.dr2, st.s2, st.t, k)
+    if not 0 <= value < math.inf:
+        raise ValueError(f"the high-temperature series is {value!r} at t = {st.t:.3g}, k = {k}, not a finite value >= 0")
+    return value
 
 
 @dataclass(frozen=True)
@@ -169,28 +173,15 @@ def refined_best_of_k_delta(config: ModelConfig, de: DetEquiv, w: np.ndarray, k:
     return RefinedBestOfK(value=value, regime_ok=regime_ok, concentration=conc)
 
 
-@dataclass(frozen=True)
-class OptimalReward:
-    """Error-minimizing reward weight and its relative shift off the teacher.
+def optimal_c(st: SeriesTerms, k: int) -> float:
+    """Error-minimizing radial reward offset c* = (k/(k-2)) t of terms ``st``.
 
-    The formula is a leading-order stationary point of the series; it is
-    controlled only while ``shift_ratio`` = ||w_R - w_T|| / ||w_T|| stays
-    small, which is reported rather than enforced.
+    The series' stationary reward w_T + (k/(k-2)) t b w_T is the radial reward (1 + c* b) w_T
+    whatever the ridge: a leading-order point, controlled only while the shift c* b stays small.
     """
-
-    w: np.ndarray
-    shift_ratio: float
-
-
-def optimal_reward(w_T: np.ndarray, de: DetEquiv, k: int, t: float) -> OptimalReward:
-    """Reward weight minimizing the series error: w_T + (k/(k-2)) t B w_T."""
     if k <= 2:
         raise ValueError(f"k must be > 2, got {k}")
-    w_T = np.asarray(w_T, dtype=float)
-    shift = (k / (k - 2.0)) * t * (de.b * w_T)
-    norm_T = float(np.linalg.norm(w_T))
-    ratio = float(np.linalg.norm(shift)) / norm_T if norm_T > 0 else math.inf
-    return OptimalReward(w=w_T + shift, shift_ratio=ratio)
+    return (k / (k - 2.0)) * st.t
 
 
 def optimal_k(st: SeriesTerms) -> int | None:

@@ -147,6 +147,7 @@ def _alpha(value):
 
 
 _SERIES_T = "series evaluated at t = {} < 5.0; the dropped remainder may not be negligible"
+_SERIES_OUT = "the high-temperature series is {} at t = {}, k = {}, not a finite value >= 0"
 _DERIVATIVES = "n = {}: sigma^2 d - 2 u^T Cov u <= 0: outside the formula's domain"
 
 # argv at the default config, every warning it prints (in order, without the
@@ -156,17 +157,15 @@ _WARNED_RUNS = {
     "sweep_k_order": (["sweep-k", "--d", "2", "--n", "20", "--T-sigma2", "1e-6", "--k-grid", "2,3",
                        *_MC4],
                       [_SERIES_T.format("4.5e-07"),
-                       "the high-temperature series is -19.156139367659254 < 0 at T = 1e-14, k = 2"],
+                       _SERIES_OUT.format("-19.156139367659254", "4.5e-07", 2)],
                       "70dfd1751f2271c5"),
     "sweep_k_alpha": (["sweep-k", "--d", "20", "--n", "10", "--k-grid", "1,4", *_MC4],
                       [_alpha(2), _SERIES_T.format("0.192"),
-                       "the high-temperature series is -24.536275962535083 < 0 at T = 2e-07, k = 4"],
+                       _SERIES_OUT.format("-24.536275962535083", "0.192", 4)],
                       "92cac8dc288c2635"),
     # the series is exact at k = 1, so only k = 4's leaves the float range
     "sweep_k_no_series": (["sweep-k", "--T", "1e-300", "--k-grid", "1,4", "--c-grid", "0,2", *_MC4],
-                          [_SERIES_T.format("5e-293"),
-                           "the high-temperature series has no value at T = 1e-300: "
-                           "float division by zero"],
+                          [_SERIES_T.format("5e-293"), _SERIES_OUT.format("nan", "5e-293", 4)],
                           "a358bff6877648a1"),
     "sweep_t_alpha": (["sweep-t", "--d", "20", "--n", "10", "--k", "2", "--t-grid-sigma2", "2,20",
                        *_MC4],
@@ -557,26 +556,40 @@ class TestSubcommands:
     @pytest.mark.parametrize("flags, warnings, series_ks", [
         # t = T / (2 s^2) leaves the float range in the series' c/t**l terms at k = 4; the series is
         # Dt^2 + s^2 at k = 1, whatever t is
-        (["--T", "1e-300"], ["series evaluated at t = 5e-293 < 5.0",
-                             "the high-temperature series has no value at T = 1e-300"], ["1"]),
+        (["--T", "1e-300"], [_SERIES_T.format("5e-293"), _SERIES_OUT.format("nan", "5e-293", 4)], ["1"]),
         # t**l overflows where c/t^l does not, which the series forms without t**l
         (["--T", "1e300"], [], ["1", "4"]),
         # sigma = 0 in de mode: the averaged predictive variance is 0
-        (["--sigma", "0", "--mode", "de", "--T", "1"], ["the averaged predictive variance is 0.0"], []),
+        (["--sigma", "0", "--mode", "de", "--T", "1"],
+         ["the averaged predictive variance is 0.0; the series needs s2 > 0"], []),
     ], ids=["T_tiny", "T_huge", "sigma_zero"])
     def test_sweep_k_without_series_keeps_monte_carlo_rows(self, flags, warnings, series_ks, tmp_path, capsys):
         out = tmp_path / "sk.csv"
         assert run(["sweep-k", "--k-grid", "1,4", "--c-grid", "0,2", "--n-outer", "5",
                     "--n-inner", "5", "--out", str(out)] + flags) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == len(warnings)
-        assert all(line.startswith(f"itslab: warning: {w}") for line, w in zip(err, warnings))
+        assert capsys.readouterr().err.splitlines() == [f"itslab: warning: {w}" for w in warnings]
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         modes = [mode for k in ("1", "4") for mode in ["det_equiv", *["theory_highT"] * (k in series_ks)]]
         assert [r["mode"] for r in rows] == modes * 2
         assert all(float(r["delta"]) >= 0 for r in rows)
         assert all((r["theory_highT"] != "") == (r["k"] in series_ks) for r in rows)
+
+    def test_judge_overlay_keeps_each_files_bytes(self, tmp_path):
+        # a file's rows depend on its name, not on its directory or on the other files of the run
+        argv, _, digest = _WARNED_RUNS["judge"]
+        paths = []
+        for seed, name in enumerate(["a/r.jsonl", "b/q.jsonl"]):
+            (tmp_path / name).parent.mkdir()
+            rows = record_rows(trap_judge_questions(np.random.default_rng(seed), 5, 4))
+            paths.append(write_records(tmp_path / name, rows))
+        rec, other = paths
+        out = tmp_path / "x.csv"
+        assert run(argv + ["--records", str(other), "--records", str(rec), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        assert {line.split(",")[0] for line in lines[1:]} == {"q.jsonl", "r.jsonl"}
+        own = "".join([lines[0]] + [line for line in lines[1:] if line.startswith("r.jsonl,")])
+        assert hashlib.sha256(own.encode()).hexdigest()[:16] == digest
 
     def test_judge_accuracy_column_is_minus_delta(self, tmp_path):
         rec = write_records(tmp_path / "r.jsonl",
@@ -600,36 +613,30 @@ class TestSubcommands:
         out = tmp_path / "sk.csv"
         flags = ["sweep-k", "--d", "20", "--n", "10", "--k-grid", "1,4", "--n-outer", "5",
                  "--n-inner", "5", "--out", str(out)]
-        series = [
-            "itslab: warning: series evaluated at t = 0.192 < 5.0; the dropped remainder "
-            "may not be negligible",
-            "itslab: warning: the high-temperature series is -24.53",
-        ]
+        series = [f"itslab: warning: {w}"
+                  for w in (_SERIES_T.format("0.192"), _SERIES_OUT.format("-24.536275962535083", "0.192", 4))]
         assert run(flags + ["--mode", "de"]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err[0] == (
             "itslab: warning: alpha = d/n = 2 >= 1: the deterministic equivalent assumes "
             "alpha < 1, so det_equiv values here are extrapolated"
         )
-        assert len(err) == 3 and err[1] == series[0] and err[2].startswith(series[1])
+        assert err[1:] == series
         assert [r.split(",")[0] for r in out.read_text().splitlines()[1:]] == [
             "det_equiv", "theory_highT", "det_equiv"]
         assert run(flags + ["--mode", "exact"]) == 0
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and err[0] == series[0] and err[1].startswith(series[1])
+        assert err == series
 
     def test_sweep_k_flags_series_outside_its_domain(self, tmp_path, capsys):
         # t = T / (2 s^2) is about 5e-5: the series is exact at k = 1 and negative beyond
         out = tmp_path / "sk.csv"
         assert run(["sweep-k", "--T", "1e-12", "--k-grid", "1,2,50", "--n-outer", "4",
                     "--n-inner", "4", "--out", str(out)]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 2 and err[0] == (
-            "itslab: warning: series evaluated at t = 5e-05 < 5.0; the dropped remainder "
-            "may not be negligible"
-        )
-        assert err[1].startswith("itslab: warning: the high-temperature series is -0.000108785")
-        assert err[1].endswith(" < 0 at T = 1e-12, k = 2")
+        assert capsys.readouterr().err.splitlines() == [
+            f"itslab: warning: {_SERIES_T.format('5e-05')}",
+            f"itslab: warning: {_SERIES_OUT.format('-0.00010878513335015638', '5e-05', 2)}",
+        ]
         rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
         assert [(r[0], r[6]) for r in rows] == [
             ("det_equiv", "1"), ("theory_highT", "1"), ("det_equiv", "2"), ("det_equiv", "50")]
@@ -755,7 +762,7 @@ class TestExitCodes:
             run(["sweep-k", "--bogus-flag"])
         assert exc.value.code == 2
 
-    def test_grid_value_with_a_leading_minus_is_the_flags_value(self, tmp_path):
+    def test_grid_value_with_a_leading_minus_is_the_flags_value(self, tmp_path, capsys):
         # argparse took '-5,0' for a flag of its own and exited 2: "expected one argument"
         spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
         mc_flags = ["--k-grid", "1,4", "--n-outer", "4", "--n-inner", "4"]
@@ -763,6 +770,20 @@ class TestExitCodes:
         assert run(["sweep-k", "--c-grid=-5,0", *mc_flags, "--out", str(joined)]) == 0
         assert read_bytes(spaced) == read_bytes(joined)
         assert {row["c"] for row in csv.DictReader(spaced.read_text().splitlines())} == {"-5.0", "0.0"}
+        # a negative infinity or NaN, in any case, is the flag's value too, refused by the flag's own type
+        for sub, flag, value, message in [
+            ("sweep-k", "--c-grid", "-inf", "cannot parse grid '-inf': '-inf' is not finite"),
+            ("sweep-k", "--c-grid", "-Infinity,0", "cannot parse grid '-Infinity,0': '-Infinity' is not finite"),
+            ("sweep-t", "--c", "-inf", "invalid finite_float value: '-inf'"),
+            ("sweep-t", "--t-grid", "-nan", "cannot parse grid '-nan': '-nan' is not finite"),
+            ("sweep-t", "--t-grid", "-NaN,1", "cannot parse grid '-NaN,1': '-NaN' is not finite"),
+        ]:
+            for argv in ([flag, value], [f"{flag}={value}"]):
+                with pytest.raises(SystemExit) as exc:
+                    run([sub, *argv, "--out", str(tmp_path / "x.csv")])
+                assert exc.value.code == 2
+                assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("argv", [["--k-grid", "-1,4"], ["--k-grid=-1,4"]], ids=["spaced", "joined"])
     def test_negative_k_grid_prints_the_k_grid_rule(self, argv, tmp_path, capsys):
@@ -789,6 +810,20 @@ class TestExitCodes:
                     "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_judge_records_of_one_name_is_2(self, tmp_path, capsys):
+        # rows of two files named r.jsonl would share their source and their permutations
+        rows = record_rows(trap_judge_questions(np.random.default_rng(0), 5, 4))
+        recs = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            recs.append(write_records(tmp_path / sub / "r.jsonl", rows))
+        with pytest.raises(SystemExit) as exc:
+            run(["judge", "--records", str(recs[0]), "--records", str(recs[1]), "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: --records files must have distinct names; 'r.jsonl' is given more than once\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("line, message", [
         ('{"question_id": "a", "sample_id": "s1", "reward": 1' + "0" * 400 + ', "correct": 1}',

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -16,8 +17,8 @@ from itslab import (
     delta_c_curve,
     dlogn_flat_prior,
     high_t_delta_x,
+    optimal_c,
     optimal_k,
-    optimal_reward,
     optimal_temperature,
     refined_best_of_k_delta,
     resolve_reward,
@@ -117,8 +118,9 @@ class TestHighTSeries:
         for _ in range(20):
             st = _terms(rng.normal(), rng.normal(), s2=float(rng.uniform(0.5, 2)), t=float(rng.uniform(0.1, 100)))
             assert high_t_delta_x(st, 1) == st.dt2 + st.s2
-        # C_3/t^3 is inf at t = 1e-106 and t**2 overflows at t = 1e300; the factor 1 - 1/k = 0 drops both
-        for t in (1e-106, 1e300):
+        # C_3/t^3 is inf at t = 1e-106, t**2 underflows to 0 at t = 1e-200 and overflows at t = 1e300;
+        # the factor 1 - 1/k = 0 drops them all
+        for t in (5e-324, 1e-200, 1e-106, 1e300):
             assert high_t_delta_x(_terms(1e-4, 2e-4, s2=1e-8, t=t), 1) == 1e-4**2 + 1e-8
 
     @pytest.mark.parametrize("k", [3, 4])
@@ -131,6 +133,25 @@ class TestHighTSeries:
         t, terms = Fraction(st.t), (1 - Fraction(1, k), (1 - Fraction(1, k)) * (1 - Fraction(2, k)))
         exact = Fraction(st.s2) - c1 / t * terms[0] + c2 / t**2 * terms[1] - c3 / t**3 * terms[1] * (1 - Fraction(3, k))
         assert high_t_delta_x(st, k) == pytest.approx(float(exact), rel=1e-15)
+
+    def test_negative_value_is_refused(self):
+        # the terms of `sweep-k --d 2 --n 20 --T-sigma2 1e-6` at seed 0 and c = 0, whose k = 2 cell is negative
+        cfg = ModelConfig(d=2, n=20)
+        de = solve_for_config(cfg)
+        w_T = sample_teacher(cfg, stream(0, "teacher"))
+        st = SeriesTerms.averaged(cfg, de, w_T, w_T, 1e-6 * cfg.sigma**2)
+        message = "the high-temperature series is -19.156139367659254 at t = 4.5e-07, k = 2, not a finite value >= 0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            high_t_delta_x(st, 2)
+        assert high_t_delta_x(st, 1) == st.dt2 + st.s2
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 50])
+    def test_tiny_t_is_refused(self, k):
+        # t**2 underflows to 0 at t = 1e-200: C_2/t^2 is divided by t twice and is inf, so the value
+        # is not finite at k >= 3; at k = 2 only -C_1/t is left, and it is negative
+        st = _terms(1e-4, 2e-4, s2=1e-8, t=1e-200)
+        with pytest.raises(ValueError, match=re.escape(f"at t = 1e-200, k = {k}, not a finite value >= 0")):
+            high_t_delta_x(st, k)
 
     def test_infinite_t_limit(self):
         st = _terms(0.3, 0.7, s2=1.2, t=1e30)
@@ -221,38 +242,51 @@ class TestRefinedBestOfK:
 
 
 class TestOptimalReward:
+    """The series' stationary reward w_T + (k/(k-2)) t b w_T, as the radial offset c* = optimal_c(st, k)."""
+
     def test_zero_residual_factor_returns_teacher(self):
+        # R = 0 (sigma = 0) makes b = 0: every radial c, c* included, resolves to the teacher
         cfg = ModelConfig(d=4, n=100, sigma=0.0)
-        de = solve_for_config(cfg)  # R = 0 so B = 0
+        de = solve_for_config(cfg)
+        assert de.R == 0.0
         w = np.array([1.0, 2.0, -1.0, 0.5])
-        out = optimal_reward(w, de, k=10, t=50.0)
-        np.testing.assert_array_equal(out.w, w)
-        assert out.shift_ratio == 0.0
+        for c in (optimal_c(_terms(0.0, 0.0, s2=1.0, t=50.0), 10), -1.0, 1e300):
+            np.testing.assert_array_equal(resolve_reward(RewardSpec.radial(c), w, de.R, cfg.S), w)
 
     def test_large_k_limit_factor(self):
-        cfg = ModelConfig(d=3, n=100, sigma=0.3, gamma=1.0)
-        de = solve_for_config(cfg)
-        w = np.ones(3)
-        t = 20.0
-        out = optimal_reward(w, de, k=10**9, t=t)
-        np.testing.assert_allclose(out.w, w + t * de.b * w, rtol=1e-8)
+        st = _terms(0.1, 0.2, s2=1.0, t=20.0)
+        assert optimal_c(st, 10**9) == pytest.approx(st.t, rel=1e-8)
+        cs = [optimal_c(st, k) for k in (3, 10, 100, 10**6)]  # falls toward t from above
+        assert cs == sorted(cs, reverse=True) and cs[-1] > st.t
 
     def test_small_k_rejected(self):
-        cfg = ModelConfig(d=3, n=100)
+        for k in (2, 1, 0):
+            with pytest.raises(ValueError, match=f"k must be > 2, got {k}"):
+                optimal_c(_terms(0.0, 0.0, s2=1.0, t=10.0), k)
+
+    @pytest.mark.parametrize("config, k, T_sigma2", [
+        (dict(d=10, n=10_000, **FIG_LIKE), 50, 100.0),
+        (dict(d=3, n=100, sigma=0.3, gamma=1.0), 3, 20.0),
+        (dict(), 10**6, 2.0),
+        (dict(d=50, n=20, S=2.0, sigma=0.5, gamma=0.1), 7, 500.0),
+    ], ids=["figure", "small", "default", "alpha_above_1"])
+    def test_radial_reward_is_the_stationary_reward(self, config, k, T_sigma2):
+        cfg = ModelConfig(**config)
         de = solve_for_config(cfg)
-        with pytest.raises(ValueError):
-            optimal_reward(np.ones(3), de, k=2, t=10.0)
+        w_T = sample_teacher(cfg, stream(7, "teacher"))
+        st = SeriesTerms.averaged(cfg, de, w_T, w_T, T_sigma2 * cfg.sigma**2)
+        w_R = resolve_reward(RewardSpec.radial(optimal_c(st, k)), w_T, de.R, cfg.S)
+        np.testing.assert_allclose(w_R, w_T + (k / (k - 2)) * st.t * de.b * w_T, rtol=1e-14, atol=0)
 
     def test_c_sweep_minimum_matches_prediction(self):
         # The error over the radial family at fixed (k, T) is minimized at
-        # c ~ (k/(k-2)) t ~ T/(2 sigma^2); grid argmin within one log step.
+        # c* = (k/(k-2)) t ~ T/(2 sigma^2); grid argmin within one log step.
         cfg = ModelConfig(d=10, n=10_000, **FIG_LIKE)
         de = solve_for_config(cfg)
         T = 100 * cfg.sigma**2
         k = 50
-        s2_bar = cfg.sigma**2 + cfg.gamma**2 * de.b * cfg.S**2
-        t_bar = T / (2 * s2_bar)
-        c_pred = (k / (k - 2)) * t_bar
+        w_T = sample_teacher(cfg, stream(31, "teacher"))  # the teacher of delta_c_curve's seed
+        c_pred = optimal_c(SeriesTerms.averaged(cfg, de, w_T, w_T, T), k)
         c_grid = np.geomspace(10.0, 270.0, 12)
         res = delta_c_curve(
             cfg, c_grid, T=T, k=k, n_outer=600, n_inner=100, seed=31
